@@ -181,13 +181,21 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
     return mse, sigma2
 
 
-def _locate_atoms(colloc_points, atoms):
-    """Index of each atom inside the collocation list (exact (x, m) match)."""
-    index = {(a.x, a.m): j for j, a in enumerate(colloc_points)}
-    try:
-        return np.array([index[(a.x, a.m)] for a in atoms])
-    except KeyError as missing:
-        raise ValueError(f"atom {missing} not among the collocation atoms") from None
+def _lagrangian_at(k, obs, ops, atoms, cfg, want_var=False):
+    """Centered Lagrangian fit read at ``atoms``: (mean, variance, escalated).
+
+    The variance (None unless ``want_var``) comes from the same solve as
+    the mean; ``escalated`` says whether the factorization needed jitter
+    above the requested nugget.
+    """
+    K, H = _pred.assemble_lagrangian(k, obs, ops)
+    w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
+    idx = design.locate_atoms(ops.colloc_points, atoms)
+    variance = None
+    if want_var:
+        M = None if w.lam2 is None else np.outer(obs.values, ops.U[idx] @ w.lam2)
+        variance, _ = _uq.mmse_variance(k, list(atoms), w.alpha[:, idx], H[:, idx], M)
+    return w.predictions[idx], variance, w.nugget_used > cfg.nugget
 
 
 def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
@@ -213,16 +221,11 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
             obs_i = design.ObservationSet(
                 [obs.points[j] for j in keep], obs.values[keep]
             )
-            ops_i = design.extend_atoms(ops_at_predictions, [obs.points[i]])
-            (idx,) = _locate_atoms(ops_i.colloc_points, [obs.points[i]])
-            if want_var:
-                u = _uq.var_lk(k, obs_i, ops_i, cfg)
-                res.append((obs.values[i] - u.mean[idx], u.variance[idx]))
-                escalated = escalated or u.nugget_used > cfg.nugget
-            else:
-                w = _pred.lagrangian_kriging(k, obs_i, ops_i, cfg=cfg)
-                res.append((obs.values[i] - w.predictions[idx], None))
-                escalated = escalated or w.nugget_used > cfg.nugget
+            atom = [obs.points[i]]
+            ops_i = design.extend_atoms(ops_at_predictions, atom)
+            mean, var, esc = _lagrangian_at(k, obs_i, ops_i, atom, cfg, want_var)
+            res.append((obs.values[i] - mean[0], None if var is None else var[0]))
+            escalated = escalated or esc
         return res, escalated
 
     def mse(theta):
@@ -260,16 +263,14 @@ def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=None):
     _require_unit(k_unit)
     _require_centered(obs)
     ops = design.extend_atoms(ops_at_predictions, obs.points)
-    w = _pred.lagrangian_kriging(k_unit, obs, ops, cfg=cfg)
-    if w.nugget_used > cfg.nugget:
+    mean, _, escalated = _lagrangian_at(k_unit, obs, ops, obs.points, cfg)
+    if escalated:
         logger.info(
             "interpolation criterion undefined at theta=%.6g (escalated)",
             k_unit.theta,
         )
         return math.nan
-    idx = _locate_atoms(ops.colloc_points, obs.points)
-    resid = w.predictions[idx] - obs.values
-    return float(np.mean(resid ** 2))
+    return float(np.mean((mean - obs.values) ** 2))
 
 
 def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=None):
@@ -284,16 +285,15 @@ def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=None):
     _require_centered(obs)
     k = replace(k_unit, theta=float(theta_hat))
     ops = design.extend_atoms(ops_at_predictions, obs.points)
-    u = _uq.var_lk(k, obs, ops, cfg)
-    if u.nugget_used > cfg.nugget:
+    mean, variance, escalated = _lagrangian_at(k, obs, ops, obs.points, cfg, True)
+    if escalated:
         warnings.warn(
             f"variance rule at theta={theta_hat:.6g} used escalated jitter",
             RuntimeWarning,
             stacklevel=2,
         )
-    idx = _locate_atoms(ops.colloc_points, obs.points)
-    resid = u.mean[idx] - obs.values
-    denom = np.maximum(u.variance[idx], _SIGMA2_FLOOR)
+    resid = mean - obs.values
+    denom = np.maximum(variance, _SIGMA2_FLOOR)
     return _floored_sigma2(float(np.mean(resid ** 2 / denom)))
 
 
@@ -313,10 +313,12 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     """Deterministic 1-d minimization of a lengthscale criterion.
 
     Log-spaced coarse grid (half the budget), then golden-section
-    refinement in log space inside the cell around the grid argmin.
-    Non-finite criterion values are skipped and logged; exact ties shrink
-    the bracket from both sides.  ``sigma2_rule``, when given, is called
-    at the optimum to fill ``sigma2_hat`` (default 1.0).
+    refinement in log space inside the cell around the grid argmin, then
+    the midpoint of the final bracket: exactly ``budget`` criterion
+    evaluations in all.  Non-finite criterion values are skipped and
+    logged; exact ties shrink the bracket from both sides.
+    ``sigma2_rule``, when given, is called at the optimum to fill
+    ``sigma2_hat`` (default 1.0).
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi and np.isfinite(hi)):
@@ -350,7 +352,7 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     lb = math.log(grid[ib + 1] if ib < ngrid - 1 else grid[ib])
 
     rho = (math.sqrt(5.0) - 1.0) / 2.0
-    remaining = budget - ngrid
+    remaining = budget - ngrid - 1
     used = 0
     if lb > la and remaining >= 2:
         x1 = lb - rho * (lb - la)
@@ -376,8 +378,10 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
                 x1 = lb - rho * (lb - la)
                 x2 = la + rho * (lb - la)
                 f1 = ev(math.exp(x1))
-                f2 = ev(math.exp(x2))
-                used += 2
+                used += 1
+                if used < remaining:
+                    f2 = ev(math.exp(x2))
+                    used += 1
 
     mid = math.exp(0.5 * (la + lb))
     fmid = ev(mid)

@@ -8,10 +8,20 @@ files parse back losslessly.  Exit codes: 0 success, 2 configuration or
 input error, 3 numerical failure; report.json is written with a status
 field either way whenever the output directory is known.
 
-The report's timing block separates system construction (covariance
-assembly) from inversion (factorize + solve), matching how the
-benchmark compares collocated co-Kriging against the Lagrangian
-predictor as the constraint count grows.
+Every --method value is one row of the method table (:func:`_methods`):
+its calibration criterion and variance rule, and its post-calibration
+solve.  That solve assembles its covariance blocks once and factors
+once; the predictions, the constraint residual and the variances all
+come from it.
+
+The report's timing block has two entries.  For ode1d and scalar2d,
+construction_s times the covariance assembly of the post-calibration
+solve and inversion_s its factorization and solve; the bench sweep
+splits each method the same way, to compare collocated co-Kriging with
+the Lagrangian predictor as the constraint count grows.  For the flow
+experiments construction_s times the one build of the flow system and
+inversion_s the whole predictor, covariance assembly included.
+Calibration and the variance pass are not timed.
 """
 
 import argparse
@@ -22,7 +32,9 @@ import os
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -53,9 +65,6 @@ _NUMERICAL_ERRORS = (
     _pred.SingularSystemError,
     np.linalg.LinAlgError,
 )
-
-_METHODS = ("sk", "ok", "ck", "lk", "lk-interp")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -216,8 +225,9 @@ def _parse_autoreal(value, name):
 
 
 def validate_config(cfg):
-    if cfg.method not in _METHODS:
-        raise ConfigError(f"method: {cfg.method!r} not one of {_METHODS}")
+    methods = _methods()
+    if cfg.method not in methods:
+        raise ConfigError(f"method: {cfg.method!r} not one of {tuple(methods)}")
     cfg.theta = _parse_autoreal(cfg.theta, "theta")
     cfg.sigma2 = _parse_autoreal(cfg.sigma2, "sigma2")
     for name in ("n", "p", "q", "q1", "q2"):
@@ -241,8 +251,13 @@ def validate_config(cfg):
             raise ConfigError(f"budget: must be at least 8, got {cfg.budget}")
     if cfg.target not in ("f1", "f2"):
         raise ConfigError(f"target: {cfg.target!r} not one of ('f1', 'f2')")
-    if cfg.experiment in ("flow-cylinder", "flow-csv") and cfg.method not in ("ck", "lk"):
-        raise ConfigError(f"method: flow experiments support ck or lk, got {cfg.method!r}")
+    row = methods[cfg.method]
+    if cfg.experiment == "scalar2d" and not row.scalar2d:
+        supported = tuple(m for m, r in methods.items() if r.scalar2d)
+        raise ConfigError(f"method: scalar2d supports {supported}, got {cfg.method!r}")
+    if cfg.experiment in ("flow-cylinder", "flow-csv") and row.flow is None:
+        supported = tuple(m for m, r in methods.items() if r.flow)
+        raise ConfigError(f"method: flow experiments support {supported}, got {cfg.method!r}")
     if cfg.experiment == "flow-csv" and not cfg.csv_path:
         raise ConfigError("csv_path: required for the flow-csv experiment")
     return cfg
@@ -272,35 +287,158 @@ def _search_bounds(points):
     return lo, min(hi, diam)
 
 
-def _calibrate(cfg, criterion, sigma2_rule, points, default_budget=64):
-    """Resolve (theta, sigma2) from config or by optimization.
+def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
+    """Kernel with (theta, sigma2) from the config or by optimization.
 
-    The flow experiment passes a denser default: its filtered criterion
-    has a narrow basin that a 32-point coarse grid can step across.
+    ``criterion`` is a method row's criterion.  The flow experiment passes
+    a denser default budget: its filtered criterion has a narrow basin
+    that a 32-point coarse grid can step across.
     """
+    dim = len(obs.points[0].x)
+    crit, s2rule = criterion(_unit_kernel(dim), obs, ops, scfg)
     budget = cfg.budget if cfg.budget is not None else default_budget
-    trace = []
     if cfg.theta == "auto":
-        bounds = _search_bounds(points)
-        res = _cal.optimize_theta(
-            criterion, bounds, budget=budget, sigma2_rule=None
-        )
+        res = _cal.optimize_theta(crit, _search_bounds(obs.points), budget=budget)
         theta = res.theta_hat
-        trace = res.trace
     else:
         theta = float(cfg.theta)
-    if cfg.sigma2 == "auto":
-        sigma2 = float(sigma2_rule(theta)) if sigma2_rule is not None else 1.0
-    else:
-        sigma2 = float(cfg.sigma2)
-    return theta, sigma2, trace
+    sigma2 = float(s2rule(theta)) if cfg.sigma2 == "auto" else float(cfg.sigma2)
+    return _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=dim)
+
+
+# ---------------------------------------------------------------------------
+# methods: one row of the method table per --method value
+
+
+_NO_ROWS = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
+
+# A post-calibration solve, read at its prediction atoms.
+_Fit = namedtuple("_Fit", "atoms mean variance resid_max nugget_used timing")
+
+
+def _timing(t0, t1, t2):
+    return {"construction_s": _round_ms(t1 - t0), "inversion_s": _round_ms(t2 - t1)}
+
+
+def _loocv_plain(k0, obs, ops, scfg):
+    """Virtual LOOCV of plain Kriging; the operator rows play no part."""
+    crit = lambda th: _cal.loocv_mse_virtual(replace(k0, theta=th), obs, scfg)
+    s2rule = lambda th: _cal.sigma2_virtual(k0, obs, th, scfg)
+    return crit, s2rule
+
+
+def _interpolation(k0, obs, ops, scfg):
+    """Deviation of the Lagrangian fit at the retained observations."""
+    crit = lambda th: _cal.interpolation_error_criterion(
+        replace(k0, theta=th), obs, ops, scfg
+    )
+    s2rule = lambda th: _cal.sigma2_interpolation(k0, obs, ops, th, scfg)
+    return crit, s2rule
+
+
+def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
+    """Co-Kriging on [Z; v]; plain Kriging without ``rows``.
+
+    The collocation atoms join the prediction columns, so the constraint
+    residual comes out of the same factorization as the predictions.
+    ``ordinary`` (used without rows) adds the unit-mean constraint.
+    """
+    ops = ops if rows else _NO_ROWS
+    mu = np.ones(obs.n) if ordinary else None
+    q = len(pred)
+    t0 = time.monotonic()
+    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + ops.colloc_points)
+    t1 = time.monotonic()
+    mu_star = np.ones(q) if ordinary else None
+    w = _pred.solve_co_kriging(Kplus, Hplus, y, scfg, mu_plus=mu, mu_star=mu_star)
+    t2 = time.monotonic()
+    M = np.outer(mu, w.lam) if ordinary else None
+    variance, _ = _uq.mmse_variance(k, pred, w.alpha[:, :q], Hplus[:, :q], M)
+    resid = ops.U.T @ w.predictions[q:] - ops.rhs
+    resid_max = float(np.max(np.abs(resid))) if ops.p else None
+    return _Fit(
+        pred, w.predictions[:q], variance, resid_max, w.nugget_used, _timing(t0, t1, t2)
+    )
+
+
+def _solve_lk(k, obs, ops, pred, scfg):
+    """Lagrangian Kriging over the constrained atoms plus ``pred``."""
+    lk_ops = design.extend_atoms(ops, pred)
+    t0 = time.monotonic()
+    K, H = _pred.assemble_lagrangian(k, obs, lk_ops)
+    t1 = time.monotonic()
+    w = _pred.solve_lagrangian(K, H, obs, lk_ops, scfg)
+    t2 = time.monotonic()
+    M = None if w.lam2 is None else np.outer(obs.values, lk_ops.U @ w.lam2)
+    atoms = lk_ops.colloc_points
+    variance, _ = _uq.mmse_variance(k, atoms, w.alpha, H, M)
+    resid_max = float(np.max(np.abs(lk_ops.U.T @ w.predictions - lk_ops.rhs)))
+    return _Fit(
+        atoms, w.predictions, variance, resid_max, w.nugget_used, _timing(t0, t1, t2)
+    )
+
+
+_Method = namedtuple(
+    "_Method", "criterion solve ode_rows scalar2d flow", defaults=(None, False, None)
+)
+
+
+def _methods():
+    """The method table, one row per --method value.
+
+    ``criterion(k0, obs, ops, scfg)`` gives the (criterion, sigma2 rule)
+    pair of the lengthscale search at unit variance and ``solve(k, obs,
+    ops, pred, scfg)`` the _Fit after calibration.  ``ode_rows`` places
+    the ode1d rows (see :func:`_ode1d_data`), ``scalar2d`` says whether
+    the 2-d study runs the method, and ``flow`` is the (criterion,
+    predictor) pair of the flow experiments; the two-step route there
+    calibrates the potential by plain virtual LOOCV.  The table is built
+    on each call, so that it holds the calibration and flow functions as
+    those modules export them at run time.
+    """
+    return {
+        "sk": _Method(_loocv_plain, partial(_solve_stacked, rows=False), scalar2d=True),
+        "ok": _Method(_loocv_plain, partial(_solve_stacked, rows=False, ordinary=True)),
+        "ck": _Method(_cal.loocv_ck_virtual, _solve_stacked, "colloc", True,
+                      (_cal.loocv_ck_virtual, _flow.predict_flow_ck)),
+        "lk": _Method(_cal.loocv_lk_explicit, _solve_lk, "grid", True,
+                      (_loocv_plain, _flow.predict_flow_lk_twostep)),
+        "lk-interp": _Method(_interpolation, _solve_lk, "grid+obs"),
+    }
+
+
+def _finish(cfg, k, fit, sel, **fields):
+    """Write predictions.csv for the fit's atoms ``sel``; return the report."""
+    header = ["x", "y"][: len(fit.atoms[0].x)] + ["m", "mean", "variance"]
+    rows = [
+        (*fit.atoms[j].x, _mstr(fit.atoms[j].m), fit.mean[j], fit.variance[j])
+        for j in sel
+    ]
+    write_csv(os.path.join(cfg.output_dir, "predictions.csv"), header, rows)
+    return RunReport(
+        config=asdict(cfg),
+        theta_hat=k.theta,
+        sigma2_hat=k.sigma2,
+        constraint_residual_max=fit.resid_max,
+        timing=fit.timing,
+        nugget_used=float(fit.nugget_used),
+        cov_eval_count=design.cov_eval_count(),
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
 # ode1d experiment: f + f'' = 0 on [0, 2*pi], truth sin
 
 
-def _ode1d_data(cfg):
+def _ode1d_data(cfg, rows_at):
+    """Observations, collocation rows and prediction grid of the 1-d study.
+
+    ``rows_at`` places the rows f + f'' = 0: "colloc" on the p-point
+    collocation grid, "grid" on the prediction grid (a Lagrangian method
+    constrains its own predictions), "grid+obs" there and at the
+    observations; None builds no rows.
+    """
     n = cfg.n if cfg.n is not None else 4
     p = cfg.p if cfg.p is not None else 10
     q = cfg.q if cfg.q is not None else p
@@ -309,9 +447,14 @@ def _ode1d_data(cfg):
     obs = design.ObservationSet(
         [ExtendedPoint((float(x),), (0,)) for x in xs], np.sin(xs)
     )
-    colloc = np.linspace(0.0, 2.0 * np.pi, p)
     grid = np.linspace(0.0, 2.0 * np.pi, q)
-    return obs, colloc, grid
+    locations = {
+        "colloc": np.linspace(0.0, 2.0 * np.pi, p),
+        "grid": grid,
+        "grid+obs": np.unique(np.concatenate([grid, xs])),
+    }
+    ops = _ode_rows(locations[rows_at]) if rows_at else None
+    return obs, ops, grid
 
 
 def _ode_rows(locations):
@@ -319,126 +462,16 @@ def _ode_rows(locations):
     return design.encode_pointwise(rows, np.zeros(len(rows)))
 
 
-def _variance_by_objective(k, obs, pred_atoms, alpha):
-    """Realized per-prediction MSE of given weights (fallback variance)."""
-    K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, pred_atoms)
-    out = np.empty(len(pred_atoms))
-    for j, atom in enumerate(pred_atoms):
-        Kstar = np.array([[design.cov(k, atom, atom)]])
-        out[j] = _pred.mse_objective(alpha[:, [j]], K, H[:, [j]], Kstar)
-    return np.clip(out, 0.0, None)
-
-
 def run_ode1d(cfg):
-    obs, colloc, grid = _ode1d_data(cfg)
-    scfg = _scale_cfg(cfg)
-    k0 = _unit_kernel(1)
+    row = _methods()[cfg.method]
+    obs, ops, grid = _ode1d_data(cfg, row.ode_rows)
     pred_atoms = [ExtendedPoint((float(x),), (0,)) for x in grid]
-    report = RunReport(config=asdict(cfg))
-    timing = {"construction_s": 0.0, "inversion_s": 0.0}
-    method = cfg.method
-
-    if method in ("sk", "ok"):
-        crit = lambda th: _cal.loocv_mse_virtual(replace(k0, theta=th), obs, scfg)
-        s2rule = lambda th: _cal.sigma2_virtual(k0, obs, th, scfg)
-        theta, sigma2, _ = _calibrate(cfg, crit, s2rule, obs.points)
-        k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=1)
-        t0 = time.monotonic()
-        K = design.gram(k, obs.points)
-        H = design.gram(k, obs.points, pred_atoms)
-        t1 = time.monotonic()
-        if method == "sk":
-            solve, eta = _pred.make_spd_solver(K, scfg)
-            alpha = solve(H)
-            w = _pred.KrigingWeights(alpha, alpha.T @ obs.values, nugget_used=eta)
-            uqr = _uq.var_ck(k, obs, None, pred_atoms, scfg)
-            variance = uqr.variance
-        else:
-            obs_m = design.ObservationSet(
-                obs.points, obs.values, mean=np.ones(obs.n)
-            )
-            w = _pred.ordinary_kriging(k, obs_m, pred_atoms, np.ones(len(pred_atoms)), scfg)
-            variance = _variance_by_objective(k, obs, pred_atoms, w.alpha)
-        t2 = time.monotonic()
-        predictions = w.predictions
-        out_atoms = pred_atoms
-        resid_max = None
-
-    elif method == "ck":
-        ops = _ode_rows(colloc)
-        crit, s2rule = _cal.loocv_ck_virtual(k0, obs, ops, scfg)
-        theta, sigma2, _ = _calibrate(cfg, crit, s2rule, obs.points)
-        k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=1)
-        t0 = time.monotonic()
-        Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred_atoms)
-        t1 = time.monotonic()
-        w = _pred.solve_co_kriging(Kplus, Hplus, y, scfg)
-        t2 = time.monotonic()
-        predictions = w.predictions
-        uqr = _uq.var_ck(k, obs, ops, pred_atoms, scfg)
-        variance = uqr.variance
-        chat = _pred.co_kriging(k, obs, ops, ops.colloc_points, cfg=scfg)
-        resid_max = float(np.max(np.abs(ops.U.T @ chat.predictions - ops.rhs)))
-        out_atoms = pred_atoms
-
-    elif method in ("lk", "lk-interp"):
-        if method == "lk":
-            locs = grid
-        else:
-            locs = np.unique(np.concatenate([grid, [a.x[0] for a in obs.points]]))
-        ops = _ode_rows(locs)
-        if method == "lk":
-            crit, s2rule = _cal.loocv_lk_explicit(k0, obs, ops, scfg)
-        else:
-            crit = lambda th: _cal.interpolation_error_criterion(
-                replace(k0, theta=th), obs, ops, scfg
-            )
-            s2rule = lambda th: _cal.sigma2_interpolation(k0, obs, ops, th, scfg)
-        theta, sigma2, _ = _calibrate(cfg, crit, s2rule, obs.points)
-        k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=1)
-        t0 = time.monotonic()
-        K, H = _pred.assemble_lagrangian(k, obs, ops)
-        t1 = time.monotonic()
-        w = _pred.solve_lagrangian(K, H, obs, ops, scfg)
-        t2 = time.monotonic()
-        uqr = _uq.var_lk(k, obs, ops, scfg)
-        variance = uqr.variance
-        resid_max = float(np.max(np.abs(ops.U.T @ w.predictions - ops.rhs)))
-        out_atoms = list(ops.colloc_points)
-        predictions = w.predictions
-    else:  # pragma: no cover - validated earlier
-        raise ConfigError(f"method: {method!r}")
-
-    timing["construction_s"] = _round_ms(t1 - t0)
-    timing["inversion_s"] = _round_ms(t2 - t1)
-
-    idx0 = [j for j, a in enumerate(out_atoms) if a.m == (0,)]
-    grid_pred = {out_atoms[j].x[0]: predictions[j] for j in idx0}
-    if method in ("sk", "ok", "ck"):
-        err = predictions - np.sin(grid)
-        mse = float(np.mean(err ** 2))
-    else:
-        vals = np.array([grid_pred[float(x)] for x in grid])
-        mse = float(np.mean((vals - np.sin(grid)) ** 2))
-
-    rows = [
-        (out_atoms[j].x[0], _mstr(out_atoms[j].m), predictions[j], variance[j])
-        for j in range(len(out_atoms))
-    ]
-    write_csv(
-        os.path.join(cfg.output_dir, "predictions.csv"),
-        ["x", "m", "mean", "variance"],
-        rows,
-    )
-    report.theta_hat = theta
-    report.sigma2_hat = sigma2
-    report.mse_vs_truth = mse
-    report.constraint_residual_max = resid_max
-    report.timing = timing
-    report.nugget_used = float(w.nugget_used)
-    report.cov_eval_count = design.cov_eval_count()
-    return report
+    scfg = _scale_cfg(cfg)
+    k = _calibrate(cfg, row.criterion, obs, ops, scfg)
+    fit = row.solve(k, obs, ops, pred_atoms, scfg)
+    on_grid = fit.mean[design.locate_atoms(fit.atoms, pred_atoms)]
+    mse = float(np.mean((on_grid - np.sin(grid)) ** 2))
+    return _finish(cfg, k, fit, range(len(fit.atoms)), mse_vs_truth=mse)
 
 
 # ---------------------------------------------------------------------------
@@ -486,95 +519,26 @@ def _scalar2d_system(cfg):
 
 
 def run_scalar2d(cfg):
-    if cfg.n is not None and cfg.n < 1:
-        raise ConfigError("n: must be at least 1")
+    row = _methods()[cfg.method]
     obs, ops, pred_atoms, truth = _scalar2d_system(cfg)
     scfg = _scale_cfg(cfg)
-    k0 = _unit_kernel(2)
-    report = RunReport(config=asdict(cfg))
-    timing = {"construction_s": 0.0, "inversion_s": 0.0}
-    method = cfg.method
+    k = _calibrate(cfg, row.criterion, obs, ops, scfg)
+    fit = row.solve(k, obs, ops, pred_atoms, scfg)
+    sel = design.locate_atoms(fit.atoms, pred_atoms)
+    predictions = fit.mean[sel]
     extras = {}
-
-    if method == "sk":
-        crit = lambda th: _cal.loocv_mse_virtual(replace(k0, theta=th), obs, scfg)
-        s2rule = lambda th: _cal.sigma2_virtual(k0, obs, th, scfg)
-        theta, sigma2, _ = _calibrate(cfg, crit, s2rule, obs.points)
-        k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=2)
-        t0 = time.monotonic()
-        K = design.gram(k, obs.points)
-        H = design.gram(k, obs.points, pred_atoms)
-        t1 = time.monotonic()
-        solve, eta = _pred.make_spd_solver(K, scfg)
-        alpha = solve(H)
-        w = _pred.KrigingWeights(alpha, alpha.T @ obs.values, nugget_used=eta)
-        t2 = time.monotonic()
-        predictions = w.predictions
-        variance = _uq.var_ck(k, obs, None, pred_atoms, scfg).variance
-        out_atoms = pred_atoms
-        resid_max = None
-    elif method == "ck":
-        crit, s2rule = _cal.loocv_ck_virtual(k0, obs, ops, scfg)
-        theta, sigma2, _ = _calibrate(cfg, crit, s2rule, obs.points)
-        k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=2)
-        t0 = time.monotonic()
-        Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred_atoms)
-        t1 = time.monotonic()
-        w = _pred.solve_co_kriging(Kplus, Hplus, y, scfg)
-        t2 = time.monotonic()
-        predictions = w.predictions
-        variance = _uq.var_ck(k, obs, ops, pred_atoms, scfg).variance
-        chat = _pred.co_kriging(k, obs, ops, ops.colloc_points, cfg=scfg)
-        resid_max = float(np.max(np.abs(ops.U.T @ chat.predictions - ops.rhs)))
-        out_atoms = pred_atoms
-    elif method == "lk":
-        crit, s2rule = _cal.loocv_lk_explicit(k0, obs, ops, scfg)
-        theta, sigma2, _ = _calibrate(cfg, crit, s2rule, obs.points)
-        k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=2)
-        lk_ops = design.extend_atoms(ops, pred_atoms)
-        t0 = time.monotonic()
-        K, H = _pred.assemble_lagrangian(k, obs, lk_ops)
-        t1 = time.monotonic()
-        w = _pred.solve_lagrangian(K, H, obs, lk_ops, scfg)
-        t2 = time.monotonic()
-        index = {(a.x, a.m): j for j, a in enumerate(lk_ops.colloc_points)}
-        order0 = np.array([index[(a.x, a.m)] for a in pred_atoms])
-        predictions = w.predictions[order0]
-        sk_alpha = _pred.simple_kriging(k, obs, pred_atoms, scfg)
+    if row.solve is _solve_lk:
+        # every constraint atom here is a derivative no observation
+        # touches, so the order-0 predictions must match plain Kriging
+        sk = _pred.simple_kriging(k, obs, pred_atoms, scfg)
         extras["order0_minus_sk_max"] = float(
-            np.max(np.abs(predictions - sk_alpha.predictions))
+            np.max(np.abs(predictions - sk.predictions))
         )
-        variance = _uq.var_lk(k, obs, lk_ops, scfg).variance[order0]
-        resid_max = float(np.max(np.abs(lk_ops.U.T @ w.predictions - lk_ops.rhs)))
-        out_atoms = pred_atoms
-    else:
-        raise ConfigError(f"method: scalar2d supports sk, ck or lk, got {method!r}")
-
-    timing["construction_s"] = _round_ms(t1 - t0)
-    timing["inversion_s"] = _round_ms(t2 - t1)
     err = predictions - truth
-    mse = float(np.mean(err ** 2))
     denom = float(np.linalg.norm(truth))
     l2 = float(np.linalg.norm(err)) / denom if denom > 0 else float("nan")
-    rows = [
-        (a.x[0], a.x[1], _mstr(a.m), predictions[j], variance[j])
-        for j, a in enumerate(out_atoms)
-    ]
-    write_csv(
-        os.path.join(cfg.output_dir, "predictions.csv"),
-        ["x", "y", "m", "mean", "variance"],
-        rows,
-    )
-    report.theta_hat = theta
-    report.sigma2_hat = sigma2
-    report.mse_vs_truth = mse
-    report.l2_rel_error = l2
-    report.constraint_residual_max = resid_max
-    report.timing = timing
-    report.nugget_used = float(w.nugget_used)
-    report.cov_eval_count = design.cov_eval_count()
-    report.extras = extras
-    return report
+    mse = float(np.mean(err ** 2))
+    return _finish(cfg, k, fit, sel, mse_vs_truth=mse, l2_rel_error=l2, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -629,48 +593,22 @@ def _flow_problem(cfg):
 
 
 def run_flow(cfg):
+    criterion, predict = _methods()[cfg.method].flow
     problem, truth_geom = _flow_problem(cfg)
     scfg = _scale_cfg(cfg)
-    k0 = _unit_kernel(2)
-    obs, ops, _ = _flow.build_flow_system(problem)
-    report = RunReport(config=asdict(cfg))
-
-    if cfg.method == "ck":
-        crit, s2rule = _cal.loocv_ck_virtual(k0, obs, ops, scfg)
-    else:
-        crit = lambda th: _cal.loocv_mse_virtual(replace(k0, theta=th), obs, scfg)
-        s2rule = lambda th: _cal.sigma2_virtual(k0, obs, th, scfg)
-    theta, sigma2, _ = _calibrate(cfg, crit, s2rule, obs.points, default_budget=128)
-    k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=2)
-
     t0 = time.monotonic()
-    _flow.build_flow_system(problem)
+    system = _flow.build_flow_system(problem)
     t1 = time.monotonic()
-    if cfg.method == "ck":
-        fieldr = _flow.predict_flow_ck(k, problem, scfg)
-    else:
-        fieldr = _flow.predict_flow_lk_twostep(k, problem, scfg)
+    obs, ops, _ = system
+    k = _calibrate(cfg, criterion, obs, ops, scfg, default_budget=128)
     t2 = time.monotonic()
+    fieldr = predict(k, problem, scfg, system=system)
+    t3 = time.monotonic()
 
-    rows = [
-        (
-            fieldr.locations[i][0],
-            fieldr.locations[i][1],
-            fieldr.vx[i],
-            fieldr.vy[i],
-            fieldr.var_vx[i],
-            fieldr.var_vy[i],
-            fieldr.cov_vxy[i],
-            fieldr.magsq_mean[i],
-            fieldr.magsq_var[i],
-        )
-        for i in range(len(fieldr.locations))
-    ]
-    write_csv(
-        os.path.join(cfg.output_dir, "predictions.csv"),
-        ["x", "y", "vx", "vy", "var_vx", "var_vy", "cov_vxy", "magsq_mean", "magsq_var"],
-        rows,
-    )
+    columns = ["vx", "vy", "var_vx", "var_vy", "cov_vxy", "magsq_mean", "magsq_var"]
+    values = [getattr(fieldr, c) for c in columns]
+    rows = [(*loc, *(v[i] for v in values)) for i, loc in enumerate(fieldr.locations)]
+    write_csv(os.path.join(cfg.output_dir, "predictions.csv"), ["x", "y"] + columns, rows)
     if cfg.experiment == "flow-cylinder":
         _flow.emit_velocity_csv(
             os.path.join(cfg.output_dir, "field_input.csv"),
@@ -679,15 +617,17 @@ def run_flow(cfg):
             problem.boundary_points,
         )
 
-    report.theta_hat = theta
-    report.sigma2_hat = sigma2
+    report = RunReport(
+        config=asdict(cfg),
+        theta_hat=k.theta,
+        sigma2_hat=k.sigma2,
+        timing={"construction_s": _round_ms(t1 - t0), "inversion_s": _round_ms(t3 - t2)},
+        nugget_used=float(fieldr.nugget_used),
+        cov_eval_count=design.cov_eval_count(),
+    )
     if truth_geom is not None and len(problem.pred_grid):
-        tv = np.array(
-            [
-                _flow.cylinder_flow_oracle(truth_geom, problem.freestream, loc)
-                for loc in problem.pred_grid
-            ]
-        )
+        oracle = partial(_flow.cylinder_flow_oracle, truth_geom, problem.freestream)
+        tv = np.array([oracle(loc) for loc in problem.pred_grid])
         dv = np.column_stack([fieldr.vx, fieldr.vy]) - tv
         report.mse_vs_truth = float(np.mean(np.sum(dv ** 2, axis=1)))
         denom = float(np.sqrt(np.sum(tv ** 2)))
@@ -696,12 +636,6 @@ def run_flow(cfg):
         report.constraint_residual_max = float(
             np.max(np.abs(fieldr.boundary_normal_residual))
         )
-    report.timing = {
-        "construction_s": _round_ms(t1 - t0),
-        "inversion_s": _round_ms(t2 - t1),
-    }
-    report.nugget_used = float(fieldr.nugget_used)
-    report.cov_eval_count = design.cov_eval_count()
     if fieldr.theta2_hat is not None:
         report.extras["theta2_hat"] = float(fieldr.theta2_hat)
     return report
@@ -712,18 +646,13 @@ def run_flow(cfg):
 
 
 def run_bench(cfg):
-    n = cfg.n if cfg.n is not None else 4
     q_ck = cfg.q if cfg.q is not None else 100
     sweep = (100, 250, 500, 1000) if cfg.p is None else (cfg.p,)
     theta = 1.0 if cfg.theta == "auto" else float(cfg.theta)
     sigma2 = 1.0 if cfg.sigma2 == "auto" else float(cfg.sigma2)
     k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=1)
     scfg = _scale_cfg(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    xs = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-    obs = design.ObservationSet(
-        [ExtendedPoint((float(x),), (0,)) for x in xs], np.sin(xs)
-    )
+    obs, _, _ = _ode1d_data(cfg, None)
     rows = []
     for p in sweep:
         colloc = np.linspace(0.0, 2.0 * np.pi, p)
@@ -738,32 +667,16 @@ def run_bench(cfg):
         t1 = time.monotonic()
         _pred.solve_co_kriging(Kplus, Hplus, y, scfg)
         t2 = time.monotonic()
-        rows.append(
-            {
-                "method": "ck",
-                "p": p,
-                "q": q_ck,
-                "construction_s": _round_ms(t1 - t0),
-                "inversion_s": _round_ms(t2 - t1),
-                "cov_eval_count": design.cov_eval_count(),
-            }
-        )
+        rows.append(dict(method="ck", p=p, q=q_ck, **_timing(t0, t1, t2),
+                         cov_eval_count=design.cov_eval_count()))
         design.reset_cov_eval_count()
         t0 = time.monotonic()
         K, H = _pred.assemble_lagrangian(k, obs, ops)
         t1 = time.monotonic()
         _pred.solve_lagrangian(K, H, obs, ops, scfg)
         t2 = time.monotonic()
-        rows.append(
-            {
-                "method": "lk",
-                "p": p,
-                "q": p,
-                "construction_s": _round_ms(t1 - t0),
-                "inversion_s": _round_ms(t2 - t1),
-                "cov_eval_count": design.cov_eval_count(),
-            }
-        )
+        rows.append(dict(method="lk", p=p, q=p, **_timing(t0, t1, t2),
+                         cov_eval_count=design.cov_eval_count()))
     write_csv(
         os.path.join(cfg.output_dir, "bench.csv"),
         ["method", "p", "q", "construction_s", "inversion_s", "cov_eval_count"],
@@ -785,40 +698,20 @@ def run_bench(cfg):
 
 
 def run_calibrate(cfg):
-    obs, colloc, grid = _ode1d_data(cfg)
-    scfg = _scale_cfg(cfg)
-    k0 = _unit_kernel(1)
-    method = cfg.method
-    if method in ("sk", "ok"):
-        crit = lambda th: _cal.loocv_mse_virtual(replace(k0, theta=th), obs, scfg)
-        s2rule = lambda th: _cal.sigma2_virtual(k0, obs, th, scfg)
-    elif method == "ck":
-        crit, s2rule = _cal.loocv_ck_virtual(k0, obs, _ode_rows(colloc), scfg)
-    elif method == "lk":
-        crit, s2rule = _cal.loocv_lk_explicit(k0, obs, _ode_rows(grid), scfg)
-    else:
-        ops = _ode_rows(
-            np.unique(np.concatenate([grid, [a.x[0] for a in obs.points]]))
-        )
-        crit = lambda th: _cal.interpolation_error_criterion(
-            replace(k0, theta=th), obs, ops, scfg
-        )
-        s2rule = lambda th: _cal.sigma2_interpolation(k0, obs, ops, th, scfg)
+    row = _methods()[cfg.method]
+    obs, ops, _ = _ode1d_data(cfg, row.ode_rows)
+    crit, s2rule = row.criterion(_unit_kernel(1), obs, ops, _scale_cfg(cfg))
     bounds = _search_bounds(obs.points)
     budget = cfg.budget if cfg.budget is not None else 64
     res = _cal.optimize_theta(crit, bounds, budget=budget, sigma2_rule=s2rule)
-    write_csv(
-        os.path.join(cfg.output_dir, "trace.csv"),
-        ["theta", "criterion"],
-        [(t, v) for t, v in res.trace],
+    write_csv(os.path.join(cfg.output_dir, "trace.csv"), ["theta", "criterion"], res.trace)
+    return RunReport(
+        config=asdict(cfg),
+        theta_hat=res.theta_hat,
+        sigma2_hat=res.sigma2_hat,
+        cov_eval_count=design.cov_eval_count(),
+        extras={"criterion_value": res.criterion_value, "bounds": list(bounds)},
     )
-    report = RunReport(config=asdict(cfg))
-    report.theta_hat = res.theta_hat
-    report.sigma2_hat = res.sigma2_hat
-    report.extras["criterion_value"] = res.criterion_value
-    report.extras["bounds"] = list(bounds)
-    report.cov_eval_count = design.cov_eval_count()
-    return report
 
 
 _RUNNERS = {
@@ -837,7 +730,7 @@ _RUNNERS = {
 
 def _add_common(sub):
     sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--method", default=None, choices=_METHODS)
+    sub.add_argument("--method", default=None, choices=tuple(_methods()))
     sub.add_argument("--theta", default=None, help="lengthscale or 'auto'")
     sub.add_argument("--sigma2", default=None, help="process variance or 'auto'")
     sub.add_argument("--nugget", type=float, default=None)

@@ -32,6 +32,7 @@ __all__ = [
     "encode_pointwise",
     "encode_average",
     "extend_atoms",
+    "locate_atoms",
     "cov_eval_count",
     "reset_cov_eval_count",
 ]
@@ -313,3 +314,12 @@ def extend_atoms(ops, extra_atoms):
         return OperatorSystem(ops.colloc_points, ops.U.copy(), ops.rhs.copy())
     U = np.vstack([ops.U, np.zeros((len(new), ops.p))])
     return OperatorSystem(ops.colloc_points + list(new), U, ops.rhs.copy())
+
+
+def locate_atoms(points, atoms):
+    """Index of each atom inside ``points`` (exact (x, m) match)."""
+    index = {(a.x, a.m): j for j, a in enumerate(points)}
+    try:
+        return np.array([index[(a.x, a.m)] for a in atoms], dtype=int)
+    except KeyError as missing:
+        raise ValueError(f"atom {missing} not among the given atoms") from None

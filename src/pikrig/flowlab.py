@@ -268,53 +268,53 @@ def build_flow_system(p):
     return obs, ops, pred
 
 
-def _atom_index(colloc_points):
-    return {(a.x, a.m): j for j, a in enumerate(colloc_points)}
+def _pack_field(p, mean, variance=None, blocks=None):
+    """Slice interleaved (vx, vy) atoms for the prediction grid.
 
-
-def _pack_field(p, mean, var=None, C=None, offset=0):
-    """Slice interleaved (vx, vy) atoms for the prediction grid."""
+    ``variance`` is the clamped diagonal over those atoms and ``blocks``
+    the per-point 2x2 covariance blocks, which feed the ||v||^2 moments.
+    """
     G = len(p.pred_grid)
-    sl = slice(offset, offset + 2 * G)
-    vx = mean[sl][0::2]
-    vy = mean[sl][1::2]
-    if var is None:
+    vx = mean[0 : 2 * G : 2]
+    vy = mean[1 : 2 * G : 2]
+    if variance is None:
         nanG = np.full(G, np.nan)
         return vx, vy, nanG, nanG.copy(), nanG.copy(), vx ** 2 + vy ** 2, nanG.copy()
-    var_vx = var[sl][0::2]
-    var_vy = var[sl][1::2]
-    cov_vxy = np.array([C[offset + 2 * i, offset + 2 * i + 1] for i in range(G)])
     mm = np.empty(G)
     mv = np.empty(G)
     for i in range(G):
-        blk = C[offset + 2 * i : offset + 2 * i + 2, offset + 2 * i : offset + 2 * i + 2]
-        qm = _uq.quadform_moments((vx[i], vy[i]), blk)
+        qm = _uq.quadform_moments((vx[i], vy[i]), blocks[i])
         mm[i] = qm.mean
         mv[i] = qm.variance
-    return vx, vy, var_vx, var_vy, cov_vxy, mm, mv
+    return vx, vy, variance[0::2], variance[1::2], blocks[:, 0, 1], mm, mv
 
 
-def predict_flow_ck(k, p, cfg=None):
+def predict_flow_ck(k, p, cfg=None, system=None):
     """Co-Kriging on the potential formulation, with squared-speed moments.
 
     Predicts the gradient pair at every grid point and at every boundary
     point (the latter to report the normal-velocity residual n . v_hat,
     which the collocation rows drive to the nugget floor).  The per-point
     2x2 covariance between vx and vy feeds the generalized chi-square
-    moments of ||v||^2.
+    moments of ||v||^2.  ``system`` is ``build_flow_system(p)`` when the
+    caller has already built it.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    obs, ops, pred = build_flow_system(p)
+    obs, ops, pred = system if system is not None else build_flow_system(p)
     bnd_atoms = []
     for loc, _ in p.boundary_points:
         bnd_atoms += _gradient_atoms(loc)
-    u = _uq.var_ck(k, obs, ops, pred + bnd_atoms, cfg)
-    vx, vy, var_vx, var_vy, cov_vxy, mm, mv = _pack_field(
-        p, u.mean, u.variance, u.covariance
+    G2 = len(pred)
+    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + bnd_atoms)
+    w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
+    variance, blocks = _uq.mmse_variance(
+        k, pred, w.alpha[:, :G2], Hplus[:, :G2], block=2
     )
-    G2 = 2 * len(p.pred_grid)
-    bvx = u.mean[G2::2]
-    bvy = u.mean[G2 + 1 :: 2]
+    vx, vy, var_vx, var_vy, cov_vxy, mm, mv = _pack_field(
+        p, w.predictions, variance, blocks
+    )
+    bvx = w.predictions[G2::2]
+    bvy = w.predictions[G2 + 1 :: 2]
     normals = np.array([nrm for _, nrm in p.boundary_points])
     resid = normals[:, 0] * bvx + normals[:, 1] * bvy if len(bnd_atoms) else np.zeros(0)
     return FlowField(
@@ -330,11 +330,11 @@ def predict_flow_ck(k, p, cfg=None):
         boundary_vx=bvx,
         boundary_vy=bvy,
         boundary_normal_residual=resid,
-        nugget_used=u.nugget_used,
+        nugget_used=w.nugget_used,
     )
 
 
-def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32):
+def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
     """Two-step Lagrangian prediction of the velocity field.
 
     Step 1 predicts the gradient pair at each boundary point under the
@@ -344,10 +344,12 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32):
     observations of two independent scalar fields (vx and vy separately,
     no cross-covariance) and interpolates them on the grid with simple
     Kriging, after its own lengthscale calibration (one theta shared by
-    both components, minimizing the summed virtual LOOCV MSE).
+    both components, minimizing the summed virtual LOOCV MSE); both
+    components share one factorization of the step-2 gram.  ``system`` is
+    ``build_flow_system(p)`` when the caller has already built it.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    obs, _, _ = build_flow_system(p)
+    obs, _, _ = system if system is not None else build_flow_system(p)
     if p.continuity_points:
         logger.info(
             "two-step path drops %d continuity rows: constraints on unobserved "
@@ -365,13 +367,9 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32):
         ops1 = design.encode_pointwise(rows, np.zeros(len(rows)))
         w1 = _pred.lagrangian_kriging(k, obs, ops1, cfg=cfg)
         nugget_used = w1.nugget_used
-        index = _atom_index(ops1.colloc_points)
-        bvx = np.array(
-            [w1.predictions[index[(loc, (1, 0))]] for loc, _ in p.boundary_points]
-        )
-        bvy = np.array(
-            [w1.predictions[index[(loc, (0, 1))]] for loc, _ in p.boundary_points]
-        )
+        bnd_atoms = [a for loc, _ in p.boundary_points for a in _gradient_atoms(loc)]
+        bv = w1.predictions[design.locate_atoms(ops1.colloc_points, bnd_atoms)]
+        bvx, bvy = bv[0::2], bv[1::2]
         normals = np.array([nrm for _, nrm in p.boundary_points])
         resid = normals[:, 0] * bvx + normals[:, 1] * bvy
         locs2 = locs2 + [loc for loc, _ in p.boundary_points]
@@ -397,10 +395,12 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32):
     )
     k2 = replace(k0, theta=res.theta_hat)
     pred0 = [ExtendedPoint(loc, (0, 0)) for loc in p.pred_grid]
-    fx = _pred.simple_kriging(k2, obsx, pred0, cfg)
-    fy = _pred.simple_kriging(k2, obsy, pred0, cfg)
+    K2 = design.gram(k2, pts0)
+    H2 = design.gram(k2, pts0, pred0)
+    fx = _pred.solve_co_kriging(K2, H2, obsx.values, cfg)
+    fy = fx.alpha.T @ obsy.values
     vx, vy, var_vx, var_vy, cov_vxy, mm, mv = _pack_field(
-        p, np.ravel(np.column_stack([fx.predictions, fy.predictions]))
+        p, np.ravel(np.column_stack([fx.predictions, fy]))
     )
     return FlowField(
         locations=np.array(p.pred_grid, dtype=float),

@@ -177,12 +177,17 @@ def _schur_update(base, K2g1, U, vstar, reg):
 
     The single closed-form step shared by Schur-form co-Kriging
     (K2g1 = K22 - H^T K^-1 H, reg = nugget) and the simple Lagrangian
-    predictor (K2g1 = identity, reg = 0: constraints are exact).
+    predictor (K2g1 = identity, reg = 0: constraints are exact).  The
+    identity is passed as ``K2g1=None`` and never built.
     """
     p = U.shape[1]
     if p == 0:
         return base.copy()
-    M = U.T @ (K2g1 @ U) + reg * np.eye(p)
+    # the copy keeps U^T U a general matrix product, bit for bit what an
+    # explicit identity gives; numpy sends U.T @ U to a symmetric rank-k
+    # update, which rounds differently
+    KU = U.copy() if K2g1 is None else K2g1 @ U
+    M = U.T @ KU + reg * np.eye(p)
     resid = vstar - U.T @ base
     try:
         w = cho_solve(cho_factor(M, lower=True), resid)
@@ -190,7 +195,7 @@ def _schur_update(base, K2g1, U, vstar, reg):
         raise SingularSystemError(
             f"reduced constraint system is singular: {exc}"
         ) from exc
-    return base + K2g1 @ (U @ w)
+    return base + (U @ w if K2g1 is None else K2g1 @ (U @ w))
 
 
 def simple_kriging(k, obs, pred, cfg=None):
@@ -200,10 +205,7 @@ def simple_kriging(k, obs, pred, cfg=None):
         raise ValueError("simple_kriging expects a centered model (obs.mean=None)")
     K = design.gram(k, obs.points)
     H = design.gram(k, obs.points, list(pred))
-    solve, eta = make_spd_solver(K, cfg)
-    alpha = solve(H)
-    predictions = alpha.T @ obs.values
-    return KrigingWeights(alpha=alpha, predictions=predictions, nugget_used=eta)
+    return solve_co_kriging(K, H, obs.values, cfg)
 
 
 def ordinary_kriging(k, obs, pred, mu_star, cfg=None):
@@ -216,18 +218,7 @@ def ordinary_kriging(k, obs, pred, mu_star, cfg=None):
     H = design.gram(k, obs.points, list(pred))
     if mu_star.size != H.shape[1]:
         raise ValueError(f"mu_star has size {mu_star.size}, expected {H.shape[1]}")
-    solve, eta = make_spd_solver(K, cfg)
-    mu = obs.mean
-    w = solve(mu)
-    g1 = float(mu @ w)
-    if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu @ mu)):
-        raise DegenerateMeanError(f"mu^T K^-1 mu = {g1} is numerically singular")
-    lam = (mu_star - H.T @ w) / g1
-    alpha = solve(H) + np.outer(w, lam)
-    predictions = alpha.T @ obs.values
-    return KrigingWeights(
-        alpha=alpha, predictions=predictions, lam=lam, nugget_used=eta
-    )
+    return solve_co_kriging(K, H, obs.values, cfg, mu_plus=obs.mean, mu_star=mu_star)
 
 
 def _extended_mean(obs, ops):
@@ -269,7 +260,11 @@ def assemble_co_kriging(k, obs, ops, pred):
 
 
 def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
-    """Factor K+ and apply the Prop.-2 formulas to preassembled blocks."""
+    """Factor K+ and apply the Prop.-2 formulas to preassembled blocks.
+
+    With the plain gram K and cross block H this is simple (or, given
+    ``mu_plus``/``mu_star``, ordinary) Kriging.
+    """
     solve, eta = make_spd_solver(Kplus, cfg)
     if mu_plus is None:
         alpha = solve(Hplus)
@@ -327,7 +322,7 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=None, conditional_cov="schu
     solve, eta = make_spd_solver(K, cfg)
     base = H.T @ solve(obs.values)
     if conditional_cov == "identity":
-        K2g1 = np.eye(len(atoms))
+        K2g1 = None
         reg = 0.0
     elif conditional_cov == "schur":
         K22 = design.gram(k, atoms)
@@ -359,8 +354,7 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg):
             alpha=alpha, predictions=alpha.T @ Z, nugget_used=eta
         )
     base = H.T @ KiZ
-    nat = len(ops.colloc_points)
-    predictions = _schur_update(base, np.eye(nat), ops.U, ops.rhs, 0.0)
+    predictions = _schur_update(base, None, ops.U, ops.rhs, 0.0)
     g2 = float(Z @ KiZ)
     if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
         raise DegenerateConstraintError(

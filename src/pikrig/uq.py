@@ -24,7 +24,8 @@ from . import design
 from .predictors import SolveConfig, _schur_update, make_spd_solver
 from . import predictors as _pred
 
-__all__ = ["PredictiveUQ", "QuadFormMoments", "var_ck", "var_lk", "quadform_moments"]
+__all__ = ["PredictiveUQ", "QuadFormMoments", "var_ck", "var_lk", "mmse_variance",
+           "quadform_moments"]
 
 logger = logging.getLogger(__name__)
 
@@ -63,15 +64,19 @@ class QuadFormMoments:
     variance: float
 
 
-def _finish(mean, V, defect=0.0, alt=None, nugget=0.0):
-    diag = np.diag(V).copy()
+def _clamp(diag):
+    """Clip a variance diagonal at 0; return it with its raw minimum."""
     raw_min = float(diag.min()) if diag.size else 0.0
     scale = max(1.0, float(np.max(np.abs(diag)))) if diag.size else 1.0
     if raw_min < -_NEG_VAR_TOL * scale:
         logger.warning(
             "MMSE diagonal has entries down to %.3e (clamped to 0)", raw_min
         )
-    variance = np.clip(diag, 0.0, None)
+    return np.clip(diag, 0.0, None), raw_min
+
+
+def _finish(mean, V, defect=0.0, alt=None, nugget=0.0):
+    variance, raw_min = _clamp(np.diag(V).copy())
     half = 2.0 * np.sqrt(variance)
     return PredictiveUQ(
         mean=np.asarray(mean, dtype=float),
@@ -147,8 +152,39 @@ def var_lk(k, obs, ops_at_predictions, cfg=None):
     V = 0.5 * (Vprinted + Vprinted.T)
     Valt = Kstar - (H + W).T @ solve(H + W)
     alt = np.clip(np.diag(Valt), 0.0, None)
-    mean = _schur_update(base, np.eye(len(atoms)), ops.U, ops.rhs, 0.0)
+    mean = _schur_update(base, None, ops.U, ops.rhs, 0.0)
     return _finish(mean, V, defect=defect, alt=alt, nugget=eta)
+
+
+def mmse_variance(k, atoms, alpha, H, M=None, block=1):
+    """MMSE variance of optimal weights, read off the prediction solve.
+
+    At the optimum K alpha = H + M, where the multiplier term M is 0 for
+    simple and co-Kriging, mu lam^T for ordinary Kriging and
+    Z (U lam')^T for Lagrangian Kriging.  The covariance is then
+    K* - alpha^T (H - M): the matrix :func:`var_ck` returns, the printed
+    form of :func:`var_lk`, and for ordinary Kriging the realized
+    :func:`pikrig.predictors.mse_objective` on its diagonal.
+
+    Only the diagonal ``block`` x ``block`` blocks over consecutive
+    ``atoms`` (the columns of ``alpha`` and ``H``) are formed, each from a
+    small gram of K*, so K* itself is never built.  Returns the diagonal,
+    clamped at 0 as in :class:`PredictiveUQ`, and the symmetrized blocks,
+    shape (len(atoms) // block, block, block).
+    """
+    n, q = alpha.shape
+    nb = q // block
+    R = H if M is None else H - M
+    Kstar = np.array(
+        [design.gram(k, atoms[i : i + block]) for i in range(0, q, block)]
+    ).reshape(nb, block, block)
+    cross = np.einsum(
+        "iga,igb->gab", alpha.reshape(n, nb, block), R.reshape(n, nb, block)
+    )
+    V = Kstar - cross
+    V = 0.5 * (V + V.transpose(0, 2, 1))
+    variance, _ = _clamp(np.diagonal(V, axis1=1, axis2=2).ravel())
+    return variance, V
 
 
 def quadform_moments(mean2, cov2):

@@ -124,11 +124,13 @@ def test_optimizer_deterministic_trace():
     a = C.optimize_theta(crit, (0.2, 5.0), budget=24)
     b = C.optimize_theta(crit, (0.2, 5.0), budget=24)
     assert a.trace == b.trace
+    assert len(a.trace) == 24
     assert a.theta_hat == b.theta_hat
 
 
 def test_optimizer_constant_criterion_stays_in_first_cell():
     res = C.optimize_theta(lambda th: 1.0, (1.0, 100.0), budget=16)
+    assert len(res.trace) == 16
     grid = np.geomspace(1.0, 100.0, 8)
     assert grid[0] <= res.theta_hat <= grid[1]
     assert res.criterion_value == 1.0
@@ -137,6 +139,7 @@ def test_optimizer_constant_criterion_stays_in_first_cell():
 def test_optimizer_skips_nan_region():
     crit = lambda th: math.nan if th < 1.0 else (th - 3.0) ** 2
     res = C.optimize_theta(crit, (0.1, 10.0), budget=48)
+    assert len(res.trace) == 48
     assert res.theta_hat >= 1.0
     assert abs(res.theta_hat - 3.0) <= 0.05
 

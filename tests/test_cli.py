@@ -4,7 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from pikrig import cli
+import pikrig
+from pikrig import calibration, cli, design, flowlab, kernel, predictors, uq
+from pikrig.design import ExtendedPoint, ObservationSet
+from pikrig.kernel import SqExpKernel
+
+from util import ode_setup
 
 
 def run(args):
@@ -209,3 +214,95 @@ def test_config_file_alone_drives_run(tmp_path):
     assert rep["config"]["n"] == 5
     lines = (tmp_path / "o" / "predictions.csv").read_text().splitlines()
     assert len(lines) == 1 + 7
+
+
+def _variance_column(outdir):
+    lines = (outdir / "predictions.csv").read_text().splitlines()
+    col = lines[0].split(",").index("variance")
+    return np.array([float(line.split(",")[col]) for line in lines[1:]])
+
+
+def _harmonic(locations):
+    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in locations]
+    return design.encode_pointwise(rows, np.zeros(len(rows)))
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(ref)))
+
+
+def test_ode1d_variances_match_full_covariance(tmp_path):
+    # the runners read variances off the prediction solve; var_ck/var_lk
+    # build the full covariance and serve as the reference
+    k = SqExpKernel(sigma2=0.7, theta=1.1, dim=1)
+    obs, colloc, grid = ode_setup()
+    pred = [ExtendedPoint((float(x),), (0,)) for x in grid]
+    with_obs = np.unique(np.concatenate([grid, [a.x[0] for a in obs.points]]))
+    refs = {
+        "sk": uq.var_ck(k, obs, None, pred).variance,
+        "ck": uq.var_ck(k, obs, _harmonic(colloc), pred).variance,
+        "lk": uq.var_lk(k, obs, _harmonic(grid)).variance,
+        "lk-interp": uq.var_lk(k, obs, _harmonic(with_obs)).variance,
+    }
+    fixed = ["--theta", "1.1", "--sigma2", "0.7"]
+    for method, ref in refs.items():
+        out = tmp_path / method
+        assert run(["ode1d", "--method", method, *fixed, "--out", str(out)]) == cli.EXIT_OK
+        _assert_close(_variance_column(out), ref)
+
+    # ordinary Kriging: the realized objective of its weights (criterion 10)
+    out = tmp_path / "ok"
+    assert run(["ode1d", "--method", "ok", *fixed, "--out", str(out)]) == cli.EXIT_OK
+    obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    w = predictors.ordinary_kriging(k, obs_m, pred, np.ones(len(pred)))
+    K = design.gram(k, obs.points)
+    H = design.gram(k, obs.points, pred)
+    got = _variance_column(out)
+    for j, atom in enumerate(pred):
+        obj = predictors.mse_objective(w.alpha[:, [j]], K, H[:, [j]], design.gram(k, [atom]))
+        assert abs(got[j] - max(obj, 0.0)) <= 1e-8 * max(1.0, abs(obj))
+
+
+def test_scalar2d_variances_match_full_covariance(tmp_path):
+    k = SqExpKernel(sigma2=1.0, theta=0.8, dim=2)
+    obs, ops, pred, _ = cli._scalar2d_system(cli.RunConfig(q=16))
+    lk_ops = design.extend_atoms(ops, pred)
+    order0 = design.locate_atoms(lk_ops.colloc_points, pred)
+    refs = {
+        "sk": uq.var_ck(k, obs, None, pred).variance,
+        "ck": uq.var_ck(k, obs, ops, pred).variance,
+        "lk": uq.var_lk(k, obs, lk_ops).variance[order0],
+    }
+    for method, ref in refs.items():
+        out = tmp_path / method
+        assert run(["scalar2d", "--method", method, "--theta", "0.8", "--sigma2", "1.0",
+                    "--q", "16", "--out", str(out)]) == cli.EXIT_OK
+        _assert_close(_variance_column(out), ref)
+
+
+def test_one_factorization_per_solve(tmp_path, monkeypatch):
+    # at a fixed theta and sigma2 each run assembles one system and factors
+    # it once: predictions, residual and variances share the solve
+    original = predictors.make_spd_solver
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (pikrig, calibration, cli, design, flowlab, kernel, predictors, uq):
+        for name, val in list(vars(mod).items()):
+            if val is original:
+                monkeypatch.setattr(mod, name, counted)
+    flow_cfg = tmp_path / "flow.json"
+    flow_cfg.write_text(json.dumps({"n": 8, "q1": 8, "cont_nx": 5, "cont_ny": 5,
+                                    "pred_nx": 6, "pred_ny": 6}))
+    fixed = ["--theta", "0.9", "--sigma2", "1.0"]
+    runs = [["ode1d", "--method", m] for m in ("sk", "ok", "ck", "lk", "lk-interp")]
+    runs += [["scalar2d", "--method", m, "--q", "16"] for m in ("sk", "ck")]
+    runs += [["flow", "--method", "ck", "--config", str(flow_cfg)]]
+    for i, args in enumerate(runs):
+        calls.clear()
+        assert run(args + fixed + ["--out", str(tmp_path / str(i))]) == cli.EXIT_OK
+        assert len(calls) == 1, args
