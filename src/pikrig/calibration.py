@@ -75,17 +75,18 @@ def _require_centered(obs):
         raise ValueError("LOOCV criteria expect a centered observation set")
 
 
-def _virtual_parts(k, obs, cfg):
-    """a = K^-1 Z, d = diag(K^-1), and whether jitter escalated.
+def _virtual_parts(K, y, n, cfg):
+    """a = K^-1 y, d = diag(K^-1) in the first ``n`` slots, and whether
+    jitter escalated.
 
     The virtual identities hold for the covariance actually requested; if
     the factorization only succeeded with escalated jitter the returned
     flag is True and criteria built on these parts are undefined.
     """
-    K = design.gram(k, obs.points)
     solve, eta = make_spd_solver(K, cfg)
-    Ki = solve(np.eye(obs.n))
-    return Ki @ obs.values, np.diag(Ki), eta > cfg.nugget
+    Ki = solve(np.eye(K.shape[0]))
+    a = Ki @ y
+    return a[:n], np.diag(Ki)[:n], eta > cfg.nugget
 
 
 def _floored_sigma2(val):
@@ -112,7 +113,9 @@ def loocv_mse_virtual(k_unit, obs, cfg=None):
     _require_centered(obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
-    a, d, escalated = _virtual_parts(k_unit, obs, cfg)
+    a, d, escalated = _virtual_parts(
+        design.gram(k_unit, obs.points), obs.values, obs.n, cfg
+    )
     if escalated:
         logger.info("LOOCV undefined at theta=%.6g (factorization escalated)", k_unit.theta)
         return math.nan
@@ -125,7 +128,7 @@ def sigma2_virtual(k_unit, obs, theta_hat, cfg=None):
     _require_unit(k_unit)
     _require_centered(obs)
     k = replace(k_unit, theta=float(theta_hat))
-    a, d, escalated = _virtual_parts(k, obs, cfg)
+    a, d, escalated = _virtual_parts(design.gram(k, obs.points), obs.values, obs.n, cfg)
     if escalated:
         warnings.warn(
             f"variance rule at theta={theta_hat:.6g} used escalated jitter",
@@ -156,10 +159,7 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
     def _parts(theta):
         k = replace(k_unit, theta=float(theta))
         Kplus, _, y = _pred.assemble_co_kriging(k, obs, ops, [])
-        solve, eta = make_spd_solver(Kplus, cfg)
-        Ki = solve(np.eye(Kplus.shape[0]))
-        a = Ki @ y
-        return a[:n], np.diag(Ki)[:n], eta > cfg.nugget
+        return _virtual_parts(Kplus, y, n, cfg)
 
     def mse(theta):
         a, d, escalated = _parts(theta)

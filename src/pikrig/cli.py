@@ -30,7 +30,6 @@ import logging
 import math
 import os
 import sys
-import tempfile
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
@@ -124,25 +123,8 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
 
-def _g17(x):
-    return format(float(x), ".17g")
-
-
 def _mstr(m):
     return "|".join(str(int(mi)) for mi in m)
-
-
-def atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_out_")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_csv(path, header, rows):
@@ -155,14 +137,14 @@ def write_csv(path, header, rows):
             elif isinstance(v, (int, np.integer)):
                 cells.append(str(int(v)))
             else:
-                cells.append(_g17(v))
+                cells.append(_flow._g17(v))
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _flow.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report(outdir, report):
     payload = asdict(report)
-    atomic_write_text(
+    _flow.atomic_write_text(
         os.path.join(outdir, "report.json"), json.dumps(payload, indent=2) + "\n"
     )
 
@@ -735,7 +717,7 @@ def _add_common(sub):
     sub.add_argument("--sigma2", default=None, help="process variance or 'auto'")
     sub.add_argument("--nugget", type=float, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--out", dest="output_dir", default=None, help="output directory")
     sub.add_argument("--budget", type=int, default=None, help="calibration budget")
 
 
@@ -756,7 +738,8 @@ def build_parser():
     p_2d.add_argument("--target", default=None, choices=("f1", "f2"))
     p_fl = subs.add_parser("flow", help="potential flow past a cylinder or from CSV")
     _add_common(p_fl)
-    p_fl.add_argument("--csv", default=None, help="velocity CSV input (flow-csv)")
+    p_fl.add_argument("--csv", dest="csv_path", default=None,
+                      help="velocity CSV input (flow-csv)")
     p_fl.add_argument("--n", type=int, default=None, help="observation count")
     p_fl.add_argument("--q1", type=int, default=None, help="boundary collocation count")
     p_fl.add_argument("--q2", type=int, default=None, help="expected continuity count")
@@ -774,33 +757,15 @@ def build_parser():
     return parser
 
 
-_FLAG_TO_FIELD = {
-    "method": "method",
-    "theta": "theta",
-    "sigma2": "sigma2",
-    "nugget": "nugget",
-    "seed": "seed",
-    "out": "output_dir",
-    "budget": "budget",
-    "n": "n",
-    "p": "p",
-    "q": "q",
-    "q1": "q1",
-    "q2": "q2",
-    "target": "target",
-    "csv": "csv_path",
-}
-
-
 def resolve_config(args):
     cfg = RunConfig()
     if args.config:
         for key, val in load_config(args.config).items():
             setattr(cfg, key, val)
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        val = getattr(args, flag, None)
+    for key in _CONFIG_KEYS:
+        val = getattr(args, key, None)
         if val is not None:
-            setattr(cfg, fieldname, val)
+            setattr(cfg, key, val)
     if args.command == "flow":
         cfg.experiment = "flow-csv" if cfg.csv_path else "flow-cylinder"
     elif args.command == "bench":

@@ -501,6 +501,20 @@ def _g17(x):
     return format(float(x), ".17g")
 
 
+def atomic_write_text(path, text):
+    """Write ``text`` to ``path`` through a temporary file and an atomic replace."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_out_")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def emit_velocity_csv(path, velocity_obs, pred_grid=(), boundary_points=()):
     """Write a velocity CSV (17 significant digits, atomic replace)."""
     lines = [",".join(_CSV_HEADER)]
@@ -512,14 +526,4 @@ def emit_velocity_csv(path, velocity_obs, pred_grid=(), boundary_points=()):
         lines.append(
             f"boundary,{_g17(loc[0])},{_g17(loc[1])},{_g17(nrm[0])},{_g17(nrm[1])}"
         )
-    text = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_csv_")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, "\n".join(lines) + "\n")

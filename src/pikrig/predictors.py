@@ -12,9 +12,10 @@ what is constrained:
 * Lagrangian Kriging: the PDE rows constrain the predictions themselves
   (C2: U^T Z* = v*), with a second multiplier vector lambda'.
 
-The simplified closed forms (Schur-complement co-Kriging and the
-identity-matrix Lagrangian form) are implemented over a shared update
-helper so their analytic relationship is also a code relationship.
+Schur-complement co-Kriging and both Lagrangian variants are one Schur
+step (:func:`_schur_update`) applied to a Kriging prediction: the simple
+one, or for the ordinary Lagrangian variant the ordinary one, so their
+analytic relationship is also a code relationship.
 
 Matrix inverses in the formulas are realized as factorize-once,
 multi-solve Cholesky with a diagonal nugget; factorization failures
@@ -159,10 +160,10 @@ def _check_constraint_rank(U):
     c, p = U.shape
     if p == 0:
         return
-    scale = np.linalg.norm(U, 2)
     r, piv = qr(U, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > 1e-10 * scale))
+    # |R11| scales the tolerance as in LAPACK xGELSY: ||U||/sqrt(p) <= |R11| <= ||U||
+    rank = int(np.sum(diag > 1e-10 * diag[0]))
     if rank < p:
         dependent = sorted(int(j) for j in piv[rank:])
         raise RankDeficiencyError(
@@ -173,16 +174,17 @@ def _check_constraint_rank(U):
 
 
 def _schur_update(base, K2g1, U, vstar, reg):
-    """base + K2g1 U (U^T K2g1 U + reg I)^-1 (vstar - U^T base).
+    """base + K2g1 U w with w = (U^T K2g1 U + reg I)^-1 (vstar - U^T base).
 
     The single closed-form step shared by Schur-form co-Kriging
-    (K2g1 = K22 - H^T K^-1 H, reg = nugget) and the simple Lagrangian
-    predictor (K2g1 = identity, reg = 0: constraints are exact).  The
-    identity is passed as ``K2g1=None`` and never built.
+    (K2g1 = K22 - H^T K^-1 H, reg = nugget) and the Lagrangian predictors
+    (K2g1 = identity, reg = 0: constraints are exact).  The identity is
+    passed as ``K2g1=None`` and never built.  Returns (update, w); the
+    Lagrangian multipliers lambda' are w scaled by a scalar.
     """
     p = U.shape[1]
     if p == 0:
-        return base.copy()
+        return base.copy(), np.zeros(0)
     # the copy keeps U^T U a general matrix product, bit for bit what an
     # explicit identity gives; numpy sends U.T @ U to a symmetric rank-k
     # update, which rounds differently
@@ -195,7 +197,7 @@ def _schur_update(base, K2g1, U, vstar, reg):
         raise SingularSystemError(
             f"reduced constraint system is singular: {exc}"
         ) from exc
-    return base + (U @ w if K2g1 is None else K2g1 @ (U @ w))
+    return base + (U @ w if K2g1 is None else K2g1 @ (U @ w)), w
 
 
 def simple_kriging(k, obs, pred, cfg=None):
@@ -330,7 +332,7 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=None, conditional_cov="schu
         reg = eta
     else:
         raise ValueError(f"unknown conditional_cov {conditional_cov!r}")
-    return _schur_update(base, K2g1, U=ops.U, vstar=ops.rhs, reg=reg)
+    return _schur_update(base, K2g1, U=ops.U, vstar=ops.rhs, reg=reg)[0]
 
 
 def assemble_lagrangian(k, obs, ops_at_predictions):
@@ -340,88 +342,81 @@ def assemble_lagrangian(k, obs, ops_at_predictions):
     return K, H
 
 
-def solve_lagrangian(K, H, obs, ops_at_predictions, cfg):
-    """Simple-variant Lagrangian solve on preassembled blocks (Eq. set of
-    the identity-matrix closed form)."""
+def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
+    """Factor K and apply the Prop.-3 closed form to preassembled blocks.
+
+    A centered ``obs`` gives the simple variant, ``obs.mean`` with
+    ``mu_star`` the ordinary one; both are the identity Schur step on that
+    Kriging prediction.  With a = K^-1 Z, g1 = mu^T K^-1 mu, g2 = Z^T a,
+    g3 = mu^T a, c1 = mu* - H^T K^-1 mu and w from :func:`_schur_update`:
+    base = H^T a (+ (g3/g1) c1), lambda' = w / g2 (or w / (g2 - g3^2/g1)),
+    lambda = (c1 - g3 U lambda') / g1 and
+    alpha = K^-1 (H + mu lambda^T + Z (U lambda')^T).
+    """
     ops = ops_at_predictions
-    _check_constraint_rank(ops.U)
+    U = ops.U
+    mu = obs.mean
+    if mu is not None and mu_star is None:
+        raise ValueError("ordinary Lagrangian Kriging needs mu_star")
+    _check_constraint_rank(U)
     solve, eta = make_spd_solver(K, cfg)
     Z = obs.values
-    KiZ = solve(Z)
+    a = solve(Z)
+    lam = None
+    if mu is not None:
+        Kimu = solve(mu)
+        g1 = float(mu @ Kimu)
+        if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu @ mu)):
+            raise DegenerateMeanError(f"gamma1 = {g1} is numerically singular")
+        c1 = np.asarray(mu_star, dtype=float).ravel() - H.T @ Kimu
     if ops.p == 0:
         alpha = solve(H)
+        if mu is not None:
+            lam = c1 / g1
+            alpha = alpha + np.outer(Kimu, lam)
         return KrigingWeights(
-            alpha=alpha, predictions=alpha.T @ Z, nugget_used=eta
+            alpha=alpha, predictions=alpha.T @ Z, lam=lam, nugget_used=eta
         )
-    base = H.T @ KiZ
-    predictions = _schur_update(base, None, ops.U, ops.rhs, 0.0)
-    g2 = float(Z @ KiZ)
+    g2 = float(Z @ a)
     if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
         raise DegenerateConstraintError(
-            f"Z^T K^-1 Z = {g2} is zero; the simple Lagrangian closed form "
+            f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form "
             "assumes it non-zero"
         )
-    UtU = ops.U.T @ ops.U
-    lam2 = cho_solve(cho_factor(UtU, lower=True), ops.rhs - ops.U.T @ base) / g2
-    alpha = solve(H + np.outer(Z, ops.U @ lam2))
+    base = H.T @ a
+    denom = g2
+    if mu is not None:
+        g3 = float(mu @ a)
+        denom = g2 - g3 ** 2 / g1
+        if abs(denom) <= 1e-12 * abs(g2):
+            raise DegenerateConstraintError(
+                f"gamma2 - gamma3^2/gamma1 = {denom} is degenerate "
+                f"(gamma1={g1}, gamma2={g2}, gamma3={g3})"
+            )
+        base = base + (g3 / g1) * c1
+    predictions, w = _schur_update(base, None, U, ops.rhs, 0.0)
+    lam2 = w / denom
+    Ulam2 = U @ lam2
+    R = H
+    if mu is not None:
+        lam = (c1 - g3 * Ulam2) / g1
+        R = H + np.outer(mu, lam)
+    alpha = solve(R + np.outer(Z, Ulam2))
     return KrigingWeights(
-        alpha=alpha, predictions=predictions, lam2=lam2, nugget_used=eta
+        alpha=alpha, predictions=predictions, lam=lam, lam2=lam2, nugget_used=eta
     )
 
 
 def lagrangian_kriging(k, obs, ops_at_predictions, mu_star=None, cfg=None):
     """BLUP constrained by U^T Z* = v* at the prediction atoms (Prop.-3 form).
 
-    Prediction atoms are exactly ``ops_at_predictions.colloc_points``.  The
-    centered variant uses the simplified closed form; with ``obs.mean`` and
-    ``mu_star`` present the full multiplier pair (lambda, lambda') is
-    computed.  Constraint satisfaction U^T Z* = v* holds by construction.
+    Prediction atoms are exactly ``ops_at_predictions.colloc_points``.  A
+    centered ``obs`` gives the simple variant; with ``obs.mean`` and
+    ``mu_star`` the full multiplier pair (lambda, lambda') is computed.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    ops = ops_at_predictions
-    if obs.mean is None:
-        K, H = assemble_lagrangian(k, obs, ops)
-        return solve_lagrangian(K, H, obs, ops, cfg)
-    if mu_star is None:
-        raise ValueError("ordinary Lagrangian Kriging needs mu_star")
-    _check_constraint_rank(ops.U)
-    mu_star = np.asarray(mu_star, dtype=float).ravel()
-    K, H = assemble_lagrangian(k, obs, ops)
-    solve, eta = make_spd_solver(K, cfg)
-    Z = obs.values
-    mu = obs.mean
-    Kimu = solve(mu)
-    KiZ = solve(Z)
-    g1 = float(mu @ Kimu)
-    g2 = float(Z @ KiZ)
-    g3 = float(mu @ KiZ)
-    if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu @ mu)):
-        raise DegenerateMeanError(f"gamma1 = {g1} is numerically singular")
-    if ops.p == 0:
-        lam = (mu_star - H.T @ Kimu) / g1
-        alpha = solve(H) + np.outer(Kimu, lam)
-        return KrigingWeights(
-            alpha=alpha, predictions=alpha.T @ Z, lam=lam, nugget_used=eta
-        )
-    denom = g2 - g3 ** 2 / g1
-    if abs(denom) <= 1e-12 * abs(g2):
-        raise DegenerateConstraintError(
-            f"gamma2 - gamma3^2/gamma1 = {denom} is degenerate "
-            f"(gamma1={g1}, gamma2={g2}, gamma3={g3})"
-        )
-    c1 = mu_star - H.T @ Kimu
-    resid = ops.rhs - ops.U.T @ (H.T @ KiZ) - (g3 / g1) * (ops.U.T @ c1)
-    UtU = ops.U.T @ ops.U
-    lam2 = cho_solve(cho_factor(UtU, lower=True), resid) / denom
-    lam = (c1 - g3 * (ops.U @ lam2)) / g1
-    alpha = solve(H + np.outer(mu, lam) + np.outer(Z, ops.U @ lam2))
-    return KrigingWeights(
-        alpha=alpha,
-        predictions=alpha.T @ Z,
-        lam=lam,
-        lam2=lam2,
-        nugget_used=eta,
-    )
+    K, H = assemble_lagrangian(k, obs, ops_at_predictions)
+    return solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star)
 
 
 def mse_objective(alpha, K, H, Kstar):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import design
 from .predictors import SolveConfig, _schur_update, make_spd_solver
@@ -144,15 +143,13 @@ def var_lk(k, obs, ops_at_predictions, cfg=None):
         raise _pred.DegenerateConstraintError(
             f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form needs it non-zero"
         )
-    UtU = ops.U.T @ ops.U
-    lam2 = cho_solve(cho_factor(UtU, lower=True), ops.rhs - ops.U.T @ base) / g2
-    W = np.outer(Z, ops.U @ lam2)
+    mean, w = _schur_update(base, None, ops.U, ops.rhs, 0.0)
+    W = np.outer(Z, ops.U @ (w / g2))
     Vprinted = Kstar - (H + W).T @ solve(H - W)
     defect = float(np.max(np.abs(Vprinted - Vprinted.T)))
     V = 0.5 * (Vprinted + Vprinted.T)
     Valt = Kstar - (H + W).T @ solve(H + W)
     alt = np.clip(np.diag(Valt), 0.0, None)
-    mean = _schur_update(base, None, ops.U, ops.rhs, 0.0)
     return _finish(mean, V, defect=defect, alt=alt, nugget=eta)
 
 

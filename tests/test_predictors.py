@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pikrig import design
+import pikrig
+from pikrig import calibration, cli, design, flowlab, kernel, uq
 from pikrig import predictors as P
 from pikrig.design import ExtendedPoint, ObservationSet, OperatorSystem
 from pikrig.kernel import SqExpKernel
@@ -159,15 +160,17 @@ def test_ordinary_lagrangian_matches_dense_kkt(rng):
         mu = np.ones(obs.n)
         mu_star = np.ones(3)
         obs_m = ObservationSet(obs.points, obs.values, mean=mu)
-        w = P.lagrangian_kriging(k, obs_m, ops, mu_star=mu_star)
         K = design.gram(k, obs.points)
         H = design.gram(k, obs.points, atoms)
         ref = oracles.kkt_lagrangian(
             K, H, obs.values, U, ops.rhs, mu=mu, mu_star=mu_star
         )
-        assert np.allclose(w.alpha, ref, atol=1e-8)
-        assert np.max(np.abs(U.T @ w.predictions - ops.rhs)) <= 1e-8
-        assert np.max(np.abs(w.alpha.T @ mu - mu_star)) <= 1e-8
+        # the public entry point and the solve on preassembled blocks
+        for w in (P.lagrangian_kriging(k, obs_m, ops, mu_star=mu_star),
+                  P.solve_lagrangian(K, H, obs_m, ops, P.SolveConfig(), mu_star)):
+            assert np.allclose(w.alpha, ref, atol=1e-8)
+            assert np.max(np.abs(U.T @ w.predictions - ops.rhs)) <= 1e-8
+            assert np.max(np.abs(w.alpha.T @ mu - mu_star)) <= 1e-8
 
 
 def test_lagrangian_p0_is_simple_kriging(rng):
@@ -181,11 +184,18 @@ def test_lagrangian_p0_is_simple_kriging(rng):
 def test_lagrangian_rank_deficiency_named(rng):
     k, obs, _, _ = random_instance(rng)
     atoms = [ExtendedPoint((1.0,), (0,)), ExtendedPoint((2.0,), (0,))]
-    U = np.array([[1.0, 2.0], [1.0, 2.0]])  # second column = 2 * first
-    ops = OperatorSystem(atoms, U, np.zeros(2))
-    with pytest.raises(P.RankDeficiencyError) as err:
-        P.lagrangian_kriging(k, obs, ops)
-    assert err.value.dependent  # the offending equation indices are reported
+    exact = np.array([[1.0, 2.0], [1.0, 2.0]])  # second column = 2 * first
+    near = np.array([[1.0, 1.0 + 1e-13], [1.0, 1.0]])  # second = first + 1e-13 e_1
+    named = []
+    for U in (exact, near, 1e8 * near):
+        ops = OperatorSystem(atoms, U, np.zeros(2))
+        with pytest.raises(P.RankDeficiencyError) as err:
+            P.lagrangian_kriging(k, obs, ops)
+        # the offending equation index is reported, one of the pair
+        assert len(err.value.dependent) == 1
+        named.append(err.value.dependent)
+    # the rank tolerance is relative to U: scaling it changes nothing
+    assert named[2] == named[1]
 
 
 def test_lagrangian_zero_observations_degenerate(rng):
@@ -195,6 +205,37 @@ def test_lagrangian_zero_observations_degenerate(rng):
     ops = OperatorSystem(atoms, np.ones((1, 1)), [1.0])
     with pytest.raises(P.DegenerateConstraintError):
         P.lagrangian_kriging(k, zeros, ops)
+
+
+def test_lagrangian_factors_k_and_utu_once(monkeypatch):
+    # one Cholesky factorization of K and one of U^T U (in the Schur step)
+    # per Lagrangian solve, for the predictor and the covariance alike
+    original = P.cho_factor
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (pikrig, calibration, cli, design, flowlab, kernel, P, uq):
+        for name, val in list(vars(mod).items()):
+            if val is original:
+                monkeypatch.setattr(mod, name, counted)
+    obs, colloc, _ = ode_setup()
+    k = SqExpKernel(sigma2=1.0, theta=1.2, dim=1)
+    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in colloc]
+    ops = design.encode_pointwise(rows, np.zeros(len(rows)))
+    obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    mu_star = np.ones(len(ops.colloc_points))
+    runs = {
+        "simple": lambda: P.lagrangian_kriging(k, obs, ops),
+        "var_lk": lambda: uq.var_lk(k, obs, ops),
+        "ordinary": lambda: P.lagrangian_kriging(k, obs_m, ops, mu_star=mu_star),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 2, name
 
 
 def test_schur_equals_full_co_kriging():
