@@ -106,36 +106,15 @@ def loocv_mse_virtual(k_unit, obs, cfg=None):
     Returns nan when the gram factorization needed escalated jitter: the
     leave-one-out identity is only valid for the unregularized matrix,
     and returning a value there would let a lengthscale search exploit
-    degenerate kernels.  The optimizer skips nan points.
+    degenerate kernels.  The optimizer skips nan points.  This is
+    :func:`loocv_ck_virtual` without operator rows, at ``k_unit.theta``.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
-    _require_unit(k_unit)
-    _require_centered(obs)
-    if obs.n < 2:
-        raise ValueError("LOOCV needs at least 2 observations")
-    a, d, escalated = _virtual_parts(
-        design.gram(k_unit, obs.points), obs.values, obs.n, cfg
-    )
-    if escalated:
-        logger.info("LOOCV undefined at theta=%.6g (factorization escalated)", k_unit.theta)
-        return math.nan
-    return float(np.mean((a / d) ** 2))
+    return loocv_ck_virtual(k_unit, obs, None, cfg)[0](k_unit.theta)
 
 
 def sigma2_virtual(k_unit, obs, theta_hat, cfg=None):
     """Variance making the standardized LOOCV criterion equal one at theta_hat."""
-    cfg = cfg if cfg is not None else SolveConfig()
-    _require_unit(k_unit)
-    _require_centered(obs)
-    k = replace(k_unit, theta=float(theta_hat))
-    a, d, escalated = _virtual_parts(design.gram(k, obs.points), obs.values, obs.n, cfg)
-    if escalated:
-        warnings.warn(
-            f"variance rule at theta={theta_hat:.6g} used escalated jitter",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _floored_sigma2(float(np.mean(a * a / d)))
+    return loocv_ck_virtual(k_unit, obs, None, cfg)[1](theta_hat)
 
 
 def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
@@ -144,8 +123,8 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
     Both returned callables take a candidate theta.  The stacked system
     [Z; v] is re-assembled per theta; only the first n (primary) slots of
     the per-slot residual and variance enter, normalized by n.  With an
-    empty operator system they coincide with :func:`loocv_mse_virtual` /
-    :func:`sigma2_virtual`.
+    empty operator system (``ops`` None) they are the plain simple-Kriging
+    criteria :func:`loocv_mse_virtual` / :func:`sigma2_virtual`.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     _require_unit(k_unit)
@@ -164,7 +143,7 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
     def mse(theta):
         a, d, escalated = _parts(theta)
         if escalated:
-            logger.info("filtered LOOCV undefined at theta=%.6g (escalated)", theta)
+            logger.info("virtual LOOCV undefined at theta=%.6g (escalated)", theta)
             return math.nan
         return float(np.mean((a / d) ** 2))
 
@@ -193,8 +172,7 @@ def _lagrangian_at(k, obs, ops, atoms, cfg, want_var=False):
     idx = design.locate_atoms(ops.colloc_points, atoms)
     variance = None
     if want_var:
-        M = None if w.lam2 is None else np.outer(obs.values, ops.U[idx] @ w.lam2)
-        variance, _ = _uq.mmse_variance(k, list(atoms), w.alpha[:, idx], H[:, idx], M)
+        variance, _ = _uq.mmse_variance(k, list(atoms), w.alpha[:, idx], w.cross[:, idx])
     return w.predictions[idx], variance, w.nugget_used > cfg.nugget
 
 

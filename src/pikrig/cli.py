@@ -304,9 +304,7 @@ def _timing(t0, t1, t2):
 
 def _loocv_plain(k0, obs, ops, scfg):
     """Virtual LOOCV of plain Kriging; the operator rows play no part."""
-    crit = lambda th: _cal.loocv_mse_virtual(replace(k0, theta=th), obs, scfg)
-    s2rule = lambda th: _cal.sigma2_virtual(k0, obs, th, scfg)
-    return crit, s2rule
+    return _cal.loocv_ck_virtual(k0, obs, None, scfg)
 
 
 def _interpolation(k0, obs, ops, scfg):
@@ -334,8 +332,7 @@ def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
     mu_star = np.ones(q) if ordinary else None
     w = _pred.solve_co_kriging(Kplus, Hplus, y, scfg, mu_plus=mu, mu_star=mu_star)
     t2 = time.monotonic()
-    M = np.outer(mu, w.lam) if ordinary else None
-    variance, _ = _uq.mmse_variance(k, pred, w.alpha[:, :q], Hplus[:, :q], M)
+    variance, _ = _uq.mmse_variance(k, pred, w.alpha[:, :q], w.cross[:, :q])
     resid = ops.U.T @ w.predictions[q:] - ops.rhs
     resid_max = float(np.max(np.abs(resid))) if ops.p else None
     return _Fit(
@@ -351,9 +348,8 @@ def _solve_lk(k, obs, ops, pred, scfg):
     t1 = time.monotonic()
     w = _pred.solve_lagrangian(K, H, obs, lk_ops, scfg)
     t2 = time.monotonic()
-    M = None if w.lam2 is None else np.outer(obs.values, lk_ops.U @ w.lam2)
     atoms = lk_ops.colloc_points
-    variance, _ = _uq.mmse_variance(k, atoms, w.alpha, H, M)
+    variance, _ = _uq.mmse_variance(k, atoms, w.alpha, w.cross)
     resid_max = float(np.max(np.abs(lk_ops.U.T @ w.predictions - lk_ops.rhs)))
     return _Fit(
         atoms, w.predictions, variance, resid_max, w.nugget_used, _timing(t0, t1, t2)

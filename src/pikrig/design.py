@@ -26,7 +26,6 @@ __all__ = [
     "ExtendedPoint",
     "ObservationSet",
     "OperatorSystem",
-    "CovBlocks",
     "cov",
     "gram",
     "encode_pointwise",
@@ -152,17 +151,6 @@ class OperatorSystem:
     @property
     def p(self):
         return int(self.U.shape[1])
-
-
-@dataclass
-class CovBlocks:
-    """Covariance blocks shared by the predictors (symmetric where square)."""
-
-    K11: np.ndarray
-    K12: np.ndarray
-    K22: np.ndarray
-    H: np.ndarray
-    Kstar: Optional[np.ndarray] = None
 
 
 class _EvalCounter:

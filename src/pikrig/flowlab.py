@@ -308,7 +308,7 @@ def predict_flow_ck(k, p, cfg=None, system=None):
     Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + bnd_atoms)
     w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
     variance, blocks = _uq.mmse_variance(
-        k, pred, w.alpha[:, :G2], Hplus[:, :G2], block=2
+        k, pred, w.alpha[:, :G2], w.cross[:, :G2], block=2
     )
     vx, vy, var_vx, var_vy, cov_vxy, mm, mv = _pack_field(
         p, w.predictions, variance, blocks
@@ -380,15 +380,16 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
         bvy = np.zeros(0)
         resid = np.zeros(0)
     pts0 = [ExtendedPoint(loc, (0, 0)) for loc in locs2]
-    obsx = design.ObservationSet(pts0, np.array(valx))
-    obsy = design.ObservationSet(pts0, np.array(valy))
+    vals = np.column_stack([valx, valy])
     k0 = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
 
     def crit(theta):
-        kt = replace(k0, theta=theta)
-        return _cal.loocv_mse_virtual(kt, obsx, cfg) + _cal.loocv_mse_virtual(
-            kt, obsy, cfg
-        )
+        # the virtual LOOCV MSE of vx plus that of vy, from one factorization
+        K2 = design.gram(replace(k0, theta=theta), pts0)
+        a, d, escalated = _cal._virtual_parts(K2, vals, len(pts0), cfg)
+        if escalated:
+            return math.nan
+        return float(np.mean((a[:, 0] / d) ** 2)) + float(np.mean((a[:, 1] / d) ** 2))
 
     res = _cal.optimize_theta(
         crit, _cal.default_theta_bounds(pts0), budget=step2_budget
@@ -397,8 +398,8 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
     pred0 = [ExtendedPoint(loc, (0, 0)) for loc in p.pred_grid]
     K2 = design.gram(k2, pts0)
     H2 = design.gram(k2, pts0, pred0)
-    fx = _pred.solve_co_kriging(K2, H2, obsx.values, cfg)
-    fy = fx.alpha.T @ obsy.values
+    fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
+    fy = fx.alpha.T @ vals[:, 1]
     vx, vy, var_vx, var_vy, cov_vxy, mm, mv = _pack_field(
         p, np.ravel(np.column_stack([fx.predictions, fy]))
     )

@@ -111,10 +111,16 @@ class KrigingWeights:
     ``lam`` are the unbiasedness multipliers (ordinary variants), ``lam2``
     the differential-constraint multipliers (Lagrangian).  ``predictions``
     is alpha^T applied to the stacked observation vector as assembled.
+    ``cross`` is H - M, the block the weights pair with in the MMSE
+    covariance K* - alpha^T (H - M), where K alpha = H + M and the
+    multiplier term M is 0 for simple and co-Kriging (``cross`` is then H
+    itself), mu lam^T for ordinary Kriging and Z (U lam')^T, plus
+    mu lam^T in the ordinary variant, for Lagrangian Kriging.
     """
 
     alpha: np.ndarray
     predictions: np.ndarray
+    cross: np.ndarray
     lam: Optional[np.ndarray] = None
     lam2: Optional[np.ndarray] = None
     nugget_used: float = 0.0
@@ -271,6 +277,7 @@ def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
     if mu_plus is None:
         alpha = solve(Hplus)
         lam = None
+        cross = Hplus
     else:
         w = solve(mu_plus)
         g1 = float(mu_plus @ w)
@@ -278,9 +285,10 @@ def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
             raise DegenerateMeanError(f"mu^T (K+)^-1 mu = {g1} is numerically singular")
         lam = (np.asarray(mu_star, dtype=float).ravel() - Hplus.T @ w) / g1
         alpha = solve(Hplus) + np.outer(w, lam)
+        cross = Hplus - np.outer(mu_plus, lam)
     predictions = alpha.T @ y
     return KrigingWeights(
-        alpha=alpha, predictions=predictions, lam=lam, nugget_used=eta
+        alpha=alpha, predictions=predictions, cross=cross, lam=lam, nugget_used=eta
     )
 
 
@@ -371,11 +379,13 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
         c1 = np.asarray(mu_star, dtype=float).ravel() - H.T @ Kimu
     if ops.p == 0:
         alpha = solve(H)
+        cross = H
         if mu is not None:
             lam = c1 / g1
             alpha = alpha + np.outer(Kimu, lam)
+            cross = H - np.outer(mu, lam)
         return KrigingWeights(
-            alpha=alpha, predictions=alpha.T @ Z, lam=lam, nugget_used=eta
+            alpha=alpha, predictions=alpha.T @ Z, cross=cross, lam=lam, nugget_used=eta
         )
     g2 = float(Z @ a)
     if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
@@ -397,13 +407,20 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
     predictions, w = _schur_update(base, None, U, ops.rhs, 0.0)
     lam2 = w / denom
     Ulam2 = U @ lam2
-    R = H
+    R = cross = H
     if mu is not None:
         lam = (c1 - g3 * Ulam2) / g1
-        R = H + np.outer(mu, lam)
+        mulam = np.outer(mu, lam)
+        R = H + mulam
+        cross = H - mulam
     alpha = solve(R + np.outer(Z, Ulam2))
     return KrigingWeights(
-        alpha=alpha, predictions=predictions, lam=lam, lam2=lam2, nugget_used=eta
+        alpha=alpha,
+        predictions=predictions,
+        cross=cross - np.outer(Z, Ulam2),
+        lam=lam,
+        lam2=lam2,
+        nugget_used=eta,
     )
 
 

@@ -1,10 +1,14 @@
 """Predictive uncertainty: MMSE covariances and squared-magnitude moments.
 
 The minimal-MSE covariance of a linear predictor alpha^T Z is
-K* - alpha^T H - H^T alpha + alpha^T K alpha; at the optimum it collapses
-to the familiar K* - H^T K^-1 H shape (with the extended blocks for
-co-Kriging, and an extra constraint term for Lagrangian Kriging).  These
-are upper bounds on the conditional variance once PDE information is
+K* - alpha^T H - H^T alpha + alpha^T K alpha.  At the optimal weights of
+every predictor here, K alpha = H + M with a multiplier term M (0 for
+simple and co-Kriging, mu lam^T for ordinary Kriging, Z (U lam')^T for
+Lagrangian Kriging), and it collapses to K* - alpha^T (H - M).  Each
+solver returns H - M as ``KrigingWeights.cross``, so the covariance is
+read off the prediction solve: :func:`mmse_variance` forms its diagonal
+blocks, :func:`var_ck` and :func:`var_lk` the full matrix.  These are
+upper bounds on the conditional variance once PDE information is
 conditioned on, not exact posteriors, and the +-2 sigma intervals here
 inherit that conservatism.
 
@@ -20,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import design
-from .predictors import SolveConfig, _schur_update, make_spd_solver
+from .predictors import SolveConfig
 from . import predictors as _pred
 
 __all__ = ["PredictiveUQ", "QuadFormMoments", "var_ck", "var_lk", "mmse_variance",
@@ -36,12 +40,13 @@ _NEG_VAR_TOL = 1e-10
 
 @dataclass
 class PredictiveUQ:
-    """MMSE variance, optional full covariance, and +-2 sigma intervals.
+    """MMSE variance, full covariance, and +-2 sigma intervals.
 
-    ``raw_min`` is the most negative pre-clamp diagonal entry.  For the
-    Lagrangian form, ``symmetry_defect`` is the max-norm asymmetry of the
-    covariance expression as printed, and ``alt_variance`` the diagonal of
-    the symmetric-product variant (H+W)^T K^-1 (H+W), kept side by side.
+    ``raw_min`` is the most negative pre-clamp diagonal entry and
+    ``symmetry_defect`` the max-norm asymmetry of K* - alpha^T (H - M)
+    before it is symmetrized.  For the Lagrangian form that is the printed
+    expression K* - (H+W)^T K^-1 (H-W), whose antisymmetric part is not
+    only rounding.
     """
 
     mean: np.ndarray
@@ -51,7 +56,6 @@ class PredictiveUQ:
     interval_hi: np.ndarray
     raw_min: float = 0.0
     symmetry_defect: float = 0.0
-    alt_variance: Optional[np.ndarray] = None
     nugget_used: float = 0.0
 
 
@@ -74,19 +78,23 @@ def _clamp(diag):
     return np.clip(diag, 0.0, None), raw_min
 
 
-def _finish(mean, V, defect=0.0, alt=None, nugget=0.0):
+def _full_covariance(k, atoms, w):
+    """PredictiveUQ of a solve over ``atoms``: K* - alpha^T cross, symmetrized."""
+    V = design.gram(k, atoms) - w.alpha.T @ w.cross
+    defect = float(np.max(np.abs(V - V.T))) if V.size else 0.0
+    V = 0.5 * (V + V.T)
     variance, raw_min = _clamp(np.diag(V).copy())
     half = 2.0 * np.sqrt(variance)
+    mean = w.predictions
     return PredictiveUQ(
-        mean=np.asarray(mean, dtype=float),
+        mean=mean,
         variance=variance,
         covariance=V,
         interval_lo=mean - half,
         interval_hi=mean + half,
         raw_min=raw_min,
-        symmetry_defect=float(defect),
-        alt_variance=alt,
-        nugget_used=float(nugget),
+        symmetry_defect=defect,
+        nugget_used=float(w.nugget_used),
     )
 
 
@@ -104,81 +112,53 @@ def var_ck(k, obs, ops, pred, cfg=None):
     if ops is None:
         ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
     Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred)
-    Kstar = design.gram(k, pred)
-    solve, eta = make_spd_solver(Kplus, cfg)
-    KiH = solve(Hplus)
-    V = Kstar - Hplus.T @ KiH
-    V = 0.5 * (V + V.T)
-    mean = KiH.T @ y
-    return _finish(mean, V, nugget=eta)
+    w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
+    return _full_covariance(k, pred, w)
 
 
 def var_lk(k, obs, ops_at_predictions, cfg=None):
-    """Lagrangian-Kriging MMSE covariance, computed as printed and symmetrized.
+    """Lagrangian-Kriging MMSE covariance with intervals, symmetrized.
 
-    The expression K* - (H+W)^T K^-1 (H-W) with W = Z lam'^T U^T is
-    evaluated literally; its antisymmetric part (which has zero diagonal,
-    so the diagonal is unaffected) is removed by (V+V^T)/2 and reported as
-    ``symmetry_defect``.  The fully symmetric product variant
-    K* - (H+W)^T K^-1 (H+W) is returned alongside in ``alt_variance``.
+    Centered model; the atoms are ``ops_at_predictions.colloc_points``.
+    With W = Z lam'^T U^T the covariance K* - (H+W)^T K^-1 (H-W) is not
+    symmetric as printed; its antisymmetric part (zero on the diagonal,
+    so the variances are unaffected) is removed by (V+V^T)/2 and reported
+    as ``symmetry_defect``.  The solve is
+    :func:`pikrig.predictors.solve_lagrangian`, rank check included.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is not None:
         raise ValueError("var_lk expects a centered model")
     ops = ops_at_predictions
-    atoms = list(ops.colloc_points)
-    K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, atoms)
-    Kstar = design.gram(k, atoms)
-    solve, eta = make_spd_solver(K, cfg)
-    Z = obs.values
-    KiZ = solve(Z)
-    base = H.T @ KiZ
-    if ops.p == 0:
-        KiH = solve(H)
-        V = 0.5 * ((Kstar - H.T @ KiH) + (Kstar - H.T @ KiH).T)
-        return _finish(base, V, nugget=eta)
-    g2 = float(Z @ KiZ)
-    if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
-        raise _pred.DegenerateConstraintError(
-            f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form needs it non-zero"
-        )
-    mean, w = _schur_update(base, None, ops.U, ops.rhs, 0.0)
-    W = np.outer(Z, ops.U @ (w / g2))
-    Vprinted = Kstar - (H + W).T @ solve(H - W)
-    defect = float(np.max(np.abs(Vprinted - Vprinted.T)))
-    V = 0.5 * (Vprinted + Vprinted.T)
-    Valt = Kstar - (H + W).T @ solve(H + W)
-    alt = np.clip(np.diag(Valt), 0.0, None)
-    return _finish(mean, V, defect=defect, alt=alt, nugget=eta)
+    K, H = _pred.assemble_lagrangian(k, obs, ops)
+    w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
+    return _full_covariance(k, list(ops.colloc_points), w)
 
 
-def mmse_variance(k, atoms, alpha, H, M=None, block=1):
+def mmse_variance(k, atoms, alpha, cross, block=1):
     """MMSE variance of optimal weights, read off the prediction solve.
 
-    At the optimum K alpha = H + M, where the multiplier term M is 0 for
-    simple and co-Kriging, mu lam^T for ordinary Kriging and
-    Z (U lam')^T for Lagrangian Kriging.  The covariance is then
-    K* - alpha^T (H - M): the matrix :func:`var_ck` returns, the printed
-    form of :func:`var_lk`, and for ordinary Kriging the realized
-    :func:`pikrig.predictors.mse_objective` on its diagonal.
+    The covariance is K* - alpha^T cross, with ``cross`` = H - M as the
+    solver returns it (:class:`pikrig.predictors.KrigingWeights`): the
+    matrix :func:`var_ck` and :func:`var_lk` return, and for ordinary
+    Kriging the realized :func:`pikrig.predictors.mse_objective` on its
+    diagonal.
 
     Only the diagonal ``block`` x ``block`` blocks over consecutive
-    ``atoms`` (the columns of ``alpha`` and ``H``) are formed, each from a
-    small gram of K*, so K* itself is never built.  Returns the diagonal,
-    clamped at 0 as in :class:`PredictiveUQ`, and the symmetrized blocks,
-    shape (len(atoms) // block, block, block).
+    ``atoms`` (the columns of ``alpha`` and ``cross``) are formed, each
+    from a small gram of K*, so K* itself is never built.  Returns the
+    diagonal, clamped at 0 as in :class:`PredictiveUQ`, and the
+    symmetrized blocks, shape (len(atoms) // block, block, block).
     """
     n, q = alpha.shape
     nb = q // block
-    R = H if M is None else H - M
     Kstar = np.array(
         [design.gram(k, atoms[i : i + block]) for i in range(0, q, block)]
     ).reshape(nb, block, block)
-    cross = np.einsum(
-        "iga,igb->gab", alpha.reshape(n, nb, block), R.reshape(n, nb, block)
+    AtR = np.einsum(
+        "iga,igb->gab", alpha.reshape(n, nb, block), cross.reshape(n, nb, block)
     )
-    V = Kstar - cross
+    V = Kstar - AtR
     V = 0.5 * (V + V.transpose(0, 2, 1))
     variance, _ = _clamp(np.diagonal(V, axis1=1, axis2=2).ravel())
     return variance, V

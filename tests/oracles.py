@@ -1,10 +1,15 @@
 """Independent reference implementations the fast paths are checked against.
 
 Everything here is deliberately naive: dense KKT systems assembled row by
-row and solved with np.linalg.solve, and leave-one-out loops that refit
-per fold.  No code is shared with the package's closed forms beyond the
-covariance assembly itself.
+row and solved with np.linalg.solve, leave-one-out loops that refit per
+fold, and MMSE covariances built from the full K* as printed.  No code is
+shared with the package's closed forms beyond the covariance assembly
+itself and, for the MMSE covariances, the refined factorization
+``make_spd_solver`` (dense solves would not reach its accuracy on the
+ill-conditioned grams).
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -102,3 +107,56 @@ def loocv_naive_ck(k, obs, ops, cfg=None):
 def variance_dense(K, H, Kstar):
     """Simple-Kriging MMSE covariance K* - H^T K^-1 H by dense solve."""
     return Kstar - H.T @ np.linalg.solve(K, H)
+
+
+# Symmetrized MMSE covariance with its clamped diagonal, the max-norm
+# asymmetry of the expression as printed, and (Lagrangian only) the
+# clamped diagonal of the symmetric-product variant.
+FullCovariance = namedtuple(
+    "FullCovariance", "mean covariance variance symmetry_defect alt_variance"
+)
+
+
+def _full(mean, printed, alt=None):
+    V = 0.5 * (printed + printed.T)
+    return FullCovariance(
+        mean, V, np.clip(np.diag(V), 0.0, None),
+        float(np.max(np.abs(printed - printed.T))), alt,
+    )
+
+
+def var_ck_full(k, obs, ops, pred, cfg=None):
+    """Centered co-Kriging MMSE covariance K* - (H+)^T (K+)^-1 H+."""
+    cfg = cfg if cfg is not None else _pred.SolveConfig()
+    pred = list(pred)
+    if ops is None:
+        ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
+    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred)
+    solve, _ = _pred.make_spd_solver(Kplus, cfg)
+    KiH = solve(Hplus)
+    return _full(KiH.T @ y, design.gram(k, pred) - Hplus.T @ KiH)
+
+
+def var_lk_full(k, obs, ops, cfg=None):
+    """Centered Lagrangian MMSE covariance K* - (H+W)^T K^-1 (H-W) as printed.
+
+    W = Z lam'^T U^T, with lam' = w / (Z^T K^-1 Z) and w the dense solve
+    of U^T U w = v* - U^T H^T K^-1 Z.  ``alt_variance`` is the diagonal of
+    the symmetric-product variant K* - (H+W)^T K^-1 (H+W).
+    """
+    cfg = cfg if cfg is not None else _pred.SolveConfig()
+    atoms = list(ops.colloc_points)
+    K = design.gram(k, obs.points)
+    H = design.gram(k, obs.points, atoms)
+    Kstar = design.gram(k, atoms)
+    solve, _ = _pred.make_spd_solver(K, cfg)
+    Z = obs.values
+    KiZ = solve(Z)
+    base = H.T @ KiZ
+    if ops.p == 0:
+        return _full(base, Kstar - H.T @ solve(H))
+    U = ops.U
+    w = np.linalg.solve(U.T @ U, ops.rhs - U.T @ base)
+    W = np.outer(Z, U @ (w / float(Z @ KiZ)))
+    alt = np.clip(np.diag(Kstar - (H + W).T @ solve(H + W)), 0.0, None)
+    return _full(base + U @ w, Kstar - (H + W).T @ solve(H - W), alt)

@@ -9,6 +9,7 @@ from pikrig import calibration, cli, design, flowlab, kernel, predictors, uq
 from pikrig.design import ExtendedPoint, ObservationSet
 from pikrig.kernel import SqExpKernel
 
+import oracles
 from util import ode_setup
 
 
@@ -233,17 +234,17 @@ def _assert_close(got, ref):
 
 
 def test_ode1d_variances_match_full_covariance(tmp_path):
-    # the runners read variances off the prediction solve; var_ck/var_lk
-    # build the full covariance and serve as the reference
+    # the runners read variances off the prediction solve; the oracles
+    # build the full covariance as printed and serve as the reference
     k = SqExpKernel(sigma2=0.7, theta=1.1, dim=1)
     obs, colloc, grid = ode_setup()
     pred = [ExtendedPoint((float(x),), (0,)) for x in grid]
     with_obs = np.unique(np.concatenate([grid, [a.x[0] for a in obs.points]]))
     refs = {
-        "sk": uq.var_ck(k, obs, None, pred).variance,
-        "ck": uq.var_ck(k, obs, _harmonic(colloc), pred).variance,
-        "lk": uq.var_lk(k, obs, _harmonic(grid)).variance,
-        "lk-interp": uq.var_lk(k, obs, _harmonic(with_obs)).variance,
+        "sk": oracles.var_ck_full(k, obs, None, pred).variance,
+        "ck": oracles.var_ck_full(k, obs, _harmonic(colloc), pred).variance,
+        "lk": oracles.var_lk_full(k, obs, _harmonic(grid)).variance,
+        "lk-interp": oracles.var_lk_full(k, obs, _harmonic(with_obs)).variance,
     }
     fixed = ["--theta", "1.1", "--sigma2", "0.7"]
     for method, ref in refs.items():
@@ -270,9 +271,9 @@ def test_scalar2d_variances_match_full_covariance(tmp_path):
     lk_ops = design.extend_atoms(ops, pred)
     order0 = design.locate_atoms(lk_ops.colloc_points, pred)
     refs = {
-        "sk": uq.var_ck(k, obs, None, pred).variance,
-        "ck": uq.var_ck(k, obs, ops, pred).variance,
-        "lk": uq.var_lk(k, obs, lk_ops).variance[order0],
+        "sk": oracles.var_ck_full(k, obs, None, pred).variance,
+        "ck": oracles.var_ck_full(k, obs, ops, pred).variance,
+        "lk": oracles.var_lk_full(k, obs, lk_ops).variance[order0],
     }
     for method, ref in refs.items():
         out = tmp_path / method

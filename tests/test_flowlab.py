@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from pikrig import flowlab as F
-from pikrig import uq
 from pikrig.kernel import SqExpKernel
 from pikrig.predictors import SolveConfig
+
+import oracles
 
 GEOM = F.CylinderGeometry((0.0, 0.0), 1.0)
 CFG = SolveConfig()
@@ -157,13 +158,13 @@ def test_ck_boundary_residual_reduced_layout():
 
 def test_ck_blocks_match_full_covariance():
     # the per-point 2x2 velocity blocks are read off the prediction solve;
-    # the full MMSE covariance of var_ck is the reference
+    # the full MMSE covariance of the co-Kriging oracle is the reference
     p = F.cylinder_problem(geom=GEOM, n_obs=8, q1=8,
                            continuity_grid=(7, 7), pred_counts=(6, 6))
     k = SqExpKernel(10.0, 0.9, 2)
     f = F.predict_flow_ck(k, p, CFG)
     obs, ops, pred = F.build_flow_system(p)
-    u = uq.var_ck(k, obs, ops, pred, CFG)
+    u = oracles.var_ck_full(k, obs, ops, pred, CFG)
     bound = 1e-12 * max(1.0, float(np.max(u.variance)))
     assert np.max(np.abs(f.var_vx - u.variance[0::2])) <= bound
     assert np.max(np.abs(f.var_vy - u.variance[1::2])) <= bound

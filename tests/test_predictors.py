@@ -173,6 +173,41 @@ def test_ordinary_lagrangian_matches_dense_kkt(rng):
             assert np.max(np.abs(w.alpha.T @ mu - mu_star)) <= 1e-8
 
 
+def test_cross_is_h_minus_multiplier_term(rng):
+    # every solver returns cross = H - M, with K alpha = H + M at its weights:
+    # M = 0 (sk, ck), mu lam^T (ok), Z (U lam')^T (+ mu lam^T) (lk)
+    k, obs, ops, pred = random_instance(rng)
+    cfg = P.SolveConfig()
+    Z = obs.values
+    mu = np.ones(obs.n)
+    obs_m = ObservationSet(obs.points, Z, mean=mu)
+    K = design.gram(k, obs.points)
+    H = design.gram(k, obs.points, pred)
+    Kplus, Hplus, y = P.assemble_co_kriging(k, obs, ops, pred)
+    lk_ops = OperatorSystem(pred, np.ones((len(pred), 1)), [float(rng.normal())])
+    mu_star = np.ones(len(pred))
+    cases = {
+        "sk": (K, H, P.solve_co_kriging(K, H, Z, cfg)),
+        "ok": (K, H, P.solve_co_kriging(K, H, Z, cfg, mu_plus=mu, mu_star=mu_star)),
+        "ck": (Kplus, Hplus, P.solve_co_kriging(Kplus, Hplus, y, cfg)),
+        "lk": (K, H, P.solve_lagrangian(K, H, obs, lk_ops, cfg)),
+        "lk ordinary": (K, H, P.solve_lagrangian(K, H, obs_m, lk_ops, cfg, mu_star)),
+    }
+    assert cases["sk"][2].cross is H
+    assert cases["ck"][2].cross is Hplus
+    for name, (Kc, Hc, w) in cases.items():
+        M = np.zeros_like(Hc)
+        if w.lam is not None:
+            M += np.outer(mu, w.lam)
+        if w.lam2 is not None:
+            M += np.outer(Z, lk_ops.U @ w.lam2)
+        assert (w.lam is not None) == ("ok" in name or "ordinary" in name), name
+        assert (w.lam2 is not None) == name.startswith("lk"), name
+        scale = max(1.0, float(np.max(np.abs(Hc))))
+        assert np.max(np.abs(w.cross - (Hc - M))) <= 1e-12 * scale, name
+        assert np.max(np.abs(Kc @ w.alpha - (Hc + M))) <= 1e-8 * scale, name
+
+
 def test_lagrangian_p0_is_simple_kriging(rng):
     k, obs, _, pred = random_instance(rng)
     ops = OperatorSystem(pred, np.zeros((len(pred), 0)), np.zeros(0))
@@ -194,6 +229,10 @@ def test_lagrangian_rank_deficiency_named(rng):
         # the offending equation index is reported, one of the pair
         assert len(err.value.dependent) == 1
         named.append(err.value.dependent)
+        # the covariance runs the same solve, rank check included
+        with pytest.raises(P.RankDeficiencyError) as err_var:
+            uq.var_lk(k, obs, ops)
+        assert err_var.value.dependent == err.value.dependent
     # the rank tolerance is relative to U: scaling it changes nothing
     assert named[2] == named[1]
 

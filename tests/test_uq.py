@@ -95,8 +95,26 @@ def test_var_lk_mean_matches_predictor(rng):
         assert np.allclose(u.mean, w.predictions, atol=1e-10)
         assert np.all(u.variance >= 0.0)
         assert u.symmetry_defect >= 0.0
-        assert u.alt_variance is not None
-        assert np.all(u.alt_variance >= 0.0)
+        ref = oracles.var_lk_full(k, obs, ops)
+        assert np.all(ref.alt_variance >= 0.0)
+
+
+def test_var_ck_var_lk_match_printed_forms(rng):
+    # the wrappers read K* - alpha^T (H - M) off the prediction solve; the
+    # oracles build the covariance as printed from the full K*
+    for _ in range(5):
+        k, obs, ops, pred = small_system(rng)
+        lk_ops = OperatorSystem(pred, np.ones((len(pred), 1)), [float(rng.normal())])
+        for got, ref in (
+            (uq.var_ck(k, obs, None, pred), oracles.var_ck_full(k, obs, None, pred)),
+            (uq.var_ck(k, obs, ops, pred), oracles.var_ck_full(k, obs, ops, pred)),
+            (uq.var_lk(k, obs, lk_ops), oracles.var_lk_full(k, obs, lk_ops)),
+        ):
+            scale = max(1.0, float(np.max(np.abs(ref.covariance))))
+            assert np.max(np.abs(got.covariance - ref.covariance)) <= 1e-10 * scale
+            assert np.max(np.abs(got.variance - ref.variance)) <= 1e-10 * scale
+            assert abs(got.symmetry_defect - ref.symmetry_defect) <= 1e-10 * scale
+            assert np.allclose(got.mean, ref.mean, atol=1e-10)
 
 
 def test_var_lk_p0_is_simple_variance(rng):
