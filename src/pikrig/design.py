@@ -6,11 +6,13 @@ with a derivative multi-index.  Linear differential equations become linear
 combinations of extended-field atoms, collected in an :class:`OperatorSystem`
 (U^T Z+ = v, columns of U are equations).
 
-Covariance matrices over extended points are assembled entrywise by
-:func:`gram`, which also feeds a process-wide evaluation counter.  The
-counter is what makes the cost asymmetry between co-Kriging and Lagrangian
-Kriging measurable: for co-Kriging with n primary atoms, c collocation atoms
-and q prediction atoms a prediction costs (n+c)(n+c+1)/2 + (n+c)q counted
+Covariance matrices over extended points are assembled by :func:`gram`,
+one :func:`pikrig.kernel.deriv_block` call per pair of multi-index groups,
+so every entry equals :func:`cov` of its pair exactly.  :func:`gram` also
+feeds a process-wide counter of evaluated atom pairs.  The counter is what
+makes the cost asymmetry between co-Kriging and Lagrangian Kriging
+measurable: for co-Kriging with n primary atoms, c collocation atoms and q
+prediction atoms a prediction costs (n+c)(n+c+1)/2 + (n+c)q counted
 evaluations (symmetric fill), for Lagrangian Kriging n(n+1)/2 + n*q.
 """
 
@@ -28,6 +30,7 @@ __all__ = [
     "OperatorSystem",
     "cov",
     "gram",
+    "cov_pairs",
     "encode_pointwise",
     "encode_average",
     "extend_atoms",
@@ -64,17 +67,34 @@ class ExtendedPoint:
         return (self.x, self.m)
 
 
+def _group(keys):
+    """Positions of equal keys, in order of first appearance: {key: indices}."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return {key: np.array(idx) for key, idx in groups.items()}
+
+
+def _coords(atoms, idx):
+    """Locations of ``atoms[idx]`` as an (len(idx), d) array."""
+    return np.array([atoms[i].x for i in idx], dtype=float)
+
+
 def _find_duplicates(points, tol=1e-12):
-    """Indices (i, j) of duplicate atoms: same m exactly, same x within tol."""
+    """Indices (i, j), i < j in row-major order, of duplicate atoms.
+
+    Duplicates share m exactly and x within ``tol`` in every coordinate;
+    each multi-index group is compared by one broadcast per coordinate.
+    """
     dups = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            a, b = points[i], points[j]
-            if a.m != b.m:
-                continue
-            if max(abs(u - v) for u, v in zip(a.x, b.x)) <= tol:
-                dups.append((i, j))
-    return dups
+    for idx in _group(p.m for p in points).values():
+        X = _coords(points, idx)
+        close = np.logical_and.reduce(
+            [np.abs(x[:, None] - x[None, :]) <= tol for x in X.T]
+        )
+        i, j = np.nonzero(np.triu(close, 1))
+        dups.extend(zip(idx[i].tolist(), idx[j].tolist()))
+    return sorted(dups)
 
 
 @dataclass
@@ -190,30 +210,57 @@ def cov(k, s, s2):
     return _kernel.deriv(k, s.x, s2.x, s.m, s2.m)
 
 
+def _groups(k, atoms):
+    """[(m, indices, locations)] of the atoms, one entry per multi-index."""
+    groups = []
+    for m, idx in _group(a.m for a in atoms).items():
+        if len(m) != k.dim:
+            raise _kernel.DimensionMismatchError(
+                f"atom with m={m} has dimension {len(m)}, kernel dim is {k.dim}"
+            )
+        groups.append((m, idx, _coords(atoms, idx)))
+    return groups
+
+
 def gram(k, A, B=None):
     """Covariance matrix over extended points, entry (i,j) = cov(A[i], B[j]).
 
-    With ``B`` omitted (or the identical list object), fills the upper
-    triangle and mirrors, counting |A|(|A|+1)/2 evaluations; otherwise
-    fills all |A| x |B| entries.  Entries are independent, so the fill
-    could be parallelized; the counter is the only shared state.
+    Each pair of multi-index groups is one block, evaluated by
+    :func:`pikrig.kernel.deriv_block` on the broadcast coordinate
+    differences.  With ``B`` omitted (or the identical list object), the
+    upper triangle is copied onto the lower one (cov(A[j], A[i]) can
+    differ from cov(A[i], A[j]) in the sign of a zero) and |A|(|A|+1)/2
+    evaluations are counted; otherwise all |A| x |B| entries are.
     """
-    if B is None or B is A:
-        n = len(A)
-        G = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = cov(k, A[i], A[j])
-                G[i, j] = v
-                G[j, i] = v
-        _COUNTER.add(n * (n + 1) // 2)
-        return G
+    sym = B is None or B is A
+    B = A if sym else B
     G = np.empty((len(A), len(B)))
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            G[i, j] = cov(k, a, b)
-    _COUNTER.add(len(A) * len(B))
+    groups_a = _groups(k, A)
+    groups_b = groups_a if sym else _groups(k, B)
+    for m, ia, X in groups_a:
+        for m2, ib, X2 in groups_b:
+            r = X[:, None, :] - X2[None, :, :]
+            G[np.ix_(ia, ib)] = _kernel.deriv_block(k, r, m, m2)
+    n = len(A)
+    if sym:
+        G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)
+    _COUNTER.add(n * (n + 1) // 2 if sym else n * len(B))
     return G
+
+
+def cov_pairs(k, A, B):
+    """Covariances cov(A[i], B[i]) of paired atoms, as a vector.
+
+    One :func:`pikrig.kernel.deriv_block` call per pair of multi-indices;
+    counts len(A) evaluations.
+    """
+    if len(A) != len(B):
+        raise ValueError(f"{len(A)} atoms paired with {len(B)}")
+    out = np.empty(len(A))
+    for (m, m2), idx in _group((a.m, b.m) for a, b in zip(A, B)).items():
+        out[idx] = _kernel.deriv_block(k, _coords(A, idx) - _coords(B, idx), m, m2)
+    _COUNTER.add(len(A))
+    return out
 
 
 def _atom_key(x, m):

@@ -15,6 +15,9 @@ differentiates with respect to the first argument, ``m2`` with respect
 to the second.  Each derivative on the second argument flips one sign,
 which collapses to an overall factor (-1)^|m| on the all-first-argument
 polynomial form.
+
+:func:`deriv_block` evaluates one (m, m2) pair over a whole array of
+differences x - x'; :func:`deriv` is its one-pair case.
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,7 @@ __all__ = [
     "UnsupportedOrderError",
     "evaluate",
     "deriv",
+    "deriv_block",
     "deriv_fd",
     "total_order",
 ]
@@ -96,17 +100,16 @@ def _check_multi_index(k, m, name):
 
 def evaluate(k, x, x2):
     """Kernel value sigma2 * exp(-||x - x2||^2 / (2 theta^2))."""
-    x = _as_point(k, x, "x")
-    x2 = _as_point(k, x2, "x2")
-    d2 = float(np.dot(x - x2, x - x2))
-    return k.sigma2 * np.exp(-d2 / (2.0 * k.theta ** 2))
+    zero = (0,) * k.dim
+    return deriv(k, x, x2, zero, zero)
 
 
 def _bracket(idx, h, it2):
     """Polynomial factor for the order-|idx| derivative, all on one argument.
 
     ``idx`` lists one coordinate per unit of derivative (length 1..4), ``h``
-    is (x - x2)/theta^2 and ``it2`` is 1/theta^2.  The order-4 pair set (6
+    is (x - x2)/theta^2 as one entry (a float or an array) per coordinate,
+    and ``it2`` is 1/theta^2.  The order-4 pair set (6
     elements) and the pair partitions (3 elements) are written out in full.
     """
     t = len(idx)
@@ -135,15 +138,21 @@ def _bracket(idx, h, it2):
     )
 
 
-def deriv(k, x, x2, m, m2):
-    """Mixed kernel derivative d^|m|/dx^m d^|m2|/dx2^m2 k(x, x2).
+def deriv_block(k, r, m, m2):
+    """Mixed derivative d^|m|/dx^m d^|m2|/dx2^m2 k(x, x2) for many pairs at once.
 
-    Closed form up to total order |m| + |m2| <= 4; order 0 delegates to
-    :func:`evaluate`.  Higher orders raise :class:`UnsupportedOrderError`
-    rather than falling back to a lossy approximation.
+    ``r`` holds the differences x - x2 along its last axis, shape (..., d);
+    the result has the leading shape.  Each entry is computed operation
+    for operation as for a single pair (the stacked matmul reduces each
+    ||r||^2 with the same BLAS dot as ``np.dot(r, r)``), so it does not
+    depend on the block it sits in.  Total order |m| + |m2| > 4 raises
+    :class:`UnsupportedOrderError`.
     """
-    x = _as_point(k, x, "x")
-    x2 = _as_point(k, x2, "x2")
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 0 or r.shape[-1] != k.dim:
+        raise DimensionMismatchError(
+            f"differences have shape {r.shape}, kernel dim is {k.dim}"
+        )
     m = _check_multi_index(k, m, "m")
     m2 = _check_multi_index(k, m2, "m2")
     t = total_order(m) + total_order(m2)
@@ -152,17 +161,28 @@ def deriv(k, x, x2, m, m2):
             f"total derivative order {t} exceeds analytic coverage "
             f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}"
         )
-    base = k.sigma2 * np.exp(
-        -float(np.dot(x - x2, x - x2)) / (2.0 * k.theta ** 2)
-    )
+    d2 = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
+    base = k.sigma2 * np.exp(-d2 / (2.0 * k.theta ** 2))
     if t == 0:
         return base
-    h = (x - x2) / k.theta ** 2
+    h = [r[..., c] / k.theta ** 2 for c in range(k.dim)]
     idx = []
     for c in range(k.dim):
         idx.extend([c] * (m[c] + m2[c]))
     sign = -1.0 if total_order(m) % 2 else 1.0
     return sign * _bracket(idx, h, 1.0 / k.theta ** 2) * base
+
+
+def deriv(k, x, x2, m, m2):
+    """Mixed kernel derivative d^|m|/dx^m d^|m2|/dx2^m2 k(x, x2).
+
+    The one-pair case of :func:`deriv_block`: closed form up to total
+    order 4; higher orders raise :class:`UnsupportedOrderError` rather
+    than falling back to a lossy approximation.
+    """
+    x = _as_point(k, x, "x")
+    x2 = _as_point(k, x2, "x2")
+    return deriv_block(k, x - x2, m, m2)
 
 
 def deriv_fd(k, x, x2, m, m2, step=None):

@@ -145,16 +145,20 @@ def mmse_variance(k, atoms, alpha, cross, block=1):
     diagonal.
 
     Only the diagonal ``block`` x ``block`` blocks over consecutive
-    ``atoms`` (the columns of ``alpha`` and ``cross``) are formed, each
-    from a small gram of K*, so K* itself is never built.  Returns the
-    diagonal, clamped at 0 as in :class:`PredictiveUQ`, and the
-    symmetrized blocks, shape (len(atoms) // block, block, block).
+    ``atoms`` (the columns of ``alpha`` and ``cross``) are formed, one
+    :func:`pikrig.design.cov_pairs` call per upper-triangle position, so
+    K* itself is never built.  Returns the diagonal, clamped at 0 as in
+    :class:`PredictiveUQ`, and the symmetrized blocks, shape
+    (len(atoms) // block, block, block).
     """
     n, q = alpha.shape
     nb = q // block
-    Kstar = np.array(
-        [design.gram(k, atoms[i : i + block]) for i in range(0, q, block)]
-    ).reshape(nb, block, block)
+    Kstar = np.empty((nb, block, block))
+    for i in range(block):
+        for j in range(i, block):
+            Kstar[:, i, j] = Kstar[:, j, i] = design.cov_pairs(
+                k, atoms[i:q:block], atoms[j:q:block]
+            )
     AtR = np.einsum(
         "iga,igb->gab", alpha.reshape(n, nb, block), cross.reshape(n, nb, block)
     )

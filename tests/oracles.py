@@ -1,10 +1,12 @@
 """Independent reference implementations the fast paths are checked against.
 
-Everything here is deliberately naive: dense KKT systems assembled row by
-row and solved with np.linalg.solve, leave-one-out loops that refit per
-fold, and MMSE covariances built from the full K* as printed.  No code is
-shared with the package's closed forms beyond the covariance assembly
-itself and, for the MMSE covariances, the refined factorization
+Everything here is deliberately naive: covariance matrices filled one
+entry per Python call, dense KKT systems assembled row by row and solved
+with np.linalg.solve, leave-one-out loops that refit per fold, and MMSE
+covariances built from the full K* as printed.  No code is shared with the
+package's closed forms beyond the kernel's derivative polynomial
+(``kernel._bracket``), the covariance assembly outside :func:`gram_loop`
+and, for the MMSE covariances, the refined factorization
 ``make_spd_solver`` (dense solves would not reach its accuracy on the
 ill-conditioned grams).
 """
@@ -14,7 +16,53 @@ from collections import namedtuple
 import numpy as np
 
 from pikrig import design
+from pikrig import kernel as _kernel
 from pikrig import predictors as _pred
+
+
+def deriv_scalar(k, x, x2, m, m2):
+    """One mixed kernel derivative in scalar arithmetic, |r|^2 by np.dot."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    t = sum(m) + sum(m2)
+    base = k.sigma2 * np.exp(
+        -float(np.dot(x - x2, x - x2)) / (2.0 * k.theta ** 2)
+    )
+    if t == 0:
+        return base
+    h = (x - x2) / k.theta ** 2
+    idx = []
+    for c in range(k.dim):
+        idx.extend([c] * (m[c] + m2[c]))
+    sign = -1.0 if sum(m) % 2 else 1.0
+    return sign * _kernel._bracket(idx, h, 1.0 / k.theta ** 2) * base
+
+
+def find_duplicates_loop(points, tol=1e-12):
+    """All duplicate pairs (i, j), i < j, by a double loop in row-major order."""
+    dups = []
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            a, b = points[i], points[j]
+            if a.m == b.m and max(abs(u - v) for u, v in zip(a.x, b.x)) <= tol:
+                dups.append((i, j))
+    return dups
+
+
+def gram_loop(k, A, B=None):
+    """Covariance matrix filled entry by entry, upper triangle mirrored if symmetric."""
+    if B is None or B is A:
+        n = len(A)
+        G = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                G[i, j] = G[j, i] = deriv_scalar(k, A[i].x, A[j].x, A[i].m, A[j].m)
+        return G
+    G = np.empty((len(A), len(B)))
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            G[i, j] = deriv_scalar(k, a.x, b.x, a.m, b.m)
+    return G
 
 
 def kkt_simple(K, H):

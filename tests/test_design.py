@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,21 @@ from pikrig.design import (
     OperatorSystem,
     cov,
     cov_eval_count,
+    cov_pairs,
     encode_average,
     encode_pointwise,
     extend_atoms,
     gram,
     reset_cov_eval_count,
 )
-from pikrig.kernel import SqExpKernel, deriv
+from pikrig.kernel import (
+    DimensionMismatchError,
+    SqExpKernel,
+    UnsupportedOrderError,
+    deriv,
+)
 
+from oracles import deriv_scalar, find_duplicates_loop, gram_loop
 from util import well_spaced
 
 
@@ -42,6 +51,25 @@ def test_observation_set_rejects_duplicates():
         [ExtendedPoint((0.0,), (0,)), ExtendedPoint((0.0,), (1,))], np.zeros(2)
     )
     assert ok.n == 2
+
+
+def test_find_duplicates_matches_loop(rng):
+    x1, x2 = (0.3, 0.7), (0.9, 0.1)
+    near = (0.3 + 5e-13, 0.7)
+    # m = (0, 1) appears first, but the first pair in row-major order is
+    # a (0, 0) pair.
+    pts = [ExtendedPoint(x, m) for x, m in [
+        (x2, (0, 1)), (x1, (0, 0)), (near, (0, 0)), (x1, (0, 1)),
+        (x1, (0, 1)), (x2, (0, 0)), (x1, (0, 0)),
+    ]]
+    ref = find_duplicates_loop(pts)
+    assert ref == [(1, 2), (1, 6), (2, 6), (3, 4)]
+    assert design._find_duplicates(pts) == ref
+    shuffled = [pts[i] for i in rng.permutation(len(pts))]
+    assert design._find_duplicates(shuffled) == find_duplicates_loop(shuffled)
+    assert design._find_duplicates(pts[:1]) == []
+    with pytest.raises(ValueError, match="indices 1 and 2:"):
+        ObservationSet(pts, np.zeros(len(pts)))
 
 
 def test_observation_set_length_mismatch():
@@ -142,6 +170,75 @@ def test_cov_matches_kernel_deriv():
     s = ExtendedPoint((0.1, 0.4), (1, 0))
     s2 = ExtendedPoint((0.9, -0.2), (0, 2))
     assert cov(k, s, s2) == deriv(k, s.x, s2.x, s.m, s2.m)
+
+
+def _multi_indices(dim, max_order):
+    return [
+        m for m in itertools.product(range(max_order + 1), repeat=dim)
+        if sum(m) <= max_order
+    ]
+
+
+def _assert_identical(G, ref):
+    assert G.shape == ref.shape
+    assert np.array_equal(G, ref)
+    assert np.array_equal(np.signbit(G), np.signbit(ref))
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.92, 2.8, 7.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gram_blocks_match_entrywise_loop(dim, theta):
+    rng = np.random.default_rng(int(10 * theta) + dim)
+    k = SqExpKernel(sigma2=1.7, theta=theta, dim=dim)
+
+    def atoms(m, n):
+        return [ExtendedPoint(tuple(x), m) for x in rng.uniform(-1.5, 1.5, (n, dim))]
+
+    indices = _multi_indices(dim, 4)
+    for m in indices:
+        A = atoms(m, 4)
+        for m2 in indices:
+            if sum(m) + sum(m2) > 4:
+                continue
+            B = atoms(m2, 3)
+            G = gram(k, A, B)
+            _assert_identical(G, gram_loop(k, A, B))
+            x, x2 = A[0].x, B[0].x
+            assert deriv(k, x, x2, m, m2) == G[0, 0] == deriv_scalar(k, x, x2, m, m2)
+    # Mixed orders in shuffled order, with coincident and axis-aligned pairs.
+    low = _multi_indices(dim, 2)
+    locs = rng.uniform(-1.5, 1.5, (4, dim))
+    locs[1, 0] = locs[0, 0]
+    A = [ExtendedPoint(tuple(x), m) for x in locs for m in low]
+    A = [A[i] for i in rng.permutation(len(A))]
+    ref = gram_loop(k, A)
+    _assert_identical(gram(k, A), ref)
+    _assert_identical(gram(k, A, A), ref)
+    B = A[:3] + [ExtendedPoint(tuple(x), m) for x in locs[:2] + 0.25 for m in low]
+    _assert_identical(gram(k, A, B), gram_loop(k, A, B))
+    _assert_identical(gram(k, B, A), gram_loop(k, B, A))
+    assert gram(k, []).shape == (0, 0)
+    assert gram(k, [], B).shape == (0, len(B))
+    assert gram(k, A, []).shape == (len(A), 0)
+    reset_cov_eval_count()
+    v = cov_pairs(k, A, A[::-1])
+    assert cov_eval_count() == len(A)
+    _assert_identical(v, np.diagonal(gram_loop(k, A, A[::-1])))
+
+
+def test_gram_validation():
+    k = SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
+    A = [ExtendedPoint((0.5, 0.1), (0, 0)), ExtendedPoint((0.0, 0.0), (3, 0))]
+    B = [ExtendedPoint((0.2, 0.3), (1, 1))]
+    gram(k, A[:1], B)
+    with pytest.raises(UnsupportedOrderError):
+        gram(k, A, B)
+    with pytest.raises(DimensionMismatchError):
+        gram(k, A[:1] + [ExtendedPoint((0.1,), (0,))])
+    with pytest.raises(DimensionMismatchError):
+        gram(k, A[:1], [ExtendedPoint((0.1, 0.2, 0.3), (0, 0, 0))])
+    with pytest.raises(DimensionMismatchError):
+        cov_pairs(k, [ExtendedPoint((0.1,), (0,))], [ExtendedPoint((0.1,), (0,))])
 
 
 def test_gram_counts_symmetric_and_cross():
