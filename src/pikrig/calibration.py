@@ -11,11 +11,15 @@ For co-Kriging the same quantities are computed on the stacked system
 [Z; v] with the extended covariance, and only the primary n slots are
 kept (a filter on the stack), normalized by n.
 
-Constrained Lagrangian predictions have no virtual shortcut, so two
-explicit criteria are provided: per-fold refitting
-(:func:`loocv_lk_explicit`) and the all-points-retained interpolation
-deviation (:func:`interpolation_error_criterion`), which exploits that
-constrained predictions need not interpolate the observations.
+Constrained Lagrangian predictions have two criteria.  Leave-one-out
+(:func:`loocv_lk_explicit`) gets every fold from one system by the same
+downdate: column i of a 1^T - K^-1 diag(a/d) is fold i's K_{-i}^-1 Z_{-i},
+and the Lagrangian prediction is one Schur step on H^T of it, so the
+folds share one assembly, rank check and factorization per theta.  The
+all-points-retained interpolation deviation
+(:func:`interpolation_error_criterion`) exploits that constrained
+predictions need not interpolate the observations.  Every leave-one-out
+criterion is nan where the full matrix needed escalated jitter.
 
 The 1-d lengthscale search is a deterministic log-spaced grid scan
 followed by golden-section refinement inside the best cell; ties shrink
@@ -89,6 +93,43 @@ def _virtual_parts(K, y, n, cfg):
     return a[:n], np.diag(Ki)[:n], eta > cfg.nugget
 
 
+def _lagrangian_folds(k, obs, ops, cfg):
+    """All Lagrangian leave-one-out folds from one system: (resid, var, escalated).
+
+    Column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
+    fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
+    Schur step on the bases H^T A predicts every fold.  Fold i's variance
+    at unit process variance is 1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i,
+    with eta the nugget used and j_i the atom of observation i.
+    """
+    n = obs.n
+    Z = obs.values
+    ops = design.extend_atoms(ops, obs.points)
+    K, H = _pred.assemble_lagrangian(k, obs, ops)
+    _pred._check_constraint_rank(ops.U)
+    solve, eta = make_spd_solver(K, cfg)
+    Ki = solve(np.eye(n))
+    a = Ki @ Z
+    d = np.diag(Ki)
+    A = a[:, None] - Ki * (a / d)
+    np.fill_diagonal(A, 0.0)
+    pred, W = _pred._schur_update(H.T @ A, None, ops.U, ops.rhs[:, None], 0.0)
+    j = design.locate_atoms(ops.colloc_points, obs.points)
+    resid = Z - pred[j, np.arange(n)]
+    var = 1.0 / d - eta
+    if ops.p:
+        g2 = Z @ A
+        degenerate = np.abs(g2) <= 1e-14 * np.maximum(1.0, Z @ Z - Z * Z)
+        if degenerate.any():
+            i = int(np.argmax(degenerate))
+            raise _pred.DegenerateConstraintError(
+                f"Z^T K^-1 Z = {g2[i]} is zero in fold {i}; the Lagrangian "
+                "closed form assumes it non-zero"
+            )
+        var = var + np.sum(ops.U[j] * W.T, axis=1) ** 2 / g2
+    return resid, var, eta > cfg.nugget
+
+
 def _floored_sigma2(val):
     if val <= _SIGMA2_FLOOR:
         warnings.warn(
@@ -98,6 +139,35 @@ def _floored_sigma2(val):
         )
         return _SIGMA2_FLOOR
     return float(val)
+
+
+def _loo_criteria(parts, kind):
+    """(mse, sigma2) callables of theta from ``parts(theta)``, which gives
+    the leave-one-out residuals, their squares standardized by the fold
+    variances, and whether jitter escalated.
+
+    The mse is nan when jitter escalated; sigma2 is the mean standardized
+    square, floored, and warns when jitter escalated.
+    """
+
+    def mse(theta):
+        resid, _, escalated = parts(theta)
+        if escalated:
+            logger.info("%s LOOCV undefined at theta=%.6g (escalated)", kind, theta)
+            return math.nan
+        return float(np.mean(resid ** 2))
+
+    def sigma2(theta):
+        _, std2, escalated = parts(theta)
+        if escalated:
+            warnings.warn(
+                f"variance rule at theta={theta:.6g} used escalated jitter",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return _floored_sigma2(float(np.mean(std2)))
+
+    return mse, sigma2
 
 
 def loocv_mse_virtual(k_unit, obs, cfg=None):
@@ -135,29 +205,13 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
         ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
     n = obs.n
 
-    def _parts(theta):
+    def parts(theta):
         k = replace(k_unit, theta=float(theta))
         Kplus, _, y = _pred.assemble_co_kriging(k, obs, ops, [])
-        return _virtual_parts(Kplus, y, n, cfg)
+        a, d, escalated = _virtual_parts(Kplus, y, n, cfg)
+        return a / d, a * a / d, escalated
 
-    def mse(theta):
-        a, d, escalated = _parts(theta)
-        if escalated:
-            logger.info("virtual LOOCV undefined at theta=%.6g (escalated)", theta)
-            return math.nan
-        return float(np.mean((a / d) ** 2))
-
-    def sigma2(theta):
-        a, d, escalated = _parts(theta)
-        if escalated:
-            warnings.warn(
-                f"variance rule at theta={theta:.6g} used escalated jitter",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _floored_sigma2(float(np.mean(a * a / d)))
-
-    return mse, sigma2
+    return _loo_criteria(parts, "virtual")
 
 
 def _lagrangian_at(k, obs, ops, atoms, cfg, want_var=False):
@@ -177,12 +231,16 @@ def _lagrangian_at(k, obs, ops, atoms, cfg, want_var=False):
 
 
 def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
-    """Per-fold refit LOOCV for Lagrangian Kriging; returns (mse, sigma2).
+    """LOOCV for Lagrangian Kriging; returns (mse, sigma2).
 
-    Fold i drops observation i, keeps the full constraint system,
-    predicts the dropped atom (appended constraint-free if no equation
-    touches it), and scores the residual; the variance rule standardizes
-    by the fold's own predictive variance at unit process variance.
+    Fold i drops observation i, keeps the full constraint system, predicts
+    the dropped atom (appended constraint-free if no equation touches it)
+    and scores the residual; the variance rule standardizes by the fold's
+    own predictive variance at unit process variance.  All folds at a
+    theta come from one assembly, rank check and factorization, by the
+    downdate of :func:`_lagrangian_folds`; so the mse is nan (and sigma2
+    warns) when the full K needed escalated jitter, whatever the folds'
+    own matrices would have needed.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     _require_unit(k_unit)
@@ -190,42 +248,12 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
 
-    def _folds(theta, want_var):
+    def parts(theta):
         k = replace(k_unit, theta=float(theta))
-        res = []
-        escalated = False
-        for i in range(obs.n):
-            keep = [j for j in range(obs.n) if j != i]
-            obs_i = design.ObservationSet(
-                [obs.points[j] for j in keep], obs.values[keep]
-            )
-            atom = [obs.points[i]]
-            ops_i = design.extend_atoms(ops_at_predictions, atom)
-            mean, var, esc = _lagrangian_at(k, obs_i, ops_i, atom, cfg, want_var)
-            res.append((obs.values[i] - mean[0], None if var is None else var[0]))
-            escalated = escalated or esc
-        return res, escalated
+        resid, var, escalated = _lagrangian_folds(k, obs, ops_at_predictions, cfg)
+        return resid, resid ** 2 / np.maximum(var, _SIGMA2_FLOOR), escalated
 
-    def mse(theta):
-        pairs, escalated = _folds(theta, want_var=False)
-        if escalated:
-            logger.info("fold LOOCV undefined at theta=%.6g (escalated)", theta)
-            return math.nan
-        errs = np.array([e for e, _ in pairs])
-        return float(np.mean(errs ** 2))
-
-    def sigma2(theta):
-        pairs, escalated = _folds(theta, want_var=True)
-        if escalated:
-            warnings.warn(
-                f"variance rule at theta={theta:.6g} used escalated jitter",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        vals = [e * e / max(v, _SIGMA2_FLOOR) for e, v in pairs]
-        return _floored_sigma2(float(np.mean(vals)))
-
-    return mse, sigma2
+    return _loo_criteria(parts, "fold")
 
 
 def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=None):

@@ -545,15 +545,9 @@ def _flow_problem(cfg):
         continuity = []
         truth_geom = None
         if cfg.with_cylinder:
-            cx, cy = geom.center
-            xlim = (cx - cfg.extent, cx + cfg.extent)
-            ylim = (cy - cfg.extent, cy + cfg.extent)
-            cut = geom.radius * (1.0 + cfg.margin)
-            continuity = [
-                pt
-                for pt in _flow.uniform_grid(xlim, ylim, cfg.cont_nx, cfg.cont_ny, cfg.aspect)
-                if math.hypot(pt[0] - cx, pt[1] - cy) >= cut
-            ]
+            continuity = _flow.exterior_grid(
+                geom, (cfg.cont_nx, cfg.cont_ny), cfg.extent, cfg.margin, cfg.aspect
+            )
             truth_geom = geom
         problem = _flow.FlowProblem(
             velocity_obs=data.velocity_obs,

@@ -41,6 +41,7 @@ __all__ = [
     "cylinder_flow_oracle",
     "cylinder_problem",
     "uniform_grid",
+    "exterior_grid",
     "build_flow_system",
     "predict_flow_ck",
     "predict_flow_lk_twostep",
@@ -179,6 +180,17 @@ def uniform_grid(xlim, ylim, nx, ny, aspect=1.0):
     return [(float(x), float(y)) for y in ys for x in xs]
 
 
+def exterior_grid(geom, counts, extent, margin, aspect=1.0):
+    """Uniform grid on the square of half-width ``extent`` around the
+    obstacle center, without the points closer than (1 + margin) radii."""
+    cx, cy = geom.center
+    cut = geom.radius * (1.0 + margin)
+    xlim = (cx - extent, cx + extent)
+    ylim = (cy - extent, cy + extent)
+    pts = uniform_grid(xlim, ylim, *counts, aspect=aspect)
+    return [p for p in pts if math.hypot(p[0] - cx, p[1] - cy) >= cut]
+
+
 def cylinder_problem(
     geom=None,
     freestream=(1.0, 0.0),
@@ -214,20 +226,11 @@ def cylinder_problem(
         nrm = (math.cos(ang), math.sin(ang))
         loc = (cx + R * nrm[0], cy + R * nrm[1])
         boundary.append((loc, nrm))
-    xlim = (cx - extent, cx + extent)
-    ylim = (cy - extent, cy + extent)
-    cut = R * (1.0 + margin)
-
-    def outside(pts):
-        return [p for p in pts if math.hypot(p[0] - cx, p[1] - cy) >= cut]
-
-    continuity = outside(uniform_grid(xlim, ylim, *continuity_grid, aspect=aspect))
-    pred = outside(uniform_grid(xlim, ylim, *pred_counts, aspect=aspect))
     return FlowProblem(
         velocity_obs=obs,
-        continuity_points=continuity,
+        continuity_points=exterior_grid(geom, continuity_grid, extent, margin, aspect),
         boundary_points=boundary,
-        pred_grid=pred,
+        pred_grid=exterior_grid(geom, pred_counts, extent, margin, aspect),
         freestream=freestream,
     )
 
@@ -268,25 +271,41 @@ def build_flow_system(p):
     return obs, ops, pred
 
 
-def _pack_field(p, mean, variance=None, blocks=None):
-    """Slice interleaved (vx, vy) atoms for the prediction grid.
+def _pack_field(p, mean, boundary, nugget_used, variance=None, blocks=None,
+                theta2_hat=None):
+    """The FlowField of interleaved (vx, vy) predictions.
 
-    ``variance`` is the clamped diagonal over those atoms and ``blocks``
-    the per-point 2x2 covariance blocks, which feed the ||v||^2 moments.
+    ``mean`` covers the prediction grid and ``boundary`` the boundary
+    points, whose normal residual n . v_hat the field reports.
+    ``variance`` is the clamped diagonal over the grid atoms and
+    ``blocks`` the per-point 2x2 covariance blocks, which feed the
+    ||v||^2 moments; without them the UQ entries are NaN.
     """
     G = len(p.pred_grid)
     vx = mean[0 : 2 * G : 2]
     vy = mean[1 : 2 * G : 2]
     if variance is None:
         nanG = np.full(G, np.nan)
-        return vx, vy, nanG, nanG.copy(), nanG.copy(), vx ** 2 + vy ** 2, nanG.copy()
-    mm = np.empty(G)
-    mv = np.empty(G)
-    for i in range(G):
-        qm = _uq.quadform_moments((vx[i], vy[i]), blocks[i])
-        mm[i] = qm.mean
-        mv[i] = qm.variance
-    return vx, vy, variance[0::2], variance[1::2], blocks[:, 0, 1], mm, mv
+        uq = (nanG, nanG.copy(), nanG.copy(), vx ** 2 + vy ** 2, nanG.copy())
+    else:
+        qm = [_uq.quadform_moments((vx[i], vy[i]), blocks[i]) for i in range(G)]
+        uq = (variance[0::2], variance[1::2], blocks[:, 0, 1],
+              np.array([m.mean for m in qm]), np.array([m.variance for m in qm]))
+    bvx = boundary[0::2]
+    bvy = boundary[1::2]
+    normals = np.array([nrm for _, nrm in p.boundary_points]).reshape(-1, 2)
+    return FlowField(
+        np.array(p.pred_grid, dtype=float),
+        vx,
+        vy,
+        *uq,
+        boundary_locations=np.array([loc for loc, _ in p.boundary_points]),
+        boundary_vx=bvx,
+        boundary_vy=bvy,
+        boundary_normal_residual=normals[:, 0] * bvx + normals[:, 1] * bvy,
+        theta2_hat=theta2_hat,
+        nugget_used=nugget_used,
+    )
 
 
 def predict_flow_ck(k, p, cfg=None, system=None):
@@ -301,36 +320,15 @@ def predict_flow_ck(k, p, cfg=None, system=None):
     """
     cfg = cfg if cfg is not None else SolveConfig()
     obs, ops, pred = system if system is not None else build_flow_system(p)
-    bnd_atoms = []
-    for loc, _ in p.boundary_points:
-        bnd_atoms += _gradient_atoms(loc)
+    bnd_atoms = [a for loc, _ in p.boundary_points for a in _gradient_atoms(loc)]
     G2 = len(pred)
     Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + bnd_atoms)
     w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
     variance, blocks = _uq.mmse_variance(
         k, pred, w.alpha[:, :G2], w.cross[:, :G2], block=2
     )
-    vx, vy, var_vx, var_vy, cov_vxy, mm, mv = _pack_field(
-        p, w.predictions, variance, blocks
-    )
-    bvx = w.predictions[G2::2]
-    bvy = w.predictions[G2 + 1 :: 2]
-    normals = np.array([nrm for _, nrm in p.boundary_points])
-    resid = normals[:, 0] * bvx + normals[:, 1] * bvy if len(bnd_atoms) else np.zeros(0)
-    return FlowField(
-        locations=np.array(p.pred_grid, dtype=float),
-        vx=vx,
-        vy=vy,
-        var_vx=var_vx,
-        var_vy=var_vy,
-        cov_vxy=cov_vxy,
-        magsq_mean=mm,
-        magsq_var=mv,
-        boundary_locations=np.array([loc for loc, _ in p.boundary_points]),
-        boundary_vx=bvx,
-        boundary_vy=bvy,
-        boundary_normal_residual=resid,
-        nugget_used=w.nugget_used,
+    return _pack_field(
+        p, w.predictions, w.predictions[G2:], w.nugget_used, variance, blocks
     )
 
 
@@ -360,6 +358,7 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
     valx = [vx for _, vx, _ in p.velocity_obs]
     valy = [vy for _, _, vy in p.velocity_obs]
     nugget_used = 0.0
+    bv = np.zeros(0)
     if p.boundary_points:
         rows = [
             (loc, [(n1, (1, 0)), (n2, (0, 1))]) for loc, (n1, n2) in p.boundary_points
@@ -369,16 +368,9 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
         nugget_used = w1.nugget_used
         bnd_atoms = [a for loc, _ in p.boundary_points for a in _gradient_atoms(loc)]
         bv = w1.predictions[design.locate_atoms(ops1.colloc_points, bnd_atoms)]
-        bvx, bvy = bv[0::2], bv[1::2]
-        normals = np.array([nrm for _, nrm in p.boundary_points])
-        resid = normals[:, 0] * bvx + normals[:, 1] * bvy
         locs2 = locs2 + [loc for loc, _ in p.boundary_points]
-        valx = valx + list(bvx)
-        valy = valy + list(bvy)
-    else:
-        bvx = np.zeros(0)
-        bvy = np.zeros(0)
-        resid = np.zeros(0)
+        valx = valx + list(bv[0::2])
+        valy = valy + list(bv[1::2])
     pts0 = [ExtendedPoint(loc, (0, 0)) for loc in locs2]
     vals = np.column_stack([valx, valy])
     k0 = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
@@ -400,25 +392,8 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
     H2 = design.gram(k2, pts0, pred0)
     fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
     fy = fx.alpha.T @ vals[:, 1]
-    vx, vy, var_vx, var_vy, cov_vxy, mm, mv = _pack_field(
-        p, np.ravel(np.column_stack([fx.predictions, fy]))
-    )
-    return FlowField(
-        locations=np.array(p.pred_grid, dtype=float),
-        vx=vx,
-        vy=vy,
-        var_vx=var_vx,
-        var_vy=var_vy,
-        cov_vxy=cov_vxy,
-        magsq_mean=mm,
-        magsq_var=mv,
-        boundary_locations=np.array([loc for loc, _ in p.boundary_points]),
-        boundary_vx=bvx,
-        boundary_vy=bvy,
-        boundary_normal_residual=resid,
-        theta2_hat=res.theta_hat,
-        nugget_used=nugget_used,
-    )
+    mean = np.ravel(np.column_stack([fx.predictions, fy]))
+    return _pack_field(p, mean, bv, nugget_used, theta2_hat=res.theta_hat)
 
 
 _CSV_HEADER = ["kind", "x", "y", "a", "b"]

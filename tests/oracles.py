@@ -8,16 +8,21 @@ package's closed forms beyond the kernel's derivative polynomial
 (``kernel._bracket``), the covariance assembly outside :func:`gram_loop`
 and, for the MMSE covariances, the refined factorization
 ``make_spd_solver`` (dense solves would not reach its accuracy on the
-ill-conditioned grams).
+ill-conditioned grams).  The Lagrangian leave-one-out loop refits each
+fold with the package's full Lagrangian solve, the path its downdate
+replaces.
 """
 
+import math
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
 from pikrig import design
 from pikrig import kernel as _kernel
 from pikrig import predictors as _pred
+from pikrig import uq as _uq
 
 
 def deriv_scalar(k, x, x2, m, m2):
@@ -208,3 +213,41 @@ def var_lk_full(k, obs, ops, cfg=None):
     W = np.outer(Z, U @ (w / float(Z @ KiZ)))
     alt = np.clip(np.diag(Kstar - (H + W).T @ solve(H + W)), 0.0, None)
     return _full(base + U @ w, Kstar - (H + W).T @ solve(H - W), alt)
+
+
+def loocv_lk_refit(k_unit, obs, ops, cfg=None):
+    """Per-fold refit Lagrangian LOOCV; returns (mse, sigma2) callables of theta.
+
+    Fold i builds the observation set without observation i, appends the
+    dropped atom constraint-free when no equation touches it, and runs
+    the full Lagrangian solve (assembly, rank check, factorization, Schur
+    step).  The mse is nan when any fold's factorization escalated.
+    """
+    cfg = cfg if cfg is not None else _pred.SolveConfig()
+
+    def folds(theta):
+        k = replace(k_unit, theta=float(theta))
+        res = []
+        escalated = False
+        for i in range(obs.n):
+            keep = [j for j in range(obs.n) if j != i]
+            sub = design.ObservationSet([obs.points[j] for j in keep], obs.values[keep])
+            atom = [obs.points[i]]
+            ops_i = design.extend_atoms(ops, atom)
+            K, H = _pred.assemble_lagrangian(k, sub, ops_i)
+            w = _pred.solve_lagrangian(K, H, sub, ops_i, cfg)
+            j = design.locate_atoms(ops_i.colloc_points, atom)
+            var, _ = _uq.mmse_variance(k, atom, w.alpha[:, j], w.cross[:, j])
+            res.append((obs.values[i] - w.predictions[j[0]], var[0]))
+            escalated = escalated or w.nugget_used > cfg.nugget
+        return np.array(res), escalated
+
+    def mse(theta):
+        res, escalated = folds(theta)
+        return math.nan if escalated else float(np.mean(res[:, 0] ** 2))
+
+    def sigma2(theta):
+        res, _ = folds(theta)
+        return max(float(np.mean(res[:, 0] ** 2 / np.maximum(res[:, 1], 1e-12))), 1e-12)
+
+    return mse, sigma2

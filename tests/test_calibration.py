@@ -93,6 +93,144 @@ def test_lk_explicit_equals_virtual_on_harmonic_setup():
         assert abs(a - b) <= 1e-9 * abs(b)
 
 
+def _assert_lk_folds_match_refit(obs, ops, thetas, cfg=None, unit=UNIT):
+    # the one-system downdate against the per-fold refit loop: the mse is
+    # nan (escalated) at the same thetas, and elsewhere mse and sigma2
+    # agree; under escalation the two regularize different matrices
+    fast = C.loocv_lk_explicit(unit, obs, ops, cfg)
+    slow = oracles.loocv_lk_refit(unit, obs, ops, cfg)
+    for theta in thetas:
+        a, b = fast[0](theta), slow[0](theta)
+        assert math.isnan(a) == math.isnan(b), theta
+        if not math.isnan(b):
+            assert abs(a - b) <= 1e-10 * abs(b), theta
+            a, b = fast[1](theta), slow[1](theta)
+            assert abs(a - b) <= 1e-10 * abs(b), theta
+
+
+def _random_1d(rng, n_extra, rows_at_obs):
+    # criterion-05 spacing; rows f + f'' = v with nonzero v at n_extra
+    # locations, plus the first ``rows_at_obs`` observation atoms
+    n = int(rng.integers(4, 13))
+    xs = well_spaced(rng, n, 0.0, 10.0, min_gap=0.5)
+    obs = obs_1d(xs, rng.normal(size=n))
+    locs = list(xs[:rows_at_obs]) + list(
+        well_spaced(rng, n_extra, 0.2, 9.8, min_gap=1.0)
+    )
+    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in locs]
+    return obs, design.encode_pointwise(rows, rng.normal(size=len(rows)))
+
+
+def test_lk_folds_match_refit_untouched_atoms(rng):
+    for _ in range(5):
+        obs, ops = _random_1d(rng, 3, 0)
+        _assert_lk_folds_match_refit(obs, ops, rng.uniform(0.5, 1.1, 3))
+
+
+def test_lk_folds_match_refit_touched_atoms(rng):
+    # rows with nonzero rhs at observation atoms move the fold predictions
+    # away from plain Kriging's
+    for _ in range(5):
+        obs, ops = _random_1d(rng, 2, 2)
+        thetas = rng.uniform(0.5, 1.1, 3)
+        _assert_lk_folds_match_refit(obs, ops, thetas)
+        lk = C.loocv_lk_explicit(UNIT, obs, ops)[0](thetas[0])
+        plain = C.loocv_mse_virtual(replace(UNIT, theta=thetas[0]), obs)
+        assert abs(lk - plain) > 1e-6 * plain
+
+
+def test_lk_folds_match_refit_empty_system(rng):
+    empty = OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
+    for _ in range(3):
+        n = int(rng.integers(3, 13))
+        obs = obs_1d(well_spaced(rng, n, 0.0, 10.0, min_gap=0.5), rng.normal(size=n))
+        thetas = rng.uniform(0.5, 1.1, 3)
+        _assert_lk_folds_match_refit(obs, empty, thetas)
+        mse, _ = C.loocv_lk_explicit(UNIT, obs, empty)
+        plain = C.loocv_mse_virtual(replace(UNIT, theta=thetas[0]), obs)
+        assert mse(thetas[0]) == pytest.approx(plain, rel=1e-10)
+
+
+def test_lk_folds_match_refit_nugget(rng):
+    cfg = P.SolveConfig(nugget=1e-6)
+    for _ in range(3):
+        obs, ops = _random_1d(rng, 2, 2)
+        _assert_lk_folds_match_refit(obs, ops, rng.uniform(0.5, 1.1, 3), cfg)
+
+
+def test_lk_folds_match_refit_2d_derivative_rows(rng):
+    # value observations on a jittered 3 x 3 lattice, gradient-sum and
+    # Laplacian rows with nonzero rhs, one of them at an observation
+    lattice = [(x, y) for y in (0.5, 2.0, 3.5) for x in (0.5, 2.0, 3.5)]
+    locs = [(x + rng.uniform(-0.2, 0.2), y + rng.uniform(-0.2, 0.2)) for x, y in lattice]
+    unit2 = SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
+    obs = ObservationSet(
+        [ExtendedPoint(loc, (0, 0)) for loc in locs], rng.normal(size=len(locs))
+    )
+    rows = [(locs[4], [(1.0, (1, 0)), (1.0, (0, 1))])]
+    rows += [((x, y), [(1.0, (2, 0)), (1.0, (0, 2))]) for x, y in [(1.2, 1.2), (2.8, 2.6)]]
+    ops = design.encode_pointwise(rows, rng.normal(size=len(rows)))
+    _assert_lk_folds_match_refit(obs, ops, rng.uniform(0.5, 1.1, 3), unit=unit2)
+
+
+def test_lk_folds_match_refit_ode1d_search_grid():
+    # the coarse grid of the ode1d lk search at seed 10
+    obs, _, grid = ode_setup(seed=10)
+    lo, hi = _capped_bounds(obs)
+    _assert_lk_folds_match_refit(obs, harmonic_rows(grid), np.geomspace(lo, hi, 32))
+
+
+def test_lk_folds_nan_where_refit_escalates():
+    # two observations 1e-9 apart: K escalates at every theta here, and
+    # so does every fold that keeps both
+    obs = obs_1d([0.0, 1e-9, 2.0, 3.5], np.array([1.0, 1.0, -0.5, 0.3]))
+    ops = harmonic_rows([1.0, 3.0])
+    assert math.isnan(C.loocv_lk_explicit(UNIT, obs, ops)[0](1.0))
+    _assert_lk_folds_match_refit(obs, ops, [0.6, 1.0, 1.7])
+
+
+def test_lk_folds_raise_like_refit(rng):
+    xs = well_spaced(rng, 5, 0.0, 10.0, min_gap=0.5)
+    ops = harmonic_rows([1.0, 4.0])
+    zeros = obs_1d(xs, np.zeros(5))
+    for crit in (C.loocv_lk_explicit(UNIT, zeros, ops)[0],
+                 oracles.loocv_lk_refit(UNIT, zeros, ops)[0]):
+        with pytest.raises(P.DegenerateConstraintError):
+            crit(0.8)
+    obs = obs_1d(xs, rng.normal(size=5))
+    U = np.hstack([ops.U, ops.U[:, :1]])
+    dependent = OperatorSystem(ops.colloc_points, U, np.zeros(3))
+    raised = []
+    for crit in (C.loocv_lk_explicit(UNIT, obs, dependent)[0],
+                 oracles.loocv_lk_refit(UNIT, obs, dependent)[0]):
+        with pytest.raises(P.RankDeficiencyError) as err:
+            crit(0.8)
+        raised.append(err.value.dependent)
+    assert raised[0] == raised[1] and len(raised[0]) == 1
+
+
+def test_lk_criterion_factors_once(monkeypatch):
+    # one assembly, one rank check (one pivoted QR) and one factorization
+    # per criterion evaluation, whatever the number of folds
+    counts = {"make_spd_solver": 0, "qr": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name, mod in (("make_spd_solver", C), ("make_spd_solver", P), ("qr", P)):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    obs, _, grid = ode_setup(seed=10, n=6)
+    for crit in C.loocv_lk_explicit(UNIT, obs, harmonic_rows(grid)):
+        for theta in (0.8, 1.2):
+            counts.update(make_spd_solver=0, qr=0)
+            crit(theta)
+            assert counts == {"make_spd_solver": 1, "qr": 1}, theta
+
+
 def test_sigma2_floor_and_warning():
     obs = obs_1d([0.0, 1.0, 2.0], np.zeros(3))
     with pytest.warns(RuntimeWarning, match="floored"):
