@@ -14,9 +14,9 @@ kept (a filter on the stack), normalized by n.
 Constrained Lagrangian predictions have two criteria.  Leave-one-out
 (:func:`loocv_lk_explicit`) gets every fold from one system by the same
 downdate: column i of a 1^T - K^-1 diag(a/d) is fold i's K_{-i}^-1 Z_{-i},
-and the Lagrangian prediction is one Schur step on H^T of it, so the
-folds share one assembly, rank check and factorization per theta.  The
-all-points-retained interpolation deviation
+and the Lagrangian prediction is one constraint projection of H^T of
+it, so the folds share one assembly, rank check and factorization per
+theta.  The all-points-retained interpolation deviation
 (:func:`interpolation_error_criterion`) exploits that constrained
 predictions need not interpolate the observations.  Every leave-one-out
 criterion is nan where the full matrix needed escalated jitter.
@@ -98,22 +98,23 @@ def _lagrangian_folds(k, obs, ops, cfg):
 
     Column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
     fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
-    Schur step on the bases H^T A predicts every fold.  Fold i's variance
-    at unit process variance is 1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i,
-    with eta the nugget used and j_i the atom of observation i.
+    constraint projection of the bases H^T A predicts every fold.  Fold
+    i's variance at unit process variance is
+    1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i, with eta the nugget used and
+    j_i the atom of observation i.
     """
     n = obs.n
     Z = obs.values
     ops = design.extend_atoms(ops, obs.points)
     K, H = _pred.assemble_lagrangian(k, obs, ops)
-    _pred._check_constraint_rank(ops.U)
+    project = _pred._constraint_projector(ops.U)
     solve, eta = make_spd_solver(K, cfg)
     Ki = solve(np.eye(n))
     a = Ki @ Z
     d = np.diag(Ki)
     A = a[:, None] - Ki * (a / d)
     np.fill_diagonal(A, 0.0)
-    pred, W = _pred._schur_update(H.T @ A, None, ops.U, ops.rhs[:, None], 0.0)
+    pred, W = project(H.T @ A, ops.rhs[:, None])
     j = design.locate_atoms(ops.colloc_points, obs.points)
     resid = Z - pred[j, np.arange(n)]
     var = 1.0 / d - eta

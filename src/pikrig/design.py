@@ -268,6 +268,21 @@ def _atom_key(x, m):
             tuple(int(v) for v in np.atleast_1d(m)))
 
 
+def _operator_system(columns, rhs):
+    """OperatorSystem from one list of (coeff, atom key) per equation.
+
+    Atoms are the distinct keys, sorted by (x, m); repeated terms add up.
+    """
+    ordered = sorted({key for column in columns for _, key in column})
+    index = {key: i for i, key in enumerate(ordered)}
+    U = np.zeros((len(ordered), len(columns)))
+    for j, column in enumerate(columns):
+        for coeff, key in column:
+            U[index[key], j] += coeff
+    atoms = [ExtendedPoint(x=key[0], m=key[1]) for key in ordered]
+    return OperatorSystem(colloc_points=atoms, U=U, rhs=rhs)
+
+
 def encode_pointwise(rows, rhs):
     """Encode pointwise linear-PDE rows as an OperatorSystem.
 
@@ -289,7 +304,6 @@ def encode_pointwise(rows, rhs):
         raise ValueError("no operator rows given")
     if len(rows) != rhs.size:
         raise ValueError(f"{len(rows)} rows but {rhs.size} rhs values")
-    atom_keys = set()
     parsed = []
     for r, (loc, terms) in enumerate(rows):
         terms = list(terms)
@@ -297,20 +311,8 @@ def encode_pointwise(rows, rhs):
             raise ValueError(f"row {r} has no terms")
         if not any(coeff != 0.0 for coeff, _ in terms):
             raise ValueError(f"row {r} has no nonzero coefficient")
-        row_atoms = []
-        for coeff, m in terms:
-            key = _atom_key(loc, m)
-            atom_keys.add(key)
-            row_atoms.append((float(coeff), key))
-        parsed.append(row_atoms)
-    ordered = sorted(atom_keys)
-    index = {key: i for i, key in enumerate(ordered)}
-    U = np.zeros((len(ordered), len(rows)))
-    for j, row_atoms in enumerate(parsed):
-        for coeff, key in row_atoms:
-            U[index[key], j] += coeff
-    atoms = [ExtendedPoint(x=key[0], m=key[1]) for key in ordered]
-    return OperatorSystem(colloc_points=atoms, U=U, rhs=rhs)
+        parsed.append([(float(coeff), _atom_key(loc, m)) for coeff, m in terms])
+    return _operator_system(parsed, rhs)
 
 
 def encode_average(locations, terms, rhs):
@@ -320,20 +322,8 @@ def encode_average(locations, terms, rhs):
         raise ValueError("no locations given")
     q = len(locations)
     terms = [(float(c) / q, m) for c, m in terms]
-    atom_keys = set()
-    contribs = []
-    for loc in locations:
-        for coeff, m in terms:
-            key = _atom_key(loc, m)
-            atom_keys.add(key)
-            contribs.append((coeff, key))
-    ordered = sorted(atom_keys)
-    index = {key: i for i, key in enumerate(ordered)}
-    U = np.zeros((len(ordered), 1))
-    for coeff, key in contribs:
-        U[index[key], 0] += coeff
-    atoms = [ExtendedPoint(x=key[0], m=key[1]) for key in ordered]
-    return OperatorSystem(colloc_points=atoms, U=U, rhs=[float(rhs)])
+    column = [(coeff, _atom_key(loc, m)) for loc in locations for coeff, m in terms]
+    return _operator_system([column], [float(rhs)])
 
 
 def extend_atoms(ops, extra_atoms):

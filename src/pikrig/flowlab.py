@@ -288,9 +288,8 @@ def _pack_field(p, mean, boundary, nugget_used, variance=None, blocks=None,
         nanG = np.full(G, np.nan)
         uq = (nanG, nanG.copy(), nanG.copy(), vx ** 2 + vy ** 2, nanG.copy())
     else:
-        qm = [_uq.quadform_moments((vx[i], vy[i]), blocks[i]) for i in range(G)]
-        uq = (variance[0::2], variance[1::2], blocks[:, 0, 1],
-              np.array([m.mean for m in qm]), np.array([m.variance for m in qm]))
+        qm = _uq.quadform_moments(np.stack([vx, vy], axis=-1), blocks)
+        uq = (variance[0::2], variance[1::2], blocks[:, 0, 1], qm.mean, qm.variance)
     bvx = boundary[0::2]
     bvy = boundary[1::2]
     normals = np.array([nrm for _, nrm in p.boundary_points]).reshape(-1, 2)

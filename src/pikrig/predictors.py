@@ -12,10 +12,12 @@ what is constrained:
 * Lagrangian Kriging: the PDE rows constrain the predictions themselves
   (C2: U^T Z* = v*), with a second multiplier vector lambda'.
 
-Schur-complement co-Kriging and both Lagrangian variants are one Schur
-step (:func:`_schur_update`) applied to a Kriging prediction: the simple
-one, or for the ordinary Lagrangian variant the ordinary one, so their
-analytic relationship is also a code relationship.
+Both Lagrangian variants are the matching Kriging prediction (simple, or
+ordinary for the ordinary variant) plus one projection onto the
+constraints (:func:`_constraint_projector`), solved with the R of the
+pivoted QR that checks the rank of U; the identity variant of
+Schur-complement co-Kriging is that same projection, so their analytic
+relationship is also a code relationship.
 
 Matrix inverses in the formulas are realized as factorize-once,
 multi-solve Cholesky with a diagonal nugget; factorization failures
@@ -79,7 +81,7 @@ class DegenerateConstraintError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """The reduced constraint system (U^T K_{2|1} U or U^T U) is singular."""
+    """The reduced Schur system U^T K_{2|1} U + eta I is singular."""
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,20 @@ def make_spd_solver(K, cfg):
     )
 
 
-def _check_constraint_rank(U):
-    """rank(U) must equal the number of equations; name the dependent ones."""
-    c, p = U.shape
+def _constraint_projector(U):
+    """Rank-check U by one pivoted QR; return its projection ``project``.
+
+    ``project(base, v)`` returns (base + U w, w) with
+    w = (U^T U)^-1 (v - U^T base), so that U^T (base + U w) = v; ``base``
+    and ``v`` may carry one column per right-hand side.  The R of
+    U P = Q R satisfies R^T R = P^T U^T U P, so R serves as the Cholesky
+    factor of the permuted U^T U: w[piv] = R^-1 R^-T (v - U^T base)[piv]
+    (the semi-normal equations), and U is factored once.  Raises
+    RankDeficiencyError naming the dependent equations.
+    """
+    p = U.shape[1]
     if p == 0:
-        return
+        return lambda base, v: (base.copy(), np.zeros((0,) + base.shape[1:]))
     r, piv = qr(U, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     # |R11| scales the tolerance as in LAPACK xGELSY: ||U||/sqrt(p) <= |R11| <= ||U||
@@ -177,33 +188,15 @@ def _check_constraint_rank(U):
             "are linear combinations of the others",
             dependent=dependent,
         )
+    R = r[:p]
 
+    def project(base, v):
+        resid = v - U.T @ base
+        w = np.empty_like(resid)
+        w[piv] = cho_solve((R, False), resid[piv])
+        return base + U @ w, w
 
-def _schur_update(base, K2g1, U, vstar, reg):
-    """base + K2g1 U w with w = (U^T K2g1 U + reg I)^-1 (vstar - U^T base).
-
-    The single closed-form step shared by Schur-form co-Kriging
-    (K2g1 = K22 - H^T K^-1 H, reg = nugget) and the Lagrangian predictors
-    (K2g1 = identity, reg = 0: constraints are exact).  The identity is
-    passed as ``K2g1=None`` and never built.  Returns (update, w); the
-    Lagrangian multipliers lambda' are w scaled by a scalar.
-    """
-    p = U.shape[1]
-    if p == 0:
-        return base.copy(), np.zeros(0)
-    # the copy keeps U^T U a general matrix product, bit for bit what an
-    # explicit identity gives; numpy sends U.T @ U to a symmetric rank-k
-    # update, which rounds differently
-    KU = U.copy() if K2g1 is None else K2g1 @ U
-    M = U.T @ KU + reg * np.eye(p)
-    resid = vstar - U.T @ base
-    try:
-        w = cho_solve(cho_factor(M, lower=True), resid)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystemError(
-            f"reduced constraint system is singular: {exc}"
-        ) from exc
-    return base + (U @ w if K2g1 is None else K2g1 @ (U @ w)), w
+    return project
 
 
 def simple_kriging(k, obs, pred, cfg=None):
@@ -274,6 +267,11 @@ def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
     ``mu_plus``/``mu_star``, ordinary) Kriging.
     """
     solve, eta = make_spd_solver(Kplus, cfg)
+    return _kriging_weights(solve, eta, Hplus, y, mu_plus, mu_star)
+
+
+def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None):
+    """The Prop.-2 formulas on a factored K+ (``solve``, nugget ``eta``)."""
     if mu_plus is None:
         alpha = solve(Hplus)
         lam = None
@@ -319,28 +317,32 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=None, conditional_cov="schu
     Z*_CK = K_{2|1} U (U^T K_{2|1} U)^-1 (v* - U^T H^T K^-1 Z) + H^T K^-1 Z
     with K_{2|1} = K22 - H^T K^-1 H.  ``conditional_cov="identity"``
     replaces K_{2|1} by the identity (and drops the regularizer), which is
-    exactly the simple Lagrangian predictor; the substitution shares all
-    code with the default path.
+    exactly the simple Lagrangian predictor: the same base (K^-1 H)^T Z
+    and the same constraint projection.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is not None:
         raise ValueError("co_kriging_schur expects a centered model")
+    if conditional_cov not in ("schur", "identity"):
+        raise ValueError(f"unknown conditional_cov {conditional_cov!r}")
     ops = ops_at_predictions
+    U = ops.U
     atoms = list(ops.colloc_points)
     K = design.gram(k, obs.points)
     H = design.gram(k, obs.points, atoms)
     solve, eta = make_spd_solver(K, cfg)
-    base = H.T @ solve(obs.values)
+    KiH = solve(H)
+    base = KiH.T @ obs.values
     if conditional_cov == "identity":
-        K2g1 = None
-        reg = 0.0
-    elif conditional_cov == "schur":
-        K22 = design.gram(k, atoms)
-        K2g1 = K22 - H.T @ solve(H)
-        reg = eta
-    else:
-        raise ValueError(f"unknown conditional_cov {conditional_cov!r}")
-    return _schur_update(base, K2g1, U=ops.U, vstar=ops.rhs, reg=reg)[0]
+        return _constraint_projector(U)(base, ops.rhs)[0]
+    K2g1U = (design.gram(k, atoms) - H.T @ KiH) @ U
+    try:
+        factor = cho_factor(U.T @ K2g1U + eta * np.eye(ops.p), lower=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSystemError(
+            f"reduced constraint system is singular: {exc}"
+        ) from exc
+    return base + K2g1U @ cho_solve(factor, ops.rhs - U.T @ base)
 
 
 def assemble_lagrangian(k, obs, ops_at_predictions):
@@ -351,51 +353,41 @@ def assemble_lagrangian(k, obs, ops_at_predictions):
 
 
 def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
-    """Factor K and apply the Prop.-3 closed form to preassembled blocks.
+    """Factor K; the Prop.-3 predictor is Kriging plus one constraint projection.
 
     A centered ``obs`` gives the simple variant, ``obs.mean`` with
-    ``mu_star`` the ordinary one; both are the identity Schur step on that
-    Kriging prediction.  With a = K^-1 Z, g1 = mu^T K^-1 mu, g2 = Z^T a,
-    g3 = mu^T a, c1 = mu* - H^T K^-1 mu and w from :func:`_schur_update`:
-    base = H^T a (+ (g3/g1) c1), lambda' = w / g2 (or w / (g2 - g3^2/g1)),
-    lambda = (c1 - g3 U lambda') / g1 and
-    alpha = K^-1 (H + mu lambda^T + Z (U lambda')^T).
+    ``mu_star`` the ordinary one; the matching Kriging weights (alpha_K,
+    cross_K, lambda_K) come from the same factorization and are returned
+    as they are when there are no equations.  Otherwise, with
+    z~ = Z - (mu^T K^-1 Z / mu^T K^-1 mu) mu (z~ = Z when centered),
+    b = K^-1 z~ and denom = z~^T b (gamma2 = Z^T K^-1 Z, or
+    gamma2 - gamma3^2/gamma1 with gamma1 = mu^T K^-1 mu,
+    gamma3 = mu^T K^-1 Z): predictions, w = project(Kriging predictions,
+    v*) (:func:`_constraint_projector`), lambda' = w / denom,
+    alpha = alpha_K + b (U lambda')^T, cross = cross_K - z~ (U lambda')^T
+    and lambda = lambda_K - (gamma3/gamma1) U lambda'.
     """
     ops = ops_at_predictions
-    U = ops.U
     mu = obs.mean
     if mu is not None and mu_star is None:
         raise ValueError("ordinary Lagrangian Kriging needs mu_star")
-    _check_constraint_rank(U)
+    project = _constraint_projector(ops.U)
     solve, eta = make_spd_solver(K, cfg)
     Z = obs.values
-    a = solve(Z)
-    lam = None
-    if mu is not None:
-        Kimu = solve(mu)
-        g1 = float(mu @ Kimu)
-        if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu @ mu)):
-            raise DegenerateMeanError(f"gamma1 = {g1} is numerically singular")
-        c1 = np.asarray(mu_star, dtype=float).ravel() - H.T @ Kimu
+    kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star)
     if ops.p == 0:
-        alpha = solve(H)
-        cross = H
-        if mu is not None:
-            lam = c1 / g1
-            alpha = alpha + np.outer(Kimu, lam)
-            cross = H - np.outer(mu, lam)
-        return KrigingWeights(
-            alpha=alpha, predictions=alpha.T @ Z, cross=cross, lam=lam, nugget_used=eta
-        )
+        return kriging
+    a = solve(Z)
     g2 = float(Z @ a)
     if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
         raise DegenerateConstraintError(
             f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form "
             "assumes it non-zero"
         )
-    base = H.T @ a
-    denom = g2
+    zt, b, denom = Z, a, g2
     if mu is not None:
+        Kimu = solve(mu)
+        g1 = float(mu @ Kimu)
         g3 = float(mu @ a)
         denom = g2 - g3 ** 2 / g1
         if abs(denom) <= 1e-12 * abs(g2):
@@ -403,22 +395,15 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
                 f"gamma2 - gamma3^2/gamma1 = {denom} is degenerate "
                 f"(gamma1={g1}, gamma2={g2}, gamma3={g3})"
             )
-        base = base + (g3 / g1) * c1
-    predictions, w = _schur_update(base, None, U, ops.rhs, 0.0)
+        zt, b = Z - (g3 / g1) * mu, a - (g3 / g1) * Kimu
+    predictions, w = project(kriging.predictions, ops.rhs)
     lam2 = w / denom
-    Ulam2 = U @ lam2
-    R = cross = H
-    if mu is not None:
-        lam = (c1 - g3 * Ulam2) / g1
-        mulam = np.outer(mu, lam)
-        R = H + mulam
-        cross = H - mulam
-    alpha = solve(R + np.outer(Z, Ulam2))
+    Ulam2 = ops.U @ lam2
     return KrigingWeights(
-        alpha=alpha,
+        alpha=kriging.alpha + np.outer(b, Ulam2),
         predictions=predictions,
-        cross=cross - np.outer(Z, Ulam2),
-        lam=lam,
+        cross=kriging.cross - np.outer(zt, Ulam2),
+        lam=None if mu is None else kriging.lam - (g3 / g1) * Ulam2,
         lam2=lam2,
         nugget_used=eta,
     )

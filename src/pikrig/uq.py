@@ -61,7 +61,10 @@ class PredictiveUQ:
 
 @dataclass(frozen=True)
 class QuadFormMoments:
-    """Mean and variance of ||v||^2 for v ~ Normal(mu, Sigma)."""
+    """Mean and variance of ||v||^2 for v ~ Normal(mu, Sigma).
+
+    Floats for one point, arrays for stacked points.
+    """
 
     mean: float
     variance: float
@@ -174,19 +177,27 @@ def quadform_moments(mean2, cov2):
     mean = mu^T mu + tr(Sigma); variance = 2 tr(Sigma^2) + 4 mu^T Sigma mu.
     With Sigma = I these are the chi-square moments (2 dof): central
     (mu=0) mean 2 / variance 4, noncentrality ||mu||^2 adds itself to the
-    mean and 4||mu||^2 to the variance.
+    mean and 4||mu||^2 to the variance.  Stacked means (..., d) with
+    covariances (..., d, d) give arrays of moments, one per point; each
+    covariance is checked for symmetry and PSD against its own scale.
     """
-    mu = np.asarray(mean2, dtype=float).ravel()
+    mu = np.asarray(mean2, dtype=float)
     S = np.asarray(cov2, dtype=float)
-    if S.shape != (mu.size, mu.size):
-        raise ValueError(f"covariance shape {S.shape} does not match mean size {mu.size}")
-    scale = max(1.0, float(np.max(np.abs(S))))
-    if np.max(np.abs(S - S.T)) > 1e-12 * scale:
+    if mu.ndim == 0 or S.shape != mu.shape + mu.shape[-1:]:
+        raise ValueError(f"covariance shape {S.shape} does not match mean shape {mu.shape}")
+    scale = np.maximum(1.0, np.max(np.abs(S), axis=(-2, -1)))
+    St = np.swapaxes(S, -2, -1)
+    if np.any(np.max(np.abs(S - St), axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("covariance must be symmetric")
-    S = 0.5 * (S + S.T)
-    w = np.linalg.eigvalsh(S)
-    if w.min() < -1e-10 * scale:
-        raise ValueError(f"covariance is not PSD (min eigenvalue {w.min():.3e})")
-    mean = float(mu @ mu + np.trace(S))
-    variance = float(2.0 * np.sum(S * S) + 4.0 * mu @ (S @ mu))
-    return QuadFormMoments(mean=mean, variance=max(variance, 0.0))
+    S = 0.5 * (S + St)
+    wmin = np.linalg.eigvalsh(S)[..., 0]
+    if np.any(wmin < -1e-10 * scale):
+        raise ValueError(f"covariance is not PSD (min eigenvalue {np.min(wmin):.3e})")
+    # stacked matmul reduces each point as np.dot does, bit for bit
+    row, col = mu[..., None, :], mu[..., None]
+    mean = (row @ col)[..., 0, 0] + np.trace(S, axis1=-2, axis2=-1)
+    quad = (row @ (S @ col))[..., 0, 0]
+    variance = np.maximum(2.0 * np.sum(S * S, axis=(-2, -1)) + 4.0 * quad, 0.0)
+    if mu.ndim == 1:
+        return QuadFormMoments(mean=float(mean), variance=float(variance))
+    return QuadFormMoments(mean=mean, variance=variance)

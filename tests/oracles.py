@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: covariance matrices filled one
 entry per Python call, dense KKT systems assembled row by row and solved
-with np.linalg.solve, leave-one-out loops that refit per fold, and MMSE
-covariances built from the full K* as printed.  No code is shared with the
+with np.linalg.solve, leave-one-out loops that refit per fold, MMSE
+covariances built from the full K* as printed, and the Lagrangian step
+by the normal equations of the formed U^T U.  No code is shared with the
 package's closed forms beyond the kernel's derivative polynomial
 (``kernel._bracket``), the covariance assembly outside :func:`gram_loop`
-and, for the MMSE covariances, the refined factorization
-``make_spd_solver`` (dense solves would not reach its accuracy on the
+and, for the MMSE covariances and the Lagrangian normal equations, the
+refined factorization ``make_spd_solver`` (dense solves would not reach its accuracy on the
 ill-conditioned grams).  The Lagrangian leave-one-out loop refits each
 fold with the package's full Lagrangian solve, the path its downdate
 replaces.
@@ -18,6 +19,8 @@ from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
+
+from scipy.linalg import cho_factor, cho_solve
 
 from pikrig import design
 from pikrig import kernel as _kernel
@@ -124,6 +127,52 @@ def kkt_lagrangian(K, H, Z, U, vstar, mu=None, mu_star=None):
         b[col + j] = float(vstar[j])
     sol = np.linalg.solve(A, b)
     return sol[:nv].reshape((nat, n)).T
+
+
+def solve_lagrangian_normal(K, H, obs, ops, cfg, mu_star=None):
+    """Lagrangian weights by the normal equations of the constraint step.
+
+    The route the package's projection replaces: with a = K^-1 Z,
+    g1 = mu^T K^-1 mu, g2 = Z^T a, g3 = mu^T a, c1 = mu* - H^T K^-1 mu,
+    base = H^T a (+ (g3/g1) c1) and w = (U^T U)^-1 (v* - U^T base) by a
+    Cholesky factorization of the formed U^T U: lambda' = w / g2 (or
+    w / (g2 - g3^2/g1)), lambda = (c1 - g3 U lambda') / g1 and
+    alpha = K^-1 (H + mu lambda^T + Z (U lambda')^T), solved afresh.
+    No rank check and no degeneracy checks.
+    """
+    U = ops.U
+    mu = obs.mean
+    solve, eta = _pred.make_spd_solver(K, cfg)
+    Z = obs.values
+    a = solve(Z)
+    lam = None
+    if mu is not None:
+        Kimu = solve(mu)
+        g1 = float(mu @ Kimu)
+        c1 = np.asarray(mu_star, dtype=float).ravel() - H.T @ Kimu
+    if ops.p == 0:
+        alpha = solve(H)
+        cross = H
+        if mu is not None:
+            lam = c1 / g1
+            alpha = alpha + np.outer(Kimu, lam)
+            cross = H - np.outer(mu, lam)
+        return _pred.KrigingWeights(alpha, alpha.T @ Z, cross, lam, None, eta)
+    g2 = float(Z @ a)
+    base = H.T @ a
+    denom = g2
+    if mu is not None:
+        g3 = float(mu @ a)
+        denom = g2 - g3 ** 2 / g1
+        base = base + (g3 / g1) * c1
+    w = cho_solve(cho_factor(U.T @ U, lower=True), ops.rhs - U.T @ base)
+    lam2 = w / denom
+    Ulam2 = U @ lam2
+    M = np.outer(Z, Ulam2)
+    if mu is not None:
+        lam = (c1 - g3 * Ulam2) / g1
+        M = M + np.outer(mu, lam)
+    return _pred.KrigingWeights(solve(H + M), base + U @ w, H - M, lam, lam2, eta)
 
 
 def loocv_naive(k, obs, cfg=None):

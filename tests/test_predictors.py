@@ -233,6 +233,10 @@ def test_lagrangian_rank_deficiency_named(rng):
         with pytest.raises(P.RankDeficiencyError) as err_var:
             uq.var_lk(k, obs, ops)
         assert err_var.value.dependent == err.value.dependent
+        # and so does the identity Schur variant, the same projection
+        with pytest.raises(P.RankDeficiencyError) as err_ident:
+            P.co_kriging_schur(k, obs, ops, conditional_cov="identity")
+        assert err_ident.value.dependent == err.value.dependent
     # the rank tolerance is relative to U: scaling it changes nothing
     assert named[2] == named[1]
 
@@ -247,19 +251,28 @@ def test_lagrangian_zero_observations_degenerate(rng):
 
 
 def test_lagrangian_factors_k_and_utu_once(monkeypatch):
-    # one Cholesky factorization of K and one of U^T U (in the Schur step)
-    # per Lagrangian solve, for the predictor and the covariance alike
-    original = P.cho_factor
-    calls = []
+    # one Cholesky factorization of K and one pivoted QR of U per Lagrangian
+    # solve: the QR's R checks the rank and, as R^T R = P^T U^T U P, also
+    # solves the constraint projection, so U^T U is never factored.  Holds
+    # for the predictor, the covariance, the identity Schur variant and one
+    # leave-one-out criterion evaluation (all folds)
+    counts = {}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
 
-    for mod in (pikrig, calibration, cli, design, flowlab, kernel, P, uq):
-        for name, val in list(vars(mod).items()):
-            if val is original:
-                monkeypatch.setattr(mod, name, counted)
+        return counted
+
+    for name in ("cho_factor", "qr"):
+        original = getattr(P, name)
+        counts[name] = 0
+        wrapped = counting(name, original)
+        for mod in (pikrig, calibration, cli, design, flowlab, kernel, P, uq):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, wrapped)
     obs, colloc, _ = ode_setup()
     k = SqExpKernel(sigma2=1.0, theta=1.2, dim=1)
     rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in colloc]
@@ -270,11 +283,84 @@ def test_lagrangian_factors_k_and_utu_once(monkeypatch):
         "simple": lambda: P.lagrangian_kriging(k, obs, ops),
         "var_lk": lambda: uq.var_lk(k, obs, ops),
         "ordinary": lambda: P.lagrangian_kriging(k, obs_m, ops, mu_star=mu_star),
+        "identity": lambda: P.co_kriging_schur(k, obs, ops, conditional_cov="identity"),
+        "lk folds": lambda: calibration.loocv_lk_explicit(
+            SqExpKernel(sigma2=1.0, theta=1.0, dim=1), obs, ops)[0](1.2),
     }
     for name, run in runs.items():
-        calls.clear()
+        for key in counts:
+            counts[key] = 0
         run()
-        assert len(calls) == 2, name
+        assert counts == {"cho_factor": 1, "qr": 1}, name
+
+
+def _sweep_system(p):
+    """The benchmark's constraint sweep: 4 sin observations, f + f'' = 0 at p points."""
+    rng = np.random.default_rng(3)
+    xs = np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))
+    obs = obs_1d(xs, np.sin(xs))
+    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))])
+            for x in np.linspace(0.0, 2.0 * np.pi, p)]
+    return SqExpKernel(sigma2=1.0, theta=1.0, dim=1), obs, design.encode_pointwise(
+        rows, np.zeros(p))
+
+
+def _mixed_system():
+    """Pointwise f + f'' rows plus one sample-average equation sharing their atoms."""
+    obs, colloc, _ = ode_setup()
+    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in colloc]
+    point = design.encode_pointwise(rows, np.zeros(len(rows)))
+    avg = design.encode_average([(float(x),) for x in colloc[::2]],
+                                [(1.0, (0,)), (0.5, (1,))], rhs=0.3)
+    ext = design.extend_atoms(point, avg.colloc_points)
+    # the short average column first, so the QR's pivoting reorders U
+    U = np.hstack([np.zeros((ext.U.shape[0], 1)), ext.U])
+    U[design.locate_atoms(ext.colloc_points, avg.colloc_points), 0] = avg.U[:, 0]
+    ops = OperatorSystem(ext.colloc_points, U, np.concatenate([avg.rhs, point.rhs]))
+    return SqExpKernel(sigma2=1.0, theta=1.2, dim=1), obs, ops
+
+
+def _scalar2d_lk_system():
+    obs, ops, _, _ = cli._scalar2d_system(cli.RunConfig(q=16))
+    return SqExpKernel(sigma2=1.0, theta=1.0, dim=2), obs, ops
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("system", [
+    "sweep 100", "sweep 400", "sweep 1000", "mixed", "scalar2d", "ordinary", "p = 0",
+])
+def test_lagrangian_matches_normal_equation_route(system):
+    # the QR projection against the normal equations of the formed U^T U
+    # (the route it replaced), with alpha solved afresh from the multipliers
+    mu_star = None
+    if system.startswith("sweep"):
+        k, obs, ops = _sweep_system(int(system.split()[1]))
+    elif system == "mixed":
+        k, obs, ops = _mixed_system()
+    elif system == "scalar2d":
+        k, obs, ops = _scalar2d_lk_system()
+    else:
+        k, obs, ops = _sweep_system(100)
+        if system == "p = 0":
+            ops = OperatorSystem(ops.colloc_points, np.zeros((ops.U.shape[0], 0)), [])
+        else:
+            obs = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+            mu_star = np.ones(len(ops.colloc_points))
+    cfg = P.SolveConfig()
+    K, H = P.assemble_lagrangian(k, obs, ops)
+    got = P.solve_lagrangian(K, H, obs, ops, cfg, mu_star)
+    ref = oracles.solve_lagrangian_normal(K, H, obs, ops, cfg, mu_star)
+    assert _rel(got.predictions, ref.predictions) <= 1e-12
+    for field in ("alpha", "cross", "lam", "lam2"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert (a is None) == (b is None), field
+        if b is not None and b.size:
+            assert _rel(a, b) <= 1e-10, field
+    assert (got.lam2 is None) == (ops.p == 0)
+    assert (got.lam is None) == (system != "ordinary")
 
 
 def test_schur_equals_full_co_kriging():

@@ -166,6 +166,29 @@ def test_quadform_validation():
         uq.quadform_moments((0.0, 0.0, 0.0), np.eye(2))
 
 
+def test_quadform_stacked_matches_per_point():
+    rng = np.random.default_rng(4)
+    mu = rng.normal(size=(50, 2)) * rng.uniform(0.1, 10.0, size=(50, 1))
+    A = rng.normal(size=(50, 2, 2))
+    S = A @ A.transpose(0, 2, 1)
+    S = 0.5 * (S + S.transpose(0, 2, 1))
+    m = uq.quadform_moments(mu, S)
+    assert m.mean.shape == m.variance.shape == (50,)
+    for i in range(50):
+        one = uq.quadform_moments(mu[i], S[i])
+        assert (m.mean[i], m.variance[i]) == (one.mean, one.variance)
+    # each point is checked on its own scale
+    bad = S.copy()
+    bad[7] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="symmetric"):
+        uq.quadform_moments(mu, bad)
+    bad[7] = [[1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(ValueError, match="PSD"):
+        uq.quadform_moments(mu, bad)
+    with pytest.raises(ValueError, match="shape"):
+        uq.quadform_moments(mu[:3], S)
+
+
 def test_interval_coverage_under_the_model():
     # joint draws of (observations, test values) from the prior; the +-2
     # sigma intervals should cover at least their nominal share
