@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import design
 from . import predictors as _pred
@@ -67,14 +66,11 @@ class CalibrationResult:
     trace: list
 
 
-def _require_unit(k):
+def _require_unit_centered(k, obs):
     if abs(k.sigma2 - 1.0) > 1e-12:
         raise ValueError(
             f"LOOCV criteria are defined at unit process variance; got sigma2={k.sigma2}"
         )
-
-
-def _require_centered(obs):
     if obs.mean is not None:
         raise ValueError("LOOCV criteria expect a centered observation set")
 
@@ -198,8 +194,7 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
     criteria :func:`loocv_mse_virtual` / :func:`sigma2_virtual`.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    _require_unit(k_unit)
-    _require_centered(obs)
+    _require_unit_centered(k_unit, obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
     if ops is None:
@@ -244,8 +239,7 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
     own matrices would have needed.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    _require_unit(k_unit)
-    _require_centered(obs)
+    _require_unit_centered(k_unit, obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
 
@@ -267,8 +261,7 @@ def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=None):
     the fit interpolates and the value is 0.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    _require_unit(k_unit)
-    _require_centered(obs)
+    _require_unit_centered(k_unit, obs)
     ops = design.extend_atoms(ops_at_predictions, obs.points)
     mean, _, escalated = _lagrangian_at(k_unit, obs, ops, obs.points, cfg)
     if escalated:
@@ -288,8 +281,7 @@ def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=None):
     mirroring the LOOCV variance rule without folds.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    _require_unit(k_unit)
-    _require_centered(obs)
+    _require_unit_centered(k_unit, obs)
     k = replace(k_unit, theta=float(theta_hat))
     ops = design.extend_atoms(ops_at_predictions, obs.points)
     mean, variance, escalated = _lagrangian_at(k, obs, ops, obs.points, cfg, True)
@@ -304,13 +296,20 @@ def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=None):
     return _floored_sigma2(float(np.mean(resid ** 2 / denom)))
 
 
+def _pairwise_distances(points):
+    """Euclidean distances of the locations, one per pair i < j."""
+    pts = points.points if hasattr(points, "points") else list(points)
+    xs = np.atleast_2d(np.array([p.x for p in pts], dtype=float))
+    i, j = np.triu_indices(len(xs), 1)
+    return np.sqrt(((xs[i] - xs[j]) ** 2).sum(-1))
+
+
 def default_theta_bounds(points):
     """[1e-2, 1e2] times the median pairwise distance of the locations."""
-    pts = points.points if hasattr(points, "points") else list(points)
-    xs = np.array([p.x for p in pts], dtype=float)
-    if len(xs) < 2:
+    dist = _pairwise_distances(points)
+    if dist.size == 0:
         raise ValueError("need at least 2 locations to scale the search bounds")
-    med = float(np.median(pdist(xs)))
+    med = float(np.median(dist))
     if not np.isfinite(med) or med <= 0:
         raise ValueError(f"median pairwise distance {med} cannot scale bounds")
     return 1e-2 * med, 1e2 * med

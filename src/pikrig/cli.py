@@ -172,17 +172,13 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
     flat = {}
+    nested = {"kernel": ("theta", "sigma2"), "counts": ("n", "p", "q", "q1", "q2")}
     for key, val in raw.items():
-        if key == "kernel":
-            for kk in val:
-                if kk not in ("theta", "sigma2"):
-                    raise ConfigError(f"config: unknown kernel key {kk!r}")
-                flat[kk] = val[kk]
-        elif key == "counts":
-            for ck in val:
-                if ck not in ("n", "p", "q", "q1", "q2"):
-                    raise ConfigError(f"config: unknown counts key {ck!r}")
-                flat[ck] = val[ck]
+        if key in nested:
+            for sub in val:
+                if sub not in nested[key]:
+                    raise ConfigError(f"config: unknown {key} key {sub!r}")
+                flat[sub] = val[sub]
         elif key in _CONFIG_KEYS:
             flat[key] = val
         else:
@@ -263,10 +259,7 @@ def _search_bounds(points):
     experiment runners do not search it.
     """
     lo, hi = _cal.default_theta_bounds(points)
-    pts = points.points if hasattr(points, "points") else list(points)
-    xs = np.array([p.x for p in pts], dtype=float)
-    diam = float(np.sqrt(((xs[:, None, :] - xs[None, :, :]) ** 2).sum(-1)).max())
-    return lo, min(hi, diam)
+    return lo, min(hi, float(_cal._pairwise_distances(points).max()))
 
 
 def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):

@@ -160,9 +160,9 @@ class OperatorSystem:
             )
         if p != self.rhs.size:
             raise ValueError(f"U has {p} columns but rhs has {self.rhs.size}")
-        for j in range(p):
-            if not np.any(self.U[:, j]):
-                raise ValueError(f"equation {j} has an all-zero coefficient column")
+        zero = np.flatnonzero(~self.U.any(axis=0))
+        if zero.size:
+            raise ValueError(f"equation {zero[0]} has an all-zero coefficient column")
 
     @property
     def c(self):

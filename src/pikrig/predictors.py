@@ -14,8 +14,9 @@ what is constrained:
 
 Both Lagrangian variants are the matching Kriging prediction (simple, or
 ordinary for the ordinary variant) plus one projection onto the
-constraints (:func:`_constraint_projector`), solved with the R of the
-pivoted QR that checks the rank of U; the identity variant of
+constraints (:func:`_constraint_projector`): in closed form when no atom
+sits in two equations (U^T U diagonal), else with the R of the pivoted
+QR that checks the rank of U; the identity variant of
 Schur-complement co-Kriging is that same projection, so their analytic
 relationship is also a code relationship.
 
@@ -164,21 +165,31 @@ def make_spd_solver(K, cfg):
 
 
 def _constraint_projector(U):
-    """Rank-check U by one pivoted QR; return its projection ``project``.
+    """Rank-check U; return its projection ``project``.
 
     ``project(base, v)`` returns (base + U w, w) with
     w = (U^T U)^-1 (v - U^T base), so that U^T (base + U w) = v; ``base``
-    and ``v`` may carry one column per right-hand side.  The R of
-    U P = Q R satisfies R^T R = P^T U^T U P, so R serves as the Cholesky
-    factor of the permuted U^T U: w[piv] = R^-1 R^-T (v - U^T base)[piv]
-    (the semi-normal equations), and U is factored once.  Raises
-    RankDeficiencyError naming the dependent equations.
+    and ``v`` may carry one column per right-hand side.  When no atom sits
+    in two equations (each row of U has at most one nonzero, as from
+    :func:`pikrig.design.encode_pointwise`), U^T U is diagonal: no QR,
+    w = (v - U^T base) / ||u_j||^2.  Otherwise the R of one pivoted QR,
+    U P = Q R, solves the semi-normal equations, as R^T R = P^T U^T U P.
+    Either way |R_jj| (the column norms, sorted, in the diagonal case) at
+    most 1e-10 |R11| raises RankDeficiencyError naming the dependent
+    equations.
     """
     p = U.shape[1]
     if p == 0:
         return lambda base, v: (base.copy(), np.zeros((0,) + base.shape[1:]))
-    r, piv = qr(U, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
+    if np.all(np.count_nonzero(U, axis=1) <= 1):
+        sq = np.einsum("ij,ij->j", U, U)
+        piv = np.argsort(-sq, kind="stable")
+        diag = np.sqrt(sq[piv])
+        solve = lambda resid: (resid.T / sq).T
+    else:
+        r, piv = qr(U, mode="r", pivoting=True)
+        diag = np.abs(np.diag(r))
+        solve = lambda resid: cho_solve((r[:p], False), resid[piv])[np.argsort(piv)]
     # |R11| scales the tolerance as in LAPACK xGELSY: ||U||/sqrt(p) <= |R11| <= ||U||
     rank = int(np.sum(diag > 1e-10 * diag[0]))
     if rank < p:
@@ -188,12 +199,9 @@ def _constraint_projector(U):
             "are linear combinations of the others",
             dependent=dependent,
         )
-    R = r[:p]
 
     def project(base, v):
-        resid = v - U.T @ base
-        w = np.empty_like(resid)
-        w[piv] = cho_solve((R, False), resid[piv])
+        w = solve(v - U.T @ base)
         return base + U @ w, w
 
     return project

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: covariance matrices filled one
 entry per Python call, dense KKT systems assembled row by row and solved
 with np.linalg.solve, leave-one-out loops that refit per fold, MMSE
-covariances built from the full K* as printed, and the Lagrangian step
-by the normal equations of the formed U^T U.  No code is shared with the
-package's closed forms beyond the kernel's derivative polynomial
+covariances built from the full K* as printed, the Lagrangian step by
+the normal equations of the formed U^T U, and the constraint projection
+by one dense pivoted QR of U whatever its structure.  No code is shared
+with the package's closed forms beyond the kernel's derivative polynomial
 (``kernel._bracket``), the covariance assembly outside :func:`gram_loop`
 and, for the MMSE covariances and the Lagrangian normal equations, the
 refined factorization ``make_spd_solver`` (dense solves would not reach its accuracy on the
@@ -20,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, qr
 
 from pikrig import design
 from pikrig import kernel as _kernel
@@ -127,6 +128,37 @@ def kkt_lagrangian(K, H, Z, U, vstar, mu=None, mu_star=None):
         b[col + j] = float(vstar[j])
     sol = np.linalg.solve(A, b)
     return sol[:nv].reshape((nat, n)).T
+
+
+def constraint_projector_qr(U):
+    """The constraint projection by one dense pivoted QR of any U.
+
+    The general route of ``predictors._constraint_projector``, run here
+    also where that function takes its closed form for diagonal U^T U:
+    R^T R = P^T U^T U P, so w[piv] = R^-1 R^-T (v - U^T base)[piv], and
+    equation j is dependent when |R_jj| <= 1e-10 |R11|.  ``project(base,
+    v)`` returns (base + U w, w).
+    """
+    p = U.shape[1]
+    if p == 0:
+        return lambda base, v: (base.copy(), np.zeros((0,) + base.shape[1:]))
+    r, piv = qr(U, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > 1e-10 * diag[0]))
+    if rank < p:
+        dependent = sorted(int(j) for j in piv[rank:])
+        raise _pred.RankDeficiencyError(
+            f"constraint matrix has rank {rank} < {p}", dependent=dependent
+        )
+    R = r[:p]
+
+    def project(base, v):
+        resid = v - U.T @ base
+        w = np.empty_like(resid)
+        w[piv] = cho_solve((R, False), resid[piv])
+        return base + U @ w, w
+
+    return project
 
 
 def solve_lagrangian_normal(K, H, obs, ops, cfg, mu_star=None):

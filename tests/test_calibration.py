@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+import pikrig
 from pikrig import calibration as C
-from pikrig import design
+from pikrig import cli, design, flowlab
 from pikrig import predictors as P
 from pikrig.design import ExtendedPoint, ObservationSet, OperatorSystem
 from pikrig.kernel import SqExpKernel
@@ -210,9 +215,11 @@ def test_lk_folds_raise_like_refit(rng):
 
 
 def test_lk_criterion_factors_once(monkeypatch):
-    # one assembly, one rank check (one pivoted QR) and one factorization
-    # per criterion evaluation, whatever the number of folds
-    counts = {"make_spd_solver": 0, "qr": 0}
+    # one assembly, one rank check and one factorization per criterion
+    # evaluation, whatever the number of folds; the pointwise equations
+    # share no atom, so the rank check and the projection need no QR
+    names = ("make_spd_solver", "_constraint_projector", "qr")
+    counts = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -221,14 +228,16 @@ def test_lk_criterion_factors_once(monkeypatch):
 
         return counted
 
-    for name, mod in (("make_spd_solver", C), ("make_spd_solver", P), ("qr", P)):
+    for name, mod in (("make_spd_solver", C), ("make_spd_solver", P),
+                      ("_constraint_projector", P), ("qr", P)):
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     obs, _, grid = ode_setup(seed=10, n=6)
     for crit in C.loocv_lk_explicit(UNIT, obs, harmonic_rows(grid)):
         for theta in (0.8, 1.2):
-            counts.update(make_spd_solver=0, qr=0)
+            counts.update(dict.fromkeys(names, 0))
             crit(theta)
-            assert counts == {"make_spd_solver": 1, "qr": 1}, theta
+            assert counts == {"make_spd_solver": 1, "_constraint_projector": 1,
+                              "qr": 0}, theta
 
 
 def test_sigma2_floor_and_warning():
@@ -318,6 +327,35 @@ def test_default_bounds_median_scaling():
     assert hi == pytest.approx(200.0)
     with pytest.raises(ValueError):
         C.default_theta_bounds(pts[:1])
+
+
+def _cli_layouts():
+    """Observation layouts the CLI calibrates on: ode1d, scalar2d, flow."""
+    for seed in (4, 5, 6, 7, 10):
+        yield cli._ode1d_data(cli.RunConfig(seed=seed), None)[0].points
+    yield cli._scalar2d_system(cli.RunConfig(experiment="scalar2d"))[0].points
+    problem, _ = cli._flow_problem(cli.RunConfig(experiment="flow-cylinder"))
+    yield flowlab.build_flow_system(problem)[0].points
+
+
+def test_default_bounds_equal_pdist_bounds():
+    # the numpy pairwise distances give the bounds scipy's pdist gave,
+    # bit for bit, on every layout the CLI searches
+    for points in _cli_layouts():
+        dist = pdist(np.array([p.x for p in points]))
+        med = float(np.median(dist))
+        assert C.default_theta_bounds(points) == (1e-2 * med, 1e2 * med)
+        assert cli._search_bounds(points)[1] == min(1e2 * med, float(dist.max()))
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial costs about 0.1 s of import time and serves no caller
+    code = ("import sys, pikrig, pikrig.calibration, pikrig.cli; "
+            "sys.exit('scipy.spatial' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(pikrig.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_escalation_guard_returns_nan():

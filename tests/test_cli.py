@@ -28,6 +28,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = run(["ode1d", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "unknown key" in capsys.readouterr().err
+    # the nested blocks take only their own keys
+    for raw, message in (({"kernel": {"nu": 1.5}}, "unknown kernel key 'nu'"),
+                         ({"counts": {"theta": 1.0}}, "unknown counts key 'theta'")):
+        cfgfile.write_text(json.dumps(raw))
+        rc = run(["ode1d", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -89,6 +89,10 @@ def test_operator_system_validation():
         OperatorSystem(atoms, np.ones((2, 2)), np.zeros(1))
     with pytest.raises(ValueError, match="all-zero"):
         OperatorSystem(atoms, np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+    # the lowest all-zero column is the one named
+    U = np.array([[1.0, 0.0, 2.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^equation 1 has an all-zero coefficient column$"):
+        OperatorSystem(atoms, U, np.zeros(4))
 
 
 def test_encode_pointwise_frozen_example():

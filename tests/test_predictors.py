@@ -250,12 +250,8 @@ def test_lagrangian_zero_observations_degenerate(rng):
         P.lagrangian_kriging(k, zeros, ops)
 
 
-def test_lagrangian_factors_k_and_utu_once(monkeypatch):
-    # one Cholesky factorization of K and one pivoted QR of U per Lagrangian
-    # solve: the QR's R checks the rank and, as R^T R = P^T U^T U P, also
-    # solves the constraint projection, so U^T U is never factored.  Holds
-    # for the predictor, the covariance, the identity Schur variant and one
-    # leave-one-out criterion evaluation (all folds)
+def _count_calls(monkeypatch, names):
+    """Count calls of predictors' ``names`` wherever the package binds them."""
     counts = {}
 
     def counting(name, original):
@@ -265,7 +261,7 @@ def test_lagrangian_factors_k_and_utu_once(monkeypatch):
 
         return counted
 
-    for name in ("cho_factor", "qr"):
+    for name in names:
         original = getattr(P, name)
         counts[name] = 0
         wrapped = counting(name, original)
@@ -273,12 +269,24 @@ def test_lagrangian_factors_k_and_utu_once(monkeypatch):
             for attr, val in list(vars(mod).items()):
                 if val is original:
                     monkeypatch.setattr(mod, attr, wrapped)
+    return counts
+
+
+def test_lagrangian_factors_k_and_utu_once(monkeypatch):
+    # one Cholesky factorization of K per Lagrangian solve, and U^T U is
+    # never factored.  Pointwise equations share no atom, so U^T U is
+    # diagonal and the projection needs no QR at all; that holds for the
+    # predictor, the covariance, the identity Schur variant and one
+    # leave-one-out criterion evaluation (all folds).  Coupled equations
+    # take one pivoted QR of U, whose R also solves the projection
+    counts = _count_calls(monkeypatch, ("cho_factor", "qr"))
     obs, colloc, _ = ode_setup()
     k = SqExpKernel(sigma2=1.0, theta=1.2, dim=1)
     rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in colloc]
     ops = design.encode_pointwise(rows, np.zeros(len(rows)))
     obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
     mu_star = np.ones(len(ops.colloc_points))
+    k_mixed, obs_mixed, ops_mixed = _mixed_system()
     runs = {
         "simple": lambda: P.lagrangian_kriging(k, obs, ops),
         "var_lk": lambda: uq.var_lk(k, obs, ops),
@@ -286,12 +294,13 @@ def test_lagrangian_factors_k_and_utu_once(monkeypatch):
         "identity": lambda: P.co_kriging_schur(k, obs, ops, conditional_cov="identity"),
         "lk folds": lambda: calibration.loocv_lk_explicit(
             SqExpKernel(sigma2=1.0, theta=1.0, dim=1), obs, ops)[0](1.2),
+        "coupled": lambda: P.lagrangian_kriging(k_mixed, obs_mixed, ops_mixed),
     }
     for name, run in runs.items():
         for key in counts:
             counts[key] = 0
         run()
-        assert counts == {"cho_factor": 1, "qr": 1}, name
+        assert counts == {"cho_factor": 1, "qr": int(name == "coupled")}, name
 
 
 def _sweep_system(p):
@@ -361,6 +370,68 @@ def test_lagrangian_matches_normal_equation_route(system):
             assert _rel(a, b) <= 1e-10, field
     assert (got.lam2 is None) == (ops.p == 0)
     assert (got.lam is None) == (system != "ordinary")
+
+
+@pytest.mark.parametrize("system", [
+    "sweep 100", "sweep 250", "sweep 400", "sweep 1000", "sweep 1500",
+    "folds", "scalar2d", "coupled",
+])
+def test_projector_matches_qr_oracle(system, monkeypatch):
+    # the closed form for diagonal U^T U against the dense pivoted QR it
+    # replaces; coupled equations must still take the QR
+    rng = np.random.default_rng(7)
+    if system.startswith("sweep"):
+        k, obs, ops = _sweep_system(int(system.split()[1]))
+    elif system == "scalar2d":
+        k, obs, ops = _scalar2d_lk_system()
+    elif system == "coupled":
+        k, obs, ops = _mixed_system()
+    else:
+        # the leave-one-out shape: observation atoms joined constraint-free
+        # (zero rows of U), one base column per fold
+        k, obs, ops = _sweep_system(40)
+        ops = design.extend_atoms(ops, obs.points)
+    if system == "folds":
+        base, v = rng.normal(size=(ops.c, obs.n)), ops.rhs[:, None]
+    else:
+        K, H = P.assemble_lagrangian(k, obs, ops)
+        base, v = P.solve_co_kriging(K, H, obs.values, P.SolveConfig()).predictions, ops.rhs
+    counts = _count_calls(monkeypatch, ("qr",))
+    got, w = P._constraint_projector(ops.U)(base, v)
+    assert counts["qr"] == int(system == "coupled")
+    ref, w_ref = oracles.constraint_projector_qr(ops.U)(base, v)
+    assert got.shape == ref.shape and w.shape == w_ref.shape
+    assert _rel(got, ref) <= 1e-12
+    assert _rel(w, w_ref) <= 1e-12
+    # and the equations hold (the sweep's v is 0, so scale by the base)
+    assert np.max(np.abs(ops.U.T @ got - v)) <= 1e-12 * np.max(np.abs(base))
+
+
+def test_diagonal_projector_rank_deficiency(monkeypatch):
+    # no atom in two equations: the rank rule reads the column norms, with
+    # the same tolerance and the same dependent list as the pivoted QR
+    counts = _count_calls(monkeypatch, ("qr",))
+    atoms = [ExtendedPoint((float(i),), (0,)) for i in range(5)]
+    U = np.zeros((5, 3))
+    U[[0, 1], 0] = [3.0, 4.0]  # the largest column norm, 5
+    U[2, 1] = 5e-11  # 1e-11 of it
+    U[[3, 4], 2] = [2.0, -1.0]
+    k, obs, _, _ = random_instance(np.random.default_rng(1))
+    for scale in (1.0, 1e8):
+        ops = OperatorSystem(atoms, scale * U, np.zeros(3))
+        with pytest.raises(P.RankDeficiencyError) as err:
+            P.lagrangian_kriging(k, obs, ops)
+        with pytest.raises(P.RankDeficiencyError) as ref:
+            oracles.constraint_projector_qr(ops.U)
+        assert err.value.dependent == ref.value.dependent == [1]
+    assert counts["qr"] == 0
+    # 1e-9 of the largest norm is independent on both routes
+    U[2, 1] = 5e-9
+    base, v = np.ones(5), np.arange(3.0)
+    got = P._constraint_projector(U)(base, v)
+    ref = oracles.constraint_projector_qr(U)(base, v)
+    assert _rel(got[0], ref[0]) <= 1e-12
+    assert _rel(got[1], ref[1]) <= 1e-6
 
 
 def test_schur_equals_full_co_kriging():
