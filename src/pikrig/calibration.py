@@ -89,8 +89,10 @@ def _virtual_parts(K, y, n, cfg):
     return a[:n], np.diag(Ki)[:n], eta > cfg.nugget
 
 
-def _lagrangian_folds(k, obs, ops, cfg):
+def _lagrangian_folds(k, obs, ops, j, cfg):
     """All Lagrangian leave-one-out folds from one system: (resid, var, escalated).
+
+    ``ops`` holds every observation atom, observation i at row ``j[i]``.
 
     Column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
     fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
@@ -101,7 +103,6 @@ def _lagrangian_folds(k, obs, ops, cfg):
     """
     n = obs.n
     Z = obs.values
-    ops = design.extend_atoms(ops, obs.points)
     K, H = _pred.assemble_lagrangian(k, obs, ops)
     project = _pred._constraint_projector(ops.U)
     solve, eta = make_spd_solver(K, cfg)
@@ -111,7 +112,6 @@ def _lagrangian_folds(k, obs, ops, cfg):
     A = a[:, None] - Ki * (a / d)
     np.fill_diagonal(A, 0.0)
     pred, W = project(H.T @ A, ops.rhs[:, None])
-    j = design.locate_atoms(ops.colloc_points, obs.points)
     resid = Z - pred[j, np.arange(n)]
     var = 1.0 / d - eta
     if ops.p:
@@ -210,19 +210,20 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
     return _loo_criteria(parts, "virtual")
 
 
-def _lagrangian_at(k, obs, ops, atoms, cfg, want_var=False):
-    """Centered Lagrangian fit read at ``atoms``: (mean, variance, escalated).
+def _lagrangian_at(k, obs, ops, cfg, want_var=False):
+    """Centered Lagrangian fit read at the observation atoms, which join
+    ``ops`` constraint-free where it lacks them: (mean, variance, escalated).
 
     The variance (None unless ``want_var``) comes from the same solve as
     the mean; ``escalated`` says whether the factorization needed jitter
     above the requested nugget.
     """
+    ops, idx = design._extend(ops, obs.points)
     K, H = _pred.assemble_lagrangian(k, obs, ops)
     w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
-    idx = design.locate_atoms(ops.colloc_points, atoms)
     variance = None
     if want_var:
-        variance, _ = _uq.mmse_variance(k, list(atoms), w.alpha[:, idx], w.cross[:, idx])
+        variance, _ = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])
     return w.predictions[idx], variance, w.nugget_used > cfg.nugget
 
 
@@ -242,10 +243,11 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
     _require_unit_centered(k_unit, obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
+    ops, j = design._extend(ops_at_predictions, obs.points)
 
     def parts(theta):
         k = replace(k_unit, theta=float(theta))
-        resid, var, escalated = _lagrangian_folds(k, obs, ops_at_predictions, cfg)
+        resid, var, escalated = _lagrangian_folds(k, obs, ops, j, cfg)
         return resid, resid ** 2 / np.maximum(var, _SIGMA2_FLOOR), escalated
 
     return _loo_criteria(parts, "fold")
@@ -262,8 +264,7 @@ def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=None):
     """
     cfg = cfg if cfg is not None else SolveConfig()
     _require_unit_centered(k_unit, obs)
-    ops = design.extend_atoms(ops_at_predictions, obs.points)
-    mean, _, escalated = _lagrangian_at(k_unit, obs, ops, obs.points, cfg)
+    mean, _, escalated = _lagrangian_at(k_unit, obs, ops_at_predictions, cfg)
     if escalated:
         logger.info(
             "interpolation criterion undefined at theta=%.6g (escalated)",
@@ -283,8 +284,7 @@ def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=None):
     cfg = cfg if cfg is not None else SolveConfig()
     _require_unit_centered(k_unit, obs)
     k = replace(k_unit, theta=float(theta_hat))
-    ops = design.extend_atoms(ops_at_predictions, obs.points)
-    mean, variance, escalated = _lagrangian_at(k, obs, ops, obs.points, cfg, True)
+    mean, variance, escalated = _lagrangian_at(k, obs, ops_at_predictions, cfg, True)
     if escalated:
         warnings.warn(
             f"variance rule at theta={theta_hat:.6g} used escalated jitter",
@@ -298,8 +298,7 @@ def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=None):
 
 def _pairwise_distances(points):
     """Euclidean distances of the locations, one per pair i < j."""
-    pts = points.points if hasattr(points, "points") else list(points)
-    xs = np.atleast_2d(np.array([p.x for p in pts], dtype=float))
+    xs = design.Atoms.of(getattr(points, "points", points)).X
     i, j = np.triu_indices(len(xs), 1)
     return np.sqrt(((xs[i] - xs[j]) ** 2).sum(-1))
 

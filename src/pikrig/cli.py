@@ -44,7 +44,6 @@ from . import flowlab as _flow
 from . import kernel as _kernel
 from . import predictors as _pred
 from . import uq as _uq
-from .design import ExtendedPoint
 from .flowlab import CsvFormatError
 from .predictors import SolveConfig
 
@@ -123,10 +122,6 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
 
-def _mstr(m):
-    return "|".join(str(int(mi)) for mi in m)
-
-
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -147,10 +142,6 @@ def write_report(outdir, report):
     _flow.atomic_write_text(
         os.path.join(outdir, "report.json"), json.dumps(payload, indent=2) + "\n"
     )
-
-
-def _round_ms(seconds):
-    return round(seconds, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +232,6 @@ def validate_config(cfg):
     return cfg
 
 
-def _scale_cfg(cfg):
-    return SolveConfig(nugget=cfg.nugget)
-
-
 def _unit_kernel(dim):
     return _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=dim)
 
@@ -269,7 +256,7 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
     a denser default budget: its filtered criterion has a narrow basin
     that a 32-point coarse grid can step across.
     """
-    dim = len(obs.points[0].x)
+    dim = obs.points.X.shape[1]
     crit, s2rule = criterion(_unit_kernel(dim), obs, ops, scfg)
     budget = cfg.budget if cfg.budget is not None else default_budget
     if cfg.theta == "auto":
@@ -292,7 +279,7 @@ _Fit = namedtuple("_Fit", "atoms mean variance resid_max nugget_used timing")
 
 
 def _timing(t0, t1, t2):
-    return {"construction_s": _round_ms(t1 - t0), "inversion_s": _round_ms(t2 - t1)}
+    return {"construction_s": round(t1 - t0, 3), "inversion_s": round(t2 - t1, 3)}
 
 
 def _loocv_plain(k0, obs, ops, scfg):
@@ -380,11 +367,10 @@ def _methods():
 
 def _finish(cfg, k, fit, sel, **fields):
     """Write predictions.csv for the fit's atoms ``sel``; return the report."""
-    header = ["x", "y"][: len(fit.atoms[0].x)] + ["m", "mean", "variance"]
-    rows = [
-        (*fit.atoms[j].x, _mstr(fit.atoms[j].m), fit.mean[j], fit.variance[j])
-        for j in sel
-    ]
+    X, M = fit.atoms.X[sel], fit.atoms.M[sel]
+    header = ["x", "y"][: X.shape[1]] + ["m", "mean", "variance"]
+    mstr = ("|".join(map(str, m)) for m in M.tolist())
+    rows = zip(*X.T, mstr, fit.mean[sel], fit.variance[sel])
     write_csv(os.path.join(cfg.output_dir, "predictions.csv"), header, rows)
     return RunReport(
         config=asdict(cfg),
@@ -415,9 +401,7 @@ def _ode1d_data(cfg, rows_at):
     q = cfg.q if cfg.q is not None else p
     rng = np.random.default_rng(cfg.seed)
     xs = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-    obs = design.ObservationSet(
-        [ExtendedPoint((float(x),), (0,)) for x in xs], np.sin(xs)
-    )
+    obs = design.ObservationSet(design.Atoms(xs[:, None], (0,)), np.sin(xs))
     grid = np.linspace(0.0, 2.0 * np.pi, q)
     locations = {
         "colloc": np.linspace(0.0, 2.0 * np.pi, p),
@@ -436,13 +420,13 @@ def _ode_rows(locations):
 def run_ode1d(cfg):
     row = _methods()[cfg.method]
     obs, ops, grid = _ode1d_data(cfg, row.ode_rows)
-    pred_atoms = [ExtendedPoint((float(x),), (0,)) for x in grid]
-    scfg = _scale_cfg(cfg)
+    pred_atoms = design.Atoms(grid[:, None], (0,))
+    scfg = SolveConfig(nugget=cfg.nugget)
     k = _calibrate(cfg, row.criterion, obs, ops, scfg)
     fit = row.solve(k, obs, ops, pred_atoms, scfg)
     on_grid = fit.mean[design.locate_atoms(fit.atoms, pred_atoms)]
     mse = float(np.mean((on_grid - np.sin(grid)) ** 2))
-    return _finish(cfg, k, fit, range(len(fit.atoms)), mse_vs_truth=mse)
+    return _finish(cfg, k, fit, slice(None), mse_vs_truth=mse)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +451,7 @@ def _scalar2d_system(cfg):
     f, gradsum, lap = _scalar2d_truth(cfg.target)
     L = np.pi
     locs = rng.uniform(0.0, L, size=(n, 2))
-    obs = design.ObservationSet(
-        [ExtendedPoint((float(x), float(y)), (0, 0)) for x, y in locs],
-        f(locs[:, 0], locs[:, 1]),
-    )
+    obs = design.ObservationSet(design.Atoms(locs, (0, 0)), f(locs[:, 0], locs[:, 1]))
     grad_pts = _flow.uniform_grid((0.0, L), (0.0, L), 5, 10)
     lap_pts = _flow.uniform_grid((0.0, L), (0.0, L), 10, 10)
     rows = []
@@ -484,7 +465,7 @@ def _scalar2d_system(cfg):
     ops = design.encode_pointwise(rows, np.array(rhs))
     nq = int(round(math.sqrt(cfg.q))) if cfg.q is not None else 30
     grid = _flow.uniform_grid((0.0, L), (0.0, L), nq, nq)
-    pred_atoms = [ExtendedPoint((x, y), (0, 0)) for x, y in grid]
+    pred_atoms = design.Atoms(grid, (0, 0))
     truth = np.array([f(x, y) for x, y in grid])
     return obs, ops, pred_atoms, truth
 
@@ -492,7 +473,7 @@ def _scalar2d_system(cfg):
 def run_scalar2d(cfg):
     row = _methods()[cfg.method]
     obs, ops, pred_atoms, truth = _scalar2d_system(cfg)
-    scfg = _scale_cfg(cfg)
+    scfg = SolveConfig(nugget=cfg.nugget)
     k = _calibrate(cfg, row.criterion, obs, ops, scfg)
     fit = row.solve(k, obs, ops, pred_atoms, scfg)
     sel = design.locate_atoms(fit.atoms, pred_atoms)
@@ -560,7 +541,7 @@ def _flow_problem(cfg):
 def run_flow(cfg):
     criterion, predict = _methods()[cfg.method].flow
     problem, truth_geom = _flow_problem(cfg)
-    scfg = _scale_cfg(cfg)
+    scfg = SolveConfig(nugget=cfg.nugget)
     t0 = time.monotonic()
     system = _flow.build_flow_system(problem)
     t1 = time.monotonic()
@@ -586,7 +567,7 @@ def run_flow(cfg):
         config=asdict(cfg),
         theta_hat=k.theta,
         sigma2_hat=k.sigma2,
-        timing={"construction_s": _round_ms(t1 - t0), "inversion_s": _round_ms(t3 - t2)},
+        timing={"construction_s": round(t1 - t0, 3), "inversion_s": round(t3 - t2, 3)},
         nugget_used=float(fieldr.nugget_used),
         cov_eval_count=design.cov_eval_count(),
     )
@@ -616,16 +597,13 @@ def run_bench(cfg):
     theta = 1.0 if cfg.theta == "auto" else float(cfg.theta)
     sigma2 = 1.0 if cfg.sigma2 == "auto" else float(cfg.sigma2)
     k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=1)
-    scfg = _scale_cfg(cfg)
+    scfg = SolveConfig(nugget=cfg.nugget)
     obs, _, _ = _ode1d_data(cfg, None)
     rows = []
     for p in sweep:
         colloc = np.linspace(0.0, 2.0 * np.pi, p)
         ops = _ode_rows(colloc)
-        pred_atoms = [
-            ExtendedPoint((float(x),), (0,))
-            for x in np.linspace(0.0, 2.0 * np.pi, q_ck)
-        ]
+        pred_atoms = design.Atoms(np.linspace(0.0, 2.0 * np.pi, q_ck)[:, None], (0,))
         design.reset_cov_eval_count()
         t0 = time.monotonic()
         Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred_atoms)
@@ -665,7 +643,7 @@ def run_bench(cfg):
 def run_calibrate(cfg):
     row = _methods()[cfg.method]
     obs, ops, _ = _ode1d_data(cfg, row.ode_rows)
-    crit, s2rule = row.criterion(_unit_kernel(1), obs, ops, _scale_cfg(cfg))
+    crit, s2rule = row.criterion(_unit_kernel(1), obs, ops, SolveConfig(nugget=cfg.nugget))
     bounds = _search_bounds(obs.points)
     budget = cfg.budget if cfg.budget is not None else 64
     res = _cal.optimize_theta(crit, bounds, budget=budget, sigma2_rule=s2rule)

@@ -29,7 +29,6 @@ from . import design
 from . import kernel as _kernel
 from . import predictors as _pred
 from . import uq as _uq
-from .design import ExtendedPoint
 from .predictors import SolveConfig
 
 __all__ = [
@@ -138,9 +137,6 @@ class FlowField:
     cov_vxy: np.ndarray
     magsq_mean: np.ndarray
     magsq_var: np.ndarray
-    boundary_locations: np.ndarray
-    boundary_vx: np.ndarray
-    boundary_vy: np.ndarray
     boundary_normal_residual: np.ndarray
     theta2_hat: Optional[float] = None
     nugget_used: float = 0.0
@@ -235,8 +231,14 @@ def cylinder_problem(
     )
 
 
-def _gradient_atoms(loc):
-    return [ExtendedPoint(loc, (1, 0)), ExtendedPoint(loc, (0, 1))]
+# Step-2 lengthscale search budget of the two-step Lagrangian path.
+_STEP2_BUDGET = 32
+
+
+def _velocity_atoms(locations):
+    """The gradient pair (1,0), (0,1) at each location, interleaved."""
+    X = np.asarray(locations, dtype=float).reshape(-1, 2)
+    return design.Atoms(np.repeat(X, 2, axis=0), np.tile(np.eye(2, dtype=int), (len(X), 1)))
 
 
 def build_flow_system(p):
@@ -249,13 +251,9 @@ def build_flow_system(p):
     """
     if not p.velocity_obs:
         raise ValueError("FlowProblem has no velocity observations")
-    atoms = []
-    values = []
-    for loc, vx, vy in p.velocity_obs:
-        ax, ay = _gradient_atoms(loc)
-        atoms += [ax, ay]
-        values += [vx, vy]
-    obs = design.ObservationSet(atoms, np.array(values))
+    locs = [loc for loc, _, _ in p.velocity_obs]
+    values = [v for _, vx, vy in p.velocity_obs for v in (vx, vy)]
+    obs = design.ObservationSet(_velocity_atoms(locs), np.array(values))
     rows = []
     for loc, (n1, n2) in p.boundary_points:
         rows.append((loc, [(n1, (1, 0)), (n2, (0, 1))]))
@@ -265,10 +263,7 @@ def build_flow_system(p):
         ops = design.encode_pointwise(rows, np.zeros(len(rows)))
     else:
         ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
-    pred = []
-    for loc in p.pred_grid:
-        pred += _gradient_atoms(loc)
-    return obs, ops, pred
+    return obs, ops, _velocity_atoms(p.pred_grid)
 
 
 def _pack_field(p, mean, boundary, nugget_used, variance=None, blocks=None,
@@ -290,18 +285,15 @@ def _pack_field(p, mean, boundary, nugget_used, variance=None, blocks=None,
     else:
         qm = _uq.quadform_moments(np.stack([vx, vy], axis=-1), blocks)
         uq = (variance[0::2], variance[1::2], blocks[:, 0, 1], qm.mean, qm.variance)
-    bvx = boundary[0::2]
-    bvy = boundary[1::2]
     normals = np.array([nrm for _, nrm in p.boundary_points]).reshape(-1, 2)
     return FlowField(
         np.array(p.pred_grid, dtype=float),
         vx,
         vy,
         *uq,
-        boundary_locations=np.array([loc for loc, _ in p.boundary_points]),
-        boundary_vx=bvx,
-        boundary_vy=bvy,
-        boundary_normal_residual=normals[:, 0] * bvx + normals[:, 1] * bvy,
+        boundary_normal_residual=(
+            normals[:, 0] * boundary[0::2] + normals[:, 1] * boundary[1::2]
+        ),
         theta2_hat=theta2_hat,
         nugget_used=nugget_used,
     )
@@ -319,7 +311,7 @@ def predict_flow_ck(k, p, cfg=None, system=None):
     """
     cfg = cfg if cfg is not None else SolveConfig()
     obs, ops, pred = system if system is not None else build_flow_system(p)
-    bnd_atoms = [a for loc, _ in p.boundary_points for a in _gradient_atoms(loc)]
+    bnd_atoms = _velocity_atoms([loc for loc, _ in p.boundary_points])
     G2 = len(pred)
     Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + bnd_atoms)
     w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
@@ -331,7 +323,7 @@ def predict_flow_ck(k, p, cfg=None, system=None):
     )
 
 
-def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
+def predict_flow_lk_twostep(k, p, cfg=None, system=None):
     """Two-step Lagrangian prediction of the velocity field.
 
     Step 1 predicts the gradient pair at each boundary point under the
@@ -353,9 +345,8 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
             "derivative atoms only shift those atoms, not the field predictions",
             len(p.continuity_points),
         )
-    locs2 = [loc for loc, _, _ in p.velocity_obs]
-    valx = [vx for _, vx, _ in p.velocity_obs]
-    valy = [vy for _, _, vy in p.velocity_obs]
+    locs2 = np.array([loc for loc, _, _ in p.velocity_obs])
+    vals = np.array([(vx, vy) for _, vx, vy in p.velocity_obs])
     nugget_used = 0.0
     bv = np.zeros(0)
     if p.boundary_points:
@@ -365,13 +356,11 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
         ops1 = design.encode_pointwise(rows, np.zeros(len(rows)))
         w1 = _pred.lagrangian_kriging(k, obs, ops1, cfg=cfg)
         nugget_used = w1.nugget_used
-        bnd_atoms = [a for loc, _ in p.boundary_points for a in _gradient_atoms(loc)]
-        bv = w1.predictions[design.locate_atoms(ops1.colloc_points, bnd_atoms)]
-        locs2 = locs2 + [loc for loc, _ in p.boundary_points]
-        valx = valx + list(bv[0::2])
-        valy = valy + list(bv[1::2])
-    pts0 = [ExtendedPoint(loc, (0, 0)) for loc in locs2]
-    vals = np.column_stack([valx, valy])
+        bnd = np.array([loc for loc, _ in p.boundary_points])
+        bv = w1.predictions[design.locate_atoms(ops1.colloc_points, _velocity_atoms(bnd))]
+        locs2 = np.vstack([locs2, bnd])
+        vals = np.vstack([vals, bv.reshape(-1, 2)])
+    pts0 = design.Atoms(locs2, (0, 0))
     k0 = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
 
     def crit(theta):
@@ -383,10 +372,10 @@ def predict_flow_lk_twostep(k, p, cfg=None, step2_budget=32, system=None):
         return float(np.mean((a[:, 0] / d) ** 2)) + float(np.mean((a[:, 1] / d) ** 2))
 
     res = _cal.optimize_theta(
-        crit, _cal.default_theta_bounds(pts0), budget=step2_budget
+        crit, _cal.default_theta_bounds(pts0), budget=_STEP2_BUDGET
     )
     k2 = replace(k0, theta=res.theta_hat)
-    pred0 = [ExtendedPoint(loc, (0, 0)) for loc in p.pred_grid]
+    pred0 = design.Atoms(np.reshape(p.pred_grid, (-1, 2)), (0, 0))
     K2 = design.gram(k2, pts0)
     H2 = design.gram(k2, pts0, pred0)
     fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)

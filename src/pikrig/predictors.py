@@ -35,6 +35,7 @@ from scipy.linalg import cho_factor, cho_solve, qr
 from . import design
 
 __all__ = [
+    "JITTER_LADDER",
     "SolveConfig",
     "KrigingWeights",
     "ConditioningError",
@@ -85,26 +86,26 @@ class SingularSystemError(RuntimeError):
     """The reduced Schur system U^T K_{2|1} U + eta I is singular."""
 
 
+# Nuggets tried in order, those above the requested one, when a
+# factorization fails.
+JITTER_LADDER = (1e-10, 1e-8, 1e-6, 1e-4)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Nugget policy for every inverted covariance matrix.
 
     ``nugget`` is added to the diagonal up front; if the factorization
-    fails, the values of ``jitter_escalation`` larger than ``nugget`` are
+    fails, the values of :data:`JITTER_LADDER` larger than ``nugget`` are
     tried in order.  The nugget that finally worked is recorded on the
     result (``nugget_used``).
     """
 
     nugget: float = 0.0
-    jitter_escalation: tuple = (1e-10, 1e-8, 1e-6, 1e-4)
 
     def __post_init__(self):
         if not (np.isfinite(self.nugget) and self.nugget >= 0):
             raise ValueError(f"nugget must be non-negative, got {self.nugget}")
-        esc = tuple(float(e) for e in self.jitter_escalation)
-        if any(b <= a for a, b in zip(esc, esc[1:])):
-            raise ValueError(f"jitter escalation must be strictly increasing: {esc}")
-        object.__setattr__(self, "jitter_escalation", esc)
 
 
 @dataclass
@@ -137,7 +138,7 @@ def make_spd_solver(K, cfg):
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    ladder = [cfg.nugget] + [e for e in cfg.jitter_escalation if e > cfg.nugget]
+    ladder = [cfg.nugget] + [e for e in JITTER_LADDER if e > cfg.nugget]
     last = None
     for eta in ladder:
         last = eta
@@ -213,7 +214,7 @@ def simple_kriging(k, obs, pred, cfg=None):
     if obs.mean is not None:
         raise ValueError("simple_kriging expects a centered model (obs.mean=None)")
     K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, list(pred))
+    H = design.gram(k, obs.points, pred)
     return solve_co_kriging(K, H, obs.values, cfg)
 
 
@@ -224,7 +225,7 @@ def ordinary_kriging(k, obs, pred, mu_star, cfg=None):
         raise ValueError("ordinary_kriging needs obs.mean")
     mu_star = np.asarray(mu_star, dtype=float).ravel()
     K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, list(pred))
+    H = design.gram(k, obs.points, pred)
     if mu_star.size != H.shape[1]:
         raise ValueError(f"mu_star has size {mu_star.size}, expected {H.shape[1]}")
     return solve_co_kriging(K, H, obs.values, cfg, mu_plus=obs.mean, mu_star=mu_star)
@@ -244,9 +245,7 @@ def _extended_mean(obs, ops):
             "extend it onto collocation atoms"
         )
     cbar = float(mu[0])
-    colloc_mean = np.array(
-        [cbar if a.order == 0 else 0.0 for a in ops.colloc_points]
-    )
+    colloc_mean = np.where(ops.colloc_points.M.sum(1) == 0, cbar, 0.0)
     return np.concatenate([mu, ops.U.T @ colloc_mean])
 
 
@@ -256,11 +255,11 @@ def assemble_co_kriging(k, obs, ops, pred):
     The stacked observation vector puts the forcing values v in the
     secondary slots.
     """
-    atoms = list(obs.points) + list(ops.colloc_points)
+    atoms = obs.points + ops.colloc_points
     n = obs.n
     U = ops.U
     Kfull = design.gram(k, atoms)
-    Hfull = design.gram(k, atoms, list(pred))
+    Hfull = design.gram(k, atoms, pred)
     K12U = Kfull[:n, n:] @ U
     Kplus = np.block([[Kfull[:n, :n], K12U], [K12U.T, U.T @ Kfull[n:, n:] @ U]])
     Hplus = np.vstack([Hfull[:n], U.T @ Hfull[n:]])
@@ -305,7 +304,6 @@ def co_kriging(k, obs, ops, pred, mu_star=None, cfg=None):
     Kriging on the primary observations.
     """
     cfg = cfg if cfg is not None else SolveConfig()
-    pred = list(pred)
     if ops is None or ops.p == 0:
         if obs.mean is None:
             return simple_kriging(k, obs, pred, cfg)
@@ -335,7 +333,7 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=None, conditional_cov="schu
         raise ValueError(f"unknown conditional_cov {conditional_cov!r}")
     ops = ops_at_predictions
     U = ops.U
-    atoms = list(ops.colloc_points)
+    atoms = ops.colloc_points
     K = design.gram(k, obs.points)
     H = design.gram(k, obs.points, atoms)
     solve, eta = make_spd_solver(K, cfg)
@@ -356,7 +354,7 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=None, conditional_cov="schu
 def assemble_lagrangian(k, obs, ops_at_predictions):
     """Covariance blocks of the Lagrangian system (K and H only -- no K22)."""
     K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, list(ops_at_predictions.colloc_points))
+    H = design.gram(k, obs.points, ops_at_predictions.colloc_points)
     return K, H
 
 

@@ -111,7 +111,7 @@ def var_ck(k, obs, ops, pred, cfg=None):
     cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is not None:
         raise ValueError("var_ck expects a centered model")
-    pred = list(pred)
+    pred = design.Atoms.of(pred)
     if ops is None:
         ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
     Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred)
@@ -135,7 +135,7 @@ def var_lk(k, obs, ops_at_predictions, cfg=None):
     ops = ops_at_predictions
     K, H = _pred.assemble_lagrangian(k, obs, ops)
     w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
-    return _full_covariance(k, list(ops.colloc_points), w)
+    return _full_covariance(k, ops.colloc_points, w)
 
 
 def mmse_variance(k, atoms, alpha, cross, block=1):

@@ -314,3 +314,31 @@ def test_one_factorization_per_solve(tmp_path, monkeypatch):
         calls.clear()
         assert run(args + fixed + ["--out", str(tmp_path / str(i))]) == cli.EXIT_OK
         assert len(calls) == 1, args
+
+
+FLOW_LK_GRID60 = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "inputs", "flow_lk_grid60.json"
+)
+
+
+@pytest.mark.parametrize("args", [
+    ["flow", "--config", FLOW_LK_GRID60],
+    ["flow", "--method", "ck", "--theta", "0.9178758779662336",
+     "--sigma2", "10.565115832855062"],
+    ["ode1d", "--method", "lk"],
+    ["ode1d", "--method", "ck"],
+    ["scalar2d", "--method", "lk"],
+], ids=["flow-lk-grid60", "flow-ck", "ode1d-lk", "ode1d-ck", "scalar2d-lk"])
+def test_runs_build_no_atom_objects(tmp_path, monkeypatch, args):
+    # atom sets stay arrays from layout to predictions.csv: no run builds
+    # an ExtendedPoint, let alone one per atom
+    original = ExtendedPoint.__post_init__
+    made = []
+
+    def counted(self):
+        made.append(1)
+        original(self)
+
+    monkeypatch.setattr(ExtendedPoint, "__post_init__", counted)
+    assert run(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert len(made) == 0

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from pikrig import design
 from pikrig.design import (
+    Atoms,
     ExtendedPoint,
     ObservationSet,
     OperatorSystem,
@@ -17,6 +20,7 @@ from pikrig.design import (
     encode_pointwise,
     extend_atoms,
     gram,
+    locate_atoms,
     reset_cov_eval_count,
 )
 from pikrig.kernel import (
@@ -291,3 +295,103 @@ def test_gram_positive_semidefinite(seed, n, theta):
     w = np.linalg.eigvalsh(G)
     scale = max(1.0, float(np.max(np.abs(G))))
     assert w.min() >= -1e-9 * scale
+
+
+@st.composite
+def atom_lists(draw):
+    """1-d or 2-d ExtendedPoint lists with mixed orders up to 2, with a
+    permutation of them."""
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    loc = st.tuples(*[coord] * dim)
+    atom = st.builds(ExtendedPoint, loc, st.sampled_from(_multi_indices(dim, 2)))
+    atoms = draw(st.lists(atom, min_size=1, max_size=8))
+    return atoms, np.array(draw(st.permutations(range(len(atoms)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=atom_lists(), other=atom_lists(), theta=st.floats(0.3, 3.0))
+def test_gram_and_cov_pairs_permute_with_the_atoms(drawn, other, theta):
+    A, perm = drawn
+    k = SqExpKernel(sigma2=1.3, theta=theta, dim=len(A[0].x))
+    atoms = Atoms.of(A)
+    G = gram(k, atoms)
+    # the symmetric fill mirrors the upper triangle, so a permuted entry
+    # may come from the other triangle: equal values, a zero's sign aside
+    assert np.array_equal(gram(k, atoms[perm]), G[perm][:, perm])
+    B = Atoms.of(A[::-1])
+    _assert_identical(gram(k, atoms[perm], B[perm]), gram(k, atoms, B)[perm][:, perm])
+    _assert_identical(cov_pairs(k, atoms[perm], B[perm]), cov_pairs(k, atoms, B)[perm])
+    if len(other[0][0].x) == k.dim:
+        C = other[0]
+        _assert_identical(gram(k, atoms, C), gram_loop(k, A, C))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=atom_lists(), theta=st.floats(0.3, 3.0))
+def test_gram_of_atoms_and_of_lists_equal_the_loop(drawn, theta):
+    A, perm = drawn
+    k = SqExpKernel(sigma2=0.7, theta=theta, dim=len(A[0].x))
+    ref = gram_loop(k, A)
+    _assert_identical(gram(k, A), ref)
+    _assert_identical(gram(k, Atoms.of(A)), ref)
+    _assert_identical(gram(k, Atoms.of(A), A), gram_loop(k, A, A[:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=atom_lists(), cut=st.integers(0, 8))
+def test_atoms_round_trip_and_merge(drawn, cut):
+    A, perm = drawn
+    atoms = Atoms.of(A)
+    assert Atoms.of(atoms) is atoms
+    assert list(atoms) == A
+    assert [atoms[i] for i in range(-len(A), 0)] == A
+    assert list(atoms[perm]) == [A[i] for i in perm]
+    merged = atoms[:cut] + A[cut:]
+    assert list(merged) == A
+    fresh = {m: idx.tolist() for m, idx in atoms.groups}
+    assert {m: sorted(idx.tolist()) for m, idx in merged.groups} == fresh
+    with pytest.raises(AttributeError):
+        atoms.X = None
+    assert list(copy.deepcopy(atoms)) == list(pickle.loads(pickle.dumps(atoms))) == A
+    with pytest.raises(ValueError):
+        atoms.X[0, 0] = 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drawn=atom_lists(),
+    row=st.integers(0, 7),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    order=st.integers(-3, -1),
+)
+def test_atoms_reject_non_finite_locations_and_negative_orders(drawn, row, bad, order):
+    atoms = Atoms.of(drawn[0])
+    row %= len(atoms)
+    X, M = atoms.X.copy(), atoms.M.copy()
+    X[row, -1] = bad
+    with pytest.raises(ValueError, match="non-finite location in row"):
+        Atoms(X, M)
+    X[row, -1] = 0.0
+    M[row, 0] = order
+    with pytest.raises(ValueError, match="negative derivative order in row"):
+        Atoms(X, M)
+
+
+def test_atoms_shapes_and_signed_zero_matching():
+    assert len(Atoms.of([])) == 0
+    assert Atoms(np.zeros((3, 2)), (0, 1)).M.tolist() == [[0, 1]] * 3
+    with pytest.raises(ValueError):
+        Atoms(np.zeros(3), (0,))
+    with pytest.raises(ValueError):
+        Atoms(np.zeros((3, 2)), (0,))
+    with pytest.raises(DimensionMismatchError):
+        Atoms.of([ExtendedPoint((0.0,), (0,))]) + [ExtendedPoint((0.0, 1.0), (0, 0))]
+    # 0.0 and -0.0 are one location, as for the (x, m) tuples of ExtendedPoint
+    ops = encode_pointwise([((0.0,), [(1.0, (2,))]), ((1.0,), [(1.0, (2,))])], [0.0, 0.0])
+    same = [ExtendedPoint((-0.0,), (2,))]
+    assert extend_atoms(ops, same).c == 2
+    assert locate_atoms(ops.colloc_points, same).tolist() == [0]
+    assert extend_atoms(ops, [ExtendedPoint((-0.0,), (0,))]).c == 3
+    with pytest.raises(ValueError, match="not among"):
+        locate_atoms(ops.colloc_points, [ExtendedPoint((0.5,), (2,))])

@@ -503,8 +503,6 @@ def test_make_spd_solver_exhausts_ladder():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         P.SolveConfig(nugget=-1e-8)
-    with pytest.raises(ValueError):
-        P.SolveConfig(jitter_escalation=(1e-8, 1e-10))
 
 
 def test_nugget_used_zero_on_clean_solve(rng):
