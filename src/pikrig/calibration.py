@@ -167,7 +167,7 @@ def _loo_criteria(parts, kind):
     return mse, sigma2
 
 
-def loocv_mse_virtual(k_unit, obs, cfg=None):
+def loocv_mse_virtual(k_unit, obs, cfg=SolveConfig()):
     """Virtual LOOCV mean squared residual for centered simple Kriging.
 
     Returns nan when the gram factorization needed escalated jitter: the
@@ -179,12 +179,12 @@ def loocv_mse_virtual(k_unit, obs, cfg=None):
     return loocv_ck_virtual(k_unit, obs, None, cfg)[0](k_unit.theta)
 
 
-def sigma2_virtual(k_unit, obs, theta_hat, cfg=None):
+def sigma2_virtual(k_unit, obs, theta_hat, cfg=SolveConfig()):
     """Variance making the standardized LOOCV criterion equal one at theta_hat."""
     return loocv_ck_virtual(k_unit, obs, None, cfg)[1](theta_hat)
 
 
-def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
+def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     """Filtered virtual LOOCV for the co-Kriging stack; returns (mse, sigma2).
 
     Both returned callables take a candidate theta.  The stacked system
@@ -193,7 +193,6 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=None):
     empty operator system (``ops`` None) they are the plain simple-Kriging
     criteria :func:`loocv_mse_virtual` / :func:`sigma2_virtual`.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     _require_unit_centered(k_unit, obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
@@ -227,7 +226,7 @@ def _lagrangian_at(k, obs, ops, cfg, want_var=False):
     return w.predictions[idx], variance, w.nugget_used > cfg.nugget
 
 
-def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
+def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     """LOOCV for Lagrangian Kriging; returns (mse, sigma2).
 
     Fold i drops observation i, keeps the full constraint system, predicts
@@ -239,7 +238,6 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
     warns) when the full K needed escalated jitter, whatever the folds'
     own matrices would have needed.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     _require_unit_centered(k_unit, obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
@@ -253,7 +251,7 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=None):
     return _loo_criteria(parts, "fold")
 
 
-def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=None):
+def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     """Mean squared deviation of constrained predictions at the observations.
 
     The Lagrangian fit keeps every observation (no folds); constraints may
@@ -262,7 +260,6 @@ def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=None):
     the collocation set are appended constraint-free.  With no constraints
     the fit interpolates and the value is 0.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     _require_unit_centered(k_unit, obs)
     mean, _, escalated = _lagrangian_at(k_unit, obs, ops_at_predictions, cfg)
     if escalated:
@@ -274,14 +271,13 @@ def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=None):
     return float(np.mean((mean - obs.values) ** 2))
 
 
-def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=None):
+def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=SolveConfig()):
     """Variance rule matching the interpolation criterion, all points retained.
 
     Standardizes the all-points-retained deviations by the Lagrangian
     predictive variance at the observation atoms (unit process variance),
     mirroring the LOOCV variance rule without folds.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     _require_unit_centered(k_unit, obs)
     k = replace(k_unit, theta=float(theta_hat))
     mean, variance, escalated = _lagrangian_at(k, obs, ops_at_predictions, cfg, True)

@@ -122,19 +122,10 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_flow._g17(v))
-        lines.append(",".join(cells))
-    _flow.atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path, header, columns):
+    """Write ``columns`` (one sequence per column) under ``header``: strings
+    as given, integers by str, other numbers at 17 significant digits."""
+    _flow.atomic_write_text(path, _flow.csv_text(header, columns))
 
 
 def write_report(outdir, report):
@@ -369,9 +360,9 @@ def _finish(cfg, k, fit, sel, **fields):
     """Write predictions.csv for the fit's atoms ``sel``; return the report."""
     X, M = fit.atoms.X[sel], fit.atoms.M[sel]
     header = ["x", "y"][: X.shape[1]] + ["m", "mean", "variance"]
-    mstr = ("|".join(map(str, m)) for m in M.tolist())
-    rows = zip(*X.T, mstr, fit.mean[sel], fit.variance[sel])
-    write_csv(os.path.join(cfg.output_dir, "predictions.csv"), header, rows)
+    mstr = ["|".join(map(str, m)) for m in M.tolist()]
+    columns = [*X.T, mstr, fit.mean[sel], fit.variance[sel]]
+    write_csv(os.path.join(cfg.output_dir, "predictions.csv"), header, columns)
     return RunReport(
         config=asdict(cfg),
         theta_hat=k.theta,
@@ -413,8 +404,7 @@ def _ode1d_data(cfg, rows_at):
 
 
 def _ode_rows(locations):
-    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in locations]
-    return design.encode_pointwise(rows, np.zeros(len(rows)))
+    return design.encode_rows([(locations[:, None], ((0,), (2,)), 1.0)], np.zeros(len(locations)))
 
 
 def run_ode1d(cfg):
@@ -454,20 +444,13 @@ def _scalar2d_system(cfg):
     obs = design.ObservationSet(design.Atoms(locs, (0, 0)), f(locs[:, 0], locs[:, 1]))
     grad_pts = _flow.uniform_grid((0.0, L), (0.0, L), 5, 10)
     lap_pts = _flow.uniform_grid((0.0, L), (0.0, L), 10, 10)
-    rows = []
-    rhs = []
-    for x, y in grad_pts:
-        rows.append(((x, y), [(1.0, (1, 0)), (1.0, (0, 1))]))
-        rhs.append(float(gradsum(x, y)))
-    for x, y in lap_pts:
-        rows.append(((x, y), [(1.0, (2, 0)), (1.0, (0, 2))]))
-        rhs.append(float(lap(np.asarray(x), np.asarray(y))))
-    ops = design.encode_pointwise(rows, np.array(rhs))
+    ops = design.encode_rows(
+        [(grad_pts, ((1, 0), (0, 1)), 1.0), (lap_pts, ((2, 0), (0, 2)), 1.0)],
+        np.concatenate([gradsum(*grad_pts.T), lap(*lap_pts.T)]),
+    )
     nq = int(round(math.sqrt(cfg.q))) if cfg.q is not None else 30
     grid = _flow.uniform_grid((0.0, L), (0.0, L), nq, nq)
-    pred_atoms = design.Atoms(grid, (0, 0))
-    truth = np.array([f(x, y) for x, y in grid])
-    return obs, ops, pred_atoms, truth
+    return obs, ops, design.Atoms(grid, (0, 0)), f(*grid.T)
 
 
 def run_scalar2d(cfg):
@@ -515,24 +498,18 @@ def _flow_problem(cfg):
         )
         truth_geom = geom
     else:
-        data = _flow.ingest_velocity_csv(cfg.csv_path)
-        continuity = []
+        continuity = ()
         truth_geom = None
         if cfg.with_cylinder:
             continuity = _flow.exterior_grid(
                 geom, (cfg.cont_nx, cfg.cont_ny), cfg.extent, cfg.margin, cfg.aspect
             )
             truth_geom = geom
-        problem = _flow.FlowProblem(
-            velocity_obs=data.velocity_obs,
-            continuity_points=continuity,
-            boundary_points=data.boundary_points,
-            pred_grid=data.pred_grid,
-            freestream=freestream,
-        )
-    if cfg.q2 is not None and len(problem.continuity_points) != cfg.q2:
+        problem = replace(_flow.ingest_velocity_csv(cfg.csv_path),
+                          continuity=continuity, freestream=freestream)
+    if cfg.q2 is not None and len(problem.continuity) != cfg.q2:
         raise ConfigError(
-            f"q2: layout produced {len(problem.continuity_points)} continuity points, "
+            f"q2: layout produced {len(problem.continuity)} continuity points, "
             f"expected {cfg.q2}"
         )
     return problem, truth_geom
@@ -551,17 +528,11 @@ def run_flow(cfg):
     fieldr = predict(k, problem, scfg, system=system)
     t3 = time.monotonic()
 
-    columns = ["vx", "vy", "var_vx", "var_vy", "cov_vxy", "magsq_mean", "magsq_var"]
-    values = [getattr(fieldr, c) for c in columns]
-    rows = [(*loc, *(v[i] for v in values)) for i, loc in enumerate(fieldr.locations)]
-    write_csv(os.path.join(cfg.output_dir, "predictions.csv"), ["x", "y"] + columns, rows)
+    names = ["vx", "vy", "var_vx", "var_vy", "cov_vxy", "magsq_mean", "magsq_var"]
+    columns = [*fieldr.locations.T, *(getattr(fieldr, c) for c in names)]
+    write_csv(os.path.join(cfg.output_dir, "predictions.csv"), ["x", "y"] + names, columns)
     if cfg.experiment == "flow-cylinder":
-        _flow.emit_velocity_csv(
-            os.path.join(cfg.output_dir, "field_input.csv"),
-            problem.velocity_obs,
-            problem.pred_grid,
-            problem.boundary_points,
-        )
+        _flow.emit_velocity_csv(os.path.join(cfg.output_dir, "field_input.csv"), problem)
 
     report = RunReport(
         config=asdict(cfg),
@@ -572,8 +543,7 @@ def run_flow(cfg):
         cov_eval_count=design.cov_eval_count(),
     )
     if truth_geom is not None and len(problem.pred_grid):
-        oracle = partial(_flow.cylinder_flow_oracle, truth_geom, problem.freestream)
-        tv = np.array([oracle(loc) for loc in problem.pred_grid])
+        tv = _flow.cylinder_flow_oracle(truth_geom, problem.freestream, problem.pred_grid)
         dv = np.column_stack([fieldr.vx, fieldr.vy]) - tv
         report.mse_vs_truth = float(np.mean(np.sum(dv ** 2, axis=1)))
         denom = float(np.sqrt(np.sum(tv ** 2)))
@@ -620,14 +590,9 @@ def run_bench(cfg):
         t2 = time.monotonic()
         rows.append(dict(method="lk", p=p, q=p, **_timing(t0, t1, t2),
                          cov_eval_count=design.cov_eval_count()))
-    write_csv(
-        os.path.join(cfg.output_dir, "bench.csv"),
-        ["method", "p", "q", "construction_s", "inversion_s", "cov_eval_count"],
-        [
-            (r["method"], r["p"], r["q"], r["construction_s"], r["inversion_s"], r["cov_eval_count"])
-            for r in rows
-        ],
-    )
+    header = ["method", "p", "q", "construction_s", "inversion_s", "cov_eval_count"]
+    write_csv(os.path.join(cfg.output_dir, "bench.csv"), header,
+              [[r[h] for r in rows] for h in header])
     report = RunReport(config=asdict(cfg))
     report.theta_hat = theta
     report.sigma2_hat = sigma2
@@ -647,7 +612,7 @@ def run_calibrate(cfg):
     bounds = _search_bounds(obs.points)
     budget = cfg.budget if cfg.budget is not None else 64
     res = _cal.optimize_theta(crit, bounds, budget=budget, sigma2_rule=s2rule)
-    write_csv(os.path.join(cfg.output_dir, "trace.csv"), ["theta", "criterion"], res.trace)
+    write_csv(os.path.join(cfg.output_dir, "trace.csv"), ["theta", "criterion"], zip(*res.trace))
     return RunReport(
         config=asdict(cfg),
         theta_hat=res.theta_hat,

@@ -37,6 +37,7 @@ __all__ = [
     "gram",
     "cov_pairs",
     "encode_pointwise",
+    "encode_rows",
     "encode_average",
     "extend_atoms",
     "locate_atoms",
@@ -407,6 +408,29 @@ def encode_pointwise(rows, rhs):
             raise ValueError(f"row {r} has no nonzero coefficient")
         flat += [(loc, m, float(coeff), r) for coeff, m in terms]
     return _operator_system(*zip(*flat), rhs)
+
+
+def encode_rows(blocks, rhs):
+    """Array form of :func:`encode_pointwise` for rows that share their terms.
+
+    Each block (locations, orders, coeffs) holds one equation per row x_i
+    of the n x d ``locations``: sum_t coeffs[i, t] f^(orders[t])(x_i),
+    with ``coeffs`` broadcast to n x T.  The blocks' equations follow each
+    other, and ``rhs`` holds one value per equation.
+    """
+    terms, eq0 = [], 0
+    for X, orders, coeffs in blocks:
+        n, T = len(X), len(orders)
+        coeffs = np.broadcast_to(np.asarray(coeffs, dtype=float), (n, T)).ravel()
+        eq = eq0 + np.repeat(np.arange(n), T)
+        terms.append((np.repeat(X, T, axis=0), np.tile(orders, (n, 1)), coeffs, eq))
+        eq0 += n
+    rhs = np.asarray(rhs, dtype=float)
+    if not eq0:
+        raise ValueError("no operator rows given")
+    if eq0 != rhs.size:
+        raise ValueError(f"{eq0} rows but {rhs.size} rhs values")
+    return _operator_system(*(np.concatenate(t) for t in zip(*terms)), rhs)
 
 
 def encode_average(locations, terms, rhs):

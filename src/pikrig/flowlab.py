@@ -7,19 +7,21 @@ Modelling phi as one scalar random field makes every velocity component a
 derivative atom of the same field, so the cross-covariances between vx
 and vy come out of the kernel-derivative machinery for free.
 
-For a circular cylinder the classical analytic solution (complex
-potential F(z) = V (z + R^2/z) in the freestream-aligned frame) serves as
-ground truth.  External velocity fields arrive via a small CSV schema
-(kind,x,y,a,b) instead of an embedded panel solver.
+Every set of locations, velocities or normals is one n x 2 float array,
+from the layout builders and the CSV reader to the predictors and the
+writers; a single point is the one-row case.  For a circular cylinder the
+classical analytic solution (complex potential F(z) = V (z + R^2/z) in the
+freestream-aligned frame) serves as ground truth.  External velocity
+fields arrive via a small CSV schema (kind,x,y,a,b) instead of an
+embedded panel solver.
 """
 
-import csv
 import logging
 import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +38,6 @@ __all__ = [
     "CylinderGeometry",
     "FlowProblem",
     "FlowField",
-    "VelocityData",
     "cylinder_flow_oracle",
     "cylinder_problem",
     "uniform_grid",
@@ -74,50 +75,38 @@ class CylinderGeometry:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
 
+_POINT_SETS = ("obs_locations", "obs_velocities", "continuity",
+               "boundary_locations", "boundary_normals", "pred_grid")
+
+
 @dataclass
 class FlowProblem:
     """Velocity observations, operator collocation layouts, and freestream.
 
-    ``velocity_obs`` entries are (location, vx, vy); ``boundary_points``
-    entries are (location, unit normal).  Normals must be unit length to
-    1e-10 (re-normalize upstream if needed).
+    Each point set is an n x 2 float array: row i of ``obs_velocities`` is
+    (vx, vy) at row i of ``obs_locations``, and row i of
+    ``boundary_normals`` the unit normal at row i of ``boundary_locations``.
+    Normals must be unit length to 1e-10 (re-normalize upstream if needed).
     """
 
-    velocity_obs: list
-    continuity_points: list = field(default_factory=list)
-    boundary_points: list = field(default_factory=list)
-    pred_grid: list = field(default_factory=list)
+    obs_locations: np.ndarray
+    obs_velocities: np.ndarray
+    continuity: np.ndarray = ()
+    boundary_locations: np.ndarray = ()
+    boundary_normals: np.ndarray = ()
+    pred_grid: np.ndarray = ()
     freestream: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        self.velocity_obs = [
-            (tuple(float(c) for c in loc), float(vx), float(vy))
-            for loc, vx, vy in self.velocity_obs
-        ]
-        self.continuity_points = [
-            tuple(float(c) for c in loc) for loc in self.continuity_points
-        ]
-        self.pred_grid = [tuple(float(c) for c in loc) for loc in self.pred_grid]
+        for name in _POINT_SETS:
+            setattr(self, name, np.array(getattr(self, name), dtype=float).reshape(-1, 2))
         self.freestream = tuple(float(c) for c in self.freestream)
-        cleaned = []
-        for i, (loc, nrm) in enumerate(self.boundary_points):
-            nrm = np.asarray(nrm, dtype=float)
-            norm = float(np.linalg.norm(nrm))
-            if abs(norm - 1.0) > 1e-10:
-                raise ValueError(
-                    f"boundary normal {i} has norm {norm}, expected unit length"
-                )
-            cleaned.append((tuple(float(c) for c in loc), (nrm[0], nrm[1])))
-        self.boundary_points = cleaned
-
-
-@dataclass
-class VelocityData:
-    """Parsed CSV fragment: observations, prediction grid, boundary normals."""
-
-    velocity_obs: list
-    pred_grid: list
-    boundary_points: list
+        norm = np.linalg.norm(self.boundary_normals, axis=1)
+        bad = np.flatnonzero(np.abs(norm - 1.0) > 1e-10)
+        if bad.size:
+            raise ValueError(
+                f"boundary normal {bad[0]} has norm {norm[bad[0]]}, expected unit length"
+            )
 
 
 @dataclass
@@ -143,48 +132,53 @@ class FlowField:
 
 
 def cylinder_flow_oracle(geom, freestream, at):
-    """Analytic velocity of uniform flow past a cylinder at one point.
+    """Analytic velocity of uniform flow past a cylinder at ``at`` (..., 2).
 
     Uses the complex conjugate velocity w = V (1 - R^2 / zeta^2) in the
     freestream-aligned frame zeta = (z - center) e^{-i beta}; the global
-    velocity is e^{i beta} conj(w).  Far from the obstacle this tends to
-    the freestream; on the surface the normal component vanishes.
+    velocity is e^{i beta} conj(w), returned as (..., 2) rows (vx, vy).
+    Far from the obstacle this tends to the freestream; on the surface the
+    normal component vanishes.
     """
-    cx, cy = geom.center
-    z = complex(float(at[0]) - cx, float(at[1]) - cy)
-    r = abs(z)
-    if r < geom.radius * (1.0 - 1e-12):
+    at = np.asarray(at, dtype=float)
+    z = (at - geom.center).view(complex)[..., 0]
+    inside = np.abs(z) < geom.radius * (1.0 - 1e-12)
+    if inside.any():
+        i = np.flatnonzero(inside)[0]
         raise DomainError(
-            f"point {tuple(at)} lies inside the cylinder (r={r} < {geom.radius})"
+            f"point {tuple(at.reshape(-1, 2)[i].tolist())} lies inside the cylinder "
+            f"(r={abs(z.flat[i])} < {geom.radius})"
         )
     vinf = complex(freestream[0], freestream[1])
     speed = abs(vinf)
     if speed == 0.0:
-        return 0.0, 0.0
+        return np.zeros_like(at)
     phase = vinf / speed
-    zeta = z / phase
-    w = speed * (1.0 - (geom.radius / zeta) ** 2)
-    vel = phase * w.conjugate()
-    return float(vel.real), float(vel.imag)
+    w = speed * (1.0 - (geom.radius / (z / phase)) ** 2)
+    return (phase * w.conjugate())[..., None].view(float)
 
 
 def uniform_grid(xlim, ylim, nx, ny, aspect=1.0):
-    """Row-major (x fastest) uniform grid; aspect scales the x count."""
+    """Row-major (x fastest) uniform grid as rows (x, y); aspect scales the x count."""
     nx_eff = max(2, int(round(nx * aspect)))
     xs = np.linspace(xlim[0], xlim[1], nx_eff)
     ys = np.linspace(ylim[0], ylim[1], int(ny))
-    return [(float(x), float(y)) for y in ys for x in xs]
+    return np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
 
 def exterior_grid(geom, counts, extent, margin, aspect=1.0):
     """Uniform grid on the square of half-width ``extent`` around the
     obstacle center, without the points closer than (1 + margin) radii."""
     cx, cy = geom.center
-    cut = geom.radius * (1.0 + margin)
-    xlim = (cx - extent, cx + extent)
-    ylim = (cy - extent, cy + extent)
-    pts = uniform_grid(xlim, ylim, *counts, aspect=aspect)
-    return [p for p in pts if math.hypot(p[0] - cx, p[1] - cy) >= cut]
+    pts = uniform_grid((cx - extent, cx + extent), (cy - extent, cy + extent),
+                       *counts, aspect=aspect)
+    return pts[np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) >= geom.radius * (1.0 + margin)]
+
+
+def _ring(n):
+    """Unit vectors at n equispaced angles from 0, as rows (cos, sin)."""
+    ang = 2.0 * np.pi * np.arange(int(n)) / n
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def cylinder_problem(
@@ -207,25 +201,14 @@ def cylinder_problem(
     q1 = 10 boundary rows and 88 continuity rows on the unit cylinder.
     """
     geom = geom if geom is not None else CylinderGeometry((0.0, 0.0), 1.0)
-    cx, cy = geom.center
-    R = geom.radius
-    obs = []
-    for j in range(int(n_obs)):
-        ang = 2.0 * math.pi * j / n_obs
-        loc = (cx + obs_radius_factor * R * math.cos(ang),
-               cy + obs_radius_factor * R * math.sin(ang))
-        vx, vy = cylinder_flow_oracle(geom, freestream, loc)
-        obs.append((loc, vx, vy))
-    boundary = []
-    for j in range(int(q1)):
-        ang = 2.0 * math.pi * j / q1
-        nrm = (math.cos(ang), math.sin(ang))
-        loc = (cx + R * nrm[0], cy + R * nrm[1])
-        boundary.append((loc, nrm))
+    obs = geom.center + obs_radius_factor * geom.radius * _ring(n_obs)
+    normals = _ring(q1)
     return FlowProblem(
-        velocity_obs=obs,
-        continuity_points=exterior_grid(geom, continuity_grid, extent, margin, aspect),
-        boundary_points=boundary,
+        obs,
+        cylinder_flow_oracle(geom, freestream, obs),
+        continuity=exterior_grid(geom, continuity_grid, extent, margin, aspect),
+        boundary_locations=geom.center + geom.radius * normals,
+        boundary_normals=normals,
         pred_grid=exterior_grid(geom, pred_counts, extent, margin, aspect),
         freestream=freestream,
     )
@@ -235,10 +218,18 @@ def cylinder_problem(
 _STEP2_BUDGET = 32
 
 
+_GRADIENT = ((1, 0), (0, 1))
+
+
 def _velocity_atoms(locations):
     """The gradient pair (1,0), (0,1) at each location, interleaved."""
-    X = np.asarray(locations, dtype=float).reshape(-1, 2)
-    return design.Atoms(np.repeat(X, 2, axis=0), np.tile(np.eye(2, dtype=int), (len(X), 1)))
+    return design.Atoms(np.repeat(locations, 2, axis=0), np.tile(_GRADIENT, (len(locations), 1)))
+
+
+def _neumann_rows(p):
+    """The rows n1 (1,0) + n2 (0,1) = 0 at the boundary points, as a
+    :func:`pikrig.design.encode_rows` block."""
+    return p.boundary_locations, _GRADIENT, p.boundary_normals
 
 
 def build_flow_system(p):
@@ -249,18 +240,13 @@ def build_flow_system(p):
     (2,0) + (0,2) = 0 (boundary rows come first), and prediction atoms are
     the gradient pair at each grid point.
     """
-    if not p.velocity_obs:
+    if not len(p.obs_locations):
         raise ValueError("FlowProblem has no velocity observations")
-    locs = [loc for loc, _, _ in p.velocity_obs]
-    values = [v for _, vx, vy in p.velocity_obs for v in (vx, vy)]
-    obs = design.ObservationSet(_velocity_atoms(locs), np.array(values))
-    rows = []
-    for loc, (n1, n2) in p.boundary_points:
-        rows.append((loc, [(n1, (1, 0)), (n2, (0, 1))]))
-    for loc in p.continuity_points:
-        rows.append((loc, [(1.0, (2, 0)), (1.0, (0, 2))]))
-    if rows:
-        ops = design.encode_pointwise(rows, np.zeros(len(rows)))
+    obs = design.ObservationSet(_velocity_atoms(p.obs_locations), p.obs_velocities)
+    p_rows = len(p.boundary_locations) + len(p.continuity)
+    if p_rows:
+        laplace = (p.continuity, ((2, 0), (0, 2)), 1.0)
+        ops = design.encode_rows([_neumann_rows(p), laplace], np.zeros(p_rows))
     else:
         ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
     return obs, ops, _velocity_atoms(p.pred_grid)
@@ -285,9 +271,9 @@ def _pack_field(p, mean, boundary, nugget_used, variance=None, blocks=None,
     else:
         qm = _uq.quadform_moments(np.stack([vx, vy], axis=-1), blocks)
         uq = (variance[0::2], variance[1::2], blocks[:, 0, 1], qm.mean, qm.variance)
-    normals = np.array([nrm for _, nrm in p.boundary_points]).reshape(-1, 2)
+    normals = p.boundary_normals
     return FlowField(
-        np.array(p.pred_grid, dtype=float),
+        p.pred_grid,
         vx,
         vy,
         *uq,
@@ -299,7 +285,7 @@ def _pack_field(p, mean, boundary, nugget_used, variance=None, blocks=None,
     )
 
 
-def predict_flow_ck(k, p, cfg=None, system=None):
+def predict_flow_ck(k, p, cfg=SolveConfig(), system=None):
     """Co-Kriging on the potential formulation, with squared-speed moments.
 
     Predicts the gradient pair at every grid point and at every boundary
@@ -309,9 +295,8 @@ def predict_flow_ck(k, p, cfg=None, system=None):
     moments of ||v||^2.  ``system`` is ``build_flow_system(p)`` when the
     caller has already built it.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     obs, ops, pred = system if system is not None else build_flow_system(p)
-    bnd_atoms = _velocity_atoms([loc for loc, _ in p.boundary_points])
+    bnd_atoms = _velocity_atoms(p.boundary_locations)
     G2 = len(pred)
     Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + bnd_atoms)
     w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
@@ -323,7 +308,7 @@ def predict_flow_ck(k, p, cfg=None, system=None):
     )
 
 
-def predict_flow_lk_twostep(k, p, cfg=None, system=None):
+def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     """Two-step Lagrangian prediction of the velocity field.
 
     Step 1 predicts the gradient pair at each boundary point under the
@@ -337,26 +322,21 @@ def predict_flow_lk_twostep(k, p, cfg=None, system=None):
     components share one factorization of the step-2 gram.  ``system`` is
     ``build_flow_system(p)`` when the caller has already built it.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     obs, _, _ = system if system is not None else build_flow_system(p)
-    if p.continuity_points:
+    if len(p.continuity):
         logger.info(
             "two-step path drops %d continuity rows: constraints on unobserved "
             "derivative atoms only shift those atoms, not the field predictions",
-            len(p.continuity_points),
+            len(p.continuity),
         )
-    locs2 = np.array([loc for loc, _, _ in p.velocity_obs])
-    vals = np.array([(vx, vy) for _, vx, vy in p.velocity_obs])
+    locs2, vals = p.obs_locations, p.obs_velocities
     nugget_used = 0.0
     bv = np.zeros(0)
-    if p.boundary_points:
-        rows = [
-            (loc, [(n1, (1, 0)), (n2, (0, 1))]) for loc, (n1, n2) in p.boundary_points
-        ]
-        ops1 = design.encode_pointwise(rows, np.zeros(len(rows)))
+    bnd = p.boundary_locations
+    if len(bnd):
+        ops1 = design.encode_rows([_neumann_rows(p)], np.zeros(len(bnd)))
         w1 = _pred.lagrangian_kriging(k, obs, ops1, cfg=cfg)
         nugget_used = w1.nugget_used
-        bnd = np.array([loc for loc, _ in p.boundary_points])
         bv = w1.predictions[design.locate_atoms(ops1.colloc_points, _velocity_atoms(bnd))]
         locs2 = np.vstack([locs2, bnd])
         vals = np.vstack([vals, bv.reshape(-1, 2)])
@@ -375,7 +355,7 @@ def predict_flow_lk_twostep(k, p, cfg=None, system=None):
         crit, _cal.default_theta_bounds(pts0), budget=_STEP2_BUDGET
     )
     k2 = replace(k0, theta=res.theta_hat)
-    pred0 = design.Atoms(np.reshape(p.pred_grid, (-1, 2)), (0, 0))
+    pred0 = design.Atoms(p.pred_grid, (0, 0))
     K2 = design.gram(k2, pts0)
     H2 = design.gram(k2, pts0, pred0)
     fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
@@ -400,11 +380,12 @@ def _parse_float(text, lineno, col):
 
 
 def ingest_velocity_csv(path):
-    """Parse a velocity CSV (kind,x,y,a,b) into a VelocityData fragment.
+    """Parse a velocity CSV (kind,x,y,a,b) into a FlowProblem.
 
     kinds: obs (a,b = vx,vy), grid (a,b ignored), boundary (a,b = normal,
     re-normalized; deviations beyond 1e-6 draw a warning).  Comment lines
-    start with '#'.  Errors carry the 1-based line number.
+    start with '#'.  Errors carry the 1-based line number.  The problem
+    has no continuity points and the default freestream.
     """
     obs = []
     grid = []
@@ -436,7 +417,7 @@ def ingest_velocity_csv(path):
         if kind == "obs":
             vx = _parse_float(parts[3], lineno, "a")
             vy = _parse_float(parts[4], lineno, "b")
-            obs.append(((x, y), vx, vy))
+            obs.append((x, y, vx, vy))
         elif kind == "grid":
             grid.append((x, y))
         elif kind == "boundary":
@@ -451,18 +432,29 @@ def ingest_velocity_csv(path):
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            boundary.append(((x, y), (n1 / norm, n2 / norm)))
+            boundary.append((x, y, n1 / norm, n2 / norm))
         else:
             raise CsvFormatError(
                 f"line {lineno}: unknown kind {kind!r} (expected obs/grid/boundary)"
             )
     if not obs:
         raise CsvFormatError("no observations in file")
-    return VelocityData(velocity_obs=obs, pred_grid=grid, boundary_points=boundary)
+    obs, boundary = np.array(obs), np.reshape(boundary, (-1, 4))
+    return FlowProblem(obs[:, :2], obs[:, 2:], boundary_locations=boundary[:, :2],
+                       boundary_normals=boundary[:, 2:], pred_grid=grid)
 
 
-def _g17(x):
-    return format(float(x), ".17g")
+# Text of one CSV column by its array kind: strings as they are, integers
+# by str, every other number at 17 significant digits (parses back exactly).
+_CELL_TEXT = {"U": str, "i": str, "u": str}
+_g17 = "{:.17g}".format
+
+
+def csv_text(header, columns):
+    """CSV text of ``columns`` (one sequence per column) under ``header``."""
+    columns = [np.asarray(c) for c in columns]
+    cells = [map(_CELL_TEXT.get(c.dtype.kind, _g17), c.tolist()) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def atomic_write_text(path, text):
@@ -479,15 +471,11 @@ def atomic_write_text(path, text):
         raise
 
 
-def emit_velocity_csv(path, velocity_obs, pred_grid=(), boundary_points=()):
-    """Write a velocity CSV (17 significant digits, atomic replace)."""
-    lines = [",".join(_CSV_HEADER)]
-    for loc, vx, vy in velocity_obs:
-        lines.append(f"obs,{_g17(loc[0])},{_g17(loc[1])},{_g17(vx)},{_g17(vy)}")
-    for loc in pred_grid:
-        lines.append(f"grid,{_g17(loc[0])},{_g17(loc[1])},0,0")
-    for loc, nrm in boundary_points:
-        lines.append(
-            f"boundary,{_g17(loc[0])},{_g17(loc[1])},{_g17(nrm[0])},{_g17(nrm[1])}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def emit_velocity_csv(path, p):
+    """Write the observations, prediction grid and boundary normals of the
+    FlowProblem ``p`` as a velocity CSV (17 significant digits, atomic replace)."""
+    xy = np.vstack([p.obs_locations, p.pred_grid, p.boundary_locations])
+    ab = np.vstack([p.obs_velocities, np.zeros_like(p.pred_grid), p.boundary_normals])
+    counts = [len(p.obs_locations), len(p.pred_grid), len(p.boundary_locations)]
+    kind = np.repeat(["obs", "grid", "boundary"], counts)
+    atomic_write_text(path, csv_text(_CSV_HEADER, [kind, *xy.T, *ab.T]))

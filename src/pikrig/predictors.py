@@ -208,9 +208,8 @@ def _constraint_projector(U):
     return project
 
 
-def simple_kriging(k, obs, pred, cfg=None):
+def simple_kriging(k, obs, pred, cfg=SolveConfig()):
     """Centered BLUP: alpha = K^-1 H, predictions = H^T K^-1 Z."""
-    cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is not None:
         raise ValueError("simple_kriging expects a centered model (obs.mean=None)")
     K = design.gram(k, obs.points)
@@ -218,9 +217,8 @@ def simple_kriging(k, obs, pred, cfg=None):
     return solve_co_kriging(K, H, obs.values, cfg)
 
 
-def ordinary_kriging(k, obs, pred, mu_star, cfg=None):
+def ordinary_kriging(k, obs, pred, mu_star, cfg=SolveConfig()):
     """BLUP under the unbiasedness constraint alpha^T mu = mu*."""
-    cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is None:
         raise ValueError("ordinary_kriging needs obs.mean")
     mu_star = np.asarray(mu_star, dtype=float).ravel()
@@ -297,13 +295,12 @@ def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None):
     )
 
 
-def co_kriging(k, obs, ops, pred, mu_star=None, cfg=None):
+def co_kriging(k, obs, ops, pred, mu_star=None, cfg=SolveConfig()):
     """Collocated co-Kriging: PDE rows as secondary observations (Prop.-2 form).
 
     With an empty operator system this reduces to plain simple/ordinary
     Kriging on the primary observations.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     if ops is None or ops.p == 0:
         if obs.mean is None:
             return simple_kriging(k, obs, pred, cfg)
@@ -317,7 +314,7 @@ def co_kriging(k, obs, ops, pred, mu_star=None, cfg=None):
     return solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=mu_plus, mu_star=mu_star)
 
 
-def co_kriging_schur(k, obs, ops_at_predictions, cfg=None, conditional_cov="schur"):
+def co_kriging_schur(k, obs, ops_at_predictions, cfg=SolveConfig(), conditional_cov="schur"):
     """Simplified centered co-Kriging with collocation = prediction atoms.
 
     Z*_CK = K_{2|1} U (U^T K_{2|1} U)^-1 (v* - U^T H^T K^-1 Z) + H^T K^-1 Z
@@ -326,7 +323,6 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=None, conditional_cov="schu
     exactly the simple Lagrangian predictor: the same base (K^-1 H)^T Z
     and the same constraint projection.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is not None:
         raise ValueError("co_kriging_schur expects a centered model")
     if conditional_cov not in ("schur", "identity"):
@@ -415,14 +411,13 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
     )
 
 
-def lagrangian_kriging(k, obs, ops_at_predictions, mu_star=None, cfg=None):
+def lagrangian_kriging(k, obs, ops_at_predictions, mu_star=None, cfg=SolveConfig()):
     """BLUP constrained by U^T Z* = v* at the prediction atoms (Prop.-3 form).
 
     Prediction atoms are exactly ``ops_at_predictions.colloc_points``.  A
     centered ``obs`` gives the simple variant; with ``obs.mean`` and
     ``mu_star`` the full multiplier pair (lambda, lambda') is computed.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     K, H = assemble_lagrangian(k, obs, ops_at_predictions)
     return solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star)
 

@@ -101,14 +101,13 @@ def _full_covariance(k, atoms, w):
     )
 
 
-def var_ck(k, obs, ops, pred, cfg=None):
+def var_ck(k, obs, ops, pred, cfg=SolveConfig()):
     """Co-Kriging MMSE covariance K* - (H+)^T (K+)^-1 H+ with intervals.
 
     Centered model.  With an empty operator system this is the plain
     simple-Kriging variance.  The diagonal equals the realized
     per-prediction :func:`pikrig.predictors.mse_objective` at the optimum.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is not None:
         raise ValueError("var_ck expects a centered model")
     pred = design.Atoms.of(pred)
@@ -119,7 +118,7 @@ def var_ck(k, obs, ops, pred, cfg=None):
     return _full_covariance(k, pred, w)
 
 
-def var_lk(k, obs, ops_at_predictions, cfg=None):
+def var_lk(k, obs, ops_at_predictions, cfg=SolveConfig()):
     """Lagrangian-Kriging MMSE covariance with intervals, symmetrized.
 
     Centered model; the atoms are ``ops_at_predictions.colloc_points``.
@@ -129,7 +128,6 @@ def var_lk(k, obs, ops_at_predictions, cfg=None):
     as ``symmetry_defect``.  The solve is
     :func:`pikrig.predictors.solve_lagrangian`, rank check included.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
     if obs.mean is not None:
         raise ValueError("var_lk expects a centered model")
     ops = ops_at_predictions

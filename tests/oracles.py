@@ -4,12 +4,15 @@ Everything here is deliberately naive: covariance matrices filled one
 entry per Python call, dense KKT systems assembled row by row and solved
 with np.linalg.solve, leave-one-out loops that refit per fold, MMSE
 covariances built from the full K* as printed, the Lagrangian step by
-the normal equations of the formed U^T U, and the constraint projection
-by one dense pivoted QR of U whatever its structure.  No code is shared
-with the package's closed forms beyond the kernel's derivative polynomial
-(``kernel._bracket``), the covariance assembly outside :func:`gram_loop`
-and, for the MMSE covariances and the Lagrangian normal equations, the
-refined factorization ``make_spd_solver`` (dense solves would not reach its accuracy on the
+the normal equations of the formed U^T U, the constraint projection by
+one dense pivoted QR of U whatever its structure, and the flow
+experiment's geometry and CSV text one point and one cell at a time.  No
+code is shared with the package's closed forms beyond the kernel's
+derivative polynomial (``kernel._bracket``), the covariance assembly
+outside :func:`gram_loop`, the file replace of the CSV writer
+(``flowlab.atomic_write_text``) and, for the MMSE covariances and the
+Lagrangian normal equations, the refined factorization
+``make_spd_solver`` (dense solves would not reach its accuracy on the
 ill-conditioned grams).  The Lagrangian leave-one-out loop refits each
 fold with the package's full Lagrangian solve, the path its downdate
 replaces.
@@ -24,6 +27,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr
 
 from pikrig import design
+from pikrig import flowlab as _flow
 from pikrig import kernel as _kernel
 from pikrig import predictors as _pred
 from pikrig import uq as _uq
@@ -332,3 +336,50 @@ def loocv_lk_refit(k_unit, obs, ops, cfg=None):
         return max(float(np.mean(res[:, 0] ** 2 / np.maximum(res[:, 1], 1e-12))), 1e-12)
 
     return mse, sigma2
+
+
+def write_csv_cells(path, header, rows):
+    """CSV of ``rows`` one cell at a time: strings as given, integers by
+    str(int), every other value at 17 significant digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, str):
+                cells.append(v)
+            elif isinstance(v, (int, np.integer)):
+                cells.append(str(int(v)))
+            else:
+                cells.append(format(float(v), ".17g"))
+        lines.append(",".join(cells))
+    _flow.atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def cylinder_flow_point(geom, freestream, at):
+    """Analytic cylinder-flow velocity (vx, vy) at one point, in Python
+    complex arithmetic; raises DomainError inside the cylinder."""
+    cx, cy = geom.center
+    z = complex(float(at[0]) - cx, float(at[1]) - cy)
+    r = abs(z)
+    if r < geom.radius * (1.0 - 1e-12):
+        raise _flow.DomainError(f"point {tuple(at)} lies inside the cylinder")
+    vinf = complex(freestream[0], freestream[1])
+    speed = abs(vinf)
+    if speed == 0.0:
+        return 0.0, 0.0
+    phase = vinf / speed
+    w = speed * (1.0 - (geom.radius / (z / phase)) ** 2)
+    vel = phase * w.conjugate()
+    return float(vel.real), float(vel.imag)
+
+
+def exterior_grid_points(geom, counts, extent, margin, aspect=1.0):
+    """The exterior grid as a list of (x, y), filtered point by point with
+    math.hypot."""
+    cx, cy = geom.center
+    nx = max(2, int(round(counts[0] * aspect)))
+    xs = np.linspace(cx - extent, cx + extent, nx)
+    ys = np.linspace(cy - extent, cy + extent, int(counts[1]))
+    cut = geom.radius * (1.0 + margin)
+    pts = [(float(x), float(y)) for y in ys for x in xs]
+    return [p for p in pts if math.hypot(p[0] - cx, p[1] - cy) >= cut]

@@ -98,7 +98,7 @@ def test_lk_explicit_equals_virtual_on_harmonic_setup():
         assert abs(a - b) <= 1e-9 * abs(b)
 
 
-def _assert_lk_folds_match_refit(obs, ops, thetas, cfg=None, unit=UNIT):
+def _assert_lk_folds_match_refit(obs, ops, thetas, cfg=P.SolveConfig(), unit=UNIT):
     # the one-system downdate against the per-fold refit loop: the mse is
     # nan (escalated) at the same thetas, and elsewhere mse and sigma2
     # agree; under escalation the two regularize different matrices

@@ -342,3 +342,47 @@ def test_runs_build_no_atom_objects(tmp_path, monkeypatch, args):
     monkeypatch.setattr(ExtendedPoint, "__post_init__", counted)
     assert run(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_OK
     assert len(made) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["flow", "--config", FLOW_LK_GRID60],
+    ["flow", "--method", "ck", "--theta", "0.9178758779662336",
+     "--sigma2", "10.565115832855062"],
+], ids=["flow-lk-grid60", "flow-ck"])
+def test_flow_runs_call_the_oracle_on_whole_arrays(tmp_path, monkeypatch, args):
+    # the analytic velocity is evaluated once on the ring and once on the
+    # prediction grid for the truth, not once per point
+    original = flowlab.cylinder_flow_oracle
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(flowlab, "cylinder_flow_oracle", counted)
+    assert run(args + ["--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert len(calls) <= 2
+
+
+def test_write_csv_matches_the_cell_writer(tmp_path):
+    # column-wise text equals the per-cell writer byte for byte
+    floats = np.array([-0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf,
+                       0.1, 1.0, -2.5e-300])
+    n = len(floats)
+    columns = [
+        floats,
+        [float(v) for v in floats],
+        np.arange(-4, n - 4, dtype=np.int64),
+        np.arange(n, dtype=np.int32),
+        np.arange(n, dtype=np.uint8),
+        [3 ** 30 + i for i in range(n)],
+        [f"s{i}|{i % 3}" for i in range(n)],
+        np.array(["ck", "lk", "sk"] * 3),
+        [True, False] * 4 + [True],
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    cli.write_csv(tmp_path / "new.csv", header, columns)
+    oracles.write_csv_cells(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    cli.write_csv(tmp_path / "empty.csv", ["a", "b"], [[], []])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"

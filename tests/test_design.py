@@ -145,6 +145,29 @@ def test_encode_pointwise_errors():
         encode_pointwise([((0.0,), [(1.0, (0,))])], [0.0, 1.0])
 
 
+def test_encode_rows_equals_encode_pointwise(rng):
+    # the array encoder builds the system of the row-list encoder exactly:
+    # Neumann rows with per-row coefficients, then Laplace rows, in 2-d
+    bnd = rng.normal(size=(4, 2))
+    ang = rng.uniform(0.0, 2.0 * np.pi, 4)
+    normals = np.column_stack([np.cos(ang), np.sin(ang)])
+    cont = np.vstack([rng.normal(size=(5, 2)), bnd[:1]])  # one location in both blocks
+    rhs = rng.normal(size=10)
+    rows = [(tuple(x), [(n[0], (1, 0)), (n[1], (0, 1))]) for x, n in zip(bnd, normals)]
+    rows += [(tuple(x), [(1.0, (2, 0)), (1.0, (0, 2))]) for x in cont]
+    ref = encode_pointwise(rows, rhs)
+    ops = design.encode_rows([(bnd, ((1, 0), (0, 1)), normals),
+                              (cont, ((2, 0), (0, 2)), 1.0)], rhs)
+    assert np.array_equal(ops.colloc_points.X, ref.colloc_points.X)
+    assert np.array_equal(ops.colloc_points.M, ref.colloc_points.M)
+    assert np.array_equal(ops.U, ref.U)
+    assert np.array_equal(ops.rhs, ref.rhs)
+    with pytest.raises(ValueError, match="no operator rows"):
+        design.encode_rows([(np.zeros((0, 1)), ((0,),), 1.0)], [])
+    with pytest.raises(ValueError, match="rhs"):
+        design.encode_rows([(np.zeros((2, 1)), ((0,),), 1.0)], [0.0])
+
+
 def test_encode_average_frozen_example():
     ops = encode_average([(0.0,), (2.0,)], [(1.0, (1,))], rhs=3.0)
     assert ops.p == 1

@@ -55,7 +55,7 @@ def test_oracle_rotated_freestream():
 
 
 def test_oracle_zero_freestream():
-    assert oracle((2.0, 0.5), freestream=(0.0, 0.0)) == (0.0, 0.0)
+    assert oracle((2.0, 0.5), freestream=(0.0, 0.0)).tolist() == [0.0, 0.0]
 
 
 def test_oracle_mirror_symmetry():
@@ -76,56 +76,93 @@ def test_oracle_discrete_continuity():
         assert abs(dvx + dvy) <= 1e-4
 
 
+def test_oracle_matches_point_oracle():
+    # the array oracle against the one-point complex-arithmetic reference:
+    # numpy's complex division rounds differently from Python's, so the
+    # two agree to 1e-15 of the largest speed, not bit for bit
+    pts = F.exterior_grid(GEOM, (160, 160), 2.5, 0.0)
+    for freestream in ((1.0, 0.0), (0.3, -1.7), (0.0, 2.0), (-2.5, 0.5)):
+        got = oracle(pts, freestream)
+        ref = np.array([oracles.cylinder_flow_point(GEOM, freestream, p) for p in pts])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.hypot(*ref.T))
+    # one point is the one-row case
+    assert np.array_equal(oracle(pts[7]), oracle(pts[6:8])[1])
+
+
+def test_oracle_inside_raises_for_any_row():
+    pts = np.array([(2.0, 0.0), (0.3, 0.1), (0.0, -0.2)])
+    with pytest.raises(F.DomainError, match=r"point \(0\.3, 0\.1\)"):
+        oracle(pts)
+    with pytest.raises(F.DomainError):
+        oracles.cylinder_flow_point(GEOM, (1.0, 0.0), pts[1])
+
+
 # --- layouts and system assembly ------------------------------------------
 
 
 def test_uniform_grid_row_major_and_aspect():
     g = F.uniform_grid((0.0, 1.0), (0.0, 2.0), 2, 3)
-    assert len(g) == 6
-    assert g[0] == (0.0, 0.0) and g[1] == (1.0, 0.0)  # x varies fastest
-    assert g[-1] == (1.0, 2.0)
+    assert g.shape == (6, 2)
+    assert g[:2].tolist() == [[0.0, 0.0], [1.0, 0.0]]  # x varies fastest
+    assert g[-1].tolist() == [1.0, 2.0]
     assert len(F.uniform_grid((0.0, 1.0), (0.0, 1.0), 3, 2, aspect=2.0)) == 12
     assert len(F.uniform_grid((0.0, 1.0), (0.0, 1.0), 1, 2)) == 4  # nx floor of 2
 
 
+@pytest.mark.parametrize("counts, aspect", [
+    ((10, 10), 1.0), ((20, 20), 1.0), ((60, 60), 1.0), ((150, 150), 1.0),
+    ((10, 10), 2.0), ((20, 20), 2.0),
+])
+def test_exterior_grid_keeps_the_point_filter(counts, aspect):
+    # the whole-array cut keeps exactly the points of the per-point
+    # math.hypot filter on the CLI layouts
+    got = F.exterior_grid(GEOM, counts, 2.5, 0.05, aspect)
+    ref = oracles.exterior_grid_points(GEOM, counts, 2.5, 0.05, aspect)
+    assert np.array_equal(got, np.array(ref))
+
+
 def test_cylinder_problem_documented_counts():
     p = F.cylinder_problem()
-    assert len(p.velocity_obs) == 12
-    assert len(p.boundary_points) == 10
-    assert len(p.continuity_points) == 88
+    assert p.obs_locations.shape == p.obs_velocities.shape == (12, 2)
+    assert p.boundary_locations.shape == p.boundary_normals.shape == (10, 2)
+    assert p.continuity.shape == (88, 2)
     obs, ops, pred = F.build_flow_system(p)
     assert obs.n == 24
     assert ops.p == 98
     assert len(pred) == 2 * len(p.pred_grid)
     # boundary equations come before continuity equations in the columns
-    normals = {tuple(nrm) for _, nrm in p.boundary_points}
-    assert all(math.isclose(math.hypot(*n), 1.0, abs_tol=1e-12) for n in normals)
+    assert np.allclose(np.hypot(*p.boundary_normals.T), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_observations_sit_on_the_ring():
     p = F.cylinder_problem()
-    for loc, vx, vy in p.velocity_obs:
+    for loc, v in zip(p.obs_locations, p.obs_velocities):
         assert math.hypot(*loc) == pytest.approx(3.0, abs=1e-12)
-        assert (vx, vy) == oracle(loc)
+        assert np.array_equal(v, oracle(loc))
 
 
 def test_problem_rejects_bad_normal():
     with pytest.raises(ValueError, match="unit"):
-        F.FlowProblem(velocity_obs=[((0.0, 0.0), 1.0, 0.0)],
-                      boundary_points=[((1.0, 0.0), (2.0, 0.0))])
+        F.FlowProblem([(0.0, 0.0)], [(1.0, 0.0)],
+                      boundary_locations=[(1.0, 0.0)], boundary_normals=[(2.0, 0.0)])
+    # the message names the first bad row
+    with pytest.raises(ValueError, match="boundary normal 1 has norm 0.5"):
+        F.FlowProblem([(0.0, 0.0)], [(1.0, 0.0)],
+                      boundary_locations=[(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)],
+                      boundary_normals=[(1.0, 0.0), (0.0, 0.5), (3.0, 0.0)])
 
 
 def test_build_requires_observations():
     with pytest.raises(ValueError, match="no velocity observations"):
-        F.build_flow_system(F.FlowProblem(velocity_obs=[]))
+        F.build_flow_system(F.FlowProblem([], []))
 
 
 # --- co-Kriging predictions ------------------------------------------------
 
 
 def test_ck_single_observation_reproduced():
-    p = F.FlowProblem(velocity_obs=[((0.5, 0.2), 1.3, -0.4)],
-                      pred_grid=[(0.5, 0.2)])
+    p = F.FlowProblem([(0.5, 0.2)], [(1.3, -0.4)], pred_grid=[(0.5, 0.2)])
     f = F.predict_flow_ck(SqExpKernel(1.0, 1.0, 2), p, CFG)
     assert f.vx[0] == pytest.approx(1.3, abs=1e-8)
     assert f.vy[0] == pytest.approx(-0.4, abs=1e-8)
@@ -134,8 +171,9 @@ def test_ck_single_observation_reproduced():
 def test_ck_reproduces_uniform_flow():
     obs_locs = F.uniform_grid((-1.0, 1.5), (-1.0, 1.0), 3, 3)
     p = F.FlowProblem(
-        velocity_obs=[(loc, 2.0, 0.0) for loc in obs_locs],
-        continuity_points=F.uniform_grid((-1.2, 1.7), (-1.2, 1.2), 4, 4),
+        obs_locs,
+        np.tile([2.0, 0.0], (len(obs_locs), 1)),
+        continuity=F.uniform_grid((-1.2, 1.7), (-1.2, 1.2), 4, 4),
         pred_grid=F.uniform_grid((-0.8, 1.3), (-0.8, 0.8), 3, 3),
         freestream=(2.0, 0.0),
     )
@@ -179,15 +217,14 @@ def test_ck_blocks_match_full_covariance():
 
 def test_twostep_without_boundary_is_interpolation():
     obs_locs = [(-1.0, 0.0), (0.5, 0.8), (1.2, -0.6), (0.0, -1.1)]
+    want = oracle(obs_locs, geom=F.CylinderGeometry((5.0, 5.0), 0.5))
     p = F.FlowProblem(
-        velocity_obs=[(loc, *oracle(loc, geom=F.CylinderGeometry((5.0, 5.0), 0.5)))
-                      for loc in obs_locs],
-        continuity_points=F.uniform_grid((-1.5, 1.5), (-1.5, 1.5), 3, 3),
-        pred_grid=list(obs_locs),
+        obs_locs,
+        want,
+        continuity=F.uniform_grid((-1.5, 1.5), (-1.5, 1.5), 3, 3),
+        pred_grid=obs_locs,
     )
     f = F.predict_flow_lk_twostep(SqExpKernel(1.0, 1.0, 2), p, CFG)
-    want = np.array([oracle(loc, geom=F.CylinderGeometry((5.0, 5.0), 0.5))
-                     for loc in obs_locs])
     assert np.allclose(f.vx, want[:, 0], atol=1e-7)
     assert np.allclose(f.vy, want[:, 1], atol=1e-7)
     assert f.boundary_normal_residual.size == 0
@@ -211,13 +248,11 @@ def test_twostep_scattered_lengthscale_band():
     rng = np.random.default_rng(0)
     radii = rng.uniform(2.0, 4.0, 12)
     angles = rng.uniform(0.0, 2.0 * np.pi, 12)
-    vobs = []
-    for r, a in zip(radii, angles):
-        loc = (float(r * np.cos(a)), float(r * np.sin(a)))
-        vobs.append((loc, *oracle(loc)))
-    p = F.FlowProblem(velocity_obs=vobs,
-                      continuity_points=base.continuity_points,
-                      boundary_points=base.boundary_points,
+    locs = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    p = F.FlowProblem(locs, oracle(locs),
+                      continuity=base.continuity,
+                      boundary_locations=base.boundary_locations,
+                      boundary_normals=base.boundary_normals,
                       pred_grid=base.pred_grid)
     f = F.predict_flow_lk_twostep(SqExpKernel(1.0, 1.0, 2), p, CFG)
     assert 0.5 <= f.theta2_hat <= 1.5
@@ -229,19 +264,17 @@ def test_short_lengthscale_reverses_flow_long_does_not():
     # obstacle rows, a too-short lengthscale produces spurious upstream
     # (vx < 0) pockets between observations; a long one smooths them out
     rng = np.random.default_rng(3)
-    obs = []
-    while len(obs) < 10:
+    locs = []
+    while len(locs) < 10:
         loc = rng.uniform(-4.0, 4.0, 2)
         if math.hypot(*loc) >= 1.5:
-            obs.append(((float(loc[0]), float(loc[1])), *oracle(tuple(loc))))
-    grid = [(x, y) for x, y in F.uniform_grid((-4.0, 4.0), (-4.0, 4.0), 15, 15)
-            if math.hypot(x, y) >= 1.5]
-    short = F.predict_flow_ck(SqExpKernel(1.0, 0.5, 2),
-                              F.FlowProblem(velocity_obs=obs, pred_grid=grid), CFG)
+            locs.append(loc)
+    grid = F.uniform_grid((-4.0, 4.0), (-4.0, 4.0), 15, 15)
+    problem = F.FlowProblem(locs, oracle(locs), pred_grid=grid[np.hypot(*grid.T) >= 1.5])
+    short = F.predict_flow_ck(SqExpKernel(1.0, 0.5, 2), problem, CFG)
     assert int(np.sum(short.vx < 0)) >= 50
     assert short.vx.min() <= -0.3
-    long = F.predict_flow_ck(SqExpKernel(1.0, 5.0, 2),
-                             F.FlowProblem(velocity_obs=obs, pred_grid=grid), CFG)
+    long = F.predict_flow_ck(SqExpKernel(1.0, 5.0, 2), problem, CFG)
     assert int(np.sum(long.vx < 0)) == 0
     assert long.vx.min() >= 0.3
 
@@ -269,9 +302,11 @@ def test_ingest_three_rows(tmp_path):
         "boundary,1.0,0.0,1,0\n"
     )
     data = F.ingest_velocity_csv(path)
-    assert data.velocity_obs == [((0.5, 0.25), 1.5, -0.5)]
-    assert data.pred_grid == [(1.0, 2.0)]
-    assert data.boundary_points == [((1.0, 0.0), (1.0, 0.0))]
+    assert data.obs_locations.tolist() == [[0.5, 0.25]]
+    assert data.obs_velocities.tolist() == [[1.5, -0.5]]
+    assert data.pred_grid.tolist() == [[1.0, 2.0]]
+    assert data.boundary_locations.tolist() == [[1.0, 0.0]]
+    assert data.boundary_normals.tolist() == [[1.0, 0.0]]
 
 
 def test_ingest_errors_carry_line_numbers(tmp_path):
@@ -299,7 +334,8 @@ def test_ingest_comments_and_blanks_skipped(tmp_path):
         "# comment before header\n\nkind,x,y,a,b\n# mid comment\nobs,1,2,3,4\n\n"
     )
     data = F.ingest_velocity_csv(path)
-    assert data.velocity_obs == [((1.0, 2.0), 3.0, 4.0)]
+    assert data.obs_locations.tolist() == [[1.0, 2.0]]
+    assert data.obs_velocities.tolist() == [[3.0, 4.0]]
 
 
 def test_ingest_renormalizes_sloppy_normal(tmp_path):
@@ -307,22 +343,21 @@ def test_ingest_renormalizes_sloppy_normal(tmp_path):
     path.write_text("kind,x,y,a,b\nobs,0,0,1,0\nboundary,1,0,2.0,0\n")
     with pytest.warns(RuntimeWarning, match="re-normalized"):
         data = F.ingest_velocity_csv(path)
-    assert data.boundary_points[0][1] == (1.0, 0.0)
+    assert data.boundary_normals.tolist() == [[1.0, 0.0]]
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
-    obs = [((float(x), float(y)), float(vx), float(vy))
-           for x, y, vx, vy in rng.normal(size=(5, 4))]
-    grid = [(float(x), float(y)) for x, y in rng.normal(size=(3, 2))]
+    obs = rng.normal(size=(5, 4))
     ang = rng.uniform(0, 2 * np.pi, 2)
-    bnd = [((float(rng.normal()), float(rng.normal())),
-            (float(np.cos(a)), float(np.sin(a)))) for a in ang]
+    problem = F.FlowProblem(obs[:, :2], obs[:, 2:], pred_grid=rng.normal(size=(3, 2)),
+                            boundary_locations=rng.normal(size=(2, 2)),
+                            boundary_normals=np.column_stack([np.cos(ang), np.sin(ang)]))
     path = tmp_path / "round.csv"
-    F.emit_velocity_csv(path, obs, grid, bnd)
+    F.emit_velocity_csv(path, problem)
     back = F.ingest_velocity_csv(path)
-    assert back.velocity_obs == obs
-    assert back.pred_grid == grid
-    assert back.boundary_points == bnd
+    for name in ("obs_locations", "obs_velocities", "pred_grid",
+                 "boundary_locations", "boundary_normals"):
+        assert np.array_equal(getattr(back, name), getattr(problem, name)), name
     # no temp files left behind by the atomic write
     assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp")] == []
