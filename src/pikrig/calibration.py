@@ -15,11 +15,15 @@ Constrained Lagrangian predictions have two criteria.  Leave-one-out
 (:func:`loocv_lk_explicit`) gets every fold from one system by the same
 downdate: column i of a 1^T - K^-1 diag(a/d) is fold i's K_{-i}^-1 Z_{-i},
 and the Lagrangian prediction is one constraint projection of H^T of
-it, so the folds share one assembly, rank check and factorization per
-theta.  The all-points-retained interpolation deviation
-(:func:`interpolation_error_criterion`) exploits that constrained
-predictions need not interpolate the observations.  Every leave-one-out
-criterion is nan where the full matrix needed escalated jitter.
+it, so the folds share one factorization per theta.  The
+all-points-retained interpolation deviation (:func:`interpolation_criteria`)
+exploits that constrained predictions need not interpolate the
+observations.  Every criterion is nan where the full matrix needed
+escalated jitter.
+
+Each criterion factory builds its theta-invariant state (atom sets, the
+:class:`pikrig.design.Layout` of each covariance block, the rank check
+of U) once per search; a theta costs the closed forms and one factorization.
 
 The 1-d lengthscale search is a deterministic log-spaced grid scan
 followed by golden-section refinement inside the best cell; ties shrink
@@ -27,6 +31,7 @@ the bracket symmetrically, so a flat criterion converges to the cell
 midpoint (in log space).
 """
 
+import functools
 import logging
 import math
 import warnings
@@ -45,6 +50,7 @@ __all__ = [
     "sigma2_virtual",
     "loocv_ck_virtual",
     "loocv_lk_explicit",
+    "interpolation_criteria",
     "interpolation_error_criterion",
     "sigma2_interpolation",
     "optimize_theta",
@@ -89,10 +95,11 @@ def _virtual_parts(K, y, n, cfg):
     return a[:n], np.diag(Ki)[:n], eta > cfg.nugget
 
 
-def _lagrangian_folds(k, obs, ops, j, cfg):
+def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
     """All Lagrangian leave-one-out folds from one system: (resid, var, escalated).
 
-    ``ops`` holds every observation atom, observation i at row ``j[i]``.
+    ``K``, ``H``, ``project`` (of ``ops.U``) are the Lagrangian system of
+    ``ops``, which holds every observation atom, observation i at row ``j[i]``.
 
     Column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
     fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
@@ -103,8 +110,6 @@ def _lagrangian_folds(k, obs, ops, j, cfg):
     """
     n = obs.n
     Z = obs.values
-    K, H = _pred.assemble_lagrangian(k, obs, ops)
-    project = _pred._constraint_projector(ops.U)
     solve, eta = make_spd_solver(K, cfg)
     Ki = solve(np.eye(n))
     a = Ki @ Z
@@ -138,24 +143,21 @@ def _floored_sigma2(val):
     return float(val)
 
 
-def _loo_criteria(parts, kind):
-    """(mse, sigma2) callables of theta from ``parts(theta)``, which gives
-    the leave-one-out residuals, their squares standardized by the fold
-    variances, and whether jitter escalated.
+def _loo_criteria(parts):
+    """(mse, sigma2) callables of theta from ``parts(theta, with_std)``:
+    the residuals, their squares standardized by the predictive variances
+    (if ``with_std``) and whether jitter escalated.
 
     The mse is nan when jitter escalated; sigma2 is the mean standardized
     square, floored, and warns when jitter escalated.
     """
 
     def mse(theta):
-        resid, _, escalated = parts(theta)
-        if escalated:
-            logger.info("%s LOOCV undefined at theta=%.6g (escalated)", kind, theta)
-            return math.nan
-        return float(np.mean(resid ** 2))
+        resid, _, escalated = parts(theta, False)
+        return math.nan if escalated else float(np.mean(resid ** 2))
 
     def sigma2(theta):
-        _, std2, escalated = parts(theta)
+        _, std2, escalated = parts(theta, True)
         if escalated:
             warnings.warn(
                 f"variance rule at theta={theta:.6g} used escalated jitter",
@@ -187,9 +189,9 @@ def sigma2_virtual(k_unit, obs, theta_hat, cfg=SolveConfig()):
 def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     """Filtered virtual LOOCV for the co-Kriging stack; returns (mse, sigma2).
 
-    Both returned callables take a candidate theta.  The stacked system
-    [Z; v] is re-assembled per theta; only the first n (primary) slots of
-    the per-slot residual and variance enter, normalized by n.  With an
+    Both returned callables take a candidate theta; the layout of the
+    stacked atoms is built once.  Only the first n (primary) slots of the
+    per-slot residual and variance of [Z; v] enter, normalized by n.  With an
     empty operator system (``ops`` None) they are the plain simple-Kriging
     criteria :func:`loocv_mse_virtual` / :func:`sigma2_virtual`.
     """
@@ -199,31 +201,32 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     if ops is None:
         ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
     n = obs.n
+    layout = design.Layout(k_unit, obs.points + ops.colloc_points)
+    y = np.concatenate([obs.values, ops.rhs])
 
-    def parts(theta):
-        k = replace(k_unit, theta=float(theta))
-        Kplus, _, y = _pred.assemble_co_kriging(k, obs, ops, [])
-        a, d, escalated = _virtual_parts(Kplus, y, n, cfg)
+    def parts(theta, with_std):
+        Kfull = layout(replace(k_unit, theta=float(theta)))
+        a, d, escalated = _virtual_parts(_pred._stacked_gram(Kfull, n, ops.U), y, n, cfg)
         return a / d, a * a / d, escalated
 
-    return _loo_criteria(parts, "virtual")
+    return _loo_criteria(parts)
 
 
-def _lagrangian_at(k, obs, ops, cfg, want_var=False):
-    """Centered Lagrangian fit read at the observation atoms, which join
-    ``ops`` constraint-free where it lacks them: (mean, variance, escalated).
+def _lagrangian_system(k_unit, obs, ops):
+    """(``ops`` with the observation atoms it lacks appended
+    constraint-free, the row of each, ``system(theta)`` -> (kernel, K, H,
+    projection of U)).  The rank check runs at the first evaluation and
+    is kept once it passes, so its error comes out of the criterion."""
+    _require_unit_centered(k_unit, obs)
+    ops, rows = design._extend(ops, obs.points)
+    K_of, H_of = (design.Layout(k_unit, obs.points, B) for B in (None, ops.colloc_points))
+    project = functools.cache(lambda: _pred._constraint_projector(ops.U))
 
-    The variance (None unless ``want_var``) comes from the same solve as
-    the mean; ``escalated`` says whether the factorization needed jitter
-    above the requested nugget.
-    """
-    ops, idx = design._extend(ops, obs.points)
-    K, H = _pred.assemble_lagrangian(k, obs, ops)
-    w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
-    variance = None
-    if want_var:
-        variance, _ = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])
-    return w.predictions[idx], variance, w.nugget_used > cfg.nugget
+    def system(theta):
+        k = replace(k_unit, theta=float(theta))
+        return k, K_of(k), H_of(k), project()
+
+    return ops, rows, system
 
 
 def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
@@ -233,63 +236,56 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     the dropped atom (appended constraint-free if no equation touches it)
     and scores the residual; the variance rule standardizes by the fold's
     own predictive variance at unit process variance.  All folds at a
-    theta come from one assembly, rank check and factorization, by the
-    downdate of :func:`_lagrangian_folds`; so the mse is nan (and sigma2
-    warns) when the full K needed escalated jitter, whatever the folds'
-    own matrices would have needed.
+    theta come from one evaluation of the layouts and one factorization,
+    by the downdate of :func:`_lagrangian_folds`; so the mse is nan (and
+    sigma2 warns) when the full K needed escalated jitter, whatever the
+    folds' own matrices would have needed.
     """
-    _require_unit_centered(k_unit, obs)
+    ops, j, system = _lagrangian_system(k_unit, obs, ops_at_predictions)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
-    ops, j = design._extend(ops_at_predictions, obs.points)
 
-    def parts(theta):
-        k = replace(k_unit, theta=float(theta))
-        resid, var, escalated = _lagrangian_folds(k, obs, ops, j, cfg)
+    def parts(theta, with_std):
+        _, K, H, project = system(theta)
+        resid, var, escalated = _lagrangian_folds(K, H, project, obs, ops, j, cfg)
         return resid, resid ** 2 / np.maximum(var, _SIGMA2_FLOOR), escalated
 
-    return _loo_criteria(parts, "fold")
+    return _loo_criteria(parts)
 
 
-def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
-    """Mean squared deviation of constrained predictions at the observations.
+def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
+    """All-points-retained interpolation deviation; returns (crit, sigma2).
 
     The Lagrangian fit keeps every observation (no folds); constraints may
     pull predictions at the observation atoms away from the observed
-    values, and that deviation is the criterion.  Observation atoms not in
-    the collocation set are appended constraint-free.  With no constraints
-    the fit interpolates and the value is 0.
+    values, and the mean squared deviation is the criterion (0 with no
+    constraints).  Observation atoms not in the collocation set are
+    appended constraint-free.  sigma2 standardizes the deviations by the
+    predictive variances there, as the LOOCV rule does.
     """
-    _require_unit_centered(k_unit, obs)
-    mean, _, escalated = _lagrangian_at(k_unit, obs, ops_at_predictions, cfg)
-    if escalated:
-        logger.info(
-            "interpolation criterion undefined at theta=%.6g (escalated)",
-            k_unit.theta,
-        )
-        return math.nan
-    return float(np.mean((mean - obs.values) ** 2))
+    ops, idx, system = _lagrangian_system(k_unit, obs, ops_at_predictions)
+
+    def parts(theta, with_std):
+        k, K, H, project = system(theta)
+        w = _pred.solve_lagrangian(K, H, obs, ops, cfg, project=project)
+        resid = w.predictions[idx] - obs.values
+        std2 = None
+        if with_std:
+            var, _ = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])
+            std2 = resid ** 2 / np.maximum(var, _SIGMA2_FLOOR)
+        return resid, std2, w.nugget_used > cfg.nugget
+
+    return _loo_criteria(parts)
+
+
+def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
+    """The criterion of :func:`interpolation_criteria` at ``k_unit.theta``."""
+    return interpolation_criteria(k_unit, obs, ops_at_predictions, cfg)[0](k_unit.theta)
 
 
 def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=SolveConfig()):
-    """Variance rule matching the interpolation criterion, all points retained.
-
-    Standardizes the all-points-retained deviations by the Lagrangian
-    predictive variance at the observation atoms (unit process variance),
-    mirroring the LOOCV variance rule without folds.
-    """
-    _require_unit_centered(k_unit, obs)
-    k = replace(k_unit, theta=float(theta_hat))
-    mean, variance, escalated = _lagrangian_at(k, obs, ops_at_predictions, cfg, True)
-    if escalated:
-        warnings.warn(
-            f"variance rule at theta={theta_hat:.6g} used escalated jitter",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    resid = mean - obs.values
-    denom = np.maximum(variance, _SIGMA2_FLOOR)
-    return _floored_sigma2(float(np.mean(resid ** 2 / denom)))
+    """The variance rule of :func:`interpolation_criteria` at ``theta_hat``."""
+    return interpolation_criteria(k_unit, obs, ops_at_predictions, cfg)[1](theta_hat)
 
 
 def _pairwise_distances(points):
@@ -299,15 +295,21 @@ def _pairwise_distances(points):
     return np.sqrt(((xs[i] - xs[j]) ** 2).sum(-1))
 
 
-def default_theta_bounds(points):
-    """[1e-2, 1e2] times the median pairwise distance of the locations."""
+def default_theta_bounds(points, cap=False):
+    """[1e-2, 1e2] times the median pairwise distance of the locations.
+
+    ``cap`` caps the upper end at the data diameter: past it every pair
+    is strongly correlated, the gram is numerically singular long before
+    Cholesky fails, and LOOCV criteria reward that singularity instead of
+    fit quality, so the lengthscale is not identifiable there.
+    """
     dist = _pairwise_distances(points)
     if dist.size == 0:
         raise ValueError("need at least 2 locations to scale the search bounds")
     med = float(np.median(dist))
     if not np.isfinite(med) or med <= 0:
         raise ValueError(f"median pairwise distance {med} cannot scale bounds")
-    return 1e-2 * med, 1e2 * med
+    return 1e-2 * med, min(1e2 * med, float(dist.max())) if cap else 1e2 * med
 
 
 def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
@@ -316,8 +318,9 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     Log-spaced coarse grid (half the budget), then golden-section
     refinement in log space inside the cell around the grid argmin, then
     the midpoint of the final bracket: exactly ``budget`` criterion
-    evaluations in all.  Non-finite criterion values are skipped and
-    logged; exact ties shrink the bracket from both sides.
+    evaluations in all.  Non-finite values and factorization failures are
+    skipped, kept as nan in the trace and logged once per search, with
+    their count and theta range; exact ties shrink the bracket from both sides.
     ``sigma2_rule``, when given, is called at the optimum to fill
     ``sigma2_hat`` (default 1.0).
     """
@@ -327,27 +330,25 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     budget = int(budget)
     if budget < 8:
         raise ValueError(f"budget must be at least 8, got {budget}")
-    trace = []
+    trace, failed = [], []
 
     def ev(theta):
         theta = float(theta)
         try:
             val = float(criterion(theta))
         except ConditioningError as exc:
-            logger.warning("criterion failed at theta=%.6g: %s", theta, exc)
+            failed.append(exc)
             val = math.nan
-        if not math.isfinite(val):
-            logger.warning("criterion non-finite at theta=%.6g", theta)
-            val = math.nan
-        trace.append((theta, val))
-        return val
+        trace.append((theta, val if math.isfinite(val) else math.nan))
+        return trace[-1][1]
 
     ngrid = max(4, budget // 2)
     grid = np.geomspace(lo, hi, ngrid)
     vals = [ev(t) for t in grid]
     finite = [i for i, v in enumerate(vals) if math.isfinite(v)]
     if not finite:
-        raise RuntimeError("criterion was non-finite at every grid point")
+        last = failed[-1] if failed else None
+        raise RuntimeError("criterion was non-finite at every grid point") from last
     ib = min(finite, key=lambda i: vals[i])
     la = math.log(grid[ib - 1] if ib > 0 else grid[ib])
     lb = math.log(grid[ib + 1] if ib < ngrid - 1 else grid[ib])
@@ -389,6 +390,11 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     candidates = [(mid, fmid)] if math.isfinite(fmid) else []
     candidates += [(t, v) for t, v in trace if math.isfinite(v)]
     theta_hat, crit_val = min(candidates, key=lambda tv: tv[1])
+    bad = [t for t, v in trace if math.isnan(v)]
+    if bad:
+        failures = f"; {len(failed)} failed to factor: {failed[-1]}" if failed else ""
+        logger.warning("criterion non-finite at %d of %d thetas in [%.6g, %.6g]%s",
+                       len(bad), len(trace), min(bad), max(bad), failures)
     sigma2_hat = float(sigma2_rule(theta_hat)) if sigma2_rule is not None else 1.0
     return CalibrationResult(
         theta_hat=float(theta_hat),

@@ -228,16 +228,9 @@ def _unit_kernel(dim):
 
 
 def _search_bounds(points):
-    """Default bounds with the upper end capped at the data diameter.
-
-    Past the diameter every pair of observations is strongly correlated,
-    the gram matrix is numerically singular long before Cholesky fails,
-    and the LOOCV criteria reward that singularity instead of fit
-    quality.  The lengthscale is not identifiable out there, so the
-    experiment runners do not search it.
-    """
-    lo, hi = _cal.default_theta_bounds(points)
-    return lo, min(hi, float(_cal._pairwise_distances(points).max()))
+    """Default bounds capped at the data diameter, which the experiment
+    runners do not search past (see :func:`pikrig.calibration.default_theta_bounds`)."""
+    return _cal.default_theta_bounds(points, cap=True)
 
 
 def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
@@ -248,11 +241,11 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
     that a 32-point coarse grid can step across.
     """
     dim = obs.points.X.shape[1]
-    crit, s2rule = criterion(_unit_kernel(dim), obs, ops, scfg)
+    if "auto" in (cfg.theta, cfg.sigma2):
+        crit, s2rule = criterion(_unit_kernel(dim), obs, ops, scfg)
     budget = cfg.budget if cfg.budget is not None else default_budget
     if cfg.theta == "auto":
-        res = _cal.optimize_theta(crit, _search_bounds(obs.points), budget=budget)
-        theta = res.theta_hat
+        theta = _cal.optimize_theta(crit, _search_bounds(obs.points), budget=budget).theta_hat
     else:
         theta = float(cfg.theta)
     sigma2 = float(s2rule(theta)) if cfg.sigma2 == "auto" else float(cfg.sigma2)
@@ -276,15 +269,6 @@ def _timing(t0, t1, t2):
 def _loocv_plain(k0, obs, ops, scfg):
     """Virtual LOOCV of plain Kriging; the operator rows play no part."""
     return _cal.loocv_ck_virtual(k0, obs, None, scfg)
-
-
-def _interpolation(k0, obs, ops, scfg):
-    """Deviation of the Lagrangian fit at the retained observations."""
-    crit = lambda th: _cal.interpolation_error_criterion(
-        replace(k0, theta=th), obs, ops, scfg
-    )
-    s2rule = lambda th: _cal.sigma2_interpolation(k0, obs, ops, th, scfg)
-    return crit, s2rule
 
 
 def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
@@ -352,7 +336,7 @@ def _methods():
                       (_cal.loocv_ck_virtual, _flow.predict_flow_ck)),
         "lk": _Method(_cal.loocv_lk_explicit, _solve_lk, "grid", True,
                       (_loocv_plain, _flow.predict_flow_lk_twostep)),
-        "lk-interp": _Method(_interpolation, _solve_lk, "grid+obs"),
+        "lk-interp": _Method(_cal.interpolation_criteria, _solve_lk, "grid+obs"),
     }
 
 

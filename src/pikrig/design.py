@@ -11,8 +11,9 @@ equations become linear combinations of atoms, collected in an
 :class:`OperatorSystem` (U^T Z+ = v, columns of U are equations).
 
 Covariance matrices over extended points are assembled by :func:`gram`,
-one :func:`pikrig.kernel.deriv_block` call per pair of multi-index groups,
-so every entry equals :func:`cov` of its pair exactly.  :func:`gram` also
+one closed-form block per pair of multi-index groups, so every entry
+equals :func:`cov` of its pair exactly; a :class:`Layout` keeps the
+theta-invariant part of a gram for a lengthscale search.  :func:`gram` also
 feeds a process-wide counter of evaluated atom pairs.  The counter is what
 makes the cost asymmetry between co-Kriging and Lagrangian Kriging
 measurable: for co-Kriging with n primary atoms, c collocation atoms and q
@@ -35,6 +36,7 @@ __all__ = [
     "OperatorSystem",
     "cov",
     "gram",
+    "Layout",
     "cov_pairs",
     "encode_pointwise",
     "encode_rows",
@@ -321,31 +323,49 @@ def _atoms_for(k, atoms):
     return atoms
 
 
+class Layout:
+    """The theta-invariant part of ``gram(k, A, B)``.  Called at a kernel
+    of k's dimension it evaluates only the closed forms and returns that
+    kernel's gram bit for bit, with the same count.  A ``lazy`` layout
+    (:func:`gram`'s) builds each block as it evaluates it: call it once."""
+
+    def __init__(self, k, A, B=None, lazy=False):
+        self.sym, self.dim = B is None or B is A, k.dim
+        A = _atoms_for(k, A)
+        B = A if self.sym else _atoms_for(k, B)
+        self.shape = (len(A), len(B))
+        XB = [B.X[ib] for _, ib in B.groups]
+        blocks = (  # (scatter index, block form) per pair of multi-index groups
+            (np.ix_(ia, ib), _kernel.block_form(A.X[ia][:, None] - X2[None], m, m2))
+            for m, ia in A.groups
+            for (m2, ib), X2 in zip(B.groups, XB)
+        )
+        self.blocks = blocks if lazy else list(blocks)
+
+    def __call__(self, k):
+        if k.dim != self.dim:
+            raise _kernel.DimensionMismatchError(f"layout of dim {self.dim}, kernel dim {k.dim}")
+        G = np.empty(self.shape)
+        for index, form in self.blocks:
+            G[index] = _kernel.block_value(k, form)
+        n = self.shape[0]
+        if self.sym:
+            G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)
+        _COUNTER.add(n * (n + 1) // 2 if self.sym else n * self.shape[1])
+        return G
+
+
 def gram(k, A, B=None):
     """Covariance matrix over extended points, entry (i,j) = cov(A[i], B[j]).
 
-    Each pair of multi-index groups is one block, evaluated by
-    :func:`pikrig.kernel.deriv_block` on the broadcast coordinate
-    differences.  With ``B`` omitted (or the identical object), the
-    upper triangle is copied onto the lower one (cov(A[j], A[i]) can
-    differ from cov(A[i], A[j]) in the sign of a zero) and |A|(|A|+1)/2
-    evaluations are counted; otherwise all |A| x |B| entries are.
+    The lazy :class:`Layout` of (A, B), evaluated once: one block per
+    pair of multi-index groups, one block's differences held at a time.
+    With ``B`` omitted (or the identical object), the upper triangle is
+    copied onto the lower one (cov(A[j], A[i]) can differ from
+    cov(A[i], A[j]) in the sign of a zero) and |A|(|A|+1)/2 evaluations
+    are counted; otherwise all |A| x |B| entries are.
     """
-    sym = B is None or B is A
-    A = _atoms_for(k, A)
-    B = A if sym else _atoms_for(k, B)
-    G = np.empty((len(A), len(B)))
-    XB = [B.X[ib] for _, ib in B.groups]
-    for m, ia in A.groups:
-        X = A.X[ia]
-        for (m2, ib), X2 in zip(B.groups, XB):
-            r = X[:, None, :] - X2[None, :, :]
-            G[np.ix_(ia, ib)] = _kernel.deriv_block(k, r, m, m2)
-    n = len(A)
-    if sym:
-        G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)
-    _COUNTER.add(n * (n + 1) // 2 if sym else n * len(B))
-    return G
+    return Layout(k, A, B, lazy=True)(k)
 
 
 def cov_pairs(k, A, B):

@@ -342,10 +342,11 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
         vals = np.vstack([vals, bv.reshape(-1, 2)])
     pts0 = design.Atoms(locs2, (0, 0))
     k0 = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
+    layout = design.Layout(k0, pts0)
 
     def crit(theta):
         # the virtual LOOCV MSE of vx plus that of vy, from one factorization
-        K2 = design.gram(replace(k0, theta=theta), pts0)
+        K2 = layout(replace(k0, theta=theta))
         a, d, escalated = _cal._virtual_parts(K2, vals, len(pts0), cfg)
         if escalated:
             return math.nan
@@ -356,7 +357,7 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     )
     k2 = replace(k0, theta=res.theta_hat)
     pred0 = design.Atoms(p.pred_grid, (0, 0))
-    K2 = design.gram(k2, pts0)
+    K2 = layout(k2)
     H2 = design.gram(k2, pts0, pred0)
     fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
     fy = fx.alpha.T @ vals[:, 1]

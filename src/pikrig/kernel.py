@@ -17,7 +17,8 @@ which collapses to an overall factor (-1)^|m| on the all-first-argument
 polynomial form.
 
 :func:`deriv_block` evaluates one (m, m2) pair over a whole array of
-differences x - x'; :func:`deriv` is its one-pair case.
+differences x - x' (:func:`block_value` of the theta-invariant
+:func:`block_form`); :func:`deriv` is its one-pair case.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ __all__ = [
     "evaluate",
     "deriv",
     "deriv_block",
+    "block_form",
+    "block_value",
     "deriv_fd",
     "total_order",
 ]
@@ -138,6 +141,30 @@ def _bracket(idx, h, it2):
     )
 
 
+def block_form(r, m, m2):
+    """The theta-invariant part of :func:`deriv_block`: (bracket index
+    list, sign, ``r`` if the order is not 0, ||r||^2)."""
+    t = total_order(m) + total_order(m2)
+    if t > MAX_TOTAL_ORDER:
+        raise UnsupportedOrderError(
+            f"total derivative order {t} exceeds analytic coverage "
+            f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}"
+        )
+    idx = [c for c in range(len(m)) for _ in range(m[c] + m2[c])]
+    d2 = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
+    return idx, -1.0 if total_order(m) % 2 else 1.0, r if idx else None, d2
+
+
+def block_value(k, form):
+    """The closed form of a :func:`block_form` at kernel ``k``."""
+    idx, sign, r, d2 = form
+    base = k.sigma2 * np.exp(-d2 / (2.0 * k.theta ** 2))
+    if not idx:
+        return base
+    h = [r[..., c] / k.theta ** 2 for c in range(k.dim)]
+    return sign * _bracket(idx, h, 1.0 / k.theta ** 2) * base
+
+
 def deriv_block(k, r, m, m2):
     """Mixed derivative d^|m|/dx^m d^|m2|/dx2^m2 k(x, x2) for many pairs at once.
 
@@ -154,23 +181,7 @@ def deriv_block(k, r, m, m2):
             f"differences have shape {r.shape}, kernel dim is {k.dim}"
         )
     m = _check_multi_index(k, m, "m")
-    m2 = _check_multi_index(k, m2, "m2")
-    t = total_order(m) + total_order(m2)
-    if t > MAX_TOTAL_ORDER:
-        raise UnsupportedOrderError(
-            f"total derivative order {t} exceeds analytic coverage "
-            f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}"
-        )
-    d2 = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
-    base = k.sigma2 * np.exp(-d2 / (2.0 * k.theta ** 2))
-    if t == 0:
-        return base
-    h = [r[..., c] / k.theta ** 2 for c in range(k.dim)]
-    idx = []
-    for c in range(k.dim):
-        idx.extend([c] * (m[c] + m2[c]))
-    sign = -1.0 if total_order(m) % 2 else 1.0
-    return sign * _bracket(idx, h, 1.0 / k.theta ** 2) * base
+    return block_value(k, block_form(r, m, _check_multi_index(k, m2, "m2")))
 
 
 def deriv(k, x, x2, m, m2):

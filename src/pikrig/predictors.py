@@ -255,14 +255,16 @@ def assemble_co_kriging(k, obs, ops, pred):
     """
     atoms = obs.points + ops.colloc_points
     n = obs.n
-    U = ops.U
-    Kfull = design.gram(k, atoms)
+    Kplus = _stacked_gram(design.gram(k, atoms), n, ops.U)
     Hfull = design.gram(k, atoms, pred)
+    Hplus = np.vstack([Hfull[:n], ops.U.T @ Hfull[n:]])
+    return Kplus, Hplus, np.concatenate([obs.values, ops.rhs])
+
+
+def _stacked_gram(Kfull, n, U):
+    """K+ from the gram over [primary atoms; collocation atoms] and U."""
     K12U = Kfull[:n, n:] @ U
-    Kplus = np.block([[Kfull[:n, :n], K12U], [K12U.T, U.T @ Kfull[n:, n:] @ U]])
-    Hplus = np.vstack([Hfull[:n], U.T @ Hfull[n:]])
-    y = np.concatenate([obs.values, ops.rhs])
-    return Kplus, Hplus, y
+    return np.block([[Kfull[:n, :n], K12U], [K12U.T, U.T @ Kfull[n:, n:] @ U]])
 
 
 def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
@@ -354,7 +356,7 @@ def assemble_lagrangian(k, obs, ops_at_predictions):
     return K, H
 
 
-def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
+def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=None):
     """Factor K; the Prop.-3 predictor is Kriging plus one constraint projection.
 
     A centered ``obs`` gives the simple variant, ``obs.mean`` with
@@ -367,13 +369,14 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
     gamma3 = mu^T K^-1 Z): predictions, w = project(Kriging predictions,
     v*) (:func:`_constraint_projector`), lambda' = w / denom,
     alpha = alpha_K + b (U lambda')^T, cross = cross_K - z~ (U lambda')^T
-    and lambda = lambda_K - (gamma3/gamma1) U lambda'.
+    and lambda = lambda_K - (gamma3/gamma1) U lambda'.  ``project`` is
+    ``_constraint_projector(ops.U)`` when the caller has already built it.
     """
     ops = ops_at_predictions
     mu = obs.mean
     if mu is not None and mu_star is None:
         raise ValueError("ordinary Lagrangian Kriging needs mu_star")
-    project = _constraint_projector(ops.U)
+    project = project or _constraint_projector(ops.U)
     solve, eta = make_spd_solver(K, cfg)
     Z = obs.values
     kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star)

@@ -1,3 +1,5 @@
+import collections
+import logging
 import math
 import os
 import subprocess
@@ -214,12 +216,9 @@ def test_lk_folds_raise_like_refit(rng):
     assert raised[0] == raised[1] and len(raised[0]) == 1
 
 
-def test_lk_criterion_factors_once(monkeypatch):
-    # one assembly, one rank check and one factorization per criterion
-    # evaluation, whatever the number of folds; the pointwise equations
-    # share no atom, so the rank check and the projection need no QR
-    names = ("make_spd_solver", "_constraint_projector", "qr")
-    counts = dict.fromkeys(names, 0)
+def _count_calls(monkeypatch, targets):
+    """Counter of calls to each (module, name) of ``targets``, by name."""
+    counts = collections.Counter()
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -228,16 +227,52 @@ def test_lk_criterion_factors_once(monkeypatch):
 
         return counted
 
-    for name, mod in (("make_spd_solver", C), ("make_spd_solver", P),
-                      ("_constraint_projector", P), ("qr", P)):
+    for mod, name in targets:
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    return counts
+
+
+def test_lk_criterion_factors_once(monkeypatch):
+    # one factorization per criterion evaluation, whatever the number of
+    # folds, and one rank check per search; the pointwise equations share
+    # no atom, so the rank check and the projection need no QR
+    counts = _count_calls(monkeypatch, ((C, "make_spd_solver"), (P, "make_spd_solver"),
+                                        (P, "_constraint_projector"), (P, "qr")))
     obs, _, grid = ode_setup(seed=10, n=6)
-    for crit in C.loocv_lk_explicit(UNIT, obs, harmonic_rows(grid)):
+    for which in (0, 1):
+        crit = C.loocv_lk_explicit(UNIT, obs, harmonic_rows(grid))[which]
+        counts.clear()
         for theta in (0.8, 1.2):
-            counts.update(dict.fromkeys(names, 0))
             crit(theta)
-            assert counts == {"make_spd_solver": 1, "_constraint_projector": 1,
-                              "qr": 0}, theta
+        assert counts == {"make_spd_solver": 2, "_constraint_projector": 1}, which
+
+
+def test_criteria_build_theta_invariant_state_once(monkeypatch):
+    # each criterion extends its system, builds its atom sets and layouts
+    # and checks the rank once per search: later evaluations only
+    # evaluate the kernel and factor once
+    counts = _count_calls(monkeypatch, ((C, "make_spd_solver"), (P, "make_spd_solver"),
+                                        (design, "_extend"), (P, "_constraint_projector")))
+    make = design.Atoms._make.__func__
+
+    def counted_make(cls, *args, **kwargs):
+        counts["Atoms"] += 1
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(design.Atoms, "_make", classmethod(counted_make))
+    obs, colloc, grid = ode_setup(seed=4, n=6)
+    factories = {
+        "lk": lambda: C.loocv_lk_explicit(UNIT, obs, harmonic_rows(grid)),
+        "ck": lambda: C.loocv_ck_virtual(UNIT, obs, harmonic_rows(colloc)),
+        "interpolation": lambda: C.interpolation_criteria(UNIT, obs, harmonic_rows(grid)),
+    }
+    for name, factory in factories.items():
+        crit = factory()[0]
+        crit(0.9)
+        for theta in (1.1, 1.4, 0.9):
+            counts.clear()
+            crit(theta)
+            assert counts == {"make_spd_solver": 1}, (name, theta)
 
 
 def test_sigma2_floor_and_warning():
@@ -289,6 +324,34 @@ def test_optimizer_skips_nan_region():
     assert len(res.trace) == 48
     assert res.theta_hat >= 1.0
     assert abs(res.theta_hat - 3.0) <= 0.05
+
+
+def test_optimizer_logs_one_summary_per_search(caplog):
+    def crit(theta):
+        if theta < 0.3:
+            raise P.ConditioningError("no factor", 1e-4)
+        return math.nan if theta < 1.0 else (theta - 3.0) ** 2
+
+    with caplog.at_level(logging.INFO):
+        res = C.optimize_theta(crit, (0.1, 10.0), budget=48)
+    bad = [t for t, v in res.trace if math.isnan(v)]
+    assert len(res.trace) == 48 and bad
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert f"{len(bad)} of 48 thetas in [{min(bad):.6g}, {max(bad):.6g}]" in message
+    assert "failed to factor" in message and "no factor" in message
+
+
+def test_cli_search_logs_one_summary(caplog, tmp_path):
+    # the ode1d ck search escalates at a few thetas: one warning in all,
+    # no line per theta
+    with caplog.at_level(logging.INFO):
+        assert cli.main(["ode1d", "--method", "ck", "--seed", "4",
+                         "--out", str(tmp_path)]) == 0
+    (record,) = [r for r in caplog.records if r.name == C.__name__]
+    assert record.levelno == logging.WARNING
+    assert "non-finite at 3 of 64 thetas" in record.getMessage()
 
 
 def test_optimizer_all_nan_raises():

@@ -386,3 +386,15 @@ def test_write_csv_matches_the_cell_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     cli.write_csv(tmp_path / "empty.csv", ["a", "b"], [[], []])
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+def test_calibrate_builds_no_criterion_without_a_search():
+    # with theta and sigma2 both given nothing is searched, so the
+    # criterion factory and the layouts it builds are skipped
+    def criterion(*args):
+        raise AssertionError("criterion built without a search")
+
+    obs, _, _ = ode_setup()
+    cfg = cli.RunConfig(theta="1.3", sigma2="2.5")
+    k = cli._calibrate(cfg, criterion, obs, None, predictors.SolveConfig())
+    assert (k.theta, k.sigma2, k.dim) == (1.3, 2.5, 1)

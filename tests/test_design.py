@@ -11,6 +11,7 @@ from pikrig import design
 from pikrig.design import (
     Atoms,
     ExtendedPoint,
+    Layout,
     ObservationSet,
     OperatorSystem,
     cov,
@@ -359,6 +360,48 @@ def test_gram_of_atoms_and_of_lists_equal_the_loop(drawn, theta):
     _assert_identical(gram(k, A), ref)
     _assert_identical(gram(k, Atoms.of(A)), ref)
     _assert_identical(gram(k, Atoms.of(A), A), gram_loop(k, A, A[:]))
+
+
+@st.composite
+def layout_sets(draw):
+    """(A, B, dim): 1-d or 2-d atom lists, either possibly empty, whose
+    multi-index pairs reach total order 4; B is None for a symmetric
+    gram.  Coordinates repeat and include -0.0, so differences and
+    bracket terms hit zeros of both signs."""
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(-2.0, 2.0))
+    loc = st.tuples(*[coord] * dim)
+
+    def atoms(max_order):
+        m = st.sampled_from(_multi_indices(dim, max_order))
+        return st.lists(st.builds(ExtendedPoint, loc, m), max_size=6)
+
+    if draw(st.booleans()):
+        return draw(atoms(2)), None, dim
+    order = draw(st.integers(0, 4))
+    return draw(atoms(order)), draw(atoms(4 - order)), dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=layout_sets(), theta1=st.floats(0.2, 8.0), theta2=st.floats(0.2, 8.0),
+       sigma2=st.floats(0.1, 5.0))
+def test_layout_evaluates_like_a_fresh_gram(drawn, theta1, theta2, sigma2):
+    # one layout evaluated at theta1, theta2 and theta1 again: each result
+    # is the fresh gram and the entrywise loop bit for bit, signs of zeros
+    # included, and each evaluation counts what gram counts
+    A, B, dim = drawn
+    layout = Layout(SqExpKernel(sigma2=1.0, theta=1.0, dim=dim), A, B)
+    count = len(A) * (len(A) + 1) // 2 if B is None else len(A) * len(B)
+    for theta in (theta1, theta2, theta1):
+        k = SqExpKernel(sigma2=sigma2, theta=theta, dim=dim)
+        reset_cov_eval_count()
+        G = layout(k)
+        assert cov_eval_count() == count
+        _assert_identical(G, gram(k, A, B))
+        assert cov_eval_count() == 2 * count
+        _assert_identical(G, gram_loop(k, A, B))
+    with pytest.raises(DimensionMismatchError):
+        layout(SqExpKernel(sigma2=sigma2, theta=theta1, dim=3 - dim))
 
 
 @settings(max_examples=60, deadline=None)
