@@ -81,18 +81,18 @@ def _require_unit_centered(k, obs):
         raise ValueError("LOOCV criteria expect a centered observation set")
 
 
-def _virtual_parts(K, y, n, cfg):
-    """a = K^-1 y, d = diag(K^-1) in the first ``n`` slots, and whether
-    jitter escalated.
+def _virtual_parts(K, y, cfg):
+    """(K^-1, a = K^-1 y, d = diag(K^-1), eta) from one factorization of K.
 
-    The virtual identities hold for the covariance actually requested; if
-    the factorization only succeeded with escalated jitter the returned
-    flag is True and criteria built on these parts are undefined.
+    The one factorization of every leave-one-out criterion.  The virtual
+    identities hold for the covariance actually requested; if the
+    factorization only succeeded with a nugget ``eta`` above
+    ``cfg.nugget`` (escalated jitter), criteria built on these parts are
+    undefined.
     """
     solve, eta = make_spd_solver(K, cfg)
     Ki = solve(np.eye(K.shape[0]))
-    a = Ki @ y
-    return a[:n], np.diag(Ki)[:n], eta > cfg.nugget
+    return Ki, Ki @ y, np.diag(Ki), eta
 
 
 def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
@@ -110,10 +110,7 @@ def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
     """
     n = obs.n
     Z = obs.values
-    solve, eta = make_spd_solver(K, cfg)
-    Ki = solve(np.eye(n))
-    a = Ki @ Z
-    d = np.diag(Ki)
+    Ki, a, d, eta = _virtual_parts(K, Z, cfg)
     A = a[:, None] - Ki * (a / d)
     np.fill_diagonal(A, 0.0)
     pred, W = project(H.T @ A, ops.rhs[:, None])
@@ -198,16 +195,16 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     _require_unit_centered(k_unit, obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
-    if ops is None:
-        ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
+    ops = design.OperatorSystem() if ops is None else ops
     n = obs.n
     layout = design.Layout(k_unit, obs.points + ops.colloc_points)
     y = np.concatenate([obs.values, ops.rhs])
 
     def parts(theta, with_std):
         Kfull = layout(replace(k_unit, theta=float(theta)))
-        a, d, escalated = _virtual_parts(_pred._stacked_gram(Kfull, n, ops.U), y, n, cfg)
-        return a / d, a * a / d, escalated
+        _, a, d, eta = _virtual_parts(_pred._stacked_gram(Kfull, n, ops.U), y, cfg)
+        a, d = a[:n], d[:n]
+        return a / d, a * a / d, eta > cfg.nugget
 
     return _loo_criteria(parts)
 

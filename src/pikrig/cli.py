@@ -256,8 +256,6 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
 # methods: one row of the method table per --method value
 
 
-_NO_ROWS = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
-
 # A post-calibration solve, read at its prediction atoms.
 _Fit = namedtuple("_Fit", "atoms mean variance resid_max nugget_used timing")
 
@@ -278,7 +276,7 @@ def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
     residual comes out of the same factorization as the predictions.
     ``ordinary`` (used without rows) adds the unit-mean constraint.
     """
-    ops = ops if rows else _NO_ROWS
+    ops = ops if rows else design.OperatorSystem()
     mu = np.ones(obs.n) if ordinary else None
     q = len(pred)
     t0 = time.monotonic()

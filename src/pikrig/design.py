@@ -22,7 +22,7 @@ evaluations (symmetric fill), for Lagrangian Kriging n(n+1)/2 + n*q.
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -107,12 +107,11 @@ class Atoms:
         return cls._make(X, M)
 
     @classmethod
-    def _make(cls, X, M, groups=None):
-        """Atoms of checked arrays, grouped unless ``groups`` is given."""
+    def _make(cls, X, M):
+        """Atoms of checked arrays, grouped by multi-index."""
         atoms = object.__new__(cls)
         X.flags.writeable = M.flags.writeable = False
-        groups = _group_rows(M) if groups is None else groups
-        for name, value in zip(cls.__slots__, (X, M, groups)):
+        for name, value in zip(cls.__slots__, (X, M, _group_rows(M))):
             object.__setattr__(atoms, name, value)
         return atoms
 
@@ -123,7 +122,7 @@ class Atoms:
             return atoms
         atoms = list(atoms)
         if not atoms:
-            return cls._make(np.zeros((0, 0)), np.zeros((0, 0), dtype=int), [])
+            return cls._make(np.zeros((0, 0)), np.zeros((0, 0), dtype=int))
         dims = sorted({len(a.m) for a in atoms})
         if len(dims) > 1:
             raise _kernel.DimensionMismatchError(f"atoms of dimensions {dims} in one set")
@@ -145,18 +144,14 @@ class Atoms:
         return Atoms._make(self.X[i], self.M[i])
 
     def __add__(self, other):
-        """The atoms of both sets; the groups of the parts are merged, not rebuilt."""
+        """The atoms of both sets, grouped afresh; with an empty operand, the other."""
         other = Atoms.of(other)
         if not (len(self) and len(other)):
-            a = self if len(self) else other
-            return Atoms._make(a.X, a.M, a.groups)
+            return self if len(self) else other
         if self.X.shape[1] != other.X.shape[1]:
             raise _kernel.DimensionMismatchError("atom sets of different dimensions")
-        n, groups = len(self), dict(self.groups)
-        for m, idx in other.groups:
-            groups[m] = np.concatenate([groups[m], idx + n]) if m in groups else idx + n
         X, M = (np.concatenate([getattr(self, v), getattr(other, v)]) for v in "XM")
-        return Atoms._make(X, M, list(groups.items()))
+        return Atoms._make(X, M)
 
 
 def _distinct(*sets):
@@ -245,11 +240,12 @@ class OperatorSystem:
 
     ``U`` is c x p: rows follow ``colloc_points``, each column is one
     equation's coefficient vector.  ``rhs`` holds the p forcing values v.
+    ``OperatorSystem()`` is the empty system (no atoms, no equations).
     """
 
-    colloc_points: Atoms
-    U: np.ndarray
-    rhs: np.ndarray
+    colloc_points: Atoms = ()
+    U: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    rhs: np.ndarray = ()
 
     def __post_init__(self):
         self.colloc_points = Atoms.of(self.colloc_points)
@@ -277,35 +273,28 @@ class OperatorSystem:
         return int(self.U.shape[1])
 
 
-class _EvalCounter:
-    """Monotonic process-wide accumulator of covariance evaluations."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._total = 0
-
-    def add(self, n):
-        with self._lock:
-            self._total += int(n)
-
-    def value(self):
-        with self._lock:
-            return self._total
+# Process-wide count of covariance evaluations, guarded by its lock.
+_count_lock = threading.Lock()
+_count = 0
 
 
-_COUNTER = _EvalCounter()
+def _count_evals(n):
+    global _count
+    with _count_lock:
+        _count += int(n)
 
 
 def cov_eval_count():
     """Total covariance evaluations counted so far in this process."""
-    return _COUNTER.value()
+    with _count_lock:
+        return _count
 
 
 def reset_cov_eval_count():
     """Reset the counter (testing hook); returns the value before reset."""
-    with _COUNTER._lock:
-        old = _COUNTER._total
-        _COUNTER._total = 0
+    global _count
+    with _count_lock:
+        old, _count = _count, 0
     return old
 
 
@@ -351,7 +340,7 @@ class Layout:
         n = self.shape[0]
         if self.sym:
             G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)
-        _COUNTER.add(n * (n + 1) // 2 if self.sym else n * self.shape[1])
+        _count_evals(n * (n + 1) // 2 if self.sym else n * self.shape[1])
         return G
 
 
@@ -380,7 +369,7 @@ def cov_pairs(k, A, B):
     out = np.empty(len(A))
     for mm, idx in _group_rows(np.hstack([A.M, B.M])):
         out[idx] = _kernel.deriv_block(k, A.X[idx] - B.X[idx], mm[: k.dim], mm[k.dim :])
-    _COUNTER.add(len(A))
+    _count_evals(len(A))
     return out
 
 

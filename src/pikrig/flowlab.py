@@ -244,11 +244,10 @@ def build_flow_system(p):
         raise ValueError("FlowProblem has no velocity observations")
     obs = design.ObservationSet(_velocity_atoms(p.obs_locations), p.obs_velocities)
     p_rows = len(p.boundary_locations) + len(p.continuity)
+    ops = design.OperatorSystem()
     if p_rows:
         laplace = (p.continuity, ((2, 0), (0, 2)), 1.0)
         ops = design.encode_rows([_neumann_rows(p), laplace], np.zeros(p_rows))
-    else:
-        ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
     return obs, ops, _velocity_atoms(p.pred_grid)
 
 
@@ -298,8 +297,7 @@ def predict_flow_ck(k, p, cfg=SolveConfig(), system=None):
     obs, ops, pred = system if system is not None else build_flow_system(p)
     bnd_atoms = _velocity_atoms(p.boundary_locations)
     G2 = len(pred)
-    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + bnd_atoms)
-    w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
+    w = _pred.co_kriging(k, obs, ops, pred + bnd_atoms, cfg=cfg)
     variance, blocks = _uq.mmse_variance(
         k, pred, w.alpha[:, :G2], w.cross[:, :G2], block=2
     )
@@ -346,9 +344,8 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
 
     def crit(theta):
         # the virtual LOOCV MSE of vx plus that of vy, from one factorization
-        K2 = layout(replace(k0, theta=theta))
-        a, d, escalated = _cal._virtual_parts(K2, vals, len(pts0), cfg)
-        if escalated:
+        _, a, d, eta = _cal._virtual_parts(layout(replace(k0, theta=theta)), vals, cfg)
+        if eta > cfg.nugget:
             return math.nan
         return float(np.mean((a[:, 0] / d) ** 2)) + float(np.mean((a[:, 1] / d) ** 2))
 

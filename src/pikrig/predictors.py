@@ -9,6 +9,8 @@ what is constrained:
   (alpha^T mu = mu*), one Lagrange multiplier vector lambda;
 * collocated co-Kriging: PDE rows U^T Z+ = v join the observation stack
   as secondary data, same formulas with the extended blocks K+, H+;
+  plain (simple or ordinary) Kriging is co-Kriging with no rows, and is
+  computed as such (:func:`co_kriging`);
 * Lagrangian Kriging: the PDE rows constrain the predictions themselves
   (C2: U^T Z* = v*), with a second multiplier vector lambda'.
 
@@ -209,24 +211,27 @@ def _constraint_projector(U):
 
 
 def simple_kriging(k, obs, pred, cfg=SolveConfig()):
-    """Centered BLUP: alpha = K^-1 H, predictions = H^T K^-1 Z."""
+    """Centered BLUP: alpha = K^-1 H, predictions = H^T K^-1 Z.
+
+    Co-Kriging with no operator rows (:func:`co_kriging`).
+    """
     if obs.mean is not None:
         raise ValueError("simple_kriging expects a centered model (obs.mean=None)")
-    K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, pred)
-    return solve_co_kriging(K, H, obs.values, cfg)
+    return co_kriging(k, obs, None, pred, cfg=cfg)
 
 
 def ordinary_kriging(k, obs, pred, mu_star, cfg=SolveConfig()):
-    """BLUP under the unbiasedness constraint alpha^T mu = mu*."""
+    """BLUP under the unbiasedness constraint alpha^T mu = mu*.
+
+    Ordinary co-Kriging with no operator rows (:func:`co_kriging`).
+    """
     if obs.mean is None:
         raise ValueError("ordinary_kriging needs obs.mean")
     mu_star = np.asarray(mu_star, dtype=float).ravel()
-    K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, pred)
-    if mu_star.size != H.shape[1]:
-        raise ValueError(f"mu_star has size {mu_star.size}, expected {H.shape[1]}")
-    return solve_co_kriging(K, H, obs.values, cfg, mu_plus=obs.mean, mu_star=mu_star)
+    pred = design.Atoms.of(pred)
+    if mu_star.size != len(pred):
+        raise ValueError(f"mu_star has size {mu_star.size}, expected {len(pred)}")
+    return co_kriging(k, obs, None, pred, mu_star, cfg)
 
 
 def _extended_mean(obs, ops):
@@ -264,7 +269,8 @@ def assemble_co_kriging(k, obs, ops, pred):
 def _stacked_gram(Kfull, n, U):
     """K+ from the gram over [primary atoms; collocation atoms] and U."""
     K12U = Kfull[:n, n:] @ U
-    return np.block([[Kfull[:n, :n], K12U], [K12U.T, U.T @ Kfull[n:, n:] @ U]])
+    top = np.concatenate([Kfull[:n, :n], K12U], axis=1)
+    return np.concatenate([top, np.concatenate([K12U.T, U.T @ Kfull[n:, n:] @ U], axis=1)])
 
 
 def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
@@ -300,19 +306,20 @@ def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None):
 def co_kriging(k, obs, ops, pred, mu_star=None, cfg=SolveConfig()):
     """Collocated co-Kriging: PDE rows as secondary observations (Prop.-2 form).
 
-    With an empty operator system this reduces to plain simple/ordinary
-    Kriging on the primary observations.
+    Plain Kriging is co-Kriging with no rows: ``ops`` None or with p = 0
+    stacks nothing onto the primary observations (its atoms are dropped),
+    and the ordinary variant then uses ``obs.mean`` as it is; with rows
+    the mean must be constant to extend onto the collocation atoms
+    (:func:`_extended_mean`).
     """
     if ops is None or ops.p == 0:
-        if obs.mean is None:
-            return simple_kriging(k, obs, pred, cfg)
-        return ordinary_kriging(k, obs, pred, mu_star, cfg)
+        ops = design.OperatorSystem()
+    if obs.mean is not None and mu_star is None:
+        raise ValueError("ordinary co-Kriging needs mu_star")
     Kplus, Hplus, y = assemble_co_kriging(k, obs, ops, pred)
     if obs.mean is None:
         return solve_co_kriging(Kplus, Hplus, y, cfg)
-    if mu_star is None:
-        raise ValueError("ordinary co-Kriging needs mu_star")
-    mu_plus = _extended_mean(obs, ops)
+    mu_plus = _extended_mean(obs, ops) if ops.p else obs.mean
     return solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=mu_plus, mu_star=mu_star)
 
 
@@ -331,15 +338,13 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=SolveConfig(), conditional_
         raise ValueError(f"unknown conditional_cov {conditional_cov!r}")
     ops = ops_at_predictions
     U = ops.U
-    atoms = ops.colloc_points
-    K = design.gram(k, obs.points)
-    H = design.gram(k, obs.points, atoms)
+    K, H = assemble_lagrangian(k, obs, ops)
     solve, eta = make_spd_solver(K, cfg)
     KiH = solve(H)
     base = KiH.T @ obs.values
     if conditional_cov == "identity":
         return _constraint_projector(U)(base, ops.rhs)[0]
-    K2g1U = (design.gram(k, atoms) - H.T @ KiH) @ U
+    K2g1U = (design.gram(k, ops.colloc_points) - H.T @ KiH) @ U
     try:
         factor = cho_factor(U.T @ K2g1U + eta * np.eye(ops.p), lower=True)
     except (np.linalg.LinAlgError, ValueError) as exc:

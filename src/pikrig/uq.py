@@ -111,11 +111,7 @@ def var_ck(k, obs, ops, pred, cfg=SolveConfig()):
     if obs.mean is not None:
         raise ValueError("var_ck expects a centered model")
     pred = design.Atoms.of(pred)
-    if ops is None:
-        ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
-    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred)
-    w = _pred.solve_co_kriging(Kplus, Hplus, y, cfg)
-    return _full_covariance(k, pred, w)
+    return _full_covariance(k, pred, _pred.co_kriging(k, obs, ops, pred, cfg=cfg))
 
 
 def var_lk(k, obs, ops_at_predictions, cfg=SolveConfig()):
@@ -126,14 +122,12 @@ def var_lk(k, obs, ops_at_predictions, cfg=SolveConfig()):
     symmetric as printed; its antisymmetric part (zero on the diagonal,
     so the variances are unaffected) is removed by (V+V^T)/2 and reported
     as ``symmetry_defect``.  The solve is
-    :func:`pikrig.predictors.solve_lagrangian`, rank check included.
+    :func:`pikrig.predictors.lagrangian_kriging`, rank check included.
     """
     if obs.mean is not None:
         raise ValueError("var_lk expects a centered model")
-    ops = ops_at_predictions
-    K, H = _pred.assemble_lagrangian(k, obs, ops)
-    w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
-    return _full_covariance(k, ops.colloc_points, w)
+    w = _pred.lagrangian_kriging(k, obs, ops_at_predictions, cfg=cfg)
+    return _full_covariance(k, ops_at_predictions.colloc_points, w)
 
 
 def mmse_variance(k, atoms, alpha, cross, block=1):

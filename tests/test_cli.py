@@ -189,6 +189,20 @@ def test_scalar2d_smoke_fixed_kernel(tmp_path):
     assert len(lines) == 1 + 25
 
 
+def test_scalar2d_f2_co_kriging_beats_plain_kriging(tmp_path):
+    """On f2 = e^x sin y + 5 the gradient and Laplacian rows carry most of
+    the field: calibrated co-Kriging lands far below simple Kriging."""
+    mse = {}
+    for method in ("ck", "sk"):
+        out = tmp_path / method
+        assert run(["scalar2d", "--method", method, "--target", "f2", "--seed", "10",
+                    "--out", str(out)]) == cli.EXIT_OK
+        rep = report_of(out)
+        assert rep["status"] == "ok"
+        mse[method] = rep["mse_vs_truth"]
+    assert mse["ck"] < 1e-2 * mse["sk"]
+
+
 def test_flow_csv_roundtrip_run(tmp_path):
     # a cylinder run emits its own input back out; feeding that file to
     # flow-csv reproduces the same observation set

@@ -119,13 +119,53 @@ def test_ordinary_co_kriging_guards(rng):
 
 
 def test_co_kriging_empty_ops_delegates(rng):
-    k, obs, _, pred = random_instance(rng)
+    k, obs, ops, pred = random_instance(rng)
     empty = OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
     a = P.co_kriging(k, obs, empty, pred)
     b = P.simple_kriging(k, obs, pred)
     assert np.array_equal(a.predictions, b.predictions)
     c = P.co_kriging(k, obs, None, pred)
     assert np.array_equal(c.predictions, b.predictions)
+    # ordinary Kriging is ordinary co-Kriging with no rows, bit for bit,
+    # and both are the bordered solve on the plain gram
+    mu_star = np.full(len(pred), 2.0)
+    obs_m = ObservationSet(obs.points, obs.values, mean=np.full(obs.n, 2.0))
+    K, H = design.gram(k, obs.points), design.gram(k, obs.points, pred)
+    gram_solve = P.solve_co_kriging(K, H, obs.values, P.SolveConfig(),
+                                    mu_plus=obs_m.mean, mu_star=mu_star)
+    ref = P.ordinary_kriging(k, obs_m, pred, mu_star)
+    for w in (P.co_kriging(k, obs_m, None, pred, mu_star),
+              P.co_kriging(k, obs_m, OperatorSystem(), pred, mu_star), gram_solve):
+        for name in ("alpha", "lam", "cross", "predictions"):
+            assert np.array_equal(getattr(w, name), getattr(ref, name)), name
+    # without rows a non-constant mean is used as it is; with rows it
+    # cannot extend onto the collocation atoms
+    ramp = ObservationSet(obs.points, obs.values, mean=np.linspace(1.0, 2.0, obs.n))
+    w = P.co_kriging(k, ramp, None, pred, mu_star)
+    assert np.allclose(w.alpha, oracles.kkt_ordinary(K, H, ramp.mean, mu_star), atol=1e-8)
+    assert np.max(np.abs(w.alpha.T @ ramp.mean - mu_star)) <= 1e-10
+    with pytest.raises(P.DegenerateMeanError):
+        P.co_kriging(k, ramp, ops, pred, mu_star)
+
+
+def test_plain_kriging_counts_no_stacked_atoms(rng):
+    """Plain Kriging counts n(n+1)/2 + n q evaluations, also through a
+    system whose atoms sit in no equation (p = 0 stacks nothing)."""
+    k, obs, _, pred = random_instance(rng)
+    n, q = obs.n, len(pred)
+    unused = design.extend_atoms(OperatorSystem(), design.Atoms([[0.2], [3.1]], (2,)))
+    assert (unused.c, unused.p) == (2, 0)
+    obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(n))
+    runs = [
+        lambda: P.simple_kriging(k, obs, pred),
+        lambda: P.co_kriging(k, obs, unused, pred),
+        lambda: P.ordinary_kriging(k, obs_m, pred, np.ones(q)),
+        lambda: P.co_kriging(k, obs_m, unused, pred, np.ones(q)),
+    ]
+    for run in runs:
+        design.reset_cov_eval_count()
+        run()
+        assert design.cov_eval_count() == n * (n + 1) // 2 + n * q
 
 
 def test_lagrangian_matches_dense_kkt(rng):

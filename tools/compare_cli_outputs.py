@@ -1,0 +1,122 @@
+"""Compare the CLI outputs of two checkouts of pikrig over a fixed run matrix.
+
+Usage: python3 tools/compare_cli_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are checkout directories (each with its own ``src``).
+Each checkout runs the whole matrix in one subprocess, with its own
+``src`` on PYTHONPATH and one BLAS thread, writing every run to a
+temporary directory.  Then every output file is compared:
+
+* ``predictions.csv``, ``field_input.csv`` and ``trace.csv`` byte for byte;
+* ``bench.csv`` without its ``*_s`` (timing) columns;
+* ``report.json`` as JSON without ``timing``, ``config.output_dir`` and
+  the ``*_s`` keys of the bench rows.
+
+Every file that differs, or exists on one side only, is printed; the exit
+status is 1 if any does, else 0.
+"""
+
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ODE1D_METHODS = ("sk", "ok", "ck", "lk", "lk-interp")
+
+
+def run_matrix():
+    """(name, argv) of every run: ode1d, scalar2d, flow, calibrate, bench."""
+    runs = [(f"ode1d-{m}-seed{s}", ["ode1d", "--method", m, "--seed", str(s)])
+            for m in ODE1D_METHODS for s in (4, 5, 6, 7, 10)]
+    runs += [(f"scalar2d-{m}-{t}", ["scalar2d", "--method", m, "--target", t])
+             for m in ("sk", "ck", "lk") for t in ("f1", "f2")]
+    runs += [(f"flow-{m}", ["flow", "--method", m]) for m in ("ck", "lk")]
+    runs += [(f"calibrate-{m}", ["calibrate", "--method", m]) for m in ODE1D_METHODS]
+    runs.append(("bench-p200", ["bench", "--p", "200"]))
+    return runs
+
+
+# Runs inside the child: every run of the matrix through pikrig.cli.main.
+CHILD = """
+import json, os, sys
+from pikrig import cli
+root, runs = sys.argv[1], json.loads(sys.argv[2])
+for name, argv in runs:
+    cli.main(argv + ["--out", os.path.join(root, name)])
+"""
+
+
+def run_checkout(checkout, root, runs):
+    """Run ``runs`` with ``checkout``'s sources; outputs go under ``root``."""
+    threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **threads)
+    done = subprocess.run([sys.executable, "-c", CHILD, root, json.dumps(runs)],
+                          cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"{checkout}: the run matrix failed\n{done.stderr}")
+
+
+def _without_timing_columns(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [i for i, h in enumerate(rows[0]) if not h.endswith("_s")] if rows else []
+    return [[row[i] for i in keep] for row in rows]
+
+
+def _report_without_timing(text):
+    report = json.loads(text)
+    report.pop("timing", None)
+    report.get("config", {}).pop("output_dir", None)
+    for row in report.get("extras", {}).get("rows", []):
+        for key in [k for k in row if k.endswith("_s")]:
+            del row[key]
+    return report
+
+
+def comparable(path):
+    """The content of an output file as it is compared."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    name = os.path.basename(path)
+    if name == "report.json":
+        return _report_without_timing(data.decode("utf-8"))
+    if name == "bench.csv":
+        return _without_timing_columns(data.decode("utf-8"))
+    return data
+
+
+def compare_outputs(parent_root, change_root, runs):
+    """(path relative to a root, equal) of every output file of either side;
+    a file on one side only is not equal."""
+    results = []
+    for name, _ in runs:
+        sides = [os.path.join(r, name) for r in (parent_root, change_root)]
+        files = set().union(*(os.listdir(d) if os.path.isdir(d) else () for d in sides))
+        for f in sorted(files):
+            a, b = (os.path.join(d, f) for d in sides)
+            equal = os.path.exists(a) and os.path.exists(b) and comparable(a) == comparable(b)
+            results.append((os.path.join(name, f), equal))
+    return results
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    parent, change = (os.path.abspath(p) for p in argv)
+    runs = run_matrix()
+    with tempfile.TemporaryDirectory(prefix="pikrig_compare_") as tmp:
+        roots = [os.path.join(tmp, side) for side in ("parent", "change")]
+        for checkout, root in zip((parent, change), roots):
+            run_checkout(checkout, root, runs)
+        results = compare_outputs(*roots, runs)
+    differ = [path for path, equal in results if not equal]
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"{len(runs)} runs, {len(results)} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
