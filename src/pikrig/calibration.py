@@ -318,6 +318,7 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     evaluations in all.  Non-finite values and factorization failures are
     skipped, kept as nan in the trace and logged once per search, with
     their count and theta range; exact ties shrink the bracket from both sides.
+    A grid with no finite value raises ConditioningError.
     ``sigma2_rule``, when given, is called at the optimum to fill
     ``sigma2_hat`` (default 1.0).
     """
@@ -345,7 +346,8 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     finite = [i for i, v in enumerate(vals) if math.isfinite(v)]
     if not finite:
         last = failed[-1] if failed else None
-        raise RuntimeError("criterion was non-finite at every grid point") from last
+        raise ConditioningError("criterion was non-finite at every grid point",
+                                nugget_last=getattr(last, "nugget_last", None)) from last
     ib = min(finite, key=lambda i: vals[i])
     la = math.log(grid[ib - 1] if ib > 0 else grid[ib])
     lb = math.log(grid[ib + 1] if ib < ngrid - 1 else grid[ib])

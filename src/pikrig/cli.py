@@ -1,6 +1,7 @@
 """Experiment harness: configure, run, and serialize the worked studies.
 
-Subcommands: ode1d, scalar2d, flow, bench, calibrate.  Configuration is a
+Subcommands (one row each of ``_SUBCOMMANDS``): ode1d, scalar2d, flow,
+bench, calibrate.  Configuration is a
 JSON file (--config) mirrored by command-line flags; flags win.  Every
 run writes predictions.csv and report.json into the output directory
 (atomically, temp + rename), with floats at 17 significant digits so the
@@ -16,9 +17,10 @@ come from it.
 
 The report's timing block has two entries.  For ode1d and scalar2d,
 construction_s times the covariance assembly of the post-calibration
-solve and inversion_s its factorization and solve; the bench sweep
-splits each method the same way, to compare collocated co-Kriging with
-the Lagrangian predictor as the constraint count grows.  For the flow
+solve and inversion_s its factorization and solve (:func:`_timed_ck`,
+:func:`_timed_lk`); the bench sweep times both routes the same way, to
+compare collocated co-Kriging with the Lagrangian predictor as the
+constraint count grows.  For the flow
 experiments construction_s times the one build of the flow system and
 inversion_s the whole predictor, covariance assembly included.
 Calibration and the variance pass are not timed.
@@ -44,7 +46,6 @@ from . import flowlab as _flow
 from . import kernel as _kernel
 from . import predictors as _pred
 from . import uq as _uq
-from .flowlab import CsvFormatError
 from .predictors import SolveConfig
 
 __all__ = ["RunConfig", "RunReport", "main"]
@@ -157,6 +158,8 @@ def load_config(path):
     nested = {"kernel": ("theta", "sigma2"), "counts": ("n", "p", "q", "q1", "q2")}
     for key, val in raw.items():
         if key in nested:
+            if not isinstance(val, dict):
+                raise ConfigError(f"config: {key} must be an object, got {val!r}")
             for sub in val:
                 if sub not in nested[key]:
                     raise ConfigError(f"config: unknown {key} key {sub!r}")
@@ -168,17 +171,18 @@ def load_config(path):
     return flat
 
 
+def _typed(name, value, kind, expected):
+    """``kind(value)``; a value of the wrong type raises ConfigError naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected {expected}, got {value!r}") from None
+
+
 def _parse_autoreal(value, name):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        if value == "auto":
-            return "auto"
-        try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(f"{name}: expected a number or 'auto', got {value!r}") from None
-    value = float(value)
+    if value is None or value == "auto":
+        return value
+    value = _typed(name, value, float, "a number or 'auto'")
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name}: must be positive and finite, got {value}")
     return value
@@ -186,14 +190,14 @@ def _parse_autoreal(value, name):
 
 def validate_config(cfg):
     methods = _methods()
-    if cfg.method not in methods:
+    if not isinstance(cfg.method, str) or cfg.method not in methods:
         raise ConfigError(f"method: {cfg.method!r} not one of {tuple(methods)}")
     cfg.theta = _parse_autoreal(cfg.theta, "theta")
     cfg.sigma2 = _parse_autoreal(cfg.sigma2, "sigma2")
     for name in ("n", "p", "q", "q1", "q2"):
         val = getattr(cfg, name)
         if val is not None:
-            val = int(val)
+            val = _typed(name, val, int, "an integer")
             if val < 1:
                 raise ConfigError(f"{name}: must be at least 1, got {val}")
             setattr(cfg, name, val)
@@ -202,11 +206,11 @@ def validate_config(cfg):
     if not 0 <= int(cfg.seed) < 2 ** 64:
         raise ConfigError(f"seed: must fit in 64 unsigned bits, got {cfg.seed}")
     cfg.seed = int(cfg.seed)
-    cfg.nugget = float(cfg.nugget)
+    cfg.nugget = _typed("nugget", cfg.nugget, float, "a number")
     if not (math.isfinite(cfg.nugget) and cfg.nugget >= 0):
         raise ConfigError(f"nugget: must be non-negative, got {cfg.nugget}")
     if cfg.budget is not None:
-        cfg.budget = int(cfg.budget)
+        cfg.budget = _typed("budget", cfg.budget, int, "an integer")
         if cfg.budget < 8:
             raise ConfigError(f"budget: must be at least 8, got {cfg.budget}")
     if cfg.target not in ("f1", "f2"):
@@ -264,6 +268,24 @@ def _timing(t0, t1, t2):
     return {"construction_s": round(t1 - t0, 3), "inversion_s": round(t2 - t1, 3)}
 
 
+def _timed_ck(k, obs, ops, pred, scfg, mu=None, mu_star=None):
+    """Assemble and solve co-Kriging on [Z; v]: (weights, timing)."""
+    t0 = time.monotonic()
+    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred)
+    t1 = time.monotonic()
+    w = _pred.solve_co_kriging(Kplus, Hplus, y, scfg, mu_plus=mu, mu_star=mu_star)
+    return w, _timing(t0, t1, time.monotonic())
+
+
+def _timed_lk(k, obs, ops, scfg):
+    """Assemble and solve Lagrangian Kriging at ``ops``' atoms: (weights, timing)."""
+    t0 = time.monotonic()
+    K, H = _pred.assemble_lagrangian(k, obs, ops)
+    t1 = time.monotonic()
+    w = _pred.solve_lagrangian(K, H, obs, ops, scfg)
+    return w, _timing(t0, t1, time.monotonic())
+
+
 def _loocv_plain(k0, obs, ops, scfg):
     """Virtual LOOCV of plain Kriging; the operator rows play no part."""
     return _cal.loocv_ck_virtual(k0, obs, None, scfg)
@@ -277,36 +299,23 @@ def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
     ``ordinary`` (used without rows) adds the unit-mean constraint.
     """
     ops = ops if rows else design.OperatorSystem()
-    mu = np.ones(obs.n) if ordinary else None
     q = len(pred)
-    t0 = time.monotonic()
-    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred + ops.colloc_points)
-    t1 = time.monotonic()
-    mu_star = np.ones(q) if ordinary else None
-    w = _pred.solve_co_kriging(Kplus, Hplus, y, scfg, mu_plus=mu, mu_star=mu_star)
-    t2 = time.monotonic()
+    mu, mu_star = (np.ones(obs.n), np.ones(q)) if ordinary else (None, None)
+    w, timing = _timed_ck(k, obs, ops, pred + ops.colloc_points, scfg, mu, mu_star)
     variance, _ = _uq.mmse_variance(k, pred, w.alpha[:, :q], w.cross[:, :q])
     resid = ops.U.T @ w.predictions[q:] - ops.rhs
     resid_max = float(np.max(np.abs(resid))) if ops.p else None
-    return _Fit(
-        pred, w.predictions[:q], variance, resid_max, w.nugget_used, _timing(t0, t1, t2)
-    )
+    return _Fit(pred, w.predictions[:q], variance, resid_max, w.nugget_used, timing)
 
 
 def _solve_lk(k, obs, ops, pred, scfg):
     """Lagrangian Kriging over the constrained atoms plus ``pred``."""
     lk_ops = design.extend_atoms(ops, pred)
-    t0 = time.monotonic()
-    K, H = _pred.assemble_lagrangian(k, obs, lk_ops)
-    t1 = time.monotonic()
-    w = _pred.solve_lagrangian(K, H, obs, lk_ops, scfg)
-    t2 = time.monotonic()
+    w, timing = _timed_lk(k, obs, lk_ops, scfg)
     atoms = lk_ops.colloc_points
     variance, _ = _uq.mmse_variance(k, atoms, w.alpha, w.cross)
     resid_max = float(np.max(np.abs(lk_ops.U.T @ w.predictions - lk_ops.rhs)))
-    return _Fit(
-        atoms, w.predictions, variance, resid_max, w.nugget_used, _timing(t0, t1, t2)
-    )
+    return _Fit(atoms, w.predictions, variance, resid_max, w.nugget_used, timing)
 
 
 _Method = namedtuple(
@@ -551,36 +560,23 @@ def run_bench(cfg):
     k = _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=1)
     scfg = SolveConfig(nugget=cfg.nugget)
     obs, _, _ = _ode1d_data(cfg, None)
+    pred_atoms = design.Atoms(np.linspace(0.0, 2.0 * np.pi, q_ck)[:, None], (0,))
     rows = []
     for p in sweep:
-        colloc = np.linspace(0.0, 2.0 * np.pi, p)
-        ops = _ode_rows(colloc)
-        pred_atoms = design.Atoms(np.linspace(0.0, 2.0 * np.pi, q_ck)[:, None], (0,))
-        design.reset_cov_eval_count()
-        t0 = time.monotonic()
-        Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred_atoms)
-        t1 = time.monotonic()
-        _pred.solve_co_kriging(Kplus, Hplus, y, scfg)
-        t2 = time.monotonic()
-        rows.append(dict(method="ck", p=p, q=q_ck, **_timing(t0, t1, t2),
-                         cov_eval_count=design.cov_eval_count()))
-        design.reset_cov_eval_count()
-        t0 = time.monotonic()
-        K, H = _pred.assemble_lagrangian(k, obs, ops)
-        t1 = time.monotonic()
-        _pred.solve_lagrangian(K, H, obs, ops, scfg)
-        t2 = time.monotonic()
-        rows.append(dict(method="lk", p=p, q=p, **_timing(t0, t1, t2),
-                         cov_eval_count=design.cov_eval_count()))
+        ops = _ode_rows(np.linspace(0.0, 2.0 * np.pi, p))
+        routes = (("ck", q_ck, partial(_timed_ck, k, obs, ops, pred_atoms, scfg)),
+                  ("lk", p, partial(_timed_lk, k, obs, ops, scfg)))
+        for method, q, timed in routes:
+            design.reset_cov_eval_count()
+            _, timing = timed()
+            rows.append(dict(method=method, p=p, q=q, **timing,
+                             cov_eval_count=design.cov_eval_count()))
     header = ["method", "p", "q", "construction_s", "inversion_s", "cov_eval_count"]
     write_csv(os.path.join(cfg.output_dir, "bench.csv"), header,
               [[r[h] for r in rows] for h in header])
-    report = RunReport(config=asdict(cfg))
-    report.theta_hat = theta
-    report.sigma2_hat = sigma2
-    report.extras["rows"] = rows
-    report.cov_eval_count = int(sum(r["cov_eval_count"] for r in rows))
-    return report
+    return RunReport(config=asdict(cfg), theta_hat=theta, sigma2_hat=sigma2,
+                     cov_eval_count=int(sum(r["cov_eval_count"] for r in rows)),
+                     extras={"rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -604,18 +600,32 @@ def run_calibrate(cfg):
     )
 
 
-_RUNNERS = {
-    "ode1d": run_ode1d,
-    "scalar2d": run_scalar2d,
-    "flow-cylinder": run_flow,
-    "flow-csv": run_flow,
-    "bench": run_bench,
-    "calibrate": run_calibrate,
-}
-
-
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one row per subcommand
+
+
+_COUNT = {"type": int, "default": None}
+
+# command: (runner, help, {flag: add_argument keywords}) beyond _add_common
+_SUBCOMMANDS = {
+    "ode1d": (run_ode1d, "f + f'' = 0 on [0, 2pi], truth sin",
+              {"--n": _COUNT, "--p": _COUNT, "--q": _COUNT}),
+    "scalar2d": (run_scalar2d, "2-d fields with gradient/Laplacian rows",
+                 {"--n": _COUNT, "--q": _COUNT,
+                  "--target": {"default": None, "choices": ("f1", "f2")}}),
+    "flow": (run_flow, "potential flow past a cylinder or from CSV",
+             {"--csv": {"dest": "csv_path", "default": None,
+                        "help": "velocity CSV input (flow-csv)"},
+              "--n": dict(_COUNT, help="observation count"),
+              "--q1": dict(_COUNT, help="boundary collocation count"),
+              "--q2": dict(_COUNT, help="expected continuity count")}),
+    "bench": (run_bench, "construction/inversion sweep over p",
+              {"--n": _COUNT,
+               "--p": dict(_COUNT, help="single sweep point instead of the default sweep"),
+               "--q": _COUNT}),
+    "calibrate": (run_calibrate, "lengthscale search only",
+                  {"--n": _COUNT, "--p": _COUNT, "--q": _COUNT}),
+}
 
 
 def _add_common(sub):
@@ -634,34 +644,11 @@ def build_parser():
         prog="pikrig", description="physics-informed Kriging experiments"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    p_ode = subs.add_parser("ode1d", help="f + f'' = 0 on [0, 2pi], truth sin")
-    _add_common(p_ode)
-    p_ode.add_argument("--n", type=int, default=None)
-    p_ode.add_argument("--p", type=int, default=None)
-    p_ode.add_argument("--q", type=int, default=None)
-    p_2d = subs.add_parser("scalar2d", help="2-d fields with gradient/Laplacian rows")
-    _add_common(p_2d)
-    p_2d.add_argument("--n", type=int, default=None)
-    p_2d.add_argument("--q", type=int, default=None)
-    p_2d.add_argument("--target", default=None, choices=("f1", "f2"))
-    p_fl = subs.add_parser("flow", help="potential flow past a cylinder or from CSV")
-    _add_common(p_fl)
-    p_fl.add_argument("--csv", dest="csv_path", default=None,
-                      help="velocity CSV input (flow-csv)")
-    p_fl.add_argument("--n", type=int, default=None, help="observation count")
-    p_fl.add_argument("--q1", type=int, default=None, help="boundary collocation count")
-    p_fl.add_argument("--q2", type=int, default=None, help="expected continuity count")
-    p_be = subs.add_parser("bench", help="construction/inversion sweep over p")
-    _add_common(p_be)
-    p_be.add_argument("--n", type=int, default=None)
-    p_be.add_argument("--p", type=int, default=None,
-                      help="single sweep point instead of the default sweep")
-    p_be.add_argument("--q", type=int, default=None)
-    p_ca = subs.add_parser("calibrate", help="lengthscale search only")
-    _add_common(p_ca)
-    p_ca.add_argument("--n", type=int, default=None)
-    p_ca.add_argument("--p", type=int, default=None)
-    p_ca.add_argument("--q", type=int, default=None)
+    for command, (_, help_text, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        _add_common(sub)
+        for flag, kwargs in flags.items():
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
@@ -676,8 +663,6 @@ def resolve_config(args):
             setattr(cfg, key, val)
     if args.command == "flow":
         cfg.experiment = "flow-csv" if cfg.csv_path else "flow-cylinder"
-    elif args.command == "bench":
-        cfg.experiment = "bench"
     else:
         cfg.experiment = args.command
     return validate_config(cfg)
@@ -685,37 +670,27 @@ def resolve_config(args):
 
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     outdir = None
     try:
         cfg = resolve_config(args)
         outdir = cfg.output_dir
         os.makedirs(outdir, exist_ok=True)
         design.reset_cov_eval_count()
-        report = _RUNNERS[cfg.experiment](cfg)
+        report = _SUBCOMMANDS[args.command][0](cfg)
         write_report(outdir, report)
         return EXIT_OK
-    except _NUMERICAL_ERRORS as exc:
-        logger.error("numerical failure: %s", exc)
+    except (*_NUMERICAL_ERRORS, ValueError) as exc:
+        # input errors (ConfigError, flowlab.CsvFormatError) are ValueErrors,
+        # and so are two numerical ones, which are therefore tested first
+        numerical = isinstance(exc, _NUMERICAL_ERRORS)
+        if numerical:
+            logger.error("numerical failure: %s", exc)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         if outdir is not None:
-            write_report(
-                outdir,
-                RunReport(config=asdict(cfg), status="error", error=str(exc)),
-            )
-        return EXIT_NUMERICAL
-    except (ConfigError, CsvFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if outdir is not None:
-            try:
-                cfg_dict = asdict(cfg)
-            except Exception:
-                cfg_dict = {}
-            write_report(
-                outdir,
-                RunReport(config=cfg_dict, status="error", error=str(exc)),
-            )
-        return EXIT_CONFIG
+            write_report(outdir, RunReport(config=asdict(cfg), status="error", error=str(exc)))
+        return EXIT_NUMERICAL if numerical else EXIT_CONFIG
 
 
 if __name__ == "__main__":

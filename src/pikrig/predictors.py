@@ -227,10 +227,6 @@ def ordinary_kriging(k, obs, pred, mu_star, cfg=SolveConfig()):
     """
     if obs.mean is None:
         raise ValueError("ordinary_kriging needs obs.mean")
-    mu_star = np.asarray(mu_star, dtype=float).ravel()
-    pred = design.Atoms.of(pred)
-    if mu_star.size != len(pred):
-        raise ValueError(f"mu_star has size {mu_star.size}, expected {len(pred)}")
     return co_kriging(k, obs, None, pred, mu_star, cfg)
 
 
@@ -284,17 +280,21 @@ def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
 
 
 def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None):
-    """The Prop.-2 formulas on a factored K+ (``solve``, nugget ``eta``)."""
+    """The Prop.-2 formulas on a factored K+ (``solve``, nugget ``eta``);
+    ``mu_star`` needs one entry per column of ``Hplus``."""
     if mu_plus is None:
         alpha = solve(Hplus)
         lam = None
         cross = Hplus
     else:
+        mu_star = np.asarray(mu_star, dtype=float).ravel()
+        if mu_star.size != Hplus.shape[1]:
+            raise ValueError(f"mu_star has size {mu_star.size}, expected {Hplus.shape[1]}")
         w = solve(mu_plus)
         g1 = float(mu_plus @ w)
         if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu_plus @ mu_plus)):
             raise DegenerateMeanError(f"mu^T (K+)^-1 mu = {g1} is numerically singular")
-        lam = (np.asarray(mu_star, dtype=float).ravel() - Hplus.T @ w) / g1
+        lam = (mu_star - Hplus.T @ w) / g1
         alpha = solve(Hplus) + np.outer(w, lam)
         cross = Hplus - np.outer(mu_plus, lam)
     predictions = alpha.T @ y

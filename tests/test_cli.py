@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -31,6 +32,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     # the nested blocks take only their own keys
     for raw, message in (({"kernel": {"nu": 1.5}}, "unknown kernel key 'nu'"),
                          ({"counts": {"theta": 1.0}}, "unknown counts key 'theta'")):
+        cfgfile.write_text(json.dumps(raw))
+        rc = run(["ode1d", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+    # a value of the wrong type is a configuration error naming its field
+    for raw, message in (({"method": ["ck"]}, "method: ['ck'] not one of"),
+                         ({"kernel": 5}, "config: kernel must be an object"),
+                         ({"nugget": [1]}, "nugget: expected a number, got [1]"),
+                         ({"n": [1]}, "n: expected an integer, got [1]")):
         cfgfile.write_text(json.dumps(raw))
         rc = run(["ode1d", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
@@ -97,6 +107,21 @@ def test_numerical_failure_exits_3_and_reports(tmp_path):
     rep = report_of(out)
     assert rep["status"] == "error"
     assert "rank" in rep["error"]
+    assert not os.path.exists(os.path.join(out, "predictions.csv"))
+
+
+def test_search_without_a_finite_value_exits_3_and_reports(tmp_path, monkeypatch):
+    # a criterion that is NaN at every theta ends the run as a numerical
+    # failure, with the error report, not as a traceback
+    def nan_criterion(*args):
+        return (lambda theta: math.nan), (lambda theta: 1.0)
+
+    monkeypatch.setattr(calibration, "loocv_ck_virtual", nan_criterion)
+    out = tmp_path / "o"
+    assert run(["ode1d", "--method", "ck", "--out", str(out)]) == cli.EXIT_NUMERICAL
+    rep = report_of(out)
+    assert rep["status"] == "error"
+    assert "non-finite at every grid point" in rep["error"]
     assert not os.path.exists(os.path.join(out, "predictions.csv"))
 
 

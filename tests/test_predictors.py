@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pikrig
 from pikrig import calibration, cli, design, flowlab, kernel, uq
@@ -116,6 +118,12 @@ def test_ordinary_co_kriging_guards(rng):
     obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
     with pytest.raises(ValueError, match="mu_star"):
         P.co_kriging(k, obs_m, ops, pred)
+    # one mu_star entry per prediction atom, never broadcast
+    for rows in (ops, None):
+        with pytest.raises(ValueError, match="mu_star has size 1, expected 3"):
+            P.co_kriging(k, obs_m, rows, pred, mu_star=[5.0])
+    with pytest.raises(ValueError, match=f"mu_star has size 1, expected {ops.c}"):
+        P.lagrangian_kriging(k, obs_m, ops, mu_star=[5.0])
 
 
 def test_co_kriging_empty_ops_delegates(rng):
@@ -563,3 +571,75 @@ def test_mse_objective_trace_form(rng):
         + np.trace(Kstar)
     )
     assert P.mse_objective(alpha, K, H, Kstar) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# invariances: process-variance scaling and coordinate scaling
+
+
+@st.composite
+def lattice_systems(draw):
+    """n <= 8 value observations and 1-4 prediction locations, distinct
+    points of the lattice 0.5 Z in [0, 12] (so 2^j x is exact), with
+    values, a lengthscale and a variance."""
+    n, q = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    slots = draw(st.lists(st.integers(0, 24), min_size=n + q, max_size=n + q, unique=True))
+    xs = 0.5 * np.array(slots, dtype=float)
+    values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    assume(np.max(np.abs(values)) >= 0.1)  # Z^T K^-1 Z = 0 has no Lagrangian form
+    return xs[:n], values, xs[n:], draw(st.floats(0.3, 1.0)), draw(st.floats(0.5, 2.0))
+
+
+def _lattice_problem(xs, values, locs, scale=1.0, orders=((0,), (2,))):
+    """Observations at scale * xs; rows sum_m scale^|m| f^(m) = 0 at
+    scale * locs (the rows of f + f'' = 0 in the scaled coordinate); the
+    value, first and second derivative at scale * locs as prediction atoms."""
+    obs = ObservationSet(design.Atoms(scale * xs[:, None], (0,)), values)
+    coeffs = [scale ** sum(m) for m in orders]
+    ops = design.encode_rows([(scale * locs[:, None], orders, coeffs)], np.zeros(len(locs)))
+    pred = design.Atoms(np.repeat(scale * locs, 3)[:, None], np.tile([[0], [1], [2]], (len(locs), 1)))
+    return obs, ops, pred
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=lattice_systems(), j=st.integers(-3, 3))
+def test_variance_scaling(drawn, j):
+    # sigma2 -> 2^j sigma2 scales every covariance entry exactly: the
+    # predictions stay, the variances scale by 2^j
+    xs, values, locs, theta, sigma2 = drawn
+    obs, ops, pred = _lattice_problem(xs, values, locs)
+    runs = []
+    for s2 in (sigma2, 2.0 ** j * sigma2):
+        k = SqExpKernel(sigma2=s2, theta=theta, dim=1)
+        ck, lk = P.co_kriging(k, obs, ops, pred), P.lagrangian_kriging(k, obs, ops)
+        assume(ck.nugget_used == 0 and lk.nugget_used == 0)
+        runs.append((ck.predictions, lk.predictions, uq.var_ck(k, obs, ops, pred).variance,
+                     uq.var_lk(k, obs, ops).variance))
+    (ck0, lk0, vck0, vlk0), (ck1, lk1, vck1, vlk1) = runs
+    assert _rel(ck1, ck0) <= 1e-12 and _rel(lk1, lk0) <= 1e-12
+    assert _rel(vck1, 2.0 ** j * vck0) <= 1e-12
+    assert _rel(vlk1, 2.0 ** j * vlk0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=lattice_systems(), j=st.integers(-3, 3))
+def test_coordinate_scaling(drawn, j):
+    # (x, theta) -> (2^j x, 2^j theta), with an order-|m| coefficient
+    # times 2^(j|m|), leaves order-0 predictions as they are and scales
+    # order-|m| ones by 2^(-j|m|).  The Lagrangian projection is
+    # Euclidean in the atoms, so it keeps this only for rows whose terms
+    # share one order (here f'' = 0): on f + f'' = 0 rows the weight
+    # between the value and the curvature atoms moves with the scale.
+    xs, values, locs, theta, sigma2 = drawn
+    runs = []
+    for scale in (1.0, 2.0 ** j):
+        k = SqExpKernel(sigma2=sigma2, theta=scale * theta, dim=1)
+        obs, ops, pred = _lattice_problem(xs, values, locs, scale)
+        lk_ops = _lattice_problem(xs, values, locs, scale, orders=((2,),))[1]
+        fits = [P.simple_kriging(k, obs, pred), P.co_kriging(k, obs, ops, pred),
+                P.lagrangian_kriging(k, obs, lk_ops)]
+        assume(all(w.nugget_used == 0 for w in fits))
+        orders = (pred.M[:, 0], pred.M[:, 0], lk_ops.colloc_points.M[:, 0])
+        runs.append([w.predictions * scale ** m for w, m in zip(fits, orders)])
+    for got, ref in zip(*runs):
+        assert _rel(got, ref) <= 1e-12

@@ -28,33 +28,42 @@ ODE1D_METHODS = ("sk", "ok", "ck", "lk", "lk-interp")
 
 
 def run_matrix():
-    """(name, argv) of every run: ode1d, scalar2d, flow, calibrate, bench."""
+    """(name, argv) of every run: ode1d, scalar2d, flow, flow-csv, calibrate, bench."""
     runs = [(f"ode1d-{m}-seed{s}", ["ode1d", "--method", m, "--seed", str(s)])
             for m in ODE1D_METHODS for s in (4, 5, 6, 7, 10)]
+    runs.append(("ode1d-lk-nugget", ["ode1d", "--method", "lk", "--nugget", "1e-8"]))
     runs += [(f"scalar2d-{m}-{t}", ["scalar2d", "--method", m, "--target", t])
              for m in ("sk", "ck", "lk") for t in ("f1", "f2")]
     runs += [(f"flow-{m}", ["flow", "--method", m]) for m in ("ck", "lk")]
+    # read back the velocity file of the flow-ck run (a path relative to the root)
+    runs += [(f"flow-csv-{m}", ["flow", "--csv", "flow-ck/field_input.csv", "--method", m])
+             for m in ("ck", "lk")]
     runs += [(f"calibrate-{m}", ["calibrate", "--method", m]) for m in ODE1D_METHODS]
     runs.append(("bench-p200", ["bench", "--p", "200"]))
     return runs
 
 
-# Runs inside the child: every run of the matrix through pikrig.cli.main.
+# Runs inside the child, in the root directory: every run of the matrix
+# through pikrig.cli.main, each writing to the directory of its name.
 CHILD = """
-import json, os, sys
+import json, sys
 from pikrig import cli
-root, runs = sys.argv[1], json.loads(sys.argv[2])
-for name, argv in runs:
-    cli.main(argv + ["--out", os.path.join(root, name)])
+for name, argv in json.loads(sys.argv[1]):
+    cli.main(argv + ["--out", name])
 """
 
 
 def run_checkout(checkout, root, runs):
-    """Run ``runs`` with ``checkout``'s sources; outputs go under ``root``."""
+    """Run ``runs`` with ``checkout``'s sources; outputs go under ``root``.
+
+    Paths in the runs' argv and reports are relative to ``root``, so both
+    sides write the same ``config`` into report.json.
+    """
     threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **threads)
-    done = subprocess.run([sys.executable, "-c", CHILD, root, json.dumps(runs)],
-                          cwd=checkout, env=env, capture_output=True, text=True)
+    os.makedirs(root)
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)],
+                          cwd=root, env=env, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"{checkout}: the run matrix failed\n{done.stderr}")
 
