@@ -2,7 +2,10 @@
 
 Subcommands (one row each of ``_SUBCOMMANDS``): ode1d, scalar2d, flow,
 bench, calibrate.  Configuration is a
-JSON file (--config) mirrored by command-line flags; flags win.  Every
+JSON file (--config) mirrored by command-line flags; flags win.  The
+annotations of :class:`RunConfig` type every field, file value or flag
+text alike (see :func:`_coerce`); a wrong type exits 2 naming the field.
+Every
 run writes predictions.csv and report.json into the output directory
 (atomically, temp + rename), with floats at 17 significant digits so the
 files parse back losslessly.  Exit codes: 0 success, 2 configuration or
@@ -34,9 +37,10 @@ import os
 import sys
 import time
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from typing import Optional
+from functools import cache, partial
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -76,8 +80,8 @@ class RunConfig:
 
     experiment: str = "ode1d"
     method: str = "ck"
-    theta: object = "auto"
-    sigma2: object = "auto"
+    theta: Union[float, Literal["auto"]] = "auto"
+    sigma2: Union[float, Literal["auto"]] = "auto"
     n: Optional[int] = None
     p: Optional[int] = None
     q: Optional[int] = None
@@ -87,7 +91,7 @@ class RunConfig:
     nugget: float = 0.0
     output_dir: str = "pikrig_out"
     budget: Optional[int] = None
-    target: str = "f1"
+    target: Literal["f1", "f2"] = "f1"
     csv_path: Optional[str] = None
     with_cylinder: bool = True
     radius: float = 1.0
@@ -140,7 +144,7 @@ def write_report(outdir, report):
 # configuration plumbing
 
 
-_CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def load_config(path):
@@ -164,57 +168,56 @@ def load_config(path):
                 if sub not in nested[key]:
                     raise ConfigError(f"config: unknown {key} key {sub!r}")
                 flat[sub] = val[sub]
-        elif key in _CONFIG_KEYS:
+        elif key in _FIELD_TYPES:
             flat[key] = val
         else:
             raise ConfigError(f"config: unknown key {key!r}")
     return flat
 
 
-def _typed(name, value, kind, expected):
-    """``kind(value)``; a value of the wrong type raises ConfigError naming ``name``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected {expected}, got {value!r}") from None
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+# the value rules beyond the type, checked where the value is not None or "auto"
+_RULES = {
+    **dict.fromkeys(("n", "p", "q", "q1", "q2"), (lambda v: v >= 1, "must be at least 1")),
+    "budget": (lambda v: v >= 8, "must be at least 8"),
+    "seed": (lambda v: 0 <= v < 2 ** 64, "must fit in 64 unsigned bits"),
+    "nugget": (lambda v: v >= 0, "must be non-negative"),
+    **dict.fromkeys(("theta", "sigma2"), (lambda v: v > 0, "must be positive and finite")),
+}
 
 
-def _parse_autoreal(value, name):
-    if value is None or value == "auto":
+def _coerce(name, value, annotation):
+    """``value``, from JSON or from a flag's text, as config field ``name`` of
+    type ``annotation``.  Text is read as a number of the field's kind; a bool
+    is no number, an integer has no fraction and numbers are finite."""
+    kinds = get_args(annotation) if get_origin(annotation) is Union else (annotation,)
+    choices = [c for k in kinds if get_origin(k) is Literal for c in get_args(k)]
+    if value in choices or value is None and type(None) in kinds:
         return value
-    value = _typed(name, value, float, "a number or 'auto'")
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name}: must be positive and finite, got {value}")
-    return value
+    for kind in kinds:
+        if kind in (bool, str) and isinstance(value, kind):
+            return value
+        if kind in (int, float) and not isinstance(value, bool):
+            with suppress(TypeError, ValueError, OverflowError):
+                number = kind(value)
+                exact = isinstance(value, str) or number == value
+                if exact and (kind is int or math.isfinite(number)):
+                    return number
+    expected = [_KINDS[k] for k in kinds if k in _KINDS] + [repr(c) for c in choices]
+    raise ConfigError(f"{name}: expected {' or '.join(expected)}, got {value!r}")
 
 
 def validate_config(cfg):
+    """``cfg`` with every field coerced to its annotated type and checked."""
     methods = _methods()
-    if not isinstance(cfg.method, str) or cfg.method not in methods:
+    if cfg.method not in tuple(methods):
         raise ConfigError(f"method: {cfg.method!r} not one of {tuple(methods)}")
-    cfg.theta = _parse_autoreal(cfg.theta, "theta")
-    cfg.sigma2 = _parse_autoreal(cfg.sigma2, "sigma2")
-    for name in ("n", "p", "q", "q1", "q2"):
-        val = getattr(cfg, name)
-        if val is not None:
-            val = _typed(name, val, int, "an integer")
-            if val < 1:
-                raise ConfigError(f"{name}: must be at least 1, got {val}")
-            setattr(cfg, name, val)
-    if not isinstance(cfg.seed, (int, np.integer)) or isinstance(cfg.seed, bool):
-        raise ConfigError(f"seed: must be an integer, got {cfg.seed!r}")
-    if not 0 <= int(cfg.seed) < 2 ** 64:
-        raise ConfigError(f"seed: must fit in 64 unsigned bits, got {cfg.seed}")
-    cfg.seed = int(cfg.seed)
-    cfg.nugget = _typed("nugget", cfg.nugget, float, "a number")
-    if not (math.isfinite(cfg.nugget) and cfg.nugget >= 0):
-        raise ConfigError(f"nugget: must be non-negative, got {cfg.nugget}")
-    if cfg.budget is not None:
-        cfg.budget = _typed("budget", cfg.budget, int, "an integer")
-        if cfg.budget < 8:
-            raise ConfigError(f"budget: must be at least 8, got {cfg.budget}")
-    if cfg.target not in ("f1", "f2"):
-        raise ConfigError(f"target: {cfg.target!r} not one of ('f1', 'f2')")
+    for name, annotation in _FIELD_TYPES.items():
+        setattr(cfg, name, _coerce(name, getattr(cfg, name), annotation))
+    for name, (holds, rule) in _RULES.items():
+        value = getattr(cfg, name)
+        if value not in (None, "auto") and not holds(value):
+            raise ConfigError(f"{name}: {rule}, got {value}")
     row = methods[cfg.method]
     if cfg.experiment == "scalar2d" and not row.scalar2d:
         supported = tuple(m for m, r in methods.items() if r.scalar2d)
@@ -604,41 +607,38 @@ def run_calibrate(cfg):
 # argument parsing: one row per subcommand
 
 
-_COUNT = {"type": int, "default": None}
+# flags every subcommand takes; untyped, as validate_config coerces their text
+_COMMON_FLAGS = {
+    "--config": {"help": "JSON config file"},
+    "--method": {"choices": tuple(_methods())},
+    "--theta": {"help": "lengthscale or 'auto'"},
+    "--sigma2": {"help": "process variance or 'auto'"},
+    "--nugget": {},
+    "--seed": {},
+    "--out": {"dest": "output_dir", "help": "output directory"},
+    "--budget": {"help": "calibration budget"},
+}
 
-# command: (runner, help, {flag: add_argument keywords}) beyond _add_common
+# command: (runner, help, {flag: add_argument keywords}) beyond _COMMON_FLAGS
 _SUBCOMMANDS = {
     "ode1d": (run_ode1d, "f + f'' = 0 on [0, 2pi], truth sin",
-              {"--n": _COUNT, "--p": _COUNT, "--q": _COUNT}),
+              {"--n": {}, "--p": {}, "--q": {}}),
     "scalar2d": (run_scalar2d, "2-d fields with gradient/Laplacian rows",
-                 {"--n": _COUNT, "--q": _COUNT,
-                  "--target": {"default": None, "choices": ("f1", "f2")}}),
+                 {"--n": {}, "--q": {}, "--target": {"choices": get_args(_FIELD_TYPES["target"])}}),
     "flow": (run_flow, "potential flow past a cylinder or from CSV",
-             {"--csv": {"dest": "csv_path", "default": None,
-                        "help": "velocity CSV input (flow-csv)"},
-              "--n": dict(_COUNT, help="observation count"),
-              "--q1": dict(_COUNT, help="boundary collocation count"),
-              "--q2": dict(_COUNT, help="expected continuity count")}),
+             {"--csv": {"dest": "csv_path", "help": "velocity CSV input (flow-csv)"},
+              "--n": {"help": "observation count"},
+              "--q1": {"help": "boundary collocation count"},
+              "--q2": {"help": "expected continuity count"}}),
     "bench": (run_bench, "construction/inversion sweep over p",
-              {"--n": _COUNT,
-               "--p": dict(_COUNT, help="single sweep point instead of the default sweep"),
-               "--q": _COUNT}),
+              {"--n": {}, "--p": {"help": "single sweep point instead of the default sweep"},
+               "--q": {}}),
     "calibrate": (run_calibrate, "lengthscale search only",
-                  {"--n": _COUNT, "--p": _COUNT, "--q": _COUNT}),
+                  {"--n": {}, "--p": {}, "--q": {}}),
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--method", default=None, choices=tuple(_methods()))
-    sub.add_argument("--theta", default=None, help="lengthscale or 'auto'")
-    sub.add_argument("--sigma2", default=None, help="process variance or 'auto'")
-    sub.add_argument("--nugget", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", dest="output_dir", default=None, help="output directory")
-    sub.add_argument("--budget", type=int, default=None, help="calibration budget")
-
-
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pikrig", description="physics-informed Kriging experiments"
@@ -646,8 +646,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
-        _add_common(sub)
-        for flag, kwargs in flags.items():
+        for flag, kwargs in {**_COMMON_FLAGS, **flags}.items():
             sub.add_argument(flag, **kwargs)
     return parser
 
@@ -657,7 +656,7 @@ def resolve_config(args):
     if args.config:
         for key, val in load_config(args.config).items():
             setattr(cfg, key, val)
-    for key in _CONFIG_KEYS:
+    for key in _FIELD_TYPES:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)

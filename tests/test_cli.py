@@ -23,7 +23,8 @@ def report_of(outdir):
         return json.load(fh)
 
 
-def test_unknown_config_key_exits_2(tmp_path, capsys):
+def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"bogus": 1}))
     rc = run(["ode1d", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
@@ -45,6 +46,28 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         rc = run(["ode1d", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+    # every field is checked, none truncated, read as a boolean or passed on;
+    # no --out, so that output_dir comes from the file
+    for command, raw, message in (
+            ("ode1d", {"counts": {"n": 2.5}}, "n: expected an integer, got 2.5"),
+            ("ode1d", {"budget": 10.7}, "budget: expected an integer, got 10.7"),
+            ("ode1d", {"nugget": True}, "nugget: expected a number, got True"),
+            ("ode1d", {"kernel": {"theta": True, "sigma2": 1}},
+             "theta: expected a number or 'auto', got True"),
+            ("ode1d", {"counts": {"n": True}}, "n: expected an integer, got True"),
+            ("ode1d", {"radius": float("nan")}, "radius: expected a number, got nan"),
+            ("ode1d", {"kernel": {"sigma2": None}}, "sigma2: expected a number or 'auto', got None"),
+            ("flow", {"cont_nx": 2.5}, "cont_nx: expected an integer, got 2.5"),
+            ("flow", {"with_cylinder": "no"}, "with_cylinder: expected a boolean, got 'no'"),
+            ("flow", {"radius": "big"}, "radius: expected a number, got 'big'"),
+            ("flow", {"cont_nx": "a"}, "cont_nx: expected an integer, got 'a'"),
+            ("flow", {"output_dir": 5}, "output_dir: expected a string, got 5"),
+            ("flow", {"csv_path": 5}, "csv_path: expected a string, got 5")):
+        cfgfile.write_text(json.dumps(raw))
+        method = "sk" if command == "ode1d" else "ck"
+        assert run([command, "--method", method, "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err, raw
+    assert not os.path.exists(tmp_path / "pikrig_out")
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -70,7 +93,7 @@ def test_flags_override_config_file(tmp_path):
     assert rep["theta_hat"] == 1.3
 
 
-def test_invalid_values_exit_2(tmp_path):
+def test_invalid_values_exit_2(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert run(["scalar2d", "--n", "0", "--out", out]) == cli.EXIT_CONFIG
     assert run(["ode1d", "--theta", "-1", "--out", out]) == cli.EXIT_CONFIG
@@ -78,6 +101,26 @@ def test_invalid_values_exit_2(tmp_path):
     assert run(["ode1d", "--budget", "4", "--out", out]) == cli.EXIT_CONFIG
     assert run(["ode1d", "--nugget", "-0.5", "--out", out]) == cli.EXIT_CONFIG
     assert run(["flow", "--method", "sk", "--out", out]) == cli.EXIT_CONFIG
+    # flag text goes through the same coercion as config-file values
+    capsys.readouterr()
+    assert run(["ode1d", "--seed", "2.5", "--out", out]) == cli.EXIT_CONFIG
+    assert "seed: expected an integer, got '2.5'" in capsys.readouterr().err
+    assert run(["ode1d", "--nugget", "abc", "--out", out]) == cli.EXIT_CONFIG
+    assert "nugget: expected a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_integral_config_numbers_are_integers(tmp_path):
+    # a JSON number without a fraction passes an integer field as that integer
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"method": "sk", "kernel": {"theta": 1, "sigma2": 1},
+                                   "counts": {"n": 3.0, "q": 7.0}, "seed": 2.0}))
+    out = tmp_path / "o"
+    assert run(["ode1d", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_OK
+    config = report_of(out)["config"]
+    assert (config["n"], config["q"], config["seed"]) == (3, 7, 2)
+    assert all(type(config[k]) is int for k in ("n", "q", "seed"))
+    assert config["theta"] == config["sigma2"] == 1.0
+    assert len((out / "predictions.csv").read_text().splitlines()) == 1 + 7
 
 
 def test_missing_csv_exits_2_with_message(tmp_path, capsys):
@@ -261,6 +304,47 @@ def test_config_file_alone_drives_run(tmp_path):
     assert rep["config"]["n"] == 5
     lines = (tmp_path / "o" / "predictions.csv").read_text().splitlines()
     assert len(lines) == 1 + 7
+
+
+HELP = os.path.join(os.path.dirname(__file__), "help")
+
+
+@pytest.mark.parametrize("command", ["pikrig", "ode1d", "scalar2d", "flow", "bench", "calibrate"])
+def test_help_text(command, capsys, monkeypatch):
+    # every flag and its help text, at a fixed terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(([] if command == "pikrig" else [command]) + ["--help"])
+    assert exc.value.code == 0
+    with open(os.path.join(HELP, f"{command}.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["ode1d", "--method", "ck", "--budget", "16"], None),
+    (["flow", "--method", "ck"],
+     {"kernel": {"theta": 0.9, "sigma2": 10}, "counts": {"n": 8, "q1": 8},
+      "radius": 1, "center_x": 0.25, "freestream_y": 0.2, "extent": 3, "aspect": 1.5,
+      "cont_nx": 5, "cont_ny": 4, "pred_nx": 6, "pred_ny": 5}),
+], ids=["ode1d-ck", "flow-cylinder-ck"])
+def test_report_config_runs_again(tmp_path, args, config):
+    # a report's config block fed back as the config file of a run with
+    # another --out reproduces its outputs: the coercion takes every value
+    # the CLI writes ("auto", null, booleans, integers in float fields)
+    first, second = tmp_path / "a", tmp_path / "b"
+    if config is not None:
+        (tmp_path / "in.json").write_text(json.dumps(config))
+        args = args + ["--config", str(tmp_path / "in.json")]
+    assert run(args + ["--out", str(first)]) == cli.EXIT_OK
+    written = report_of(first)["config"]
+    (tmp_path / "report_config.json").write_text(json.dumps(written))
+    assert run([args[0], "--config", str(tmp_path / "report_config.json"),
+                "--out", str(second)]) == cli.EXIT_OK
+    assert sorted(os.listdir(first)) == sorted(os.listdir(second))
+    for name in os.listdir(first):
+        if name != "report.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert report_of(second)["config"] == dict(written, output_dir=str(second))
 
 
 def _variance_column(outdir):

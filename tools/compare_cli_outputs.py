@@ -5,7 +5,8 @@ Usage: python3 tools/compare_cli_outputs.py PARENT CHANGE
 PARENT and CHANGE are checkout directories (each with its own ``src``).
 Each checkout runs the whole matrix in one subprocess, with its own
 ``src`` on PYTHONPATH and one BLAS thread, writing every run to a
-temporary directory.  Then every output file is compared:
+temporary directory, into which the config files of ``CONFIG_RUNS`` are
+written first.  Then every output file is compared:
 
 * ``predictions.csv``, ``field_input.csv`` and ``trace.csv`` byte for byte;
 * ``bench.csv`` without its ``*_s`` (timing) columns;
@@ -26,9 +27,26 @@ import tempfile
 
 ODE1D_METHODS = ("sk", "ok", "ck", "lk", "lk-interp")
 
+# runs driven by a config file (name: (command, content of name.json)), so
+# that values read from a file, nested kernel/counts blocks and integers in
+# float fields included, are compared too
+CONFIG_RUNS = {
+    "flow-geometry": ("flow", {
+        "method": "ck", "kernel": {"theta": 0.8, "sigma2": 10.0}, "counts": {"n": 10, "q1": 9},
+        "radius": 0.8, "center_x": 0.3, "center_y": -0.2, "freestream_x": 1.5,
+        "freestream_y": 0.25, "extent": 3, "obs_radius_factor": 2.5, "margin": 0.1,
+        "aspect": 1.5, "cont_nx": 7, "cont_ny": 6, "pred_nx": 9, "pred_ny": 8,
+    }),
+    "ode1d-nested": ("ode1d", {
+        "method": "ck", "kernel": {"theta": 1.2, "sigma2": "auto"},
+        "counts": {"n": 5, "p": 8, "q": 12}, "seed": 3, "nugget": 0,
+    }),
+}
+
 
 def run_matrix():
-    """(name, argv) of every run: ode1d, scalar2d, flow, flow-csv, calibrate, bench."""
+    """(name, argv) of every run: ode1d, scalar2d, flow, flow-csv, calibrate,
+    bench, and one run per config file."""
     runs = [(f"ode1d-{m}-seed{s}", ["ode1d", "--method", m, "--seed", str(s)])
             for m in ODE1D_METHODS for s in (4, 5, 6, 7, 10)]
     runs.append(("ode1d-lk-nugget", ["ode1d", "--method", "lk", "--nugget", "1e-8"]))
@@ -40,6 +58,8 @@ def run_matrix():
              for m in ("ck", "lk")]
     runs += [(f"calibrate-{m}", ["calibrate", "--method", m]) for m in ODE1D_METHODS]
     runs.append(("bench-p200", ["bench", "--p", "200"]))
+    runs += [(name, [command, "--config", f"{name}.json"])
+             for name, (command, _) in CONFIG_RUNS.items()]
     return runs
 
 
@@ -62,6 +82,9 @@ def run_checkout(checkout, root, runs):
     threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **threads)
     os.makedirs(root)
+    for name, (_, config) in CONFIG_RUNS.items():
+        with open(os.path.join(root, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)],
                           cwd=root, env=env, capture_output=True, text=True)
     if done.returncode:
