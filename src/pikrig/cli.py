@@ -183,6 +183,9 @@ _RULES = {
     "seed": (lambda v: 0 <= v < 2 ** 64, "must fit in 64 unsigned bits"),
     "nugget": (lambda v: v >= 0, "must be non-negative"),
     **dict.fromkeys(("theta", "sigma2"), (lambda v: v > 0, "must be positive and finite")),
+    **dict.fromkeys(("cont_nx", "cont_ny", "pred_nx", "pred_ny"),
+                    (lambda v: v >= 2, "must be at least 2")),
+    **dict.fromkeys(("extent", "aspect"), (lambda v: v > 0, "must be positive")),
 }
 
 

@@ -13,15 +13,20 @@ equations become linear combinations of atoms, collected in an
 Covariance matrices over extended points are assembled by :func:`gram`,
 one closed-form block per pair of multi-index groups, so every entry
 equals :func:`cov` of its pair exactly; a :class:`Layout` keeps the
-theta-invariant part of a gram for a lengthscale search.  :func:`gram` also
-feeds a process-wide counter of evaluated atom pairs.  The counter is what
-makes the cost asymmetry between co-Kriging and Lagrangian Kriging
-measurable: for co-Kriging with n primary atoms, c collocation atoms and q
-prediction atoms a prediction costs (n+c)(n+c+1)/2 + (n+c)q counted
-evaluations (symmetric fill), for Lagrangian Kriging n(n+1)/2 + n*q.
+theta-invariant part of a gram for a lengthscale search.  The encoders
+also record pointwise equations as row blocks; the co-Kriging stack is
+assembled per pair of them (:func:`_stacked_rows`), with no atom gram
+and no product with U (the virtual co-Kriging LOOCV still contracts an
+atom Layout with U).  :func:`gram` also feeds a process-wide counter of
+logical atom pairs, however computed; it makes the cost asymmetry between
+co-Kriging and Lagrangian Kriging measurable: for co-Kriging with n
+primary atoms, c collocation atoms and q prediction atoms a prediction
+costs (n+c)(n+c+1)/2 + (n+c)q counted evaluations (symmetric fill), for
+Lagrangian Kriging n(n+1)/2 + n*q.
 """
 
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -240,12 +245,16 @@ class OperatorSystem:
 
     ``U`` is c x p: rows follow ``colloc_points``, each column is one
     equation's coefficient vector.  ``rhs`` holds the p forcing values v.
+    ``blocks`` (set by the encoders; None unless each equation sits at one
+    location) are the equations as row blocks, one per list of term
+    multi-indices: (equations, n_b x d locations, T multi-indices, n_b x T coefficients).
     ``OperatorSystem()`` is the empty system (no atoms, no equations).
     """
 
     colloc_points: Atoms = ()
     U: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     rhs: np.ndarray = ()
+    blocks: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.colloc_points = Atoms.of(self.colloc_points)
@@ -312,6 +321,26 @@ def _atoms_for(k, atoms):
     return atoms
 
 
+# (row blocks as in OperatorSystem.blocks, rows, logical atoms); atoms get unit 1 x 1 coefficients
+_Rows = namedtuple("Rows", "blocks size atoms")
+
+
+def _rows(k, A):
+    """``A`` if it is :class:`_Rows`, else one unit row block per multi-index group."""
+    if isinstance(A, _Rows):
+        return A
+    A = _atoms_for(k, A)
+    return _Rows([(idx, A.X[idx], (m,), np.ones((1, 1))) for m, idx in A.groups], len(A), len(A))
+
+
+def _stacked_rows(k, points, ops):
+    """The :class:`_Rows` of the co-Kriging stack [Z; v]: the groups of
+    ``points``, then ``ops.blocks``; n + p rows over n + c atoms."""
+    Z, _ = _rows(k, points), _atoms_for(k, ops.colloc_points)
+    blocks = Z.blocks + [(Z.size + eq, *block) for eq, *block in ops.blocks]
+    return _Rows(blocks, Z.size + ops.p, Z.atoms + ops.c)
+
+
 class Layout:
     """The theta-invariant part of ``gram(k, A, B)``.  Called at a kernel
     of k's dimension it evaluates only the closed forms and returns that
@@ -320,14 +349,15 @@ class Layout:
 
     def __init__(self, k, A, B=None, lazy=False):
         self.sym, self.dim = B is None or B is A, k.dim
-        A = _atoms_for(k, A)
-        B = A if self.sym else _atoms_for(k, B)
-        self.shape = (len(A), len(B))
-        XB = [B.X[ib] for _, ib in B.groups]
-        blocks = (  # (scatter index, block form) per pair of multi-index groups
-            (np.ix_(ia, ib), _kernel.block_form(A.X[ia][:, None] - X2[None], m, m2))
-            for m, ia in A.groups
-            for (m2, ib), X2 in zip(B.groups, XB)
+        A = _rows(k, A)
+        B = A if self.sym else _rows(k, B)
+        self.shape = (A.size, B.size)
+        self.count = A.atoms * (A.atoms + 1) // 2 if self.sym else A.atoms * B.atoms
+        blocks = (  # (scatter index, block form) per pair of row blocks
+            (np.ix_(ia, ib), _kernel.block_form(XA[:, None] - XB[None], zip(CA.T[..., None], ma),
+                                                zip(CB.T, mb)))
+            for ia, XA, ma, CA in A.blocks
+            for ib, XB, mb, CB in B.blocks
         )
         self.blocks = blocks if lazy else list(blocks)
 
@@ -337,10 +367,9 @@ class Layout:
         G = np.empty(self.shape)
         for index, form in self.blocks:
             G[index] = _kernel.block_value(k, form)
-        n = self.shape[0]
         if self.sym:
-            G = np.where(np.tri(n, k=-1, dtype=bool), G.T, G)
-        _count_evals(n * (n + 1) // 2 if self.sym else n * self.shape[1])
+            G = np.where(np.tri(self.shape[0], k=-1, dtype=bool), G.T, G)
+        _count_evals(self.count)
         return G
 
 
@@ -352,7 +381,7 @@ def gram(k, A, B=None):
     With ``B`` omitted (or the identical object), the upper triangle is
     copied onto the lower one (cov(A[j], A[i]) can differ from
     cov(A[i], A[j]) in the sign of a zero) and |A|(|A|+1)/2 evaluations
-    are counted; otherwise all |A| x |B| entries are.
+    are counted; otherwise all |A| x |B| entries are.  :class:`_Rows` count their atoms.
     """
     return Layout(k, A, B, lazy=True)(k)
 
@@ -384,7 +413,25 @@ def _operator_system(locations, multi_indices, coeff, eq, rhs):
     first, label = _distinct(terms)
     U = np.zeros((len(first), len(rhs)))
     np.add.at(U, (label, eq), coeff)
-    return OperatorSystem(colloc_points=terms[first], U=U, rhs=rhs)
+    return OperatorSystem(terms[first], U, rhs, _row_blocks(terms, coeff, eq, len(rhs)))
+
+
+def _row_blocks(terms, coeff, eq, p):
+    """:attr:`OperatorSystem.blocks` of the equations j = sum of coeff[t]
+    times atom terms[t] over eq[t] = j; None unless each has one location."""
+    order = np.argsort(eq, kind="stable")
+    eq, X, M = np.asarray(eq)[order], terms.X[order], terms.M[order]
+    count = np.bincount(eq, minlength=p)
+    start = np.cumsum(count) - count
+    if not count.all() or (X != X[start][eq]).any():
+        return None
+    pos = np.arange(len(eq)) - start[eq]
+    sig, C = np.full((p, count.max(), M.shape[1]), -1), np.zeros((p, count.max()))
+    sig[eq, pos], C[eq, pos] = M, np.asarray(coeff)[order]  # multi-indices padded with -1
+    inv = np.unique(sig.reshape(p, -1), axis=0, return_inverse=True)[1].ravel()
+    rows = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+    return [(r, X[start[r]], tuple(map(tuple, sig[r[0], :count[r[0]]].tolist())),
+             C[r, :count[r[0]]]) for r in rows]
 
 
 def encode_pointwise(rows, rhs):
@@ -461,11 +508,11 @@ def _extend(ops, atoms):
     rows = _positions(ops.colloc_points, atoms)
     missing = rows < 0
     if not missing.any():
-        return OperatorSystem(ops.colloc_points, ops.U.copy(), ops.rhs.copy()), rows
+        return OperatorSystem(ops.colloc_points, ops.U.copy(), ops.rhs.copy(), ops.blocks), rows
     rows[missing] = ops.c + np.arange(missing.sum())
     new = atoms[missing]
     U = np.vstack([ops.U, np.zeros((len(new), ops.p))])
-    return OperatorSystem(ops.colloc_points + new, U, ops.rhs.copy()), rows
+    return OperatorSystem(ops.colloc_points + new, U, ops.rhs.copy(), ops.blocks), rows
 
 
 def extend_atoms(ops, extra_atoms):

@@ -21,6 +21,7 @@ differences x - x' (:func:`block_value` of the theta-invariant
 :func:`block_form`); :func:`deriv` is its one-pair case.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,28 +142,32 @@ def _bracket(idx, h, it2):
     )
 
 
-def block_form(r, m, m2):
-    """The theta-invariant part of :func:`deriv_block`: (bracket index
-    list, sign, ``r`` if the order is not 0, ||r||^2)."""
-    t = total_order(m) + total_order(m2)
-    if t > MAX_TOTAL_ORDER:
-        raise UnsupportedOrderError(
-            f"total derivative order {t} exceeds analytic coverage "
-            f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}"
-        )
-    idx = [c for c in range(len(m)) for _ in range(m[c] + m2[c])]
+def block_form(r, terms, terms2):
+    """The theta-invariant part of a covariance block between sums of (coefficient,
+    multi-index) terms on the first and second argument, coefficients broadcasting
+    against ``r[..., 0]``: ([(bracket index, weight)], ``r`` if an order is not 0, ||r||^2)."""
+    weights = {}
+    for (c, m), (c2, m2) in itertools.product(terms, terms2):
+        t = total_order(m) + total_order(m2)
+        if t > MAX_TOTAL_ORDER:
+            raise UnsupportedOrderError(
+                f"total derivative order {t} exceeds analytic coverage "
+                f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}"
+            )
+        idx = tuple(i for i in range(len(m)) for _ in range(m[i] + m2[i]))
+        w = (-1.0 if total_order(m) % 2 else 1.0) * c * c2
+        weights[idx] = weights[idx] + w if idx in weights else w
     d2 = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
-    return idx, -1.0 if total_order(m) % 2 else 1.0, r if idx else None, d2
+    return list(weights.items()), r if any(weights) else None, d2
 
 
 def block_value(k, form):
     """The closed form of a :func:`block_form` at kernel ``k``."""
-    idx, sign, r, d2 = form
+    weights, r, d2 = form
     base = k.sigma2 * np.exp(-d2 / (2.0 * k.theta ** 2))
-    if not idx:
-        return base
-    h = [r[..., c] / k.theta ** 2 for c in range(k.dim)]
-    return sign * _bracket(idx, h, 1.0 / k.theta ** 2) * base
+    h = r is not None and [r[..., c] / k.theta ** 2 for c in range(k.dim)]
+    terms = [w * _bracket(idx, h, 1.0 / k.theta ** 2) if idx else w for idx, w in weights]
+    return sum(terms[1:], terms[0]) * base
 
 
 def deriv_block(k, r, m, m2):
@@ -180,8 +185,8 @@ def deriv_block(k, r, m, m2):
         raise DimensionMismatchError(
             f"differences have shape {r.shape}, kernel dim is {k.dim}"
         )
-    m = _check_multi_index(k, m, "m")
-    return block_value(k, block_form(r, m, _check_multi_index(k, m2, "m2")))
+    m, m2 = _check_multi_index(k, m, "m"), _check_multi_index(k, m2, "m2")
+    return block_value(k, block_form(r, [(1.0, m)], [(1.0, m2)]))
 
 
 def deriv(k, x, x2, m, m2):

@@ -252,14 +252,17 @@ def assemble_co_kriging(k, obs, ops, pred):
     """Covariance blocks of the co-Kriging system: (K+, H+, stacked obs).
 
     The stacked observation vector puts the forcing values v in the
-    secondary slots.
+    secondary slots.  K+ and H+ come per pair of row blocks when ``ops``
+    has them (:func:`pikrig.design._stacked_rows`), else from the atom gram and U.
     """
-    atoms = obs.points + ops.colloc_points
-    n = obs.n
+    y = np.concatenate([obs.values, ops.rhs])
+    if ops.blocks is not None:
+        rows = design._stacked_rows(k, obs.points, ops)
+        return design.gram(k, rows), design.gram(k, rows, pred), y
+    n, atoms = obs.n, obs.points + ops.colloc_points
     Kplus = _stacked_gram(design.gram(k, atoms), n, ops.U)
     Hfull = design.gram(k, atoms, pred)
-    Hplus = np.vstack([Hfull[:n], ops.U.T @ Hfull[n:]])
-    return Kplus, Hplus, np.concatenate([obs.values, ops.rhs])
+    return Kplus, np.vstack([Hfull[:n], ops.U.T @ Hfull[n:]]), y
 
 
 def _stacked_gram(Kfull, n, U):
@@ -425,6 +428,8 @@ def lagrangian_kriging(k, obs, ops_at_predictions, mu_star=None, cfg=SolveConfig
     Prediction atoms are exactly ``ops_at_predictions.colloc_points``.  A
     centered ``obs`` gives the simple variant; with ``obs.mean`` and
     ``mu_star`` the full multiplier pair (lambda, lambda') is computed.
+    The projection is Euclidean in the atoms, so coordinate scaling leaves the
+    predictions invariant only where each row's terms share one order (not f + f'' = 0).
     """
     K, H = assemble_lagrangian(k, obs, ops_at_predictions)
     return solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star)

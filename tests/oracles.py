@@ -3,7 +3,8 @@
 Everything here is deliberately naive: covariance matrices filled one
 entry per Python call, dense KKT systems assembled row by row and solved
 with np.linalg.solve, leave-one-out loops that refit per fold, MMSE
-covariances built from the full K* as printed, the Lagrangian step by
+covariances built from the full K* as printed, the co-Kriging stack by
+dense products of the atom gram with U, the Lagrangian step by
 the normal equations of the formed U^T U, the constraint projection by
 one dense pivoted QR of U whatever its structure, and the flow
 experiment's geometry and CSV text one point and one cell at a time.  No
@@ -223,6 +224,17 @@ def loocv_naive(k, obs, cfg=None):
     return float(np.mean(np.square(errs)))
 
 
+def assemble_co_kriging_dense(k, obs, ops, pred):
+    """(K+, H+, [Z; v]) from the atom gram over [primary; collocation]
+    atoms and dense products with U, whatever structure U has."""
+    atoms = obs.points + ops.colloc_points
+    n, U = obs.n, ops.U
+    G = design.gram(k, atoms)
+    H = design.gram(k, atoms, pred)
+    Kplus = np.block([[G[:n, :n], G[:n, n:] @ U], [U.T @ G[n:, :n], U.T @ G[n:, n:] @ U]])
+    return Kplus, np.vstack([H[:n], U.T @ H[n:]]), np.concatenate([obs.values, ops.rhs])
+
+
 def loocv_naive_ck(k, obs, ops, cfg=None):
     """Per-fold LOOCV on the stacked co-Kriging system, primary slots only.
 
@@ -230,7 +242,7 @@ def loocv_naive_ck(k, obs, ops, cfg=None):
     predicts it from the remaining slots with the stacked covariance.
     """
     cfg = cfg if cfg is not None else _pred.SolveConfig()
-    Kplus, _, y = _pred.assemble_co_kriging(k, obs, ops, [])
+    Kplus, _, y = assemble_co_kriging_dense(k, obs, ops, [])
     n = obs.n
     errs = []
     for i in range(n):
@@ -269,7 +281,7 @@ def var_ck_full(k, obs, ops, pred, cfg=None):
     pred = list(pred)
     if ops is None:
         ops = design.OperatorSystem([], np.zeros((0, 0)), np.zeros(0))
-    Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred)
+    Kplus, Hplus, y = assemble_co_kriging_dense(k, obs, ops, pred)
     solve, _ = _pred.make_spd_solver(Kplus, cfg)
     KiH = solve(Hplus)
     return _full(KiH.T @ y, design.gram(k, pred) - Hplus.T @ KiH)

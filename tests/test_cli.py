@@ -62,7 +62,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch):
             ("flow", {"radius": "big"}, "radius: expected a number, got 'big'"),
             ("flow", {"cont_nx": "a"}, "cont_nx: expected an integer, got 'a'"),
             ("flow", {"output_dir": 5}, "output_dir: expected a string, got 5"),
-            ("flow", {"csv_path": 5}, "csv_path: expected a string, got 5")):
+            ("flow", {"csv_path": 5}, "csv_path: expected a string, got 5"),
+            # layout counts and lengths that would be clamped or leave an empty grid
+            ("flow", {"pred_ny": 0}, "pred_ny: must be at least 2, got 0"),
+            ("flow", {"cont_nx": -1}, "cont_nx: must be at least 2, got -1"),
+            ("flow", {"extent": -1}, "extent: must be positive, got -1.0"),
+            ("flow", {"aspect": 0}, "aspect: must be positive, got 0.0")):
         cfgfile.write_text(json.dumps(raw))
         method = "sk" if command == "ode1d" else "ck"
         assert run([command, "--method", method, "--config", str(cfgfile)]) == cli.EXIT_CONFIG

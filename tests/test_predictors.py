@@ -386,6 +386,75 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
+def _multi_indices(d, top):
+    return st.sampled_from([m for m in np.ndindex(*[top + 1] * d) if sum(m) <= top])
+
+
+@st.composite
+def row_systems(draw):
+    """A d-dimensional co-Kriging input on the lattice 0.5 Z^d in [0, 2]^d:
+    distinct observation atoms, one to three :func:`design.encode_rows`
+    blocks (rows of different blocks may share a location, terms repeat,
+    coefficients vary per row and may be zero) with term orders at most
+    a, and prediction atoms of order at most 4 - a followed by the
+    collocation atoms, as the CLI predicts them."""
+    d, a = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    points = st.tuples(*[st.integers(0, 4)] * d)
+    obs_atoms = draw(st.lists(st.tuples(points, _multi_indices(d, a)), min_size=1,
+                              max_size=5, unique=True))
+    obs = ObservationSet(design.Atoms(0.5 * np.array([x for x, _ in obs_atoms], float),
+                                      np.array([m for _, m in obs_atoms])),
+                         draw(st.lists(st.floats(-2, 2), min_size=len(obs_atoms),
+                                       max_size=len(obs_atoms))))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        orders = draw(st.lists(_multi_indices(d, a), min_size=1, max_size=3))
+        locs = draw(st.lists(points, min_size=1, max_size=4))
+        coeff = st.one_of(st.just(0.0), st.floats(-2, 2))
+        C = np.array(draw(st.lists(st.lists(coeff, min_size=len(orders), max_size=len(orders)),
+                                   min_size=len(locs), max_size=len(locs))))
+        C[np.abs(C).max(axis=1) < 0.1, 0] = 1.0  # every row has a nonzero term
+        blocks.append((0.5 * np.array(locs, float), orders, C))
+    p = sum(len(X) for X, _, _ in blocks)
+    ops = design.encode_rows(blocks, draw(st.lists(st.floats(-2, 2), min_size=p, max_size=p)))
+    pred = draw(st.lists(st.tuples(points, _multi_indices(d, 4 - a)), max_size=4))
+    pred = design.Atoms(0.5 * np.array([x for x, _ in pred], float).reshape(-1, d),
+                        np.array([m for _, m in pred], int).reshape(-1, d))
+    k = SqExpKernel(sigma2=draw(st.floats(0.5, 2.0)), theta=draw(st.floats(0.3, 2.0)), dim=d)
+    return k, obs, ops, pred + ops.colloc_points
+
+
+def _assert_dense_co_kriging(k, obs, ops, pred):
+    # K+, H+ and y as the dense contraction with U gives them, and the
+    # counter takes the atom pairs of [primary; collocation] atoms
+    design.reset_cov_eval_count()
+    got = P.assemble_co_kriging(k, obs, ops, pred)
+    N = obs.n + ops.c
+    assert design.cov_eval_count() == N * (N + 1) // 2 + N * len(pred)
+    for a, b in zip(got, oracles.assemble_co_kriging_dense(k, obs, ops, pred)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=row_systems())
+def test_row_block_assembly_matches_dense_contraction(drawn):
+    k, obs, ops, pred = drawn
+    assert ops.blocks is not None
+    _assert_dense_co_kriging(k, obs, ops, pred)
+
+
+def test_co_kriging_without_row_blocks_matches_dense_contraction():
+    # equations over several locations, and a hand-built U, assemble
+    # through the atom gram
+    k, obs, mixed = _mixed_system()
+    avg = design.encode_average([(0.5,), (2.0,), (4.5,)], [(1.0, (0,)), (0.5, (2,))], 0.3)
+    pred = design.Atoms(np.linspace(0.0, 6.0, 5)[:, None], (1,))
+    for ops in (avg, mixed):
+        assert ops.blocks is None
+        _assert_dense_co_kriging(k, obs, ops, pred + ops.colloc_points)
+
+
 @pytest.mark.parametrize("system", [
     "sweep 100", "sweep 400", "sweep 1000", "mixed", "scalar2d", "ordinary", "p = 0",
 ])

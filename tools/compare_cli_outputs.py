@@ -14,13 +14,18 @@ written first.  Then every output file is compared:
   the ``*_s`` keys of the bench rows.
 
 Every file that differs, or exists on one side only, is printed; the exit
-status is 1 if any does, else 0.
+status is 1 if any does, else 0.  Under each differing CSV or report file
+goes, per CSV column or report key (list positions merged), the largest
+absolute and relative difference of its numbers (relative to PARENT's
+value), or a note that some value there is not a number on both sides.
 """
 
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -119,6 +124,60 @@ def comparable(path):
     return data
 
 
+def _number(value):
+    """``value`` as a float if it is a number or a number's text, else itself."""
+    if isinstance(value, bool):
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return value
+
+
+def _leaves(value, key=""):
+    """{path: leaf} of a parsed report, list positions as [i]."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return {key: _number(value)}
+    return {p: leaf for k, v in items for p, leaf in _leaves(v, k).items()}
+
+
+def leaves(path):
+    """{path: value} of a compared CSV or report file: a CSV cell as
+    ``column[row]``; None for any other file."""
+    content = comparable(path)
+    if path.endswith(".csv"):
+        if isinstance(content, bytes):
+            content = list(csv.reader(io.StringIO(content.decode("utf-8"))))
+        header, *rows = content or [[]]
+        return {f"{h}[{i}]": _number(cell) for i, row in enumerate(rows)
+                for h, cell in zip(header, row)}
+    return _leaves(content) if os.path.basename(path) == "report.json" else None
+
+
+def differences(a, b):
+    """{column or key: (largest absolute, largest relative difference), or
+    None where a value differs without being a number on both sides}."""
+    out = {}
+    for path in sorted(a.keys() | b.keys()):
+        x, y = a.get(path), b.get(path)
+        numbers = all(isinstance(v, float) for v in (x, y))
+        if x == y or numbers and math.isnan(x) and math.isnan(y):
+            continue
+        key = re.sub(r"\[\d+\]", "", path)
+        if not numbers or out.get(key, 0) is None:
+            out[key] = None
+            continue
+        d = abs(y - x)
+        r = d / abs(x) if x else math.inf
+        old = out.get(key, (0.0, 0.0))
+        out[key] = (max(old[0], d), max(old[1], r))
+    return out
+
+
 def compare_outputs(parent_root, change_root, runs):
     """(path relative to a root, equal) of every output file of either side;
     a file on one side only is not equal."""
@@ -143,9 +202,16 @@ def main(argv):
         for checkout, root in zip((parent, change), roots):
             run_checkout(checkout, root, runs)
         results = compare_outputs(*roots, runs)
-    differ = [path for path, equal in results if not equal]
-    for path in differ:
-        print(f"differs: {path}")
+        differ = [path for path, equal in results if not equal]
+        for path in differ:
+            print(f"differs: {path}")
+            files = [os.path.join(root, path) for root in roots]
+            sides = [leaves(f) if os.path.exists(f) else None for f in files]
+            if None in sides:
+                continue
+            for key, diff in differences(*sides).items():
+                print(f"    {key}: " + ("not a number on both sides" if diff is None
+                                        else f"abs {diff[0]:.3g}, rel {diff[1]:.3g}"))
     print(f"{len(runs)} runs, {len(results)} files compared, {len(differ)} differ")
     return 1 if differ else 0
 
