@@ -98,7 +98,7 @@ def _virtual_parts(K, y, cfg):
 def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
     """All Lagrangian leave-one-out folds from one system: (resid, var, escalated).
 
-    ``K``, ``H``, ``project`` (of ``ops.U``) are the Lagrangian system of
+    ``K``, ``H``, ``project`` (of ``ops``) are the Lagrangian system of
     ``ops``, which holds every observation atom, observation i at row ``j[i]``.
 
     Column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
@@ -113,8 +113,9 @@ def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
     Ki, a, d, eta = _virtual_parts(K, Z, cfg)
     A = a[:, None] - Ki * (a / d)
     np.fill_diagonal(A, 0.0)
-    pred, W = project(H.T @ A, ops.rhs[:, None])
-    resid = Z - pred[j, np.arange(n)]
+    base, cols = H.T @ A, np.arange(n)
+    UW, W = project(base, ops.rhs[:, None])
+    resid = Z - (base[j, cols] + UW[j, cols])
     var = 1.0 / d - eta
     if ops.p:
         g2 = Z @ A
@@ -125,7 +126,7 @@ def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
                 f"Z^T K^-1 Z = {g2[i]} is zero in fold {i}; the Lagrangian "
                 "closed form assumes it non-zero"
             )
-        var = var + np.sum(ops.U[j] * W.T, axis=1) ** 2 / g2
+        var = var + UW[j, cols] ** 2 / g2
     return resid, var, eta > cfg.nugget
 
 
@@ -198,11 +199,11 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     ops = design.OperatorSystem() if ops is None else ops
     n = obs.n
     layout = design.Layout(k_unit, obs.points + ops.colloc_points)
-    y = np.concatenate([obs.values, ops.rhs])
+    y, U = np.concatenate([obs.values, ops.rhs]), ops.U
 
     def parts(theta, with_std):
         Kfull = layout(replace(k_unit, theta=float(theta)))
-        _, a, d, eta = _virtual_parts(_pred._stacked_gram(Kfull, n, ops.U), y, cfg)
+        _, a, d, eta = _virtual_parts(_pred._stacked_gram(Kfull, n, U), y, cfg)
         a, d = a[:n], d[:n]
         return a / d, a * a / d, eta > cfg.nugget
 
@@ -217,7 +218,7 @@ def _lagrangian_system(k_unit, obs, ops):
     _require_unit_centered(k_unit, obs)
     ops, rows = design._extend(ops, obs.points)
     K_of, H_of = (design.Layout(k_unit, obs.points, B) for B in (None, ops.colloc_points))
-    project = functools.cache(lambda: _pred._constraint_projector(ops.U))
+    project = functools.cache(lambda: _pred._constraint_projector(ops))
 
     def system(theta):
         k = replace(k_unit, theta=float(theta))

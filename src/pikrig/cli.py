@@ -309,7 +309,7 @@ def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
     mu, mu_star = (np.ones(obs.n), np.ones(q)) if ordinary else (None, None)
     w, timing = _timed_ck(k, obs, ops, pred + ops.colloc_points, scfg, mu, mu_star)
     variance, _ = _uq.mmse_variance(k, pred, w.alpha[:, :q], w.cross[:, :q])
-    resid = ops.U.T @ w.predictions[q:] - ops.rhs
+    resid = ops.tdot(w.predictions[q:]) - ops.rhs
     resid_max = float(np.max(np.abs(resid))) if ops.p else None
     return _Fit(pred, w.predictions[:q], variance, resid_max, w.nugget_used, timing)
 
@@ -320,7 +320,7 @@ def _solve_lk(k, obs, ops, pred, scfg):
     w, timing = _timed_lk(k, obs, lk_ops, scfg)
     atoms = lk_ops.colloc_points
     variance, _ = _uq.mmse_variance(k, atoms, w.alpha, w.cross)
-    resid_max = float(np.max(np.abs(lk_ops.U.T @ w.predictions - lk_ops.rhs)))
+    resid_max = float(np.max(np.abs(lk_ops.tdot(w.predictions) - lk_ops.rhs)))
     return _Fit(atoms, w.predictions, variance, resid_max, w.nugget_used, timing)
 
 

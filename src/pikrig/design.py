@@ -8,16 +8,17 @@ grouped by multi-index once, when it is built.  Observations, collocation
 atoms and prediction targets are all Atoms; lists of ExtendedPoint are
 converted at the API edge (:meth:`Atoms.of`).  Linear differential
 equations become linear combinations of atoms, collected in an
-:class:`OperatorSystem` (U^T Z+ = v, columns of U are equations).
+:class:`OperatorSystem` (U^T Z+ = v, columns of U are equations) and
+stored once, as their terms; U, U^T x, U w and the row blocks of
+equations that each sit at one location are derived here.
 
 Covariance matrices over extended points are assembled by :func:`gram`,
 one closed-form block per pair of multi-index groups, so every entry
 equals :func:`cov` of its pair exactly; a :class:`Layout` keeps the
-theta-invariant part of a gram for a lengthscale search.  The encoders
-also record pointwise equations as row blocks; the co-Kriging stack is
-assembled per pair of them (:func:`_stacked_rows`), with no atom gram
-and no product with U (the virtual co-Kriging LOOCV still contracts an
-atom Layout with U).  :func:`gram` also feeds a process-wide counter of
+theta-invariant part of a gram for a lengthscale search.  The co-Kriging
+stack is assembled per pair of row blocks (:func:`_stacked_rows`), with
+no atom gram and no product with U (the virtual co-Kriging LOOCV still
+contracts an atom Layout with U).  :func:`gram` also feeds a counter of
 logical atom pairs, however computed; it makes the cost asymmetry between
 co-Kriging and Lagrangian Kriging measurable: for co-Kriging with n
 primary atoms, c collocation atoms and q prediction atoms a prediction
@@ -27,7 +28,7 @@ Lagrangian Kriging n(n+1)/2 + n*q.
 
 import threading
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -239,47 +240,82 @@ class ObservationSet:
         return len(self.points)
 
 
-@dataclass
+def _padded(group, n, *values):
+    """(each of ``values`` as n rows, zero-padded, the count per row): row g
+    lists, in order, the entries whose ``group`` (sorted) is g."""
+    count = np.bincount(group, minlength=n)
+    pos = np.arange(len(group)) - (np.cumsum(count) - count)[group]
+    out = [np.zeros((n, count.max(initial=0)) + v.shape[1:], v.dtype) for v in values]
+    for a, v in zip(out, values):
+        a[group, pos] = v
+    return (*out, count)
+
+
 class OperatorSystem:
     """Linear operator rows U^T Z+ = v over collocation atoms Z+.
 
-    ``U`` is c x p: rows follow ``colloc_points``, each column is one
-    equation's coefficient vector.  ``rhs`` holds the p forcing values v.
-    ``blocks`` (set by the encoders; None unless each equation sits at one
-    location) are the equations as row blocks, one per list of term
-    multi-indices: (equations, n_b x d locations, T multi-indices, n_b x T coefficients).
-    ``OperatorSystem()`` is the empty system (no atoms, no equations).
+    Stored once, as the read-only ``terms`` (atom, eq, coeff) in the
+    encoder's order, repeated and zero terms included: term t adds coeff[t]
+    times atom ``colloc_points[atom[t]]`` to equation eq[t]; ``rhs`` holds
+    the p forcing values v.  Derived from the terms: ``U`` (c x p, a new
+    array on each access), the products :meth:`tdot` (U^T x) and :meth:`dot`
+    (U w), ``normal_diagonal`` (diag(U^T U) if no atom has a nonzero
+    coefficient in two equations, else None) and ``blocks`` (None unless
+    each equation sits at one location, else one row block per list of term
+    multi-indices: equations, n_b x d locations, T multi-indices, n_b x T
+    coefficients).  ``OperatorSystem(colloc_points, U, rhs)`` keeps the
+    nonzeros of a dense U, column by column; ``OperatorSystem()`` is empty.
     """
 
-    colloc_points: Atoms = ()
-    U: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    rhs: np.ndarray = ()
-    blocks: Optional[list] = field(default=None, repr=False)
+    def __new__(cls, colloc_points=(), U=np.zeros((0, 0)), rhs=()):
+        colloc_points, U = Atoms.of(colloc_points), np.asarray(U, dtype=float)
+        U = U if U.ndim == 2 else U.reshape(len(colloc_points), -1)
+        rhs = np.asarray(rhs, dtype=float).ravel()
+        if U.shape[0] != len(colloc_points):
+            raise ValueError(f"U has {U.shape[0]} rows but there are {len(colloc_points)} atoms")
+        if U.shape[1] != rhs.size:
+            raise ValueError(f"U has {U.shape[1]} columns but rhs has {rhs.size}")
+        eq, atom = np.nonzero(U.T)
+        return cls._make(colloc_points, (atom, eq, U[atom, eq]), rhs)
 
-    def __post_init__(self):
-        self.colloc_points = Atoms.of(self.colloc_points)
-        self.U = np.asarray(self.U, dtype=float)
-        if self.U.ndim != 2:
-            self.U = self.U.reshape(len(self.colloc_points), -1)
-        self.rhs = np.asarray(self.rhs, dtype=float).ravel()
-        c, p = self.U.shape
-        if c != len(self.colloc_points):
-            raise ValueError(
-                f"U has {c} rows but there are {len(self.colloc_points)} atoms"
-            )
-        if p != self.rhs.size:
-            raise ValueError(f"U has {p} columns but rhs has {self.rhs.size}")
-        zero = np.flatnonzero(~self.U.any(axis=0))
-        if zero.size:
-            raise ValueError(f"equation {zero[0]} has an all-zero coefficient column")
+    @classmethod
+    def _make(cls, colloc_points, terms, rhs):
+        """The system of ``terms`` over ``colloc_points``, the rest derived from them."""
+        ops = object.__new__(cls)
+        ops.colloc_points, ops.rhs = colloc_points, np.array(rhs, dtype=float).ravel()
+        ops.c, ops.p = len(colloc_points), ops.rhs.size
+        ops.terms = tuple(np.array(a, dtype=t) for a, t in zip(terms, (int, int, float)))
+        for a in (ops.rhs, *ops.terms):
+            a.flags.writeable = False
+        atom, eq, coeff = ops.terms
+        pairs, which = np.unique(eq * ops.c + atom, return_inverse=True)
+        value = np.bincount(which, coeff, len(pairs))  # repeated terms add up
+        j, i = np.divmod(pairs[value != 0], ops.c)  # the nonzeros, column by column
+        value = value[value != 0]
+        *ops._by_eq, count = _padded(j, ops.p, i, value)
+        if not count.all():
+            raise ValueError(f"equation {np.argmin(count)} has an all-zero coefficient column")
+        order = np.argsort(i, kind="stable")
+        *ops._by_atom, count = _padded(i[order], ops.c, j[order], value[order])
+        ops.normal_diagonal = None if (count > 1).any() else np.bincount(j, value ** 2, ops.p)
+        ops.blocks = _row_blocks(colloc_points, ops.terms, ops.p)
+        return ops
 
     @property
-    def c(self):
-        return len(self.colloc_points)
+    def U(self):
+        U = np.zeros((self.c, self.p))
+        np.add.at(U, self.terms[:2], self.terms[2])
+        return U
 
-    @property
-    def p(self):
-        return int(self.U.shape[1])
+    def tdot(self, x):
+        """U^T x, for x with one row per atom."""
+        index, coeff = self._by_eq
+        return np.einsum("jt,jt...->j...", coeff, x[index])
+
+    def dot(self, w):
+        """U w, for w with one row per equation."""
+        index, coeff = self._by_atom
+        return np.einsum("it,it...->i...", coeff, w[index])
 
 
 # Process-wide count of covariance evaluations, guarded by its lock.
@@ -411,26 +447,23 @@ def _operator_system(locations, multi_indices, coeff, eq, rhs):
     n = len(locations)
     terms = Atoms(np.reshape(locations, (n, -1)), np.reshape(multi_indices, (n, -1)))
     first, label = _distinct(terms)
-    U = np.zeros((len(first), len(rhs)))
-    np.add.at(U, (label, eq), coeff)
-    return OperatorSystem(terms[first], U, rhs, _row_blocks(terms, coeff, eq, len(rhs)))
+    return OperatorSystem._make(terms[first], (label, eq, coeff), rhs)
 
 
-def _row_blocks(terms, coeff, eq, p):
-    """:attr:`OperatorSystem.blocks` of the equations j = sum of coeff[t]
-    times atom terms[t] over eq[t] = j; None unless each has one location."""
-    order = np.argsort(eq, kind="stable")
-    eq, X, M = np.asarray(eq)[order], terms.X[order], terms.M[order]
-    count = np.bincount(eq, minlength=p)
+def _row_blocks(points, terms, p):
+    """:attr:`OperatorSystem.blocks` of ``terms`` (atom, eq, coeff) over the
+    atoms ``points``; None unless each equation has one location."""
+    if not p:
+        return []
+    atom, eq, coeff = (a[np.argsort(terms[1], kind="stable")] for a in terms)
+    X = points.X[atom]
+    sig, C, count = _padded(eq, p, points.M[atom] + 1, coeff)  # multi-indices + 1, 0 pads
     start = np.cumsum(count) - count
-    if not count.all() or (X != X[start][eq]).any():
+    if (X != X[start][eq]).any():
         return None
-    pos = np.arange(len(eq)) - start[eq]
-    sig, C = np.full((p, count.max(), M.shape[1]), -1), np.zeros((p, count.max()))
-    sig[eq, pos], C[eq, pos] = M, np.asarray(coeff)[order]  # multi-indices padded with -1
     inv = np.unique(sig.reshape(p, -1), axis=0, return_inverse=True)[1].ravel()
     rows = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
-    return [(r, X[start[r]], tuple(map(tuple, sig[r[0], :count[r[0]]].tolist())),
+    return [(r, X[start[r]], tuple(map(tuple, (sig[r[0], :count[r[0]]] - 1).tolist())),
              C[r, :count[r[0]]]) for r in rows]
 
 
@@ -507,12 +540,8 @@ def _extend(ops, atoms):
     atoms = Atoms.of(atoms)
     rows = _positions(ops.colloc_points, atoms)
     missing = rows < 0
-    if not missing.any():
-        return OperatorSystem(ops.colloc_points, ops.U.copy(), ops.rhs.copy(), ops.blocks), rows
     rows[missing] = ops.c + np.arange(missing.sum())
-    new = atoms[missing]
-    U = np.vstack([ops.U, np.zeros((len(new), ops.p))])
-    return OperatorSystem(ops.colloc_points + new, U, ops.rhs.copy(), ops.blocks), rows
+    return OperatorSystem._make(ops.colloc_points + atoms[missing], ops.terms, ops.rhs), rows
 
 
 def extend_atoms(ops, extra_atoms):

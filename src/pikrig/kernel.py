@@ -145,7 +145,8 @@ def _bracket(idx, h, it2):
 def block_form(r, terms, terms2):
     """The theta-invariant part of a covariance block between sums of (coefficient,
     multi-index) terms on the first and second argument, coefficients broadcasting
-    against ``r[..., 0]``: ([(bracket index, weight)], ``r`` if an order is not 0, ||r||^2)."""
+    against ``r[..., 0]``: ([(bracket index, weight)], ``r`` if an order is not 0, ||r||^2);
+    a weight of one number is a float."""
     weights = {}
     for (c, m), (c2, m2) in itertools.product(terms, terms2):
         t = total_order(m) + total_order(m2)
@@ -158,7 +159,8 @@ def block_form(r, terms, terms2):
         w = (-1.0 if total_order(m) % 2 else 1.0) * c * c2
         weights[idx] = weights[idx] + w if idx in weights else w
     d2 = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
-    return list(weights.items()), r if any(weights) else None, d2
+    weights = [(idx, np.asarray(w).item() if np.size(w) == 1 else w) for idx, w in weights.items()]
+    return weights, r if any(idx for idx, _ in weights) else None, d2
 
 
 def block_value(k, form):

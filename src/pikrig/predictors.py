@@ -167,34 +167,32 @@ def make_spd_solver(K, cfg):
     )
 
 
-def _constraint_projector(U):
-    """Rank-check U; return its projection ``project``.
+def _constraint_projector(ops):
+    """Rank-check the U of ``ops``; return its projection ``project``.
 
-    ``project(base, v)`` returns (base + U w, w) with
+    ``project(base, v)`` returns the correction (U w, w) with
     w = (U^T U)^-1 (v - U^T base), so that U^T (base + U w) = v; ``base``
-    and ``v`` may carry one column per right-hand side.  When no atom sits
-    in two equations (each row of U has at most one nonzero, as from
-    :func:`pikrig.design.encode_pointwise`), U^T U is diagonal: no QR,
-    w = (v - U^T base) / ||u_j||^2.  Otherwise the R of one pivoted QR,
-    U P = Q R, solves the semi-normal equations, as R^T R = P^T U^T U P.
-    Either way |R_jj| (the column norms, sorted, in the diagonal case) at
-    most 1e-10 |R11| raises RankDeficiencyError naming the dependent
-    equations.
+    and ``v`` may carry one column per right-hand side, and U^T base and
+    U w are the system's products.  When no atom has a nonzero coefficient
+    in two equations (as in every :func:`pikrig.design.encode_pointwise`
+    system), U^T U is diagonal and ``ops.normal_diagonal``, read off the
+    terms, holds it: no QR, w = (v - U^T base) / ||u_j||^2.  Otherwise the
+    R of one pivoted QR of the dense U, U P = Q R, solves the semi-normal
+    equations, as R^T R = P^T U^T U P.  Either way |R_jj| (the column
+    norms, sorted, in the diagonal case) at most 1e-10 |R11| raises
+    RankDeficiencyError naming the dependent equations.
     """
-    p = U.shape[1]
-    if p == 0:
-        return lambda base, v: (base.copy(), np.zeros((0,) + base.shape[1:]))
-    if np.all(np.count_nonzero(U, axis=1) <= 1):
-        sq = np.einsum("ij,ij->j", U, U)
+    p, sq = ops.p, ops.normal_diagonal
+    if sq is not None:
         piv = np.argsort(-sq, kind="stable")
         diag = np.sqrt(sq[piv])
         solve = lambda resid: (resid.T / sq).T
     else:
-        r, piv = qr(U, mode="r", pivoting=True)
+        r, piv = qr(ops.U, mode="r", pivoting=True)
         diag = np.abs(np.diag(r))
         solve = lambda resid: cho_solve((r[:p], False), resid[piv])[np.argsort(piv)]
     # |R11| scales the tolerance as in LAPACK xGELSY: ||U||/sqrt(p) <= |R11| <= ||U||
-    rank = int(np.sum(diag > 1e-10 * diag[0]))
+    rank = int(np.sum(diag > 1e-10 * diag[:1]))  # p = 0: rank 0
     if rank < p:
         dependent = sorted(int(j) for j in piv[rank:])
         raise RankDeficiencyError(
@@ -204,8 +202,8 @@ def _constraint_projector(U):
         )
 
     def project(base, v):
-        w = solve(v - U.T @ base)
-        return base + U @ w, w
+        w = solve(v - ops.tdot(base))
+        return ops.dot(w), w
 
     return project
 
@@ -245,15 +243,16 @@ def _extended_mean(obs, ops):
         )
     cbar = float(mu[0])
     colloc_mean = np.where(ops.colloc_points.M.sum(1) == 0, cbar, 0.0)
-    return np.concatenate([mu, ops.U.T @ colloc_mean])
+    return np.concatenate([mu, ops.tdot(colloc_mean)])
 
 
 def assemble_co_kriging(k, obs, ops, pred):
     """Covariance blocks of the co-Kriging system: (K+, H+, stacked obs).
 
     The stacked observation vector puts the forcing values v in the
-    secondary slots.  K+ and H+ come per pair of row blocks when ``ops``
-    has them (:func:`pikrig.design._stacked_rows`), else from the atom gram and U.
+    secondary slots.  K+ and H+ come per pair of row blocks when each
+    equation sits at one location, encoded or hand-built
+    (:func:`pikrig.design._stacked_rows`), else from the atom gram and U.
     """
     y = np.concatenate([obs.values, ops.rhs])
     if ops.blocks is not None:
@@ -262,7 +261,7 @@ def assemble_co_kriging(k, obs, ops, pred):
     n, atoms = obs.n, obs.points + ops.colloc_points
     Kplus = _stacked_gram(design.gram(k, atoms), n, ops.U)
     Hfull = design.gram(k, atoms, pred)
-    return Kplus, np.vstack([Hfull[:n], ops.U.T @ Hfull[n:]]), y
+    return Kplus, np.vstack([Hfull[:n], ops.tdot(Hfull[n:])]), y
 
 
 def _stacked_gram(Kfull, n, U):
@@ -340,21 +339,20 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=SolveConfig(), conditional_
     if conditional_cov not in ("schur", "identity"):
         raise ValueError(f"unknown conditional_cov {conditional_cov!r}")
     ops = ops_at_predictions
-    U = ops.U
     K, H = assemble_lagrangian(k, obs, ops)
     solve, eta = make_spd_solver(K, cfg)
     KiH = solve(H)
     base = KiH.T @ obs.values
     if conditional_cov == "identity":
-        return _constraint_projector(U)(base, ops.rhs)[0]
-    K2g1U = (design.gram(k, ops.colloc_points) - H.T @ KiH) @ U
+        return base + _constraint_projector(ops)(base, ops.rhs)[0]
+    K2g1U = ops.tdot((design.gram(k, ops.colloc_points) - H.T @ KiH).T).T
     try:
-        factor = cho_factor(U.T @ K2g1U + eta * np.eye(ops.p), lower=True)
+        factor = cho_factor(ops.tdot(K2g1U) + eta * np.eye(ops.p), lower=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystemError(
             f"reduced constraint system is singular: {exc}"
         ) from exc
-    return base + K2g1U @ cho_solve(factor, ops.rhs - U.T @ base)
+    return base + K2g1U @ cho_solve(factor, ops.rhs - ops.tdot(base))
 
 
 def assemble_lagrangian(k, obs, ops_at_predictions):
@@ -374,17 +372,18 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=N
     z~ = Z - (mu^T K^-1 Z / mu^T K^-1 mu) mu (z~ = Z when centered),
     b = K^-1 z~ and denom = z~^T b (gamma2 = Z^T K^-1 Z, or
     gamma2 - gamma3^2/gamma1 with gamma1 = mu^T K^-1 mu,
-    gamma3 = mu^T K^-1 Z): predictions, w = project(Kriging predictions,
-    v*) (:func:`_constraint_projector`), lambda' = w / denom,
+    gamma3 = mu^T K^-1 Z): predictions = Kriging predictions + U w, with
+    U w, w = project(Kriging predictions, v*) (:func:`_constraint_projector`),
+    lambda' = w / denom,
     alpha = alpha_K + b (U lambda')^T, cross = cross_K - z~ (U lambda')^T
     and lambda = lambda_K - (gamma3/gamma1) U lambda'.  ``project`` is
-    ``_constraint_projector(ops.U)`` when the caller has already built it.
+    ``_constraint_projector(ops)`` when the caller has already built it.
     """
     ops = ops_at_predictions
     mu = obs.mean
     if mu is not None and mu_star is None:
         raise ValueError("ordinary Lagrangian Kriging needs mu_star")
-    project = project or _constraint_projector(ops.U)
+    project = project or _constraint_projector(ops)
     solve, eta = make_spd_solver(K, cfg)
     Z = obs.values
     kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star)
@@ -409,12 +408,12 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=N
                 f"(gamma1={g1}, gamma2={g2}, gamma3={g3})"
             )
         zt, b = Z - (g3 / g1) * mu, a - (g3 / g1) * Kimu
-    predictions, w = project(kriging.predictions, ops.rhs)
+    Uw, w = project(kriging.predictions, ops.rhs)
     lam2 = w / denom
-    Ulam2 = ops.U @ lam2
+    Ulam2 = ops.dot(lam2)
     return KrigingWeights(
         alpha=kriging.alpha + np.outer(b, Ulam2),
-        predictions=predictions,
+        predictions=kriging.predictions + Uw,
         cross=kriging.cross - np.outer(zt, Ulam2),
         lam=None if mu is None else kriging.lam - (g3 / g1) * Ulam2,
         lam2=lam2,

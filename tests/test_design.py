@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pikrig import design
@@ -195,6 +195,97 @@ def test_extend_atoms_appends_zero_rows():
     same = extend_atoms(ops, [ExtendedPoint((1.0,), (2,))])
     same.U[0, 0] = 99.0
     assert ops.U[0, 0] == 1.0
+
+
+@st.composite
+def operator_systems(draw):
+    """(system, the system it extends or None): from encode_pointwise or
+    encode_rows (terms repeat, coefficients may be zero), encode_average,
+    or a hand-built U with an atom in two equations; then, or not, with
+    atoms no equation touches appended (extend_atoms)."""
+    d = draw(st.integers(1, 2))
+    point = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    order = st.tuples(*[st.integers(0, 2)] * d)
+    coeff = st.one_of(st.just(0.0), st.just(1.0), st.floats(-2, 2))
+    kind = draw(st.sampled_from(["pointwise", "rows", "average", "dense"]))
+    try:
+        if kind == "pointwise":
+            rows = draw(st.lists(st.tuples(point, st.lists(st.tuples(coeff, order), min_size=1,
+                                                          max_size=4)), min_size=1, max_size=4))
+            ops = encode_pointwise(rows, np.zeros(len(rows)))
+        elif kind == "rows":
+            blocks = []
+            for _ in range(draw(st.integers(1, 2))):
+                locs = np.array(draw(st.lists(point, min_size=1, max_size=3)), float)
+                orders = draw(st.lists(order, min_size=1, max_size=3))
+                C = draw(st.lists(st.lists(coeff, min_size=len(orders), max_size=len(orders)),
+                                  min_size=len(locs), max_size=len(locs)))
+                blocks.append((locs, orders, C))
+            ops = design.encode_rows(blocks, np.zeros(sum(len(X) for X, _, _ in blocks)))
+        elif kind == "average":
+            locs = draw(st.lists(point, min_size=1, max_size=3))
+            ops = encode_average(locs, draw(st.lists(st.tuples(coeff, order), min_size=1,
+                                                     max_size=2)), 0.0)
+        else:
+            atoms = Atoms(np.array(draw(st.lists(point, min_size=2, max_size=5, unique_by=tuple)),
+                                   float), (0,) * d)
+            p = draw(st.integers(2, 3))
+            U = np.array(draw(st.lists(st.lists(coeff, min_size=p, max_size=p),
+                                       min_size=len(atoms), max_size=len(atoms))))
+            U[0, :2] = 1.5, -0.5  # atom 0 in equations 0 and 1
+            ops = OperatorSystem(atoms, U, np.zeros(p))
+    except ValueError:  # a row, or a column of U, without a nonzero coefficient
+        assume(False)
+    if not draw(st.booleans()):
+        return ops, None
+    extra = draw(st.lists(st.tuples(point, order), min_size=1, max_size=3))
+    extra = Atoms(np.array([x for x, _ in extra], float), np.array([m for _, m in extra]))
+    return extend_atoms(ops, extra), ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=operator_systems(), columns=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_products_match_dense_u(drawn, columns, seed):
+    # U^T x and U w from the terms agree with the dense U to rounding,
+    # relative to sum |u| |x|; extending keeps the terms and the row blocks
+    ops, base = drawn
+    U, rng = ops.U, np.random.default_rng(seed)
+    shape = (columns,) if columns else ()
+    for got, A, x in ((ops.tdot, U.T, rng.normal(size=(ops.c,) + shape)),
+                      (ops.dot, U, rng.normal(size=(ops.p,) + shape))):
+        ref = A @ x
+        assert got(x).shape == ref.shape
+        scale = np.max(np.abs(A) @ np.abs(x), initial=0.0)
+        assert np.max(np.abs(got(x) - ref), initial=0.0) <= 1e-15 * scale
+    nonzero = np.abs(U) > 0
+    if ops.normal_diagonal is None:
+        assert nonzero.sum(axis=1).max() > 1
+    else:
+        assert nonzero.sum(axis=1).max(initial=0) <= 1
+        norms = np.einsum("ij,ij->j", U, U)
+        assert (np.abs(ops.normal_diagonal - norms) <= 1e-15 * norms).all()
+    if base is not None:
+        assert all(a is b or np.array_equal(a, b) for a, b in zip(ops.terms, base.terms))
+        assert np.array_equal(U[: base.c], base.U) and not U[base.c:].any()
+        assert (ops.blocks is None) == (base.blocks is None)
+        for got, ref in zip(ops.blocks or [], base.blocks or []):
+            assert got[2] == ref[2]
+            assert all(np.array_equal(a, b) for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]))
+
+
+def test_operator_system_is_stored_once():
+    # U is built afresh from the terms, which are read-only; a hand-built
+    # U whose equations each sit at one location gets row blocks
+    ops = encode_pointwise([((0.0,), [(1.0, (0,)), (2.0, (2,))]), ((1.0,), [(1.0, (1,))])],
+                           [0.0, 1.0])
+    ops.U[0, 0] = 99.0
+    assert ops.U[0, 0] == 1.0
+    for values in (*ops.terms, ops.rhs):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    dense = OperatorSystem(ops.colloc_points, ops.U, ops.rhs)
+    assert [b[2] for b in dense.blocks] == [b[2] for b in ops.blocks]
+    assert OperatorSystem(ops.colloc_points, np.ones((3, 1)), [0.0]).blocks is None
 
 
 def test_cov_matches_kernel_deriv():

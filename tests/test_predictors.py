@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -442,6 +444,10 @@ def test_row_block_assembly_matches_dense_contraction(drawn):
     k, obs, ops, pred = drawn
     assert ops.blocks is not None
     _assert_dense_co_kriging(k, obs, ops, pred)
+    # the same system handed over as a dense U takes the row-block route too
+    dense = OperatorSystem(ops.colloc_points, ops.U, ops.rhs)
+    assert dense.blocks is not None
+    _assert_dense_co_kriging(k, obs, dense, pred)
 
 
 def test_co_kriging_without_row_blocks_matches_dense_contraction():
@@ -453,6 +459,23 @@ def test_co_kriging_without_row_blocks_matches_dense_contraction():
     for ops in (avg, mixed):
         assert ops.blocks is None
         _assert_dense_co_kriging(k, obs, ops, pred + ops.colloc_points)
+
+
+def test_lagrangian_route_allocates_no_dense_u():
+    # f + f'' rows at p = 1500: encoding, assembly and the Lagrangian solve
+    # peak below a quarter of the dense 3000 x 1500 U (36 MB)
+    k, obs, _ = _sweep_system(2)
+    xs = np.linspace(0.0, 2.0 * np.pi, 1500)[:, None]
+    tracemalloc.start()
+    try:
+        ops = design.encode_rows([(xs, ((0,), (2,)), 1.0)], np.zeros(len(xs)))
+        K, H = P.assemble_lagrangian(k, obs, ops)
+        lk = P.solve_lagrangian(K, H, obs, ops, P.SolveConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 1500 * 8 / 4
+    assert np.max(np.abs(ops.tdot(lk.predictions))) <= 1e-12 * np.max(np.abs(lk.predictions))
 
 
 @pytest.mark.parametrize("system", [
@@ -514,7 +537,8 @@ def test_projector_matches_qr_oracle(system, monkeypatch):
         K, H = P.assemble_lagrangian(k, obs, ops)
         base, v = P.solve_co_kriging(K, H, obs.values, P.SolveConfig()).predictions, ops.rhs
     counts = _count_calls(monkeypatch, ("qr",))
-    got, w = P._constraint_projector(ops.U)(base, v)
+    Uw, w = P._constraint_projector(ops)(base, v)
+    got = base + Uw
     assert counts["qr"] == int(system == "coupled")
     ref, w_ref = oracles.constraint_projector_qr(ops.U)(base, v)
     assert got.shape == ref.shape and w.shape == w_ref.shape
@@ -545,9 +569,9 @@ def test_diagonal_projector_rank_deficiency(monkeypatch):
     # 1e-9 of the largest norm is independent on both routes
     U[2, 1] = 5e-9
     base, v = np.ones(5), np.arange(3.0)
-    got = P._constraint_projector(U)(base, v)
+    got = P._constraint_projector(OperatorSystem(atoms, U, np.zeros(3)))(base, v)
     ref = oracles.constraint_projector_qr(U)(base, v)
-    assert _rel(got[0], ref[0]) <= 1e-12
+    assert _rel(base + got[0], ref[0]) <= 1e-12
     assert _rel(got[1], ref[1]) <= 1e-6
 
 

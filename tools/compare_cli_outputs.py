@@ -62,7 +62,7 @@ def run_matrix():
     runs += [(f"flow-csv-{m}", ["flow", "--csv", "flow-ck/field_input.csv", "--method", m])
              for m in ("ck", "lk")]
     runs += [(f"calibrate-{m}", ["calibrate", "--method", m]) for m in ODE1D_METHODS]
-    runs.append(("bench-p200", ["bench", "--p", "200"]))
+    runs += [(f"bench-p{p}", ["bench", "--p", str(p)]) for p in (200, 1500)]
     runs += [(name, [command, "--config", f"{name}.json"])
              for name, (command, _) in CONFIG_RUNS.items()]
     return runs
