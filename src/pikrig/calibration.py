@@ -22,8 +22,10 @@ observations.  Every criterion is nan where the full matrix needed
 escalated jitter.
 
 Each criterion factory builds its theta-invariant state (atom sets, the
-:class:`pikrig.design.Layout` of each covariance block, the rank check
+:class:`pikrig.design.Layout` of its covariance matrix, the rank check
 of U) once per search; a theta costs the closed forms and one factorization.
+A Lagrangian search evaluates one layout, H (observations against the
+extended atoms), and reads K off H's observation columns.
 
 The 1-d lengthscale search is a deterministic log-spaced grid scan
 followed by golden-section refinement inside the best cell; ties shrink
@@ -213,16 +215,20 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
 def _lagrangian_system(k_unit, obs, ops):
     """(``ops`` with the observation atoms it lacks appended
     constraint-free, the row of each, ``system(theta)`` -> (kernel, K, H,
-    projection of U)).  The rank check runs at the first evaluation and
-    is kept once it passes, so its error comes out of the criterion."""
+    projection of U)).  One layout, of H, is evaluated per theta: the
+    extended system holds every observation atom, so K is H's columns at
+    their rows (it differs from ``gram(k, obs.points)`` at most in the sign
+    of a zero).  The rank check runs at the first evaluation and is kept
+    once it passes, so its error comes out of the criterion."""
     _require_unit_centered(k_unit, obs)
     ops, rows = design._extend(ops, obs.points)
-    K_of, H_of = (design.Layout(k_unit, obs.points, B) for B in (None, ops.colloc_points))
+    H_of = design.Layout(k_unit, obs.points, ops.colloc_points)
     project = functools.cache(lambda: _pred._constraint_projector(ops))
 
     def system(theta):
         k = replace(k_unit, theta=float(theta))
-        return k, K_of(k), H_of(k), project()
+        H = H_of(k)
+        return k, H[:, rows], H, project()
 
     return ops, rows, system
 
@@ -315,10 +321,12 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
 
     Log-spaced coarse grid (half the budget), then golden-section
     refinement in log space inside the cell around the grid argmin, then
-    the midpoint of the final bracket: exactly ``budget`` criterion
-    evaluations in all.  Non-finite values and factorization failures are
-    skipped, kept as nan in the trace and logged once per search, with
-    their count and theta range; exact ties shrink the bracket from both sides.
+    the midpoint of the final bracket: ``budget`` criterion evaluations in
+    all, or fewer when the argmin's grid cell has zero width in floating
+    point (bounds a few ulps apart), which skips the refinement.
+    Non-finite values and factorization failures are skipped, kept as nan
+    in the trace and logged once per search, with their count and theta
+    range; exact ties shrink the bracket from both sides.
     A grid with no finite value raises ConditioningError.
     ``sigma2_rule``, when given, is called at the optimum to fill
     ``sigma2_hat`` (default 1.0).
@@ -354,42 +362,27 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     lb = math.log(grid[ib + 1] if ib < ngrid - 1 else grid[ib])
 
     rho = (math.sqrt(5.0) - 1.0) / 2.0
-    remaining = budget - ngrid - 1
-    used = 0
-    if lb > la and remaining >= 2:
-        x1 = lb - rho * (lb - la)
-        x2 = la + rho * (lb - la)
-        f1 = ev(math.exp(x1))
-        f2 = ev(math.exp(x2))
-        used = 2
-        while used < remaining:
-            v1 = f1 if math.isfinite(f1) else math.inf
-            v2 = f2 if math.isfinite(f2) else math.inf
+    f1 = f2 = None  # None: that interior point is stale, to be re-placed and evaluated
+    for _ in range(budget - ngrid - 1 if lb > la else 0):
+        if f1 is not None and f2 is not None:
+            v1, v2 = (v if math.isfinite(v) else math.inf for v in (f1, f2))
             if v1 < v2:
-                lb, x2, f2 = x2, x1, f1
-                x1 = lb - rho * (lb - la)
-                f1 = ev(math.exp(x1))
-                used += 1
+                lb, x2, f2, f1 = x2, x1, f1, None
             elif v2 < v1:
-                la, x1, f1 = x1, x2, f2
-                x2 = la + rho * (lb - la)
-                f2 = ev(math.exp(x2))
-                used += 1
+                la, x1, f1, f2 = x1, x2, f2, None
             else:
-                la, lb = x1, x2
-                x1 = lb - rho * (lb - la)
-                x2 = la + rho * (lb - la)
-                f1 = ev(math.exp(x1))
-                used += 1
-                if used < remaining:
-                    f2 = ev(math.exp(x2))
-                    used += 1
+                la, lb, f1, f2 = x1, x2, None, None
+        if f1 is None:
+            x1 = lb - rho * (lb - la)
+            f1 = ev(math.exp(x1))
+        else:
+            x2 = la + rho * (lb - la)
+            f2 = ev(math.exp(x2))
 
-    mid = math.exp(0.5 * (la + lb))
-    fmid = ev(mid)
-    candidates = [(mid, fmid)] if math.isfinite(fmid) else []
-    candidates += [(t, v) for t, v in trace if math.isfinite(v)]
-    theta_hat, crit_val = min(candidates, key=lambda tv: tv[1])
+    ev(math.exp(0.5 * (la + lb)))
+    # the final midpoint first, so that it wins ties
+    theta_hat, crit_val = min((tv for tv in [trace[-1], *trace] if math.isfinite(tv[1])),
+                              key=lambda tv: tv[1])
     bad = [t for t, v in trace if math.isnan(v)]
     if bad:
         failures = f"; {len(failed)} failed to factor: {failed[-1]}" if failed else ""

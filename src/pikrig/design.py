@@ -381,7 +381,8 @@ class Layout:
     """The theta-invariant part of ``gram(k, A, B)``.  Called at a kernel
     of k's dimension it evaluates only the closed forms and returns that
     kernel's gram bit for bit, with the same count.  A ``lazy`` layout
-    (:func:`gram`'s) builds each block as it evaluates it: call it once."""
+    (:func:`gram`'s) keeps no block forms: each call rebuilds each block's
+    form as it evaluates it, so only one is held at a time."""
 
     def __init__(self, k, A, B=None, lazy=False):
         self.sym, self.dim = B is None or B is A, k.dim
@@ -389,19 +390,20 @@ class Layout:
         B = A if self.sym else _rows(k, B)
         self.shape = (A.size, B.size)
         self.count = A.atoms * (A.atoms + 1) // 2 if self.sym else A.atoms * B.atoms
-        blocks = (  # (scatter index, block form) per pair of row blocks
-            (np.ix_(ia, ib), _kernel.block_form(XA[:, None] - XB[None], zip(CA.T[..., None], ma),
-                                                zip(CB.T, mb)))
-            for ia, XA, ma, CA in A.blocks
-            for ib, XB, mb, CB in B.blocks
-        )
-        self.blocks = blocks if lazy else list(blocks)
+
+        def blocks():  # (scatter index, block form) per pair of row blocks
+            return ((np.ix_(ia, ib), _kernel.block_form(XA[:, None] - XB[None],
+                                                        zip(CA.T[..., None], ma), zip(CB.T, mb)))
+                    for ia, XA, ma, CA in A.blocks
+                    for ib, XB, mb, CB in B.blocks)
+
+        self._blocks = blocks if lazy else (lambda forms=list(blocks()): forms)
 
     def __call__(self, k):
         if k.dim != self.dim:
             raise _kernel.DimensionMismatchError(f"layout of dim {self.dim}, kernel dim {k.dim}")
         G = np.empty(self.shape)
-        for index, form in self.blocks:
+        for index, form in self._blocks():
             G[index] = _kernel.block_value(k, form)
         if self.sym:
             G = np.where(np.tri(self.shape[0], k=-1, dtype=bool), G.T, G)

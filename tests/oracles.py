@@ -4,19 +4,21 @@ Everything here is deliberately naive: covariance matrices filled one
 entry per Python call, dense KKT systems assembled row by row and solved
 with np.linalg.solve, leave-one-out loops that refit per fold, MMSE
 covariances built from the full K* as printed, the co-Kriging stack by
-dense products of the atom gram with U, the Lagrangian step by
-the normal equations of the formed U^T U, the constraint projection by
-one dense pivoted QR of U whatever its structure, and the flow
-experiment's geometry and CSV text one point and one cell at a time.  No
-code is shared with the package's closed forms beyond the kernel's
-derivative polynomial (``kernel._bracket``), the covariance assembly
-outside :func:`gram_loop`, the file replace of the CSV writer
-(``flowlab.atomic_write_text``) and, for the MMSE covariances and the
-Lagrangian normal equations, the refined factorization
-``make_spd_solver`` (dense solves would not reach its accuracy on the
-ill-conditioned grams).  The Lagrangian leave-one-out loop refits each
-fold with the package's full Lagrangian solve, the path its downdate
-replaces.
+dense products of the atom gram with U, the Lagrangian step by the
+normal equations of the formed U^T U, the constraint projection by one
+dense pivoted QR of U whatever its structure, the flow experiment's
+geometry and CSV text one point and one cell at a time, and the
+lengthscale search with its golden-section step written out per case
+(bracket start, one-sided shrink, tie shrink).  No code is shared with
+the package's closed forms beyond the kernel's derivative polynomial
+(``kernel._bracket``), the covariance assembly outside
+:func:`gram_loop`, the search's result type and logger, the file replace
+of the CSV writer (``flowlab.atomic_write_text``) and, for the MMSE
+covariances and the Lagrangian normal equations, the refined
+factorization ``make_spd_solver`` (dense solves would not reach its
+accuracy on the ill-conditioned grams).  The Lagrangian leave-one-out
+loop refits each fold with the package's full Lagrangian solve, the path
+its downdate replaces.
 """
 
 import math
@@ -32,6 +34,8 @@ from pikrig import flowlab as _flow
 from pikrig import kernel as _kernel
 from pikrig import predictors as _pred
 from pikrig import uq as _uq
+from pikrig.calibration import CalibrationResult, logger
+from pikrig.predictors import ConditioningError
 
 
 def deriv_scalar(k, x, x2, m, m2):
@@ -395,3 +399,97 @@ def exterior_grid_points(geom, counts, extent, margin, aspect=1.0):
     cut = geom.radius * (1.0 + margin)
     pts = [(float(x), float(y)) for y in ys for x in xs]
     return [p for p in pts if math.hypot(p[0] - cx, p[1] - cy) >= cut]
+
+
+def optimize_theta_reference(criterion, bounds, budget=64, sigma2_rule=None):
+    """Deterministic 1-d minimization of a lengthscale criterion.
+
+    Log-spaced coarse grid (half the budget), then golden-section
+    refinement in log space inside the cell around the grid argmin, then
+    the midpoint of the final bracket: exactly ``budget`` criterion
+    evaluations in all.  Non-finite values and factorization failures are
+    skipped, kept as nan in the trace and logged once per search, with
+    their count and theta range; exact ties shrink the bracket from both sides.
+    A grid with no finite value raises ConditioningError.
+    ``sigma2_rule``, when given, is called at the optimum to fill
+    ``sigma2_hat`` (default 1.0).
+    """
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (0 < lo < hi and np.isfinite(hi)):
+        raise ValueError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    budget = int(budget)
+    if budget < 8:
+        raise ValueError(f"budget must be at least 8, got {budget}")
+    trace, failed = [], []
+
+    def ev(theta):
+        theta = float(theta)
+        try:
+            val = float(criterion(theta))
+        except ConditioningError as exc:
+            failed.append(exc)
+            val = math.nan
+        trace.append((theta, val if math.isfinite(val) else math.nan))
+        return trace[-1][1]
+
+    ngrid = max(4, budget // 2)
+    grid = np.geomspace(lo, hi, ngrid)
+    vals = [ev(t) for t in grid]
+    finite = [i for i, v in enumerate(vals) if math.isfinite(v)]
+    if not finite:
+        last = failed[-1] if failed else None
+        raise ConditioningError("criterion was non-finite at every grid point",
+                                nugget_last=getattr(last, "nugget_last", None)) from last
+    ib = min(finite, key=lambda i: vals[i])
+    la = math.log(grid[ib - 1] if ib > 0 else grid[ib])
+    lb = math.log(grid[ib + 1] if ib < ngrid - 1 else grid[ib])
+
+    rho = (math.sqrt(5.0) - 1.0) / 2.0
+    remaining = budget - ngrid - 1
+    used = 0
+    if lb > la and remaining >= 2:
+        x1 = lb - rho * (lb - la)
+        x2 = la + rho * (lb - la)
+        f1 = ev(math.exp(x1))
+        f2 = ev(math.exp(x2))
+        used = 2
+        while used < remaining:
+            v1 = f1 if math.isfinite(f1) else math.inf
+            v2 = f2 if math.isfinite(f2) else math.inf
+            if v1 < v2:
+                lb, x2, f2 = x2, x1, f1
+                x1 = lb - rho * (lb - la)
+                f1 = ev(math.exp(x1))
+                used += 1
+            elif v2 < v1:
+                la, x1, f1 = x1, x2, f2
+                x2 = la + rho * (lb - la)
+                f2 = ev(math.exp(x2))
+                used += 1
+            else:
+                la, lb = x1, x2
+                x1 = lb - rho * (lb - la)
+                x2 = la + rho * (lb - la)
+                f1 = ev(math.exp(x1))
+                used += 1
+                if used < remaining:
+                    f2 = ev(math.exp(x2))
+                    used += 1
+
+    mid = math.exp(0.5 * (la + lb))
+    fmid = ev(mid)
+    candidates = [(mid, fmid)] if math.isfinite(fmid) else []
+    candidates += [(t, v) for t, v in trace if math.isfinite(v)]
+    theta_hat, crit_val = min(candidates, key=lambda tv: tv[1])
+    bad = [t for t, v in trace if math.isnan(v)]
+    if bad:
+        failures = f"; {len(failed)} failed to factor: {failed[-1]}" if failed else ""
+        logger.warning("criterion non-finite at %d of %d thetas in [%.6g, %.6g]%s",
+                       len(bad), len(trace), min(bad), max(bad), failures)
+    sigma2_hat = float(sigma2_rule(theta_hat)) if sigma2_rule is not None else 1.0
+    return CalibrationResult(
+        theta_hat=float(theta_hat),
+        sigma2_hat=sigma2_hat,
+        criterion_value=float(crit_val),
+        trace=trace,
+    )

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 import pikrig
@@ -248,11 +250,20 @@ def test_lk_criterion_factors_once(monkeypatch):
 
 
 def test_criteria_build_theta_invariant_state_once(monkeypatch):
-    # each criterion extends its system, builds its atom sets and layouts
+    # each criterion extends its system, builds its atom sets and layout
     # and checks the rank once per search: later evaluations only
-    # evaluate the kernel and factor once
+    # evaluate one covariance matrix and factor once.  ck evaluates the
+    # stacked atom gram; a Lagrangian criterion evaluates only H and
+    # factors its observation columns, which are the observation gram
     counts = _count_calls(monkeypatch, ((C, "make_spd_solver"), (P, "make_spd_solver"),
                                         (design, "_extend"), (P, "_constraint_projector")))
+    factored = []
+    for mod in (C, P):
+        def capturing(K, cfg, _solver=mod.make_spd_solver):
+            factored.append(K)
+            return _solver(K, cfg)
+
+        monkeypatch.setattr(mod, "make_spd_solver", capturing)
     make = design.Atoms._make.__func__
 
     def counted_make(cls, *args, **kwargs):
@@ -261,18 +272,27 @@ def test_criteria_build_theta_invariant_state_once(monkeypatch):
 
     monkeypatch.setattr(design.Atoms, "_make", classmethod(counted_make))
     obs, colloc, grid = ode_setup(seed=4, n=6)
+    n, c = obs.n, harmonic_rows(colloc).c
+    c_ext = design.extend_atoms(harmonic_rows(grid), obs.points).c
     factories = {
         "lk": lambda: C.loocv_lk_explicit(UNIT, obs, harmonic_rows(grid)),
         "ck": lambda: C.loocv_ck_virtual(UNIT, obs, harmonic_rows(colloc)),
         "interpolation": lambda: C.interpolation_criteria(UNIT, obs, harmonic_rows(grid)),
     }
+    evals = {"lk": n * c_ext, "ck": (n + c) * (n + c + 1) // 2, "interpolation": n * c_ext}
     for name, factory in factories.items():
         crit = factory()[0]
         crit(0.9)
         for theta in (1.1, 1.4, 0.9):
             counts.clear()
+            factored.clear()
+            before = design.cov_eval_count()
             crit(theta)
+            assert design.cov_eval_count() - before == evals[name], (name, theta)
             assert counts == {"make_spd_solver": 1}, (name, theta)
+            if name != "ck":
+                (K,) = factored
+                assert np.array_equal(K, design.gram(replace(UNIT, theta=theta), obs.points))
 
 
 def test_sigma2_floor_and_warning():
@@ -308,6 +328,56 @@ def test_optimizer_deterministic_trace():
     assert a.trace == b.trace
     assert len(a.trace) == 24
     assert a.theta_hat == b.theta_hat
+
+
+@st.composite
+def searches(draw):
+    """(criterion, bounds, budget) of a search whose criterion of log theta
+    is a bowl, a staircase of plateaus (ties), a flat line or a wave, with
+    an optional interval where it is nan, inf or raises ConditioningError;
+    the bounds are decades or a few ulps apart."""
+    lo = draw(st.floats(1e-3, 1e2))
+    if draw(st.booleans()):
+        hi = lo * draw(st.floats(1.001, 1e4))
+    else:
+        hi = lo
+        for _ in range(draw(st.integers(1, 6))):
+            hi = math.nextafter(hi, math.inf)
+    a, b = math.log(lo), math.log(hi)
+    centre = draw(st.floats(a - 1.0, b + 1.0))
+    shape = draw(st.sampled_from(["bowl", "stairs", "flat", "wave"]))
+    step = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    bad = sorted(draw(st.lists(st.floats(a - 0.5 * (b - a), b + 0.5 * (b - a)),
+                               min_size=2, max_size=2)))
+    fault = draw(st.sampled_from([None, math.nan, math.inf, "raise"]))
+
+    def criterion(theta):
+        x = math.log(theta)
+        if fault is not None and bad[0] <= x <= bad[1]:
+            if fault == "raise":
+                raise P.ConditioningError("no factor", 1e-4)
+            return fault
+        return {"bowl": (x - centre) ** 2, "stairs": math.floor((x - centre) ** 2 / step),
+                "flat": 1.0, "wave": math.cos(7.0 * (x - centre)) + 0.1 * abs(x - centre)}[shape]
+
+    return criterion, (lo, hi), draw(st.integers(8, 200))
+
+
+def _outcome(search, criterion, bounds, budget):
+    try:
+        return repr(search(criterion, bounds, budget, sigma2_rule=lambda th: 2.0 * th))
+    except P.ConditioningError as exc:
+        return f"ConditioningError({exc}, {exc.nugget_last})"
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=searches())
+def test_optimizer_matches_reference_search(drawn):
+    # the one refinement loop evaluates the same thetas in the same order
+    # as the reference's three cases, and picks the same argmin: traces,
+    # theta_hat, criterion values and sigma2 compare equal by repr
+    assert _outcome(C.optimize_theta, *drawn) == _outcome(oracles.optimize_theta_reference,
+                                                          *drawn)
 
 
 def test_optimizer_constant_criterion_stays_in_first_cell():

@@ -475,13 +475,14 @@ def layout_sets(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(drawn=layout_sets(), theta1=st.floats(0.2, 8.0), theta2=st.floats(0.2, 8.0),
-       sigma2=st.floats(0.1, 5.0))
-def test_layout_evaluates_like_a_fresh_gram(drawn, theta1, theta2, sigma2):
+       sigma2=st.floats(0.1, 5.0), lazy=st.booleans())
+def test_layout_evaluates_like_a_fresh_gram(drawn, theta1, theta2, sigma2, lazy):
     # one layout evaluated at theta1, theta2 and theta1 again: each result
     # is the fresh gram and the entrywise loop bit for bit, signs of zeros
-    # included, and each evaluation counts what gram counts
+    # included, and each evaluation counts what gram counts; a lazy layout
+    # (which keeps no block forms) too
     A, B, dim = drawn
-    layout = Layout(SqExpKernel(sigma2=1.0, theta=1.0, dim=dim), A, B)
+    layout = Layout(SqExpKernel(sigma2=1.0, theta=1.0, dim=dim), A, B, lazy=lazy)
     count = len(A) * (len(A) + 1) // 2 if B is None else len(A) * len(B)
     for theta in (theta1, theta2, theta1):
         k = SqExpKernel(sigma2=sigma2, theta=theta, dim=dim)

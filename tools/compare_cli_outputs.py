@@ -50,8 +50,9 @@ CONFIG_RUNS = {
 
 
 def run_matrix():
-    """(name, argv) of every run: ode1d, scalar2d, flow, flow-csv, calibrate,
-    bench, and one run per config file."""
+    """(name, argv) of every run: ode1d, scalar2d, flow, flow-csv, calibrate
+    (at the default budget and at two others), bench, and one run per config
+    file."""
     runs = [(f"ode1d-{m}-seed{s}", ["ode1d", "--method", m, "--seed", str(s)])
             for m in ODE1D_METHODS for s in (4, 5, 6, 7, 10)]
     runs.append(("ode1d-lk-nugget", ["ode1d", "--method", "lk", "--nugget", "1e-8"]))
@@ -62,6 +63,9 @@ def run_matrix():
     runs += [(f"flow-csv-{m}", ["flow", "--csv", "flow-ck/field_input.csv", "--method", m])
              for m in ("ck", "lk")]
     runs += [(f"calibrate-{m}", ["calibrate", "--method", m]) for m in ODE1D_METHODS]
+    # a short refinement (budget 9 leaves it four evaluations) and a long one
+    runs += [(f"calibrate-{m}-budget{b}", ["calibrate", "--method", m, "--budget", str(b)])
+             for m, b in (("ck", 9), ("lk-interp", 200))]
     runs += [(f"bench-p{p}", ["bench", "--p", str(p)]) for p in (200, 1500)]
     runs += [(name, [command, "--config", f"{name}.json"])
              for name, (command, _) in CONFIG_RUNS.items()]
