@@ -13,16 +13,17 @@ stored once, as their terms; U, U^T x, U w and the row blocks of
 equations that each sit at one location are derived here.
 
 Covariance matrices over extended points are assembled by :func:`gram`,
-one closed-form block per pair of multi-index groups, so every entry
-equals :func:`cov` of its pair exactly; a :class:`Layout` keeps the
-theta-invariant part of a gram for a lengthscale search.  The co-Kriging
-stack is assembled per pair of row blocks (:func:`_stacked_rows`), with
-no atom gram and no product with U (the virtual co-Kriging LOOCV still
-contracts an atom Layout with U).  :func:`gram` also feeds a counter of
-logical atom pairs, however computed; it makes the cost asymmetry between
-co-Kriging and Lagrangian Kriging measurable: for co-Kriging with n
-primary atoms, c collocation atoms and q prediction atoms a prediction
-costs (n+c)(n+c+1)/2 + (n+c)q counted evaluations (symmetric fill), for
+in row panels of closed-form blocks per pair of multi-index groups, the
+upper triangle only if symmetric, so every entry equals :func:`cov` of
+its pair exactly; a :class:`Layout` keeps the theta-invariant part of a
+gram for a lengthscale search.  The co-Kriging stack is assembled per
+pair of row blocks (:func:`_stacked_rows`), with no atom gram and no
+product with U (the virtual co-Kriging LOOCV still contracts an atom
+Layout with U).  :func:`gram` also feeds a counter of logical atom pairs,
+however computed; it makes the cost asymmetry between co-Kriging and
+Lagrangian Kriging measurable: for co-Kriging with n primary atoms, c
+collocation atoms and q prediction atoms a prediction costs
+(n+c)(n+c+1)/2 + (n+c)q counted evaluations (symmetric fill), for
 Lagrangian Kriging n(n+1)/2 + n*q.
 """
 
@@ -260,7 +261,8 @@ class OperatorSystem:
     the p forcing values v.  Derived from the terms: ``U`` (c x p, a new
     array on each access), the products :meth:`tdot` (U^T x) and :meth:`dot`
     (U w), ``normal_diagonal`` (diag(U^T U) if no atom has a nonzero
-    coefficient in two equations, else None) and ``blocks`` (None unless
+    coefficient in two equations and no entry is below the smallest normal
+    float, else None) and ``blocks`` (None unless
     each equation sits at one location, else one row block per list of term
     multi-indices: equations, n_b x d locations, T multi-indices, n_b x T
     coefficients).  ``OperatorSystem(colloc_points, U, rhs)`` keeps the
@@ -297,7 +299,8 @@ class OperatorSystem:
             raise ValueError(f"equation {np.argmin(count)} has an all-zero coefficient column")
         order = np.argsort(i, kind="stable")
         *ops._by_atom, count = _padded(i[order], ops.c, j[order], value[order])
-        ops.normal_diagonal = None if (count > 1).any() else np.bincount(j, value ** 2, ops.p)
+        sq = np.bincount(j, value ** 2, ops.p)  # underflowing, it leaves the rank to the QR
+        ops.normal_diagonal = None if (count > 1).any() or (sq < np.finfo(float).tiny).any() else sq
         ops.blocks = _row_blocks(colloc_points, ops.terms, ops.p)
         return ops
 
@@ -377,12 +380,26 @@ def _stacked_rows(k, points, ops):
     return _Rows(blocks, Z.size + ops.p, Z.atoms + ops.c)
 
 
+# Entries per row panel: its differences (rows x columns x d) hold at most
+# this many, so each closed-form temporary of the panel stays under glibc's
+# default 128 KiB mmap threshold and is served from the heap.
+_PANEL = 16000
+
+
+def _scatter_index(rows, cols):
+    """The index of G[rows][:, cols] (sorted, distinct), a slice where consecutive."""
+    rows, cols = (slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1 else i for i in (rows, cols))
+    return (rows, cols) if slice in map(type, (rows, cols)) else np.ix_(rows, cols)
+
+
 class Layout:
     """The theta-invariant part of ``gram(k, A, B)``.  Called at a kernel
     of k's dimension it evaluates only the closed forms and returns that
-    kernel's gram bit for bit, with the same count.  A ``lazy`` layout
-    (:func:`gram`'s) keeps no block forms: each call rebuilds each block's
-    form as it evaluates it, so only one is held at a time."""
+    kernel's gram bit for bit, with the same count, in row panels of at
+    most ``_PANEL`` differences per pair of row blocks; symmetric, only at
+    or right of each panel's first row, then mirrored panel by panel.  A
+    ``lazy`` layout (:func:`gram`'s) keeps no panel forms: each call
+    rebuilds each panel's form as it evaluates it."""
 
     def __init__(self, k, A, B=None, lazy=False):
         self.sym, self.dim = B is None or B is A, k.dim
@@ -391,22 +408,32 @@ class Layout:
         self.shape = (A.size, B.size)
         self.count = A.atoms * (A.atoms + 1) // 2 if self.sym else A.atoms * B.atoms
 
-        def blocks():  # (scatter index, block form) per pair of row blocks
-            return ((np.ix_(ia, ib), _kernel.block_form(XA[:, None] - XB[None],
-                                                        zip(CA.T[..., None], ma), zip(CB.T, mb)))
-                    for ia, XA, ma, CA in A.blocks
-                    for ib, XB, mb, CB in B.blocks)
+        def part(C, rows):  # an atom block's 1 x 1 coefficient serves every row
+            return C[rows] if len(C) > 1 else C
 
-        self._blocks = blocks if lazy else (lambda forms=list(blocks()): forms)
+        def panels():  # (scatter index, form) per row panel of each pair of row blocks
+            for ia, XA, ma, CA in A.blocks:
+                for ib, XB, mb, CB in B.blocks:
+                    step = max(1, _PANEL // (len(ib) * self.dim))
+                    for a in range(0, len(ia), step):
+                        z, b = slice(a, a + step), np.searchsorted(ib, ia[a]) if self.sym else 0
+                        if b < len(ib):
+                            yield _scatter_index(ia[z], ib[b:]), _kernel.block_form(
+                                XA[z, None] - XB[None, b:], zip(part(CA, z).T[..., None], ma),
+                                zip(part(CB, slice(b, None)).T, mb))
+
+        self._panels = panels if lazy else (lambda forms=list(panels()): forms)
 
     def __call__(self, k):
         if k.dim != self.dim:
             raise _kernel.DimensionMismatchError(f"layout of dim {self.dim}, kernel dim {k.dim}")
         G = np.empty(self.shape)
-        for index, form in self._blocks():
+        for index, form in self._panels():
             G[index] = _kernel.block_value(k, form)
-        if self.sym:
-            G = np.where(np.tri(self.shape[0], k=-1, dtype=bool), G.T, G)
+        n, step = self.shape[0], max(1, _PANEL // max(1, self.shape[0]))
+        for a in range(0, n if self.sym else 0, step):  # below the diagonal, G[i, j] = G[j, i]
+            z = min(n, a + step)
+            G[a:z, :z] = np.where(np.tri(z - a, z, a - 1, dtype=bool), G[:z, a:z].T, G[a:z, :z])
         _count_evals(self.count)
         return G
 
@@ -414,12 +441,12 @@ class Layout:
 def gram(k, A, B=None):
     """Covariance matrix over extended points, entry (i,j) = cov(A[i], B[j]).
 
-    The lazy :class:`Layout` of (A, B), evaluated once: one block per
-    pair of multi-index groups, one block's differences held at a time.
-    With ``B`` omitted (or the identical object), the upper triangle is
-    copied onto the lower one (cov(A[j], A[i]) can differ from
-    cov(A[i], A[j]) in the sign of a zero) and |A|(|A|+1)/2 evaluations
-    are counted; otherwise all |A| x |B| entries are.  :class:`_Rows` count their atoms.
+    The lazy :class:`Layout` of (A, B), evaluated once, one row panel's
+    differences held at a time.  With ``B`` omitted (or the identical
+    object), only the upper triangle is evaluated and then mirrored
+    (cov(A[j], A[i]) can differ from cov(A[i], A[j]) in the sign of a
+    zero) and |A|(|A|+1)/2 evaluations are counted; otherwise all
+    |A| x |B| entries are.  :class:`_Rows` count their atoms.
     """
     return Layout(k, A, B, lazy=True)(k)
 

@@ -176,9 +176,10 @@ def _constraint_projector(ops):
     U w are the system's products.  When no atom has a nonzero coefficient
     in two equations (as in every :func:`pikrig.design.encode_pointwise`
     system), U^T U is diagonal and ``ops.normal_diagonal``, read off the
-    terms, holds it: no QR, w = (v - U^T base) / ||u_j||^2.  Otherwise the
-    R of one pivoted QR of the dense U, U P = Q R, solves the semi-normal
-    equations, as R^T R = P^T U^T U P.  Either way |R_jj| (the column
+    terms, holds it (unless a squared norm underflows): no QR,
+    w = (v - U^T base) / ||u_j||^2.  Otherwise the R of one pivoted QR of
+    the dense U, U P = Q R, solves the semi-normal equations, as
+    R^T R = P^T U^T U P.  Either way |R_jj| (the column
     norms, sorted, in the diagonal case) at most 1e-10 |R11| raises
     RankDeficiencyError naming the dependent equations.
     """

@@ -257,12 +257,11 @@ def test_products_match_dense_u(drawn, columns, seed):
         assert got(x).shape == ref.shape
         scale = np.max(np.abs(A) @ np.abs(x), initial=0.0)
         assert np.max(np.abs(got(x) - ref), initial=0.0) <= 1e-15 * scale
-    nonzero = np.abs(U) > 0
-    if ops.normal_diagonal is None:
-        assert nonzero.sum(axis=1).max() > 1
+    nonzero, norms = np.abs(U) > 0, np.einsum("ij,ij->j", U, U)
+    if ops.normal_diagonal is None:  # an atom in two equations, or an underflowing norm
+        assert nonzero.sum(axis=1).max() > 1 or norms.min() < 2 * np.finfo(float).tiny
     else:
         assert nonzero.sum(axis=1).max(initial=0) <= 1
-        norms = np.einsum("ij,ij->j", U, U)
         assert (np.abs(ops.normal_diagonal - norms) <= 1e-15 * norms).all()
     if base is not None:
         assert all(a is b or np.array_equal(a, b) for a, b in zip(ops.terms, base.terms))
@@ -494,6 +493,47 @@ def test_layout_evaluates_like_a_fresh_gram(drawn, theta1, theta2, sigma2, lazy)
         _assert_identical(G, gram_loop(k, A, B))
     with pytest.raises(DimensionMismatchError):
         layout(SqExpKernel(sigma2=sigma2, theta=theta1, dim=3 - dim))
+
+
+@pytest.mark.parametrize("panel", [1, 40])
+def test_row_panels_evaluate_like_the_entrywise_loop(monkeypatch, panel):
+    # every pair of row blocks split into at least three row panels: over
+    # interleaved groups (flow-style (1,0)/(0,1) pairs at each location, a
+    # shuffled mixed-order set) with -0.0 and repeated coordinates, each
+    # gram is the entrywise loop bit for bit, signs of zeros included; a
+    # kept layout at two thetas counts what gram counts
+    rng = np.random.default_rng(panel)
+    X = rng.uniform(-1.5, 1.5, (18, 2))
+    X[1], X[2] = (-0.0, X[0, 1]), (0.0, X[0, 1])
+    X[3, 0] = X[4, 0]
+    pairs = [ExtendedPoint(tuple(x), m) for x in X for m in ((1, 0), (0, 1))]
+    mixed = [ExtendedPoint(tuple(x), m) for x in X[:9] for m in _multi_indices(2, 2)]
+    mixed = [mixed[i] for i in rng.permutation(len(mixed))]
+    cases = [(pairs, None), (mixed, None), (pairs, mixed), (mixed, pairs[::3])]
+    thetas = (0.4, 2.5)
+    refs = [[gram_loop(SqExpKernel(1.3, theta, 2), A, B) for theta in thetas] for A, B in cases]
+    # a stacked system of per-row coefficients, evaluated before in one panel per block
+    k = SqExpKernel(sigma2=1.3, theta=0.8, dim=2)
+    ops = design.encode_rows([(X, ((1, 0), (0, 1)), rng.normal(size=(18, 2))),
+                              (X[:9] + 0.1, ((0, 0), (2, 0), (0, 2)), 1.0)], np.zeros(27))
+    rows = design._stacked_rows(k, Atoms(X[9:], (0, 0)), ops)
+    stacked = gram(k, rows), gram(k, rows, mixed)
+    monkeypatch.setattr(design, "_PANEL", panel)
+    for (A, B), ref in zip(cases, refs):
+        groups = [idx for _, idx in Atoms.of(A).groups]
+        for _, ib in Atoms.of(A if B is None else B).groups:
+            assert all(len(ia) >= 3 * max(1, panel // (2 * len(ib))) for ia in groups)
+        count = len(A) * (len(A) + 1) // 2 if B is None else len(A) * len(B)
+        layout = Layout(SqExpKernel(1.0, 1.0, 2), A, B)
+        for theta, G in zip(thetas, ref):
+            k = SqExpKernel(1.3, theta, 2)
+            reset_cov_eval_count()
+            _assert_identical(layout(k), G)
+            assert cov_eval_count() == count
+            _assert_identical(gram(k, A, B), G)
+    k = SqExpKernel(sigma2=1.3, theta=0.8, dim=2)
+    _assert_identical(gram(k, rows), stacked[0])
+    _assert_identical(gram(k, rows, mixed), stacked[1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -461,6 +461,24 @@ def test_co_kriging_without_row_blocks_matches_dense_contraction():
         _assert_dense_co_kriging(k, obs, ops, pred + ops.colloc_points)
 
 
+def test_co_kriging_assembly_peaks_near_its_output():
+    # f + f'' rows at p = 2000: K+ is 2004 x 2004 (32 MB); evaluated in row
+    # panels, upper triangle only, assembly peaks below 1.5 K+ (a whole-block
+    # evaluation held about 12)
+    k, obs, _ = _sweep_system(2)
+    xs = np.linspace(0.0, 2.0 * np.pi, 2000)[:, None]
+    ops = design.encode_rows([(xs, ((0,), (2,)), 1.0)], np.zeros(len(xs)))
+    pred = design.Atoms(np.linspace(0.0, 2.0 * np.pi, 100)[:, None], (0,))
+    tracemalloc.start()
+    try:
+        Kplus, _, _ = P.assemble_co_kriging(k, obs, ops, pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Kplus.shape == (2004, 2004)
+    assert peak <= 1.5 * Kplus.nbytes
+
+
 def test_lagrangian_route_allocates_no_dense_u():
     # f + f'' rows at p = 1500: encoding, assembly and the Lagrangian solve
     # peak below a quarter of the dense 3000 x 1500 U (36 MB)
@@ -573,6 +591,18 @@ def test_diagonal_projector_rank_deficiency(monkeypatch):
     ref = oracles.constraint_projector_qr(U)(base, v)
     assert _rel(base + got[0], ref[0]) <= 1e-12
     assert _rel(got[1], ref[1]) <= 1e-6
+
+
+def test_underflowing_column_norm_takes_the_qr():
+    # ||u||^2 = 2e-340 underflows to 0 in the closed form, while the pivoted
+    # QR reads |R11| = 1.4e-170: the rank is the QR's, 1
+    ops = OperatorSystem(design.Atoms([[0.0], [1.0]], (0,)), [[1e-170], [1e-170]], [0.0])
+    assert ops.normal_diagonal is None
+    base = np.array([1.0, 3.0])
+    Uw, w = P._constraint_projector(ops)(base, ops.rhs)
+    ref, w_ref = oracles.constraint_projector_qr(ops.U)(base, ops.rhs)
+    assert _rel(base + Uw, ref) <= 1e-12 and _rel(w, w_ref) <= 1e-12
+    assert np.allclose(base + Uw, [-1.0, 1.0], rtol=1e-12)
 
 
 def test_schur_equals_full_co_kriging():

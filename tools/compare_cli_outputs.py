@@ -51,8 +51,8 @@ CONFIG_RUNS = {
 
 def run_matrix():
     """(name, argv) of every run: ode1d, scalar2d, flow, flow-csv, calibrate
-    (at the default budget and at two others), bench, and one run per config
-    file."""
+    (at the default budget and at two others), bench (p = 200, 1500 and
+    4000), and one run per config file."""
     runs = [(f"ode1d-{m}-seed{s}", ["ode1d", "--method", m, "--seed", str(s)])
             for m in ODE1D_METHODS for s in (4, 5, 6, 7, 10)]
     runs.append(("ode1d-lk-nugget", ["ode1d", "--method", "lk", "--nugget", "1e-8"]))
@@ -66,7 +66,8 @@ def run_matrix():
     # a short refinement (budget 9 leaves it four evaluations) and a long one
     runs += [(f"calibrate-{m}-budget{b}", ["calibrate", "--method", m, "--budget", str(b)])
              for m, b in (("ck", 9), ("lk-interp", 200))]
-    runs += [(f"bench-p{p}", ["bench", "--p", str(p)]) for p in (200, 1500)]
+    # p = 4000: a 4004 x 4004 K+, assembled in many row panels
+    runs += [(f"bench-p{p}", ["bench", "--p", str(p)]) for p in (200, 1500, 4000)]
     runs += [(name, [command, "--config", f"{name}.json"])
              for name, (command, _) in CONFIG_RUNS.items()]
     return runs
