@@ -21,6 +21,7 @@ differences x - x' (:func:`block_value` of the theta-invariant
 :func:`block_form`); :func:`deriv` is its one-pair case.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -142,6 +143,17 @@ def _bracket(idx, h, it2):
     )
 
 
+@functools.cache
+def _bracket_index(m, m2):
+    """The :func:`_bracket` index and sign of the (m, m2) derivative; checks its order."""
+    t = total_order(m) + total_order(m2)
+    if t > MAX_TOTAL_ORDER:
+        raise UnsupportedOrderError(f"total derivative order {t} exceeds analytic coverage "
+                                    f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}")
+    idx = tuple(i for i in range(len(m)) for _ in range(m[i] + m2[i]))
+    return idx, -1.0 if total_order(m) % 2 else 1.0
+
+
 def block_form(r, terms, terms2):
     """The theta-invariant part of a covariance block between sums of (coefficient,
     multi-index) terms on the first and second argument, coefficients broadcasting
@@ -149,14 +161,8 @@ def block_form(r, terms, terms2):
     a weight of one number is a float."""
     weights = {}
     for (c, m), (c2, m2) in itertools.product(terms, terms2):
-        t = total_order(m) + total_order(m2)
-        if t > MAX_TOTAL_ORDER:
-            raise UnsupportedOrderError(
-                f"total derivative order {t} exceeds analytic coverage "
-                f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}"
-            )
-        idx = tuple(i for i in range(len(m)) for _ in range(m[i] + m2[i]))
-        w = (-1.0 if total_order(m) % 2 else 1.0) * c * c2
+        idx, sign = _bracket_index(m, m2)
+        w = sign * c * c2
         weights[idx] = weights[idx] + w if idx in weights else w
     d2 = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
     weights = [(idx, np.asarray(w).item() if np.size(w) == 1 else w) for idx, w in weights.items()]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg import cho_factor, cho_solve, lapack, qr
 
 from . import design
 
@@ -136,34 +136,37 @@ def make_spd_solver(K, cfg):
     """Cholesky-factor ``K + eta I`` with escalating eta; return (solve, eta).
 
     ``solve(B)`` applies (K + eta I)^-1 to B.  Raises ConditioningError if
-    every nugget in the ladder fails.
+    every nugget in the ladder fails.  Each nugget goes onto the diagonal of
+    one C-ordered copy of K, factored by LAPACK in one reused Fortran buffer.
     """
     K = np.asarray(K, dtype=float)
-    n = K.shape[0]
     ladder = [cfg.nugget] + [e for e in JITTER_LADDER if e > cfg.nugget]
-    last = None
-    for eta in ladder:
-        last = eta
-        Keta = K + eta * np.eye(n)
-        try:
-            factor = cho_factor(Keta, lower=True)
-        except (np.linalg.LinAlgError, ValueError):
+    rungs = ladder if np.isfinite(K).all() else ()  # a non-finite K fails every rung
+    Keta = np.add(K, 0.0, order="C")  # as K + eta I: no -0.0, C order (BLAS path of K @ X)
+    factor = np.empty_like(Keta, order="F")
+    for eta in rungs:
+        np.fill_diagonal(Keta, K.diagonal() + eta)
+        factor[...] = Keta
+        if lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)[1]:
             continue
 
-        def solve(B, _factor=factor, _K=Keta):
+        def potrs(B):  # as cho_solve: ValueError on a non-finite B
+            B = np.asarray_chkfinite(B)
+            return lapack.dpotrs(factor, B, lower=1)[0] if B.size else np.empty_like(B, dtype=float)
+
+        def solve(B):
             # one step of iterative refinement; for the smooth kernels used
             # here cond(K) routinely reaches 1e12 and the raw backward error
             # would leak into constraint residuals
-            X = cho_solve(_factor, B)
-            R = B - _K @ X
-            return X + cho_solve(_factor, R)
+            X = potrs(B)
+            return X + potrs(B - Keta @ X)
 
         return solve, eta
     raise ConditioningError(
-        f"covariance factorization failed at every nugget up to {last}; "
+        f"covariance factorization failed at every nugget up to {ladder[-1]}; "
         "the matrix is too ill-conditioned -- consider a larger nugget "
         "(severely mixed derivative systems have needed up to 1e-4)",
-        nugget_last=last,
+        nugget_last=ladder[-1],
     )
 
 

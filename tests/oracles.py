@@ -7,9 +7,11 @@ covariances built from the full K* as printed, the co-Kriging stack by
 dense products of the atom gram with U, the Lagrangian step by the
 normal equations of the formed U^T U, the constraint projection by one
 dense pivoted QR of U whatever its structure, the flow experiment's
-geometry and CSV text one point and one cell at a time, and the
+geometry and CSV text one point and one cell at a time, the
 lengthscale search with its golden-section step written out per case
-(bracket start, one-sided shrink, tie shrink).  No code is shared with
+(bracket start, one-sided shrink, tie shrink), and the refined
+factorization through scipy's ``cho_factor``/``cho_solve`` with a fresh
+K + eta I per nugget (:func:`make_spd_solver_reference`).  No code is shared with
 the package's closed forms beyond the kernel's derivative polynomial
 (``kernel._bracket``), the covariance assembly outside
 :func:`gram_loop`, the search's result type and logger, the file replace
@@ -137,6 +139,41 @@ def kkt_lagrangian(K, H, Z, U, vstar, mu=None, mu_star=None):
         b[col + j] = float(vstar[j])
     sol = np.linalg.solve(A, b)
     return sol[:nv].reshape((nat, n)).T
+
+
+def make_spd_solver_reference(K, cfg):
+    """Cholesky-factor ``K + eta I`` with escalating eta; return (solve, eta).
+
+    ``solve(B)`` applies (K + eta I)^-1 to B.  Raises ConditioningError if
+    every nugget in the ladder fails.
+    """
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    ladder = [cfg.nugget] + [e for e in _pred.JITTER_LADDER if e > cfg.nugget]
+    last = None
+    for eta in ladder:
+        last = eta
+        Keta = K + eta * np.eye(n)
+        try:
+            factor = cho_factor(Keta, lower=True)
+        except (np.linalg.LinAlgError, ValueError):
+            continue
+
+        def solve(B, _factor=factor, _K=Keta):
+            # one step of iterative refinement; for the smooth kernels used
+            # here cond(K) routinely reaches 1e12 and the raw backward error
+            # would leak into constraint residuals
+            X = cho_solve(_factor, B)
+            R = B - _K @ X
+            return X + cho_solve(_factor, R)
+
+        return solve, eta
+    raise ConditioningError(
+        f"covariance factorization failed at every nugget up to {last}; "
+        "the matrix is too ill-conditioned -- consider a larger nugget "
+        "(severely mixed derivative systems have needed up to 1e-4)",
+        nugget_last=last,
+    )
 
 
 def constraint_projector_qr(U):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pikrig
 from pikrig import calibration, cli, design, flowlab, kernel, uq
@@ -323,13 +324,13 @@ def _count_calls(monkeypatch, names):
 
 
 def test_lagrangian_factors_k_and_utu_once(monkeypatch):
-    # one Cholesky factorization of K per Lagrangian solve, and U^T U is
-    # never factored.  Pointwise equations share no atom, so U^T U is
-    # diagonal and the projection needs no QR at all; that holds for the
-    # predictor, the covariance, the identity Schur variant and one
-    # leave-one-out criterion evaluation (all folds).  Coupled equations
-    # take one pivoted QR of U, whose R also solves the projection
-    counts = _count_calls(monkeypatch, ("cho_factor", "qr"))
+    # one Cholesky factorization of K (one make_spd_solver) per Lagrangian
+    # solve, and U^T U is never factored.  Pointwise equations share no
+    # atom, so U^T U is diagonal and the projection needs no QR at all; that
+    # holds for the predictor, the covariance, the identity Schur variant
+    # and one leave-one-out criterion evaluation (all folds).  Coupled
+    # equations take one pivoted QR of U, whose R also solves the projection
+    counts = _count_calls(monkeypatch, ("make_spd_solver", "cho_factor", "qr"))
     obs, colloc, _ = ode_setup()
     k = SqExpKernel(sigma2=1.0, theta=1.2, dim=1)
     rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in colloc]
@@ -350,7 +351,7 @@ def test_lagrangian_factors_k_and_utu_once(monkeypatch):
         for key in counts:
             counts[key] = 0
         run()
-        assert counts == {"cho_factor": 1, "qr": int(name == "coupled")}, name
+        assert counts == {"make_spd_solver": 1, "cho_factor": 0, "qr": int(name == "coupled")}, name
 
 
 def _sweep_system(p):
@@ -669,6 +670,74 @@ def test_make_spd_solver_exhausts_ladder():
     with pytest.raises(P.ConditioningError) as err:
         P.make_spd_solver(-np.eye(2), P.SolveConfig())
     assert err.value.nugget_last == 1e-4
+
+
+@st.composite
+def spd_systems(draw):
+    """(K, nugget, B, bad B) for make_spd_solver.  K is the gram of 1-d atoms
+    of orders 0 to 2 (cov(f, f') at one point is -0.0; repeated atoms and
+    large theta make it escalate) or all zeros, maybe negated, maybe with
+    one non-finite entry, laid out C-ordered, Fortran-ordered or as a
+    strided view.  B is 1-d, 2-d or has zero columns, often with signed
+    zeros; bad B is B with one non-finite entry."""
+    n = draw(st.integers(0, 7))
+    if n and draw(st.booleans()):
+        atoms = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                              min_size=n, max_size=n))
+        theta = draw(st.sampled_from([0.4, 1.0, 3.0, 40.0]))
+        K = design.gram(SqExpKernel(1.0, theta, 1),
+                        design.Atoms(np.array([[x] for x, _ in atoms], float),
+                                     np.array([[m] for _, m in atoms])))
+    else:
+        K = np.zeros((n, n))
+    K *= draw(st.sampled_from([1.0, 1.0, 1.0, -1.0]))  # negated, the ladder runs out
+    poison = draw(st.sampled_from([None] * 6 + [np.nan, np.inf, -np.inf]))
+    if poison is not None and n:
+        K[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = poison
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        K = np.asfortranarray(K)
+    elif layout == "strided":
+        K = np.asfortranarray(np.pad(K, (0, 1)))[:n, :n]
+    cols = draw(st.sampled_from([None, 0, 1, 3]))
+    B = draw(hnp.arrays(float, (n,) if cols is None else (n, cols),
+                        elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2, 2))))
+    if draw(st.booleans()):
+        B = np.asfortranarray(B)
+    bad = B.copy()
+    if bad.size:
+        bad.flat[draw(st.integers(0, bad.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    nugget = draw(st.sampled_from([0.0, 0.0, 1e-9, 1e-6, 1e-3]))
+    return K, nugget, B, bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=spd_systems())
+def test_spd_solver_matches_scipy_wrapper_route(drawn):
+    # the direct LAPACK route gives the nugget and the refined solve of the
+    # cho_factor/cho_solve route bit for bit, signs of zeros included, and
+    # fails where it fails, with the same error
+    K, nugget, B, bad = drawn
+    cfg = P.SolveConfig(nugget=nugget)
+    try:
+        reference, eta_ref = oracles.make_spd_solver_reference(K, cfg)
+    except P.ConditioningError as exc:
+        with pytest.raises(P.ConditioningError) as err:
+            P.make_spd_solver(K, cfg)
+        assert str(err.value) == str(exc) and err.value.nugget_last == exc.nugget_last
+        assert not np.isfinite(K).all() or exc.nugget_last == max(nugget, 1e-4)
+        return
+    solve, eta = P.make_spd_solver(K, cfg)
+    assert eta == eta_ref
+    for _ in range(2):  # the buffers serve every solve
+        X, ref = solve(B), reference(B)
+        assert X.shape == ref.shape
+        np.testing.assert_array_equal(X, ref)
+        np.testing.assert_array_equal(np.signbit(X), np.signbit(ref))
+    if bad.size:
+        for route in (solve, reference):
+            with pytest.raises(ValueError):
+                route(bad)
 
 
 def test_solve_config_validation():

@@ -50,12 +50,16 @@ CONFIG_RUNS = {
 
 
 def run_matrix():
-    """(name, argv) of every run: ode1d, scalar2d, flow, flow-csv, calibrate
-    (at the default budget and at two others), bench (p = 200, 1500 and
-    4000), and one run per config file."""
+    """(name, argv) of every run: ode1d (plus lk and ck at a nugget of 1e-8
+    and one ck run whose final solve escalates), scalar2d, flow, flow-csv,
+    calibrate (at the default budget and at two others), bench (p = 200,
+    1500 and 4000), and one run per config file."""
     runs = [(f"ode1d-{m}-seed{s}", ["ode1d", "--method", m, "--seed", str(s)])
             for m in ODE1D_METHODS for s in (4, 5, 6, 7, 10)]
     runs.append(("ode1d-lk-nugget", ["ode1d", "--method", "lk", "--nugget", "1e-8"]))
+    runs.append(("ode1d-ck-nugget", ["ode1d", "--method", "ck", "--nugget", "1e-8"]))
+    # a long fixed lengthscale: the final solve escalates to a nugget of 1e-10
+    runs.append(("ode1d-ck-theta8", ["ode1d", "--method", "ck", "--theta", "8", "--sigma2", "1"]))
     runs += [(f"scalar2d-{m}-{t}", ["scalar2d", "--method", m, "--target", t])
              for m in ("sk", "ck", "lk") for t in ("f1", "f2")]
     runs += [(f"flow-{m}", ["flow", "--method", m]) for m in ("ck", "lk")]
