@@ -8,7 +8,7 @@ criterion is then mean((a/d)^2) and the variance estimate solving
 "mean standardized squared residual = 1" is sigma2 = mean(a^2 / d).
 
 For co-Kriging the same quantities are computed on the stacked system
-[Z; v] with the extended covariance, and only the primary n slots are
+[Z; v] with the co-Kriging solve's K+, and only the primary n slots are
 kept (a filter on the stack), normalized by n.
 
 Constrained Lagrangian predictions have two criteria.  Leave-one-out
@@ -189,23 +189,23 @@ def sigma2_virtual(k_unit, obs, theta_hat, cfg=SolveConfig()):
 def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     """Filtered virtual LOOCV for the co-Kriging stack; returns (mse, sigma2).
 
-    Both returned callables take a candidate theta; the layout of the
-    stacked atoms is built once.  Only the first n (primary) slots of the
-    per-slot residual and variance of [Z; v] enter, normalized by n.  With an
-    empty operator system (``ops`` None) they are the plain simple-Kriging
-    criteria :func:`loocv_mse_virtual` / :func:`sigma2_virtual`.
+    Both returned callables take a candidate theta; the layout of K+ (the
+    rows of :func:`pikrig.predictors.assemble_co_kriging`) is built once.
+    Only the first n (primary) slots of the per-slot residual and variance
+    of [Z; v] enter, normalized by n.  With an empty operator system
+    (``ops`` None) they are the plain simple-Kriging criteria
+    :func:`loocv_mse_virtual` / :func:`sigma2_virtual`.
     """
     _require_unit_centered(k_unit, obs)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
     ops = design.OperatorSystem() if ops is None else ops
     n = obs.n
-    layout = design.Layout(k_unit, obs.points + ops.colloc_points)
-    y, U = np.concatenate([obs.values, ops.rhs]), ops.U
+    layout = design.Layout(k_unit, design._stacked_rows(k_unit, obs.points, ops))
+    y = np.concatenate([obs.values, ops.rhs])
 
     def parts(theta, with_std):
-        Kfull = layout(replace(k_unit, theta=float(theta)))
-        _, a, d, eta = _virtual_parts(_pred._stacked_gram(Kfull, n, U), y, cfg)
+        _, a, d, eta = _virtual_parts(layout(replace(k_unit, theta=float(theta))), y, cfg)
         a, d = a[:n], d[:n]
         return a / d, a * a / d, eta > cfg.nugget
 

@@ -9,22 +9,22 @@ atoms and prediction targets are all Atoms; lists of ExtendedPoint are
 converted at the API edge (:meth:`Atoms.of`).  Linear differential
 equations become linear combinations of atoms, collected in an
 :class:`OperatorSystem` (U^T Z+ = v, columns of U are equations) and
-stored once, as their terms; U, U^T x, U w and the row blocks of
-equations that each sit at one location are derived here.
+stored once, as their terms; U, U^T x, U w and the row blocks, one row
+per (equation, location), are derived here.
 
 Covariance matrices over extended points are assembled by :func:`gram`,
 in row panels of closed-form blocks per pair of multi-index groups, the
 upper triangle only if symmetric, so every entry equals :func:`cov` of
 its pair exactly; a :class:`Layout` keeps the theta-invariant part of a
-gram for a lengthscale search.  The co-Kriging stack is assembled per
-pair of row blocks (:func:`_stacked_rows`), with no atom gram and no
-product with U (the virtual co-Kriging LOOCV still contracts an atom
-Layout with U).  :func:`gram` also feeds a counter of logical atom pairs,
-however computed; it makes the cost asymmetry between co-Kriging and
-Lagrangian Kriging measurable: for co-Kriging with n primary atoms, c
-collocation atoms and q prediction atoms a prediction costs
-(n+c)(n+c+1)/2 + (n+c)q counted evaluations (symmetric fill), for
-Lagrangian Kriging n(n+1)/2 + n*q.
+gram for a lengthscale search.  The co-Kriging stack, for its prediction
+and its LOOCV alike, is assembled per pair of row blocks
+(:func:`_stacked_rows`), the rows of an equation over several locations
+summed, with no atom gram and no product with U.  :func:`gram` also
+feeds a counter of logical atom pairs, however computed; it makes the
+cost asymmetry between co-Kriging and Lagrangian Kriging measurable: for
+co-Kriging with n primary atoms, c collocation atoms and q prediction
+atoms a prediction costs (n+c)(n+c+1)/2 + (n+c)q counted evaluations
+(symmetric fill), for Lagrangian Kriging n(n+1)/2 + n*q.
 """
 
 import threading
@@ -262,11 +262,12 @@ class OperatorSystem:
     array on each access), the products :meth:`tdot` (U^T x) and :meth:`dot`
     (U w), ``normal_diagonal`` (diag(U^T U) if no atom has a nonzero
     coefficient in two equations and no entry is below the smallest normal
-    float, else None) and ``blocks`` (None unless
-    each equation sits at one location, else one row block per list of term
-    multi-indices: equations, n_b x d locations, T multi-indices, n_b x T
-    coefficients).  ``OperatorSystem(colloc_points, U, rhs)`` keeps the
-    nonzeros of a dense U, column by column; ``OperatorSystem()`` is empty.
+    float, else None) and ``blocks``, one per list of term multi-indices
+    over rows, one row per (equation, location) in equation order, the
+    rows of an equation summing to it: rows, n_b x d locations, T
+    multi-indices, n_b x T coefficients.  ``OperatorSystem(colloc_points,
+    U, rhs)`` keeps the nonzeros of a dense U, column by column;
+    ``OperatorSystem()`` is empty.
     """
 
     def __new__(cls, colloc_points=(), U=np.zeros((0, 0)), rhs=()):
@@ -301,7 +302,8 @@ class OperatorSystem:
         *ops._by_atom, count = _padded(i[order], ops.c, j[order], value[order])
         sq = np.bincount(j, value ** 2, ops.p)  # underflowing, it leaves the rank to the QR
         ops.normal_diagonal = None if (count > 1).any() or (sq < np.finfo(float).tiny).any() else sq
-        ops.blocks = _row_blocks(colloc_points, ops.terms, ops.p)
+        ops._rows = _row_blocks(colloc_points, ops.terms, ops.p)
+        ops.blocks = ops._rows.blocks
         return ops
 
     @property
@@ -360,8 +362,8 @@ def _atoms_for(k, atoms):
     return atoms
 
 
-# (row blocks as in OperatorSystem.blocks, rows, logical atoms); atoms get unit 1 x 1 coefficients
-_Rows = namedtuple("Rows", "blocks size atoms")
+# (row blocks as in OperatorSystem.blocks, rows, logical atoms, first row of each sum or None)
+_Rows = namedtuple("Rows", "blocks size atoms sums", defaults=(None,))
 
 
 def _rows(k, A):
@@ -374,10 +376,12 @@ def _rows(k, A):
 
 def _stacked_rows(k, points, ops):
     """The :class:`_Rows` of the co-Kriging stack [Z; v]: the groups of
-    ``points``, then ``ops.blocks``; n + p rows over n + c atoms."""
-    Z, _ = _rows(k, points), _atoms_for(k, ops.colloc_points)
-    blocks = Z.blocks + [(Z.size + eq, *block) for eq, *block in ops.blocks]
-    return _Rows(blocks, Z.size + ops.p, Z.atoms + ops.c)
+    ``points``, then the rows of ``ops``, which sum to its p equations;
+    n + p summed rows over n + c atoms."""
+    Z, V, _ = _rows(k, points), ops._rows, _atoms_for(k, ops.colloc_points)
+    blocks = Z.blocks + [(Z.size + row, *block) for row, *block in V.blocks]
+    sums = V.sums if V.sums is None else np.concatenate([np.arange(Z.size), Z.size + V.sums])
+    return _Rows(blocks, Z.size + V.size, Z.atoms + V.atoms, sums)
 
 
 # Entries per row panel: its differences (rows x columns x d) hold at most
@@ -397,7 +401,8 @@ class Layout:
     of k's dimension it evaluates only the closed forms and returns that
     kernel's gram bit for bit, with the same count, in row panels of at
     most ``_PANEL`` differences per pair of row blocks; symmetric, only at
-    or right of each panel's first row, then mirrored panel by panel.  A
+    or right of each panel's first row, then mirrored panel by panel;
+    :class:`_Rows` with ``sums`` are then summed into equations.  A
     ``lazy`` layout (:func:`gram`'s) keeps no panel forms: each call
     rebuilds each panel's form as it evaluates it."""
 
@@ -405,7 +410,7 @@ class Layout:
         self.sym, self.dim = B is None or B is A, k.dim
         A = _rows(k, A)
         B = A if self.sym else _rows(k, B)
-        self.shape = (A.size, B.size)
+        self.shape, self.sums = (A.size, B.size), (A.sums, B.sums)
         self.count = A.atoms * (A.atoms + 1) // 2 if self.sym else A.atoms * B.atoms
 
         def part(C, rows):  # an atom block's 1 x 1 coefficient serves every row
@@ -435,6 +440,8 @@ class Layout:
             z = min(n, a + step)
             G[a:z, :z] = np.where(np.tri(z - a, z, a - 1, dtype=bool), G[:z, a:z].T, G[a:z, :z])
         _count_evals(self.count)
+        for axis, sums in enumerate(self.sums):  # the rows of one equation add up
+            G = G if sums is None else np.add.reduceat(G, sums, axis=axis)
         return G
 
 
@@ -480,20 +487,24 @@ def _operator_system(locations, multi_indices, coeff, eq, rhs):
 
 
 def _row_blocks(points, terms, p):
-    """:attr:`OperatorSystem.blocks` of ``terms`` (atom, eq, coeff) over the
-    atoms ``points``; None unless each equation has one location."""
+    """The :class:`_Rows` of ``terms`` (atom, eq, coeff) over ``points``:
+    a row starts wherever the equation or the location changes between
+    the terms sorted by equation (rows add up, so any term order serves)."""
     if not p:
-        return []
+        return _Rows([], 0, len(points))
     atom, eq, coeff = (a[np.argsort(terms[1], kind="stable")] for a in terms)
     X = points.X[atom]
-    sig, C, count = _padded(eq, p, points.M[atom] + 1, coeff)  # multi-indices + 1, 0 pads
-    start = np.cumsum(count) - count
-    if (X != X[start][eq]).any():
-        return None
-    inv = np.unique(sig.reshape(p, -1), axis=0, return_inverse=True)[1].ravel()
+    new = np.ones(len(eq), dtype=bool)  # the terms that start a row
+    new[1:] = (eq[1:] != eq[:-1]) | (X[1:] != X[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    n = len(start)
+    row = eq if n == p else np.cumsum(new) - 1
+    sig, C, count = _padded(row, n, points.M[atom] + 1, coeff)  # multi-indices + 1, 0 pads
+    inv = np.unique(sig.reshape(n, -1), axis=0, return_inverse=True)[1].ravel()
     rows = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
-    return [(r, X[start[r]], tuple(map(tuple, (sig[r[0], :count[r[0]]] - 1).tolist())),
-             C[r, :count[r[0]]]) for r in rows]
+    blocks = [(r, X[start[r]], tuple(map(tuple, (sig[r[0], :count[r[0]]] - 1).tolist())),
+               C[r, :count[r[0]]]) for r in rows]
+    return _Rows(blocks, n, len(points), None if n == p else np.searchsorted(eq[start], range(p)))
 
 
 def encode_pointwise(rows, rhs):

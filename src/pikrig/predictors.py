@@ -254,25 +254,12 @@ def assemble_co_kriging(k, obs, ops, pred):
     """Covariance blocks of the co-Kriging system: (K+, H+, stacked obs).
 
     The stacked observation vector puts the forcing values v in the
-    secondary slots.  K+ and H+ come per pair of row blocks when each
-    equation sits at one location, encoded or hand-built
-    (:func:`pikrig.design._stacked_rows`), else from the atom gram and U.
+    secondary slots.  K+ and H+ come per pair of row blocks
+    (:func:`pikrig.design._stacked_rows`), one row per (equation,
+    location), summed into the equations that sit at several locations.
     """
-    y = np.concatenate([obs.values, ops.rhs])
-    if ops.blocks is not None:
-        rows = design._stacked_rows(k, obs.points, ops)
-        return design.gram(k, rows), design.gram(k, rows, pred), y
-    n, atoms = obs.n, obs.points + ops.colloc_points
-    Kplus = _stacked_gram(design.gram(k, atoms), n, ops.U)
-    Hfull = design.gram(k, atoms, pred)
-    return Kplus, np.vstack([Hfull[:n], ops.tdot(Hfull[n:])]), y
-
-
-def _stacked_gram(Kfull, n, U):
-    """K+ from the gram over [primary atoms; collocation atoms] and U."""
-    K12U = Kfull[:n, n:] @ U
-    top = np.concatenate([Kfull[:n, :n], K12U], axis=1)
-    return np.concatenate([top, np.concatenate([K12U.T, U.T @ Kfull[n:, n:] @ U], axis=1)])
+    rows = design._stacked_rows(k, obs.points, ops)
+    return design.gram(k, rows), design.gram(k, rows, pred), np.concatenate([obs.values, ops.rhs])
 
 
 def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):

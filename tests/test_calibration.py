@@ -252,9 +252,10 @@ def test_lk_criterion_factors_once(monkeypatch):
 def test_criteria_build_theta_invariant_state_once(monkeypatch):
     # each criterion extends its system, builds its atom sets and layout
     # and checks the rank once per search: later evaluations only
-    # evaluate one covariance matrix and factor once.  ck evaluates the
-    # stacked atom gram; a Lagrangian criterion evaluates only H and
-    # factors its observation columns, which are the observation gram
+    # evaluate one covariance matrix and factor once.  ck factors the K+
+    # of the co-Kriging solve, bit for bit; a Lagrangian criterion
+    # evaluates only H and factors its observation columns, which are the
+    # observation gram
     counts = _count_calls(monkeypatch, ((C, "make_spd_solver"), (P, "make_spd_solver"),
                                         (design, "_extend"), (P, "_constraint_projector")))
     factored = []
@@ -290,9 +291,11 @@ def test_criteria_build_theta_invariant_state_once(monkeypatch):
             crit(theta)
             assert design.cov_eval_count() - before == evals[name], (name, theta)
             assert counts == {"make_spd_solver": 1}, (name, theta)
-            if name != "ck":
-                (K,) = factored
-                assert np.array_equal(K, design.gram(replace(UNIT, theta=theta), obs.points))
+            (K,) = factored
+            k = replace(UNIT, theta=theta)
+            ref = (P.assemble_co_kriging(k, obs, harmonic_rows(colloc), [])[0] if name == "ck"
+                   else design.gram(k, obs.points))
+            assert np.array_equal(K, ref), (name, theta)
 
 
 def test_sigma2_floor_and_warning():

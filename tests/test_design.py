@@ -266,15 +266,16 @@ def test_products_match_dense_u(drawn, columns, seed):
     if base is not None:
         assert all(a is b or np.array_equal(a, b) for a, b in zip(ops.terms, base.terms))
         assert np.array_equal(U[: base.c], base.U) and not U[base.c:].any()
-        assert (ops.blocks is None) == (base.blocks is None)
-        for got, ref in zip(ops.blocks or [], base.blocks or []):
+        assert len(ops.blocks) == len(base.blocks)
+        for got, ref in zip(ops.blocks, base.blocks):
             assert got[2] == ref[2]
             assert all(np.array_equal(a, b) for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]))
 
 
 def test_operator_system_is_stored_once():
     # U is built afresh from the terms, which are read-only; a hand-built
-    # U whose equations each sit at one location gets row blocks
+    # U gets the row blocks of its encoding, one row per (equation,
+    # location), and rows that sum to an equation over several locations
     ops = encode_pointwise([((0.0,), [(1.0, (0,)), (2.0, (2,))]), ((1.0,), [(1.0, (1,))])],
                            [0.0, 1.0])
     ops.U[0, 0] = 99.0
@@ -284,7 +285,11 @@ def test_operator_system_is_stored_once():
             values[0] = 0.0
     dense = OperatorSystem(ops.colloc_points, ops.U, ops.rhs)
     assert [b[2] for b in dense.blocks] == [b[2] for b in ops.blocks]
-    assert OperatorSystem(ops.colloc_points, np.ones((3, 1)), [0.0]).blocks is None
+    assert ops._rows.sums is None and dense._rows.sums is None
+    ones = OperatorSystem(ops.colloc_points, np.ones((3, 1)), [0.0])
+    assert [(r.tolist(), X.tolist(), m, C.tolist()) for r, X, m, C in ones.blocks] == [
+        ([0], [[0.0]], ((0,), (2,)), [[1.0, 1.0]]), ([1], [[1.0]], ((1,),), [[1.0]])]
+    assert ones._rows.sums.tolist() == [0]
 
 
 def test_cov_matches_kernel_deriv():

@@ -394,13 +394,16 @@ def _multi_indices(d, top):
 
 
 @st.composite
-def row_systems(draw):
+def row_systems(draw, spread=False):
     """A d-dimensional co-Kriging input on the lattice 0.5 Z^d in [0, 2]^d:
     distinct observation atoms, one to three :func:`design.encode_rows`
     blocks (rows of different blocks may share a location, terms repeat,
     coefficients vary per row and may be zero) with term orders at most
     a, and prediction atoms of order at most 4 - a followed by the
-    collocation atoms, as the CLI predicts them."""
+    collocation atoms, as the CLI predicts them.  With ``spread``, one or
+    two equations over several locations join those rows, at drawn
+    positions: their terms come in drawn order, so a location may repeat
+    or recur after another, and their zero coordinates may be -0.0."""
     d, a = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     points = st.tuples(*[st.integers(0, 4)] * d)
     obs_atoms = draw(st.lists(st.tuples(points, _multi_indices(d, a)), min_size=1,
@@ -420,6 +423,19 @@ def row_systems(draw):
         blocks.append((0.5 * np.array(locs, float), orders, C))
     p = sum(len(X) for X, _, _ in blocks)
     ops = design.encode_rows(blocks, draw(st.lists(st.floats(-2, 2), min_size=p, max_size=p)))
+    if spread:
+        atom, eq, coeff = ops.terms
+        X, M, rhs = ops.colloc_points.X[atom], ops.colloc_points.M[atom], list(ops.rhs)
+        for j in range(p, p + draw(st.integers(1, 2))):
+            locs = draw(st.lists(points, min_size=2, max_size=2, unique=True))
+            locs = 0.5 * np.array(draw(st.permutations(locs + draw(st.lists(points, max_size=3)))))
+            locs[locs == 0] *= draw(st.sampled_from([1.0, -1.0]))
+            X = np.vstack([X, locs])
+            M = np.vstack([M, [draw(_multi_indices(d, a)) for _ in locs]])
+            coeff = np.append(coeff, [draw(st.floats(0.1, 2)) for _ in locs])  # no term cancels
+            eq, rhs = np.append(eq, [j] * len(locs)), rhs + [draw(st.floats(-2, 2))]
+        order = np.array(draw(st.permutations(range(len(rhs)))))  # equation j goes to order[j]
+        ops = design._operator_system(X, M, coeff, order[eq], np.array(rhs)[np.argsort(order)])
     pred = draw(st.lists(st.tuples(points, _multi_indices(d, 4 - a)), max_size=4))
     pred = design.Atoms(0.5 * np.array([x for x, _ in pred], float).reshape(-1, d),
                         np.array([m for _, m in pred], int).reshape(-1, d))
@@ -439,26 +455,44 @@ def _assert_dense_co_kriging(k, obs, ops, pred):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=0.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(drawn=row_systems())
-def test_row_block_assembly_matches_dense_contraction(drawn):
-    k, obs, ops, pred = drawn
-    assert ops.blocks is not None
-    _assert_dense_co_kriging(k, obs, ops, pred)
-    # the same system handed over as a dense U takes the row-block route too
-    dense = OperatorSystem(ops.colloc_points, ops.U, ops.rhs)
-    assert dense.blocks is not None
-    _assert_dense_co_kriging(k, obs, dense, pred)
+def _row_count(ops):
+    return sum(len(rows) for rows, *_ in ops.blocks)
 
 
-def test_co_kriging_without_row_blocks_matches_dense_contraction():
-    # equations over several locations, and a hand-built U, assemble
-    # through the atom gram
+@settings(max_examples=120, deadline=None)
+@given(spread=st.booleans(), data=st.data())
+def test_row_block_assembly_matches_dense_contraction(spread, data):
+    # one row per (equation, location), summed into the equations, gives
+    # the dense contraction's K+ and H+; so does the same system handed
+    # over as a dense U over its atoms in drawn order, where the locations
+    # of an equation may alternate.  At a short lengthscale, where K+ is
+    # well conditioned, the ck criterion on those rows is the per-fold refit
+    k, obs, ops, pred = data.draw(row_systems(spread))
+    atoms = data.draw(st.permutations(range(ops.c)))
+    dense = OperatorSystem(ops.colloc_points[np.array(atoms)], ops.U[atoms], ops.rhs)
+    for system in (ops, dense):
+        assert (_row_count(system) > ops.p) == spread
+        _assert_dense_co_kriging(k, obs, system, pred)
+    unit = SqExpKernel(sigma2=1.0, theta=0.35, dim=k.dim)
+    Kplus = oracles.assemble_co_kriging_dense(unit, obs, ops, [])[0]
+    if obs.n > 1 and np.linalg.cond(Kplus) < 1e8:
+        for system in (ops, dense):
+            mse = calibration.loocv_ck_virtual(unit, obs, system)[0](unit.theta)
+            assert mse == pytest.approx(oracles.loocv_naive_ck(unit, obs, system), rel=1e-6)
+
+
+def test_co_kriging_over_several_locations_matches_dense_contraction():
+    # an encoded average, the mixed system's hand-built U and a U of ones
+    # have equations over several locations: one row per (equation,
+    # location), three for the average, two for the ones over two locations
     k, obs, mixed = _mixed_system()
     avg = design.encode_average([(0.5,), (2.0,), (4.5,)], [(1.0, (0,)), (0.5, (2,))], 0.3)
+    point = design.encode_pointwise([((0.0,), [(1.0, (0,)), (2.0, (2,))]),
+                                     ((1.0,), [(1.0, (1,))])], [0.0, 1.0])
+    ones = OperatorSystem(point.colloc_points, np.ones((3, 1)), [0.0])
     pred = design.Atoms(np.linspace(0.0, 6.0, 5)[:, None], (1,))
-    for ops in (avg, mixed):
-        assert ops.blocks is None
+    assert (_row_count(avg), _row_count(ones)) == (3, 2) and _row_count(mixed) > mixed.p
+    for ops in (avg, mixed, ones):
         _assert_dense_co_kriging(k, obs, ops, pred + ops.colloc_points)
 
 

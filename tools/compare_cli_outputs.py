@@ -52,8 +52,9 @@ CONFIG_RUNS = {
 def run_matrix():
     """(name, argv) of every run: ode1d (plus lk and ck at a nugget of 1e-8
     and one ck run whose final solve escalates), scalar2d, flow, flow-csv,
-    calibrate (at the default budget and at two others), bench (p = 200,
-    1500 and 4000), and one run per config file."""
+    calibrate (at the default budget and at two others, and ck at four
+    more seeds), bench (p = 200, 1500 and 4000), and one run per config
+    file."""
     runs = [(f"ode1d-{m}-seed{s}", ["ode1d", "--method", m, "--seed", str(s)])
             for m in ODE1D_METHODS for s in (4, 5, 6, 7, 10)]
     runs.append(("ode1d-lk-nugget", ["ode1d", "--method", "lk", "--nugget", "1e-8"]))
@@ -67,6 +68,9 @@ def run_matrix():
     runs += [(f"flow-csv-{m}", ["flow", "--csv", "flow-ck/field_input.csv", "--method", m])
              for m in ("ck", "lk")]
     runs += [(f"calibrate-{m}", ["calibrate", "--method", m]) for m in ODE1D_METHODS]
+    # the ck criterion trace at the other seeds the ode1d runs use
+    runs += [(f"calibrate-ck-seed{s}", ["calibrate", "--method", "ck", "--seed", str(s)])
+             for s in (4, 5, 6, 7)]
     # a short refinement (budget 9 leaves it four evaluations) and a long one
     runs += [(f"calibrate-{m}-budget{b}", ["calibrate", "--method", m, "--budget", str(b)])
              for m, b in (("ck", 9), ("lk-interp", 200))]
