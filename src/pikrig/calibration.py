@@ -9,7 +9,8 @@ criterion is then mean((a/d)^2) and the variance estimate solving
 
 For co-Kriging the same quantities are computed on the stacked system
 [Z; v] with the co-Kriging solve's K+, and only the primary n slots are
-kept (a filter on the stack), normalized by n.
+kept (a filter on the stack), normalized by n.  Values with one column
+per field sharing the covariance sum the fields' criteria.
 
 Constrained Lagrangian predictions have two criteria.  Leave-one-out
 (:func:`loocv_lk_explicit`) gets every fold from one system by the same
@@ -19,7 +20,7 @@ it, so the folds share one factorization per theta.  The
 all-points-retained interpolation deviation (:func:`interpolation_criteria`)
 exploits that constrained predictions need not interpolate the
 observations.  Every criterion is nan where the full matrix needed
-escalated jitter.
+escalated jitter, a rule :func:`_loo_criteria` alone applies.
 
 Each criterion factory builds its theta-invariant state (atom sets, the
 :class:`pikrig.design.Layout` of its covariance matrix, the rank check
@@ -148,13 +149,13 @@ def _loo_criteria(parts):
     the residuals, their squares standardized by the predictive variances
     (if ``with_std``) and whether jitter escalated.
 
-    The mse is nan when jitter escalated; sigma2 is the mean standardized
-    square, floored, and warns when jitter escalated.
+    The mse (summed over columns) is nan when jitter escalated; sigma2 is
+    the mean standardized square, floored, and warns when jitter escalated.
     """
 
     def mse(theta):
         resid, _, escalated = parts(theta, False)
-        return math.nan if escalated else float(np.mean(resid ** 2))
+        return math.nan if escalated else sum(float(np.mean(r ** 2)) for r in np.atleast_2d(resid.T))
 
     def sigma2(theta):
         _, std2, escalated = parts(theta, True)
@@ -200,13 +201,19 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
     ops = design.OperatorSystem() if ops is None else ops
-    n = obs.n
-    layout = design.Layout(k_unit, design._stacked_rows(k_unit, obs.points, ops))
-    y = np.concatenate([obs.values, ops.rhs])
+    rows = design._stacked_rows(k_unit, obs.points, ops)
+    return _virtual_criteria(k_unit, rows, np.concatenate([obs.values, ops.rhs]), cfg, obs.n)
+
+
+def _virtual_criteria(k_unit, rows, y, cfg, n=None):
+    """(mse, sigma2) of theta: virtual LOOCV of ``y`` on the layout of ``rows``
+    (atoms or stacked rows) over its first ``n`` slots (all if None); each
+    column of ``y``, a field sharing the covariance, adds its own mse."""
+    layout = design.Layout(k_unit, rows)
 
     def parts(theta, with_std):
         _, a, d, eta = _virtual_parts(layout(replace(k_unit, theta=float(theta))), y, cfg)
-        a, d = a[:n], d[:n]
+        a, d = a[:n], d[:n, None] if y.ndim > 1 else d[:n]
         return a / d, a * a / d, eta > cfg.nugget
 
     return _loo_criteria(parts)

@@ -14,9 +14,10 @@ field either way whenever the output directory is known.
 
 Every --method value is one row of the method table (:func:`_methods`):
 its calibration criterion and variance rule, and its post-calibration
-solve.  That solve assembles its covariance blocks once and factors
-once; the predictions, the constraint residual and the variances all
-come from it.
+solve, which assembles its covariance blocks once and factors once; the
+predictions, the constraint residual, the variances and the rows of the
+prediction atoms all come from it.  Every runner estimates through
+:func:`_calibrate` and builds its report with :func:`_report`.
 
 The report's timing block has two entries.  For ode1d and scalar2d,
 construction_s times the covariance assembly of the post-calibration
@@ -230,48 +231,48 @@ def validate_config(cfg):
         raise ConfigError(f"method: flow experiments support {supported}, got {cfg.method!r}")
     if cfg.experiment == "flow-csv" and not cfg.csv_path:
         raise ConfigError("csv_path: required for the flow-csv experiment")
+    for name in ("theta", "sigma2"):
+        value = getattr(cfg, name)
+        if cfg.experiment == "calibrate" and value != "auto":
+            raise ConfigError(f"{name}: calibrate estimates it, so it must be 'auto', got {value}")
     return cfg
 
 
-def _unit_kernel(dim):
-    return _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=dim)
-
-
-def _search_bounds(points):
-    """Default bounds capped at the data diameter, which the experiment
-    runners do not search past (see :func:`pikrig.calibration.default_theta_bounds`)."""
-    return _cal.default_theta_bounds(points, cap=True)
-
-
 def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
-    """Kernel with (theta, sigma2) from the config or by optimization.
+    """(kernel, search): theta and sigma2 from the config or estimated.
 
-    ``criterion`` is a method row's criterion.  The flow experiment passes
-    a denser default budget: its filtered criterion has a narrow basin
-    that a 32-point coarse grid can step across.
+    The runners' one lengthscale search: an "auto" theta is searched over
+    the default bounds capped at the data diameter (see
+    :func:`pikrig.calibration.default_theta_bounds`) and ``search`` is
+    (bounds, CalibrationResult), else None; an "auto" sigma2 is the rule of
+    ``criterion`` (a method row's) at theta.  The flow experiment passes a
+    denser default budget: its filtered criterion has a narrow basin that
+    a 32-point coarse grid can step across.
     """
-    dim = obs.points.X.shape[1]
+    k = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=obs.points.X.shape[1])
     if "auto" in (cfg.theta, cfg.sigma2):
-        crit, s2rule = criterion(_unit_kernel(dim), obs, ops, scfg)
-    budget = cfg.budget if cfg.budget is not None else default_budget
+        crit, s2rule = criterion(k, obs, ops, scfg)
     if cfg.theta == "auto":
-        theta = _cal.optimize_theta(crit, _search_bounds(obs.points), budget=budget).theta_hat
+        bounds = _cal.default_theta_bounds(obs.points, cap=True)
+        budget = cfg.budget if cfg.budget is not None else default_budget
+        search = bounds, _cal.optimize_theta(crit, bounds, budget=budget)
+        theta = search[1].theta_hat
     else:
-        theta = float(cfg.theta)
+        theta, search = float(cfg.theta), None
     sigma2 = float(s2rule(theta)) if cfg.sigma2 == "auto" else float(cfg.sigma2)
-    return _kernel.SqExpKernel(sigma2=sigma2, theta=theta, dim=dim)
+    return replace(k, sigma2=sigma2, theta=theta), search
 
 
 # ---------------------------------------------------------------------------
 # methods: one row of the method table per --method value
 
 
-# A post-calibration solve, read at its prediction atoms.
-_Fit = namedtuple("_Fit", "atoms mean variance resid_max nugget_used timing")
+# A post-calibration solve, read at its atoms; ``rows`` of them are the prediction atoms.
+_Fit = namedtuple("_Fit", "atoms rows mean variance resid_max nugget_used timing")
 
 
-def _timing(t0, t1, t2):
-    return {"construction_s": round(t1 - t0, 3), "inversion_s": round(t2 - t1, 3)}
+def _timing(construction_s, inversion_s):
+    return {"construction_s": round(construction_s, 3), "inversion_s": round(inversion_s, 3)}
 
 
 def _timed_ck(k, obs, ops, pred, scfg, mu=None, mu_star=None):
@@ -280,7 +281,7 @@ def _timed_ck(k, obs, ops, pred, scfg, mu=None, mu_star=None):
     Kplus, Hplus, y = _pred.assemble_co_kriging(k, obs, ops, pred)
     t1 = time.monotonic()
     w = _pred.solve_co_kriging(Kplus, Hplus, y, scfg, mu_plus=mu, mu_star=mu_star)
-    return w, _timing(t0, t1, time.monotonic())
+    return w, _timing(t1 - t0, time.monotonic() - t1)
 
 
 def _timed_lk(k, obs, ops, scfg):
@@ -289,7 +290,7 @@ def _timed_lk(k, obs, ops, scfg):
     K, H = _pred.assemble_lagrangian(k, obs, ops)
     t1 = time.monotonic()
     w = _pred.solve_lagrangian(K, H, obs, ops, scfg)
-    return w, _timing(t0, t1, time.monotonic())
+    return w, _timing(t1 - t0, time.monotonic() - t1)
 
 
 def _loocv_plain(k0, obs, ops, scfg):
@@ -311,17 +312,17 @@ def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
     variance, _ = _uq.mmse_variance(k, pred, w.alpha[:, :q], w.cross[:, :q])
     resid = ops.tdot(w.predictions[q:]) - ops.rhs
     resid_max = float(np.max(np.abs(resid))) if ops.p else None
-    return _Fit(pred, w.predictions[:q], variance, resid_max, w.nugget_used, timing)
+    return _Fit(pred, slice(None), w.predictions[:q], variance, resid_max, w.nugget_used, timing)
 
 
 def _solve_lk(k, obs, ops, pred, scfg):
     """Lagrangian Kriging over the constrained atoms plus ``pred``."""
-    lk_ops = design.extend_atoms(ops, pred)
+    lk_ops, rows = design._extend(ops, pred)
     w, timing = _timed_lk(k, obs, lk_ops, scfg)
     atoms = lk_ops.colloc_points
     variance, _ = _uq.mmse_variance(k, atoms, w.alpha, w.cross)
     resid_max = float(np.max(np.abs(lk_ops.tdot(w.predictions) - lk_ops.rhs)))
-    return _Fit(atoms, w.predictions, variance, resid_max, w.nugget_used, timing)
+    return _Fit(atoms, rows, w.predictions, variance, resid_max, w.nugget_used, timing)
 
 
 _Method = namedtuple(
@@ -353,6 +354,13 @@ def _methods():
     }
 
 
+def _report(cfg, k, **fields):
+    """The report of a successful run with kernel ``k`` and ``fields``;
+    cov_eval_count defaults to the evaluations counted so far."""
+    fields = {"cov_eval_count": design.cov_eval_count(), **fields}
+    return RunReport(config=asdict(cfg), theta_hat=k.theta, sigma2_hat=k.sigma2, **fields)
+
+
 def _finish(cfg, k, fit, sel, **fields):
     """Write predictions.csv for the fit's atoms ``sel``; return the report."""
     X, M = fit.atoms.X[sel], fit.atoms.M[sel]
@@ -360,16 +368,8 @@ def _finish(cfg, k, fit, sel, **fields):
     mstr = ["|".join(map(str, m)) for m in M.tolist()]
     columns = [*X.T, mstr, fit.mean[sel], fit.variance[sel]]
     write_csv(os.path.join(cfg.output_dir, "predictions.csv"), header, columns)
-    return RunReport(
-        config=asdict(cfg),
-        theta_hat=k.theta,
-        sigma2_hat=k.sigma2,
-        constraint_residual_max=fit.resid_max,
-        timing=fit.timing,
-        nugget_used=float(fit.nugget_used),
-        cov_eval_count=design.cov_eval_count(),
-        **fields,
-    )
+    return _report(cfg, k, constraint_residual_max=fit.resid_max, timing=fit.timing,
+                   nugget_used=float(fit.nugget_used), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +409,9 @@ def run_ode1d(cfg):
     obs, ops, grid = _ode1d_data(cfg, row.ode_rows)
     pred_atoms = design.Atoms(grid[:, None], (0,))
     scfg = SolveConfig(nugget=cfg.nugget)
-    k = _calibrate(cfg, row.criterion, obs, ops, scfg)
+    k, _ = _calibrate(cfg, row.criterion, obs, ops, scfg)
     fit = row.solve(k, obs, ops, pred_atoms, scfg)
-    on_grid = fit.mean[design.locate_atoms(fit.atoms, pred_atoms)]
-    mse = float(np.mean((on_grid - np.sin(grid)) ** 2))
+    mse = float(np.mean((fit.mean[fit.rows] - np.sin(grid)) ** 2))
     return _finish(cfg, k, fit, slice(None), mse_vs_truth=mse)
 
 
@@ -454,10 +453,9 @@ def run_scalar2d(cfg):
     row = _methods()[cfg.method]
     obs, ops, pred_atoms, truth = _scalar2d_system(cfg)
     scfg = SolveConfig(nugget=cfg.nugget)
-    k = _calibrate(cfg, row.criterion, obs, ops, scfg)
+    k, _ = _calibrate(cfg, row.criterion, obs, ops, scfg)
     fit = row.solve(k, obs, ops, pred_atoms, scfg)
-    sel = design.locate_atoms(fit.atoms, pred_atoms)
-    predictions = fit.mean[sel]
+    predictions = fit.mean[fit.rows]
     extras = {}
     if row.solve is _solve_lk:
         # every constraint atom here is a derivative no observation
@@ -470,7 +468,7 @@ def run_scalar2d(cfg):
     denom = float(np.linalg.norm(truth))
     l2 = float(np.linalg.norm(err)) / denom if denom > 0 else float("nan")
     mse = float(np.mean(err ** 2))
-    return _finish(cfg, k, fit, sel, mse_vs_truth=mse, l2_rel_error=l2, extras=extras)
+    return _finish(cfg, k, fit, fit.rows, mse_vs_truth=mse, l2_rel_error=l2, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +518,7 @@ def run_flow(cfg):
     system = _flow.build_flow_system(problem)
     t1 = time.monotonic()
     obs, ops, _ = system
-    k = _calibrate(cfg, criterion, obs, ops, scfg, default_budget=128)
+    k, _ = _calibrate(cfg, criterion, obs, ops, scfg, default_budget=128)
     t2 = time.monotonic()
     fieldr = predict(k, problem, scfg, system=system)
     t3 = time.monotonic()
@@ -531,14 +529,8 @@ def run_flow(cfg):
     if cfg.experiment == "flow-cylinder":
         _flow.emit_velocity_csv(os.path.join(cfg.output_dir, "field_input.csv"), problem)
 
-    report = RunReport(
-        config=asdict(cfg),
-        theta_hat=k.theta,
-        sigma2_hat=k.sigma2,
-        timing={"construction_s": round(t1 - t0, 3), "inversion_s": round(t3 - t2, 3)},
-        nugget_used=float(fieldr.nugget_used),
-        cov_eval_count=design.cov_eval_count(),
-    )
+    report = _report(cfg, k, timing=_timing(t1 - t0, t3 - t2),
+                     nugget_used=float(fieldr.nugget_used))
     if truth_geom is not None and len(problem.pred_grid):
         tv = _flow.cylinder_flow_oracle(truth_geom, problem.freestream, problem.pred_grid)
         dv = np.column_stack([fieldr.vx, fieldr.vy]) - tv
@@ -580,9 +572,8 @@ def run_bench(cfg):
     header = ["method", "p", "q", "construction_s", "inversion_s", "cov_eval_count"]
     write_csv(os.path.join(cfg.output_dir, "bench.csv"), header,
               [[r[h] for r in rows] for h in header])
-    return RunReport(config=asdict(cfg), theta_hat=theta, sigma2_hat=sigma2,
-                     cov_eval_count=int(sum(r["cov_eval_count"] for r in rows)),
-                     extras={"rows": rows})
+    return _report(cfg, k, cov_eval_count=int(sum(r["cov_eval_count"] for r in rows)),
+                   extras={"rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +583,9 @@ def run_bench(cfg):
 def run_calibrate(cfg):
     row = _methods()[cfg.method]
     obs, ops, _ = _ode1d_data(cfg, row.ode_rows)
-    crit, s2rule = row.criterion(_unit_kernel(1), obs, ops, SolveConfig(nugget=cfg.nugget))
-    bounds = _search_bounds(obs.points)
-    budget = cfg.budget if cfg.budget is not None else 64
-    res = _cal.optimize_theta(crit, bounds, budget=budget, sigma2_rule=s2rule)
+    k, (bounds, res) = _calibrate(cfg, row.criterion, obs, ops, SolveConfig(nugget=cfg.nugget))
     write_csv(os.path.join(cfg.output_dir, "trace.csv"), ["theta", "criterion"], zip(*res.trace))
-    return RunReport(
-        config=asdict(cfg),
-        theta_hat=res.theta_hat,
-        sigma2_hat=res.sigma2_hat,
-        cov_eval_count=design.cov_eval_count(),
-        extras={"criterion_value": res.criterion_value, "bounds": list(bounds)},
-    )
+    return _report(cfg, k, extras={"criterion_value": res.criterion_value, "bounds": list(bounds)})
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class FlowProblem:
 
     Each point set is an n x 2 float array: row i of ``obs_velocities`` is
     (vx, vy) at row i of ``obs_locations``, and row i of
-    ``boundary_normals`` the unit normal at row i of ``boundary_locations``.
+    ``boundary_normals`` the unit normal at row i of ``boundary_locations``;
+    each of the two pairs must have equal row counts.
     Normals must be unit length to 1e-10 (re-normalize upstream if needed).
     """
 
@@ -100,6 +101,10 @@ class FlowProblem:
     def __post_init__(self):
         for name in _POINT_SETS:
             setattr(self, name, np.array(getattr(self, name), dtype=float).reshape(-1, 2))
+        for a, b in (("obs_locations", "obs_velocities"), ("boundary_locations", "boundary_normals")):
+            na, nb = len(getattr(self, a)), len(getattr(self, b))
+            if na != nb:
+                raise ValueError(f"{na} {a} but {nb} {b}: they pair row by row")
         self.freestream = tuple(float(c) for c in self.freestream)
         norm = np.linalg.norm(self.boundary_normals, axis=1)
         bad = np.flatnonzero(np.abs(norm - 1.0) > 1e-10)
@@ -315,9 +320,11 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     observations plus the step-1 boundary velocities as exact order-0
     observations of two independent scalar fields (vx and vy separately,
     no cross-covariance) and interpolates them on the grid with simple
-    Kriging, after its own lengthscale calibration (one theta shared by
-    both components, minimizing the summed virtual LOOCV MSE); both
-    components share one factorization of the step-2 gram.  ``system`` is
+    Kriging, after its own lengthscale calibration: one theta shared by
+    both components minimizes the summed virtual LOOCV MSE (the two-column
+    criterion of :mod:`pikrig.calibration`, nan where jitter escalated)
+    over the uncapped default bounds; both components share one
+    factorization of the step-2 gram.  ``system`` is
     ``build_flow_system(p)`` when the caller has already built it.
     """
     obs, _, _ = system if system is not None else build_flow_system(p)
@@ -340,22 +347,12 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
         vals = np.vstack([vals, bv.reshape(-1, 2)])
     pts0 = design.Atoms(locs2, (0, 0))
     k0 = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
-    layout = design.Layout(k0, pts0)
-
-    def crit(theta):
-        # the virtual LOOCV MSE of vx plus that of vy, from one factorization
-        _, a, d, eta = _cal._virtual_parts(layout(replace(k0, theta=theta)), vals, cfg)
-        if eta > cfg.nugget:
-            return math.nan
-        return float(np.mean((a[:, 0] / d) ** 2)) + float(np.mean((a[:, 1] / d) ** 2))
-
-    res = _cal.optimize_theta(
-        crit, _cal.default_theta_bounds(pts0), budget=_STEP2_BUDGET
-    )
+    # the virtual LOOCV mse of vx plus that of vy, from one factorization
+    crit, _ = _cal._virtual_criteria(k0, pts0, vals, cfg)
+    res = _cal.optimize_theta(crit, _cal.default_theta_bounds(pts0), budget=_STEP2_BUDGET)
     k2 = replace(k0, theta=res.theta_hat)
-    pred0 = design.Atoms(p.pred_grid, (0, 0))
-    K2 = layout(k2)
-    H2 = design.gram(k2, pts0, pred0)
+    K2 = design.gram(k2, pts0)
+    H2 = design.gram(k2, pts0, design.Atoms(p.pred_grid, (0, 0)))
     fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
     fy = fx.alpha.T @ vals[:, 1]
     mean = np.ravel(np.column_stack([fx.predictions, fy]))

@@ -481,7 +481,7 @@ def test_default_bounds_equal_pdist_bounds():
         dist = pdist(np.array([p.x for p in points]))
         med = float(np.median(dist))
         assert C.default_theta_bounds(points) == (1e-2 * med, 1e2 * med)
-        assert cli._search_bounds(points)[1] == min(1e2 * med, float(dist.max()))
+        assert C.default_theta_bounds(points, cap=True)[1] == min(1e2 * med, float(dist.max()))
 
 
 def test_import_does_not_load_scipy_spatial():

@@ -524,5 +524,36 @@ def test_calibrate_builds_no_criterion_without_a_search():
 
     obs, _, _ = ode_setup()
     cfg = cli.RunConfig(theta="1.3", sigma2="2.5")
-    k = cli._calibrate(cfg, criterion, obs, None, predictors.SolveConfig())
-    assert (k.theta, k.sigma2, k.dim) == (1.3, 2.5, 1)
+    k, search = cli._calibrate(cfg, criterion, obs, None, predictors.SolveConfig())
+    assert (k.theta, k.sigma2, k.dim, search) == (1.3, 2.5, 1, None)
+
+
+@pytest.mark.parametrize("field, flags, config", [
+    ("theta", ["--theta", "2"], None),
+    ("sigma2", ["--sigma2", "3"], None),
+    ("theta", [], {"kernel": {"theta": 2.0, "sigma2": 3.0}}),
+])
+def test_calibrate_rejects_a_fixed_theta_or_sigma2(tmp_path, capsys, field, flags, config):
+    # calibrate estimates both, so a fixed value would be searched over anyway
+    out = tmp_path / "o"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    capsys.readouterr()
+    assert run(["calibrate", "--method", "ck", *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"error: {field}: calibrate estimates it, so it must be 'auto'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", tuple(cli._methods()))
+def test_calibrate_and_ode1d_share_one_search(tmp_path, method):
+    # both subcommands estimate through cli._calibrate, so at one seed
+    # and budget they report the same estimates bit for bit
+    reports = []
+    for command in ("calibrate", "ode1d"):
+        out = tmp_path / command
+        assert run([command, "--method", method, "--budget", "16", "--seed", "5",
+                    "--out", str(out)]) == cli.EXIT_OK
+        reports.append(report_of(out))
+    calibrated, ode = reports
+    assert (calibrated["theta_hat"], calibrated["sigma2_hat"]) == (ode["theta_hat"], ode["sigma2_hat"])

@@ -3,8 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from pikrig import calibration as C
+from pikrig import design
 from pikrig import flowlab as F
+from pikrig import predictors as P
+from pikrig.design import ObservationSet
 from pikrig.kernel import SqExpKernel
 from pikrig.predictors import SolveConfig
 
@@ -153,6 +158,16 @@ def test_problem_rejects_bad_normal():
                       boundary_normals=[(1.0, 0.0), (0.0, 0.5), (3.0, 0.0)])
 
 
+def test_problem_rejects_unpaired_arrays():
+    # each velocity pairs with a location and each normal with a boundary point
+    three = [(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0)]
+    two = [(1.0, 0.0), (0.0, 1.0)]
+    with pytest.raises(ValueError, match="3 obs_locations but 2 obs_velocities"):
+        F.FlowProblem(three, two)
+    with pytest.raises(ValueError, match="3 boundary_locations but 2 boundary_normals"):
+        F.FlowProblem(two, two, boundary_locations=three, boundary_normals=two)
+
+
 def test_build_requires_observations():
     with pytest.raises(ValueError, match="no velocity observations"):
         F.build_flow_system(F.FlowProblem([], []))
@@ -257,6 +272,45 @@ def test_twostep_scattered_lengthscale_band():
     f = F.predict_flow_lk_twostep(SqExpKernel(1.0, 1.0, 2), p, CFG)
     assert 0.5 <= f.theta2_hat <= 1.5
     assert np.max(np.abs(f.boundary_normal_residual)) <= 1e-8
+
+
+def test_twostep_criterion_is_the_summed_virtual_loocv(monkeypatch):
+    # the step-2 criterion is vx's virtual LOOCV mse plus vy's on the
+    # observations and the step-1 boundary velocities, nan where jitter escalates
+    p = F.cylinder_problem(geom=GEOM)
+    k = SqExpKernel(1.0, 1.0, 2)
+    searches, optimize_theta = [], C.optimize_theta
+
+    def spy(criterion, bounds, **kwargs):
+        searches.append((criterion, optimize_theta(criterion, bounds, **kwargs)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(C, "optimize_theta", spy)
+    F.predict_flow_lk_twostep(k, p, CFG)
+    [(crit, res)] = searches
+
+    obs, _, _ = F.build_flow_system(p)
+    bnd, gradient = p.boundary_locations, ((1, 0), (0, 1))
+    ops1 = design.encode_rows([(bnd, gradient, p.boundary_normals)], np.zeros(len(bnd)))
+    w1 = P.lagrangian_kriging(k, obs, ops1, cfg=CFG)
+    bnd_atoms = design.Atoms(np.repeat(bnd, 2, axis=0), np.tile(gradient, (len(bnd), 1)))
+    bv = w1.predictions[design.locate_atoms(ops1.colloc_points, bnd_atoms)].reshape(-1, 2)
+    locs = np.vstack([p.obs_locations, bnd])
+    vals = np.vstack([p.obs_velocities, bv])
+    pts = design.Atoms(locs, (0, 0))
+    median = float(np.median(pdist(locs)))
+    for theta in (0.2 * median, 0.5 * median, 0.9 * median):
+        k0 = SqExpKernel(1.0, theta, 2)
+        want = sum(C.loocv_mse_virtual(k0, ObservationSet(pts, vals[:, c]), CFG) for c in (0, 1))
+        assert crit(theta) == pytest.approx(want, rel=1e-12, abs=0)
+
+    # the search's 32 thetas: nan exactly where factoring the gram escalates
+    thetas = [t for t, _ in res.trace]
+    nonfinite = [not math.isfinite(crit(t)) for t in thetas]
+    escalated = [P.make_spd_solver(design.gram(SqExpKernel(1.0, t, 2), pts), CFG)[1] > CFG.nugget
+                 for t in thetas]
+    assert nonfinite == escalated
+    assert sum(nonfinite) == 6 and min(t for t, bad in zip(thetas, nonfinite) if bad) >= 13.9
 
 
 def test_short_lengthscale_reverses_flow_long_does_not():

@@ -51,7 +51,8 @@ CONFIG_RUNS = {
 
 def run_matrix():
     """(name, argv) of every run: ode1d (plus lk and ck at a nugget of 1e-8
-    and one ck run whose final solve escalates), scalar2d, flow, flow-csv,
+    and one ck run whose final solve escalates), scalar2d, flow (plus lk
+    at a nugget of 1e-8), flow-csv,
     calibrate (at the default budget and at two others, and ck at four
     more seeds), bench (p = 200, 1500 and 4000), and one run per config
     file."""
@@ -64,6 +65,8 @@ def run_matrix():
     runs += [(f"scalar2d-{m}-{t}", ["scalar2d", "--method", m, "--target", t])
              for m in ("sk", "ck", "lk") for t in ("f1", "f2")]
     runs += [(f"flow-{m}", ["flow", "--method", m]) for m in ("ck", "lk")]
+    # the step-2 criterion's escalation rule where it compares with a nugget above 0
+    runs.append(("flow-lk-nugget", ["flow", "--method", "lk", "--nugget", "1e-8"]))
     # read back the velocity file of the flow-ck run (a path relative to the root)
     runs += [(f"flow-csv-{m}", ["flow", "--csv", "flow-ck/field_input.csv", "--method", m])
              for m in ("ck", "lk")]
