@@ -31,7 +31,8 @@ extended atoms), and reads K off H's observation columns.
 The 1-d lengthscale search is a deterministic log-spaced grid scan
 followed by golden-section refinement inside the best cell; ties shrink
 the bracket symmetrically, so a flat criterion converges to the cell
-midpoint (in log space).
+midpoint (in log space).  A variance rule at the argmin reuses the
+search's evaluation there: one factorization per theta in all.
 """
 
 import functools
@@ -67,10 +68,9 @@ _SIGMA2_FLOOR = 1e-12
 
 @dataclass
 class CalibrationResult:
-    """Search outcome: argmin lengthscale, variance estimate, history."""
+    """Search outcome: argmin lengthscale, criterion value there, history."""
 
     theta_hat: float
-    sigma2_hat: float
     criterion_value: float
     trace: list
 
@@ -99,7 +99,7 @@ def _virtual_parts(K, y, cfg):
 
 
 def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
-    """All Lagrangian leave-one-out folds from one system: (resid, var, escalated).
+    """All Lagrangian leave-one-out folds from one system: the parts of :func:`_loo_criteria`.
 
     ``K``, ``H``, ``project`` (of ``ops``) are the Lagrangian system of
     ``ops``, which holds every observation atom, observation i at row ``j[i]``.
@@ -107,9 +107,9 @@ def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
     Column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
     fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
     constraint projection of the bases H^T A predicts every fold.  Fold
-    i's variance at unit process variance is
-    1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i, with eta the nugget used and
-    j_i the atom of observation i.
+    i's variance at unit process variance, which standardizes its residual,
+    is 1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i, with eta the nugget used
+    and j_i the atom of observation i.
     """
     n = obs.n
     Z = obs.values
@@ -130,7 +130,7 @@ def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
                 "closed form assumes it non-zero"
             )
         var = var + UW[j, cols] ** 2 / g2
-    return resid, var, eta > cfg.nugget
+    return resid, lambda: resid ** 2 / np.maximum(var, _SIGMA2_FLOOR), eta > cfg.nugget
 
 
 def _floored_sigma2(val):
@@ -145,27 +145,35 @@ def _floored_sigma2(val):
 
 
 def _loo_criteria(parts):
-    """(mse, sigma2) callables of theta from ``parts(theta, with_std)``:
-    the residuals, their squares standardized by the predictive variances
-    (if ``with_std``) and whether jitter escalated.
+    """(mse, sigma2) callables of theta from ``parts(theta)``: the
+    residuals, a callable of no argument giving their squares standardized
+    by the predictive variances, and whether jitter escalated.
 
     The mse (summed over columns) is nan when jitter escalated; sigma2 is
     the mean standardized square, floored, and warns when jitter escalated.
+    At exactly the theta of the smallest finite mse so far (the latest of
+    equals: a search's argmin) sigma2 reuses its parts instead of parts(theta).
     """
+    kept = [math.inf, None, None]  # mse, theta, parts
 
     def mse(theta):
-        resid, _, escalated = parts(theta, False)
-        return math.nan if escalated else sum(float(np.mean(r ** 2)) for r in np.atleast_2d(resid.T))
+        got = parts(theta)
+        if got[2]:
+            return math.nan
+        val = sum(float(np.mean(r ** 2)) for r in np.atleast_2d(got[0].T))
+        if math.isfinite(val) and val <= kept[0]:
+            kept[:] = val, theta, got
+        return val
 
     def sigma2(theta):
-        _, std2, escalated = parts(theta, True)
+        _, std2, escalated = kept[2] if theta == kept[1] else parts(theta)
         if escalated:
             warnings.warn(
                 f"variance rule at theta={theta:.6g} used escalated jitter",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return _floored_sigma2(float(np.mean(std2)))
+        return _floored_sigma2(float(np.mean(std2())))
 
     return mse, sigma2
 
@@ -211,10 +219,10 @@ def _virtual_criteria(k_unit, rows, y, cfg, n=None):
     column of ``y``, a field sharing the covariance, adds its own mse."""
     layout = design.Layout(k_unit, rows)
 
-    def parts(theta, with_std):
+    def parts(theta):
         _, a, d, eta = _virtual_parts(layout(replace(k_unit, theta=float(theta))), y, cfg)
         a, d = a[:n], d[:n, None] if y.ndim > 1 else d[:n]
-        return a / d, a * a / d, eta > cfg.nugget
+        return a / d, lambda: a * a / d, eta > cfg.nugget
 
     return _loo_criteria(parts)
 
@@ -256,10 +264,9 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
 
-    def parts(theta, with_std):
+    def parts(theta):
         _, K, H, project = system(theta)
-        resid, var, escalated = _lagrangian_folds(K, H, project, obs, ops, j, cfg)
-        return resid, resid ** 2 / np.maximum(var, _SIGMA2_FLOOR), escalated
+        return _lagrangian_folds(K, H, project, obs, ops, j, cfg)
 
     return _loo_criteria(parts)
 
@@ -276,14 +283,12 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     """
     ops, idx, system = _lagrangian_system(k_unit, obs, ops_at_predictions)
 
-    def parts(theta, with_std):
+    def parts(theta):
         k, K, H, project = system(theta)
         w = _pred.solve_lagrangian(K, H, obs, ops, cfg, project=project)
         resid = w.predictions[idx] - obs.values
-        std2 = None
-        if with_std:
-            var, _ = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])
-            std2 = resid ** 2 / np.maximum(var, _SIGMA2_FLOOR)
+        std2 = lambda: resid ** 2 / np.maximum(
+            _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0], _SIGMA2_FLOOR)
         return resid, std2, w.nugget_used > cfg.nugget
 
     return _loo_criteria(parts)
@@ -306,13 +311,12 @@ def _pairwise_distances(points):
     return np.sqrt(((xs[i] - xs[j]) ** 2).sum(-1))
 
 
-def default_theta_bounds(points, cap=False):
-    """[1e-2, 1e2] times the median pairwise distance of the locations.
-
-    ``cap`` caps the upper end at the data diameter: past it every pair
-    is strongly correlated, the gram is numerically singular long before
-    Cholesky fails, and LOOCV criteria reward that singularity instead of
-    fit quality, so the lengthscale is not identifiable there.
+def default_theta_bounds(points):
+    """[1e-2, 1e2] times the median pairwise distance of the locations,
+    capped at the data diameter: past it every pair is strongly correlated,
+    the gram is numerically singular long before Cholesky fails, and LOOCV
+    criteria reward that singularity instead of fit quality, so the
+    lengthscale is not identifiable there.
     """
     dist = _pairwise_distances(points)
     if dist.size == 0:
@@ -320,10 +324,10 @@ def default_theta_bounds(points, cap=False):
     med = float(np.median(dist))
     if not np.isfinite(med) or med <= 0:
         raise ValueError(f"median pairwise distance {med} cannot scale bounds")
-    return 1e-2 * med, min(1e2 * med, float(dist.max())) if cap else 1e2 * med
+    return 1e-2 * med, min(1e2 * med, float(dist.max()))
 
 
-def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
+def optimize_theta(criterion, bounds, budget=64):
     """Deterministic 1-d minimization of a lengthscale criterion.
 
     Log-spaced coarse grid (half the budget), then golden-section
@@ -335,8 +339,7 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
     in the trace and logged once per search, with their count and theta
     range; exact ties shrink the bracket from both sides.
     A grid with no finite value raises ConditioningError.
-    ``sigma2_rule``, when given, is called at the optimum to fill
-    ``sigma2_hat`` (default 1.0).
+    sigma2 is then the criterion factory's rule at ``theta_hat``.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi and np.isfinite(hi)):
@@ -395,10 +398,8 @@ def optimize_theta(criterion, bounds, budget=64, sigma2_rule=None):
         failures = f"; {len(failed)} failed to factor: {failed[-1]}" if failed else ""
         logger.warning("criterion non-finite at %d of %d thetas in [%.6g, %.6g]%s",
                        len(bad), len(trace), min(bad), max(bad), failures)
-    sigma2_hat = float(sigma2_rule(theta_hat)) if sigma2_rule is not None else 1.0
     return CalibrationResult(
         theta_hat=float(theta_hat),
-        sigma2_hat=sigma2_hat,
         criterion_value=float(crit_val),
         trace=trace,
     )

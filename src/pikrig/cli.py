@@ -242,10 +242,10 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
     """(kernel, search): theta and sigma2 from the config or estimated.
 
     The runners' one lengthscale search: an "auto" theta is searched over
-    the default bounds capped at the data diameter (see
-    :func:`pikrig.calibration.default_theta_bounds`) and ``search`` is
+    :func:`pikrig.calibration.default_theta_bounds` and ``search`` is
     (bounds, CalibrationResult), else None; an "auto" sigma2 is the rule of
-    ``criterion`` (a method row's) at theta.  The flow experiment passes a
+    ``criterion`` (a method row's) at theta, read off the search's own
+    evaluation at a searched theta.  The flow experiment passes a
     denser default budget: its filtered criterion has a narrow basin that
     a 32-point coarse grid can step across.
     """
@@ -253,7 +253,7 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
     if "auto" in (cfg.theta, cfg.sigma2):
         crit, s2rule = criterion(k, obs, ops, scfg)
     if cfg.theta == "auto":
-        bounds = _cal.default_theta_bounds(obs.points, cap=True)
+        bounds = _cal.default_theta_bounds(obs.points)
         budget = cfg.budget if cfg.budget is not None else default_budget
         search = bounds, _cal.optimize_theta(crit, bounds, budget=budget)
         theta = search[1].theta_hat

@@ -323,8 +323,8 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     Kriging, after its own lengthscale calibration: one theta shared by
     both components minimizes the summed virtual LOOCV MSE (the two-column
     criterion of :mod:`pikrig.calibration`, nan where jitter escalated)
-    over the uncapped default bounds; both components share one
-    factorization of the step-2 gram.  ``system`` is
+    over the default bounds, capped at the data diameter; both components
+    share one factorization of the step-2 gram.  ``system`` is
     ``build_flow_system(p)`` when the caller has already built it.
     """
     obs, _, _ = system if system is not None else build_flow_system(p)

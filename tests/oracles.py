@@ -438,7 +438,7 @@ def exterior_grid_points(geom, counts, extent, margin, aspect=1.0):
     return [p for p in pts if math.hypot(p[0] - cx, p[1] - cy) >= cut]
 
 
-def optimize_theta_reference(criterion, bounds, budget=64, sigma2_rule=None):
+def optimize_theta_reference(criterion, bounds, budget=64):
     """Deterministic 1-d minimization of a lengthscale criterion.
 
     Log-spaced coarse grid (half the budget), then golden-section
@@ -448,8 +448,6 @@ def optimize_theta_reference(criterion, bounds, budget=64, sigma2_rule=None):
     skipped, kept as nan in the trace and logged once per search, with
     their count and theta range; exact ties shrink the bracket from both sides.
     A grid with no finite value raises ConditioningError.
-    ``sigma2_rule``, when given, is called at the optimum to fill
-    ``sigma2_hat`` (default 1.0).
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi and np.isfinite(hi)):
@@ -523,10 +521,8 @@ def optimize_theta_reference(criterion, bounds, budget=64, sigma2_rule=None):
         failures = f"; {len(failed)} failed to factor: {failed[-1]}" if failed else ""
         logger.warning("criterion non-finite at %d of %d thetas in [%.6g, %.6g]%s",
                        len(bad), len(trace), min(bad), max(bad), failures)
-    sigma2_hat = float(sigma2_rule(theta_hat)) if sigma2_rule is not None else 1.0
     return CalibrationResult(
         theta_hat=float(theta_hat),
-        sigma2_hat=sigma2_hat,
         criterion_value=float(crit_val),
         trace=trace,
     )

@@ -185,7 +185,7 @@ def test_lk_folds_match_refit_2d_derivative_rows(rng):
 def test_lk_folds_match_refit_ode1d_search_grid():
     # the coarse grid of the ode1d lk search at seed 10
     obs, _, grid = ode_setup(seed=10)
-    lo, hi = _capped_bounds(obs)
+    lo, hi = C.default_theta_bounds(obs.points)
     _assert_lk_folds_match_refit(obs, harmonic_rows(grid), np.geomspace(lo, hi, 32))
 
 
@@ -298,6 +298,36 @@ def test_criteria_build_theta_invariant_state_once(monkeypatch):
             assert np.array_equal(K, ref), (name, theta)
 
 
+@pytest.mark.parametrize("method", tuple(cli._methods()))
+def test_search_with_variance_rule_factors_once_per_theta(monkeypatch, method):
+    # the variance rule at theta_hat reuses the search's evaluation there,
+    # bit for bit a fresh rule's value; at any other theta, or without a
+    # search, it evaluates afresh
+    counts = _count_calls(monkeypatch, ((C, "make_spd_solver"), (P, "make_spd_solver")))
+    row, scfg = cli._methods()[method], P.SolveConfig()
+    built = []
+
+    def criterion(*args):
+        built.append(row.criterion(*args))
+        return built[-1]
+
+    for seed in (4, 5, 6, 7):
+        obs, ops, _ = cli._ode1d_data(cli.RunConfig(seed=seed), row.ode_rows)
+        built.clear()
+        counts.clear()
+        k, (_, res) = cli._calibrate(cli.RunConfig(budget=16), criterion, obs, ops, scfg)
+        assert counts["make_spd_solver"] == len(res.trace), seed
+        assert k.sigma2 == row.criterion(UNIT, obs, ops, scfg)[1](res.theta_hat), seed
+
+        counts.clear()
+        fixed, _ = cli._calibrate(cli.RunConfig(theta=res.theta_hat), row.criterion, obs, ops, scfg)
+        assert counts["make_spd_solver"] == 1 and fixed == k, seed
+
+        other = next(t for t, v in res.trace if math.isfinite(v) and t != res.theta_hat)
+        [(_, rule)] = built
+        assert rule(other) == row.criterion(UNIT, obs, ops, scfg)[1](other), seed
+
+
 def test_sigma2_floor_and_warning():
     obs = obs_1d([0.0, 1.0, 2.0], np.zeros(3))
     with pytest.warns(RuntimeWarning, match="floored"):
@@ -321,7 +351,6 @@ def test_scaling_moves_criterion_not_argmin(rng):
 def test_optimizer_quadratic_bowl():
     res = C.optimize_theta(lambda th: (th - 2.0) ** 2, (0.5, 8.0), budget=40)
     assert abs(res.theta_hat - 2.0) <= 1e-3
-    assert res.sigma2_hat == 1.0
 
 
 def test_optimizer_deterministic_trace():
@@ -368,7 +397,7 @@ def searches(draw):
 
 def _outcome(search, criterion, bounds, budget):
     try:
-        return repr(search(criterion, bounds, budget, sigma2_rule=lambda th: 2.0 * th))
+        return repr(search(criterion, bounds, budget))
     except P.ConditioningError as exc:
         return f"ConditioningError({exc}, {exc.nugget_last})"
 
@@ -378,7 +407,7 @@ def _outcome(search, criterion, bounds, budget):
 def test_optimizer_matches_reference_search(drawn):
     # the one refinement loop evaluates the same thetas in the same order
     # as the reference's three cases, and picks the same argmin: traces,
-    # theta_hat, criterion values and sigma2 compare equal by repr
+    # theta_hat and criterion values compare equal by repr
     assert _outcome(C.optimize_theta, *drawn) == _outcome(oracles.optimize_theta_reference,
                                                           *drawn)
 
@@ -441,26 +470,14 @@ def test_optimizer_validation():
         C.optimize_theta(lambda th: th, (0.1, 1.0), budget=4)
 
 
-def test_optimizer_calls_sigma2_rule_at_optimum():
-    seen = []
-
-    def rule(theta):
-        seen.append(theta)
-        return 7.5
-
-    res = C.optimize_theta(lambda th: (th - 2.0) ** 2, (0.5, 8.0), budget=24,
-                           sigma2_rule=rule)
-    assert res.sigma2_hat == 7.5
-    assert seen == [res.theta_hat]
-
-
 def test_default_bounds_median_scaling():
     pts = [ExtendedPoint((0.0,), (0,)), ExtendedPoint((1.0,), (0,)),
            ExtendedPoint((3.0,), (0,))]
     lo, hi = C.default_theta_bounds(pts)
-    # pairwise distances 1, 2, 3 -> median 2
+    # pairwise distances 1, 2, 3 -> median 2; the upper end is capped at
+    # the diameter 3
     assert lo == pytest.approx(0.02)
-    assert hi == pytest.approx(200.0)
+    assert hi == 3.0
     with pytest.raises(ValueError):
         C.default_theta_bounds(pts[:1])
 
@@ -480,8 +497,7 @@ def test_default_bounds_equal_pdist_bounds():
     for points in _cli_layouts():
         dist = pdist(np.array([p.x for p in points]))
         med = float(np.median(dist))
-        assert C.default_theta_bounds(points) == (1e-2 * med, 1e2 * med)
-        assert C.default_theta_bounds(points, cap=True)[1] == min(1e2 * med, float(dist.max()))
+        assert C.default_theta_bounds(points) == (1e-2 * med, min(1e2 * med, float(dist.max())))
 
 
 def test_import_does_not_load_scipy_spatial():
@@ -532,19 +548,12 @@ def test_interpolation_criterion_zero_without_constraints(rng):
 # --- soft reproduction targets on the seeded harmonic setup ---------------
 
 
-def _capped_bounds(obs):
-    xs = np.array([p.x[0] for p in obs.points])
-    lo, hi = C.default_theta_bounds(obs.points)
-    return lo, min(hi, float(xs.max() - xs.min()))
-
-
 def test_harmonic_sk_calibration_band():
     obs, _, _ = ode_setup()
     crit = lambda th: C.loocv_mse_virtual(replace(UNIT, theta=th), obs)
-    res = C.optimize_theta(crit, _capped_bounds(obs), budget=64,
-                           sigma2_rule=lambda th: C.sigma2_virtual(UNIT, obs, th))
+    res = C.optimize_theta(crit, C.default_theta_bounds(obs.points), budget=64)
     assert abs(res.theta_hat - 0.83) <= 0.1
-    assert abs(math.sqrt(res.sigma2_hat) - 0.61) <= 0.12
+    assert abs(math.sqrt(C.sigma2_virtual(UNIT, obs, res.theta_hat)) - 0.61) <= 0.12
 
 
 def test_harmonic_ck_criterion_noise_floor():
@@ -566,7 +575,7 @@ def test_harmonic_interp_basin():
     )
     assert crit(2.3684) < crit(2.0) < crit(1.12)
     assert crit(2.3684) < crit(5.0)
-    res = C.optimize_theta(crit, _capped_bounds(obs), budget=64)
+    res = C.optimize_theta(crit, C.default_theta_bounds(obs.points), budget=64)
     assert 2.1 <= res.theta_hat <= 2.7
     s2 = C.sigma2_interpolation(UNIT, obs, ops, res.theta_hat)
     assert abs(math.sqrt(s2) - 3.91) <= 0.5

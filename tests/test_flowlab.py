@@ -304,13 +304,17 @@ def test_twostep_criterion_is_the_summed_virtual_loocv(monkeypatch):
         want = sum(C.loocv_mse_virtual(k0, ObservationSet(pts, vals[:, c]), CFG) for c in (0, 1))
         assert crit(theta) == pytest.approx(want, rel=1e-12, abs=0)
 
-    # the search's 32 thetas: nan exactly where factoring the gram escalates
-    thetas = [t for t, _ in res.trace]
+    # [1e-2, 1e2] x the median distance: nan exactly where factoring the
+    # gram escalates, which happens only past the data diameter
+    thetas = np.geomspace(1e-2 * median, 1e2 * median, 32)
     nonfinite = [not math.isfinite(crit(t)) for t in thetas]
     escalated = [P.make_spd_solver(design.gram(SqExpKernel(1.0, t, 2), pts), CFG)[1] > CFG.nugget
                  for t in thetas]
     assert nonfinite == escalated
-    assert sum(nonfinite) == 6 and min(t for t, bad in zip(thetas, nonfinite) if bad) >= 13.9
+    bad = [t for t, b in zip(thetas, nonfinite) if b]
+    assert len(bad) == 10 and min(bad) > float(pdist(locs).max())
+    # the search's bracket is capped at the diameter, so its trace is all finite
+    assert all(math.isfinite(v) for _, v in res.trace)
 
 
 def test_short_lengthscale_reverses_flow_long_does_not():

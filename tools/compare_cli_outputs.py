@@ -46,6 +46,12 @@ CONFIG_RUNS = {
         "method": "ck", "kernel": {"theta": 1.2, "sigma2": "auto"},
         "counts": {"n": 5, "p": 8, "q": 12}, "seed": 3, "nugget": 0,
     }),
+    # the lk run of the benchmark's flow-cylinder workload
+    "flow-lk-grid60": ("flow", {"method": "lk", "pred_nx": 60, "pred_ny": 60}),
+    # the interpolation variance rule at a theta no search evaluated
+    "ode1d-interp-fixed-theta": ("ode1d", {
+        "method": "lk-interp", "kernel": {"theta": 2.3, "sigma2": "auto"},
+    }),
 }
 
 
