@@ -31,8 +31,8 @@ extended atoms), and reads K off H's observation columns.
 The 1-d lengthscale search is a deterministic log-spaced grid scan
 followed by golden-section refinement inside the best cell; ties shrink
 the bracket symmetrically, so a flat criterion converges to the cell
-midpoint (in log space).  A variance rule at the argmin reuses the
-search's evaluation there: one factorization per theta in all.
+midpoint (in log space).  A variance rule or flow's two-step fit at the
+argmin reuses the search's evaluation there: one factorization per theta.
 """
 
 import functools
@@ -85,17 +85,16 @@ def _require_unit_centered(k, obs):
 
 
 def _virtual_parts(K, y, cfg):
-    """(K^-1, a = K^-1 y, d = diag(K^-1), eta) from one factorization of K.
+    """(K^-1, a = K^-1 y, d = diag(K^-1), (solve, eta)) from one factorization of K.
 
-    The one factorization of every leave-one-out criterion.  The virtual
-    identities hold for the covariance actually requested; if the
-    factorization only succeeded with a nugget ``eta`` above
-    ``cfg.nugget`` (escalated jitter), criteria built on these parts are
-    undefined.
+    The one factorization of every leave-one-out criterion, by make_spd_solver.
+    The virtual identities hold for the covariance actually requested; if the
+    factorization only succeeded with a nugget ``eta`` above ``cfg.nugget``
+    (escalated jitter), criteria built on these parts are undefined.
     """
     solve, eta = make_spd_solver(K, cfg)
     Ki = solve(np.eye(K.shape[0]))
-    return Ki, Ki @ y, np.diag(Ki), eta
+    return Ki, Ki @ y, np.diag(Ki), (solve, eta)
 
 
 def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
@@ -113,7 +112,7 @@ def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
     """
     n = obs.n
     Z = obs.values
-    Ki, a, d, eta = _virtual_parts(K, Z, cfg)
+    Ki, a, d, (_, eta) = _virtual_parts(K, Z, cfg)
     A = a[:, None] - Ki * (a / d)
     np.fill_diagonal(A, 0.0)
     base, cols = H.T @ A, np.arange(n)
@@ -145,15 +144,15 @@ def _floored_sigma2(val):
 
 
 def _loo_criteria(parts):
-    """(mse, sigma2) callables of theta from ``parts(theta)``: the
+    """(mse, sigma2, parts_at) callables of theta from ``parts(theta)``: the
     residuals, a callable of no argument giving their squares standardized
-    by the predictive variances, and whether jitter escalated.
+    by the predictive variances, whether jitter escalated (and any more).
 
     The mse (summed over columns) is nan when jitter escalated; sigma2 is
     the mean standardized square, floored, and warns when jitter escalated.
     At exactly the theta of the smallest finite mse so far (the latest of
-    equals: a search's argmin) sigma2 reuses its parts instead of parts(theta).
-    """
+    equals: a search's argmin) parts_at, which sigma2 reads, returns its
+    parts; at any other theta it calls parts(theta)."""
     kept = [math.inf, None, None]  # mse, theta, parts
 
     def mse(theta):
@@ -165,8 +164,10 @@ def _loo_criteria(parts):
             kept[:] = val, theta, got
         return val
 
+    parts_at = lambda theta: kept[2] if theta == kept[1] else parts(theta)
+
     def sigma2(theta):
-        _, std2, escalated = kept[2] if theta == kept[1] else parts(theta)
+        _, std2, escalated, *_ = parts_at(theta)
         if escalated:
             warnings.warn(
                 f"variance rule at theta={theta:.6g} used escalated jitter",
@@ -175,7 +176,7 @@ def _loo_criteria(parts):
             )
         return _floored_sigma2(float(np.mean(std2())))
 
-    return mse, sigma2
+    return mse, sigma2, parts_at
 
 
 def loocv_mse_virtual(k_unit, obs, cfg=SolveConfig()):
@@ -210,19 +211,20 @@ def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
         raise ValueError("LOOCV needs at least 2 observations")
     ops = design.OperatorSystem() if ops is None else ops
     rows = design._stacked_rows(k_unit, obs.points, ops)
-    return _virtual_criteria(k_unit, rows, np.concatenate([obs.values, ops.rhs]), cfg, obs.n)
+    return _virtual_criteria(k_unit, rows, np.concatenate([obs.values, ops.rhs]), cfg, obs.n)[:2]
 
 
 def _virtual_criteria(k_unit, rows, y, cfg, n=None):
-    """(mse, sigma2) of theta: virtual LOOCV of ``y`` on the layout of ``rows``
-    (atoms or stacked rows) over its first ``n`` slots (all if None); each
-    column of ``y``, a field sharing the covariance, adds its own mse."""
+    """(mse, sigma2, parts_at) of theta: virtual LOOCV of ``y`` on the layout of
+    ``rows`` (atoms or stacked rows) over its first ``n`` slots (all if None);
+    each column of ``y``, a field sharing the covariance, adds its own mse.
+    The parts end with make_spd_solver's ``(solve, eta)`` of the layout."""
     layout = design.Layout(k_unit, rows)
 
     def parts(theta):
-        _, a, d, eta = _virtual_parts(layout(replace(k_unit, theta=float(theta))), y, cfg)
+        _, a, d, solved = _virtual_parts(layout(replace(k_unit, theta=float(theta))), y, cfg)
         a, d = a[:n], d[:n, None] if y.ndim > 1 else d[:n]
-        return a / d, lambda: a * a / d, eta > cfg.nugget
+        return a / d, lambda: a * a / d, solved[1] > cfg.nugget, solved
 
     return _loo_criteria(parts)
 
@@ -268,7 +270,7 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
         _, K, H, project = system(theta)
         return _lagrangian_folds(K, H, project, obs, ops, j, cfg)
 
-    return _loo_criteria(parts)
+    return _loo_criteria(parts)[:2]
 
 
 def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
@@ -291,7 +293,7 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
             _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0], _SIGMA2_FLOOR)
         return resid, std2, w.nugget_used > cfg.nugget
 
-    return _loo_criteria(parts)
+    return _loo_criteria(parts)[:2]
 
 
 def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):

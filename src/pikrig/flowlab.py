@@ -324,8 +324,8 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     both components minimizes the summed virtual LOOCV MSE (the two-column
     criterion of :mod:`pikrig.calibration`, nan where jitter escalated)
     over the default bounds, capped at the data diameter; both components
-    share one factorization of the step-2 gram.  ``system`` is
-    ``build_flow_system(p)`` when the caller has already built it.
+    share the search's own factorization of the step-2 gram at that theta.
+    ``system`` is ``build_flow_system(p)`` when the caller has built it.
     """
     obs, _, _ = system if system is not None else build_flow_system(p)
     if len(p.continuity):
@@ -348,14 +348,12 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     pts0 = design.Atoms(locs2, (0, 0))
     k0 = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=2)
     # the virtual LOOCV mse of vx plus that of vy, from one factorization
-    crit, _ = _cal._virtual_criteria(k0, pts0, vals, cfg)
+    crit, _, parts_at = _cal._virtual_criteria(k0, pts0, vals, cfg)
     res = _cal.optimize_theta(crit, _cal.default_theta_bounds(pts0), budget=_STEP2_BUDGET)
-    k2 = replace(k0, theta=res.theta_hat)
-    K2 = design.gram(k2, pts0)
-    H2 = design.gram(k2, pts0, design.Atoms(p.pred_grid, (0, 0)))
-    fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
-    fy = fx.alpha.T @ vals[:, 1]
-    mean = np.ravel(np.column_stack([fx.predictions, fy]))
+    solve = parts_at(res.theta_hat)[3][0]  # the search's factor of K2 at theta2
+    H2 = design.gram(replace(k0, theta=res.theta_hat), pts0, design.Atoms(p.pred_grid, (0, 0)))
+    alpha = solve(H2)
+    mean = np.ravel(np.column_stack([alpha.T @ vals[:, 0], alpha.T @ vals[:, 1]]))
     return _pack_field(p, mean, bv, nugget_used, theta2_hat=res.theta_hat)
 
 

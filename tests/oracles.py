@@ -20,7 +20,9 @@ covariances and the Lagrangian normal equations, the refined
 factorization ``make_spd_solver`` (dense solves would not reach its
 accuracy on the ill-conditioned grams).  The Lagrangian leave-one-out
 loop refits each fold with the package's full Lagrangian solve, the path
-its downdate replaces.
+its downdate replaces, and flow's two-step fit lays out and factors its
+gram afresh (:func:`flow_step2_refit`), the path the search's kept
+factorization replaces.
 """
 
 import math
@@ -406,6 +408,16 @@ def write_csv_cells(path, header, rows):
                 cells.append(format(float(v), ".17g"))
         lines.append(",".join(cells))
     _flow.atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def flow_step2_refit(k2, pts, vals, grid, cfg):
+    """Step 2 of ``flowlab.predict_flow_lk_twostep`` at its searched kernel
+    ``k2``, by a fresh gram and a fresh factorization: the simple-Kriging
+    (vx, vy) on ``grid`` of the two columns of ``vals`` at ``pts``."""
+    K2 = design.gram(k2, pts)
+    H2 = design.gram(k2, pts, design.Atoms(grid, (0, 0)))
+    fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
+    return fx.predictions, fx.alpha.T @ vals[:, 1]
 
 
 def cylinder_flow_point(geom, freestream, at):

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import json
 import math
 import os
@@ -442,6 +444,33 @@ def test_one_factorization_per_solve(tmp_path, monkeypatch):
         calls.clear()
         assert run(args + fixed + ["--out", str(tmp_path / str(i))]) == cli.EXIT_OK
         assert len(calls) == 1, args
+
+
+def test_each_distinct_matrix_is_factored_once_per_run(tmp_path, monkeypatch):
+    # a run factors each matrix once: a variance rule or a fit
+    # at the argmin reuses the search's factorization there.  Only
+    # scalar2d lk factors its observation gram twice, on purpose: the
+    # simple-Kriging check behind order0_minus_sk_max must not reuse the
+    # factor it checks
+    factored = collections.Counter()
+    for mod in (calibration, predictors):
+        def recording(K, cfg, _solver=mod.make_spd_solver):
+            K = np.ascontiguousarray(K, dtype=float)
+            factored[K.shape, cfg.nugget, hashlib.sha256(K.tobytes()).digest()] += 1
+            return _solver(K, cfg)
+
+        monkeypatch.setattr(mod, "make_spd_solver", recording)
+    runs = [["ode1d", "--method", m] for m in cli._methods()]
+    runs += [["scalar2d", "--method", m] for m in ("sk", "ck", "lk")]
+    runs += [["flow", "--method", "lk"],
+             ["flow", "--method", "ck", "--theta", "0.9178758779662336",
+              "--sigma2", "10.565115832855062"]]
+    n = cli._scalar2d_system(cli.RunConfig())[0].n
+    for i, args in enumerate(runs):
+        factored.clear()
+        assert run(args + ["--out", str(tmp_path / str(i))]) == cli.EXIT_OK
+        again = sorted((shape, c) for (shape, _, _), c in factored.items() if c > 1)
+        assert again == ([((n, n), 2)] if args[:3] == ["scalar2d", "--method", "lk"] else []), args
 
 
 FLOW_LK_GRID60 = os.path.join(

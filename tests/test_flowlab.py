@@ -274,6 +274,31 @@ def test_twostep_scattered_lengthscale_band():
     assert np.max(np.abs(f.boundary_normal_residual)) <= 1e-8
 
 
+def _step2_data(p, k):
+    """The atoms and (vx, vy) columns of step 2: the observations, then the
+    boundary velocities that step 1 predicts with ``k``."""
+    obs, _, _ = F.build_flow_system(p)
+    bnd, gradient = p.boundary_locations, ((1, 0), (0, 1))
+    ops1 = design.encode_rows([(bnd, gradient, p.boundary_normals)], np.zeros(len(bnd)))
+    w1 = P.lagrangian_kriging(k, obs, ops1, cfg=CFG)
+    bnd_atoms = design.Atoms(np.repeat(bnd, 2, axis=0), np.tile(gradient, (len(bnd), 1)))
+    bv = w1.predictions[design.locate_atoms(ops1.colloc_points, bnd_atoms)].reshape(-1, 2)
+    locs = np.vstack([p.obs_locations, bnd])
+    return design.Atoms(locs, (0, 0)), np.vstack([p.obs_velocities, bv])
+
+
+def test_twostep_fit_is_the_refit_route_bit_for_bit():
+    # step 2 fits through the search's own factorization of K2 at theta2;
+    # a fresh gram and factorization there give the same bits
+    p = F.cylinder_problem(geom=GEOM)
+    k = SqExpKernel(1.0, 1.0, 2)
+    f = F.predict_flow_lk_twostep(k, p, CFG)
+    pts, vals = _step2_data(p, k)
+    vx, vy = oracles.flow_step2_refit(SqExpKernel(1.0, f.theta2_hat, 2), pts, vals,
+                                      p.pred_grid, CFG)
+    assert np.array_equal(f.vx, vx) and np.array_equal(f.vy, vy)
+
+
 def test_twostep_criterion_is_the_summed_virtual_loocv(monkeypatch):
     # the step-2 criterion is vx's virtual LOOCV mse plus vy's on the
     # observations and the step-1 boundary velocities, nan where jitter escalates
@@ -289,15 +314,8 @@ def test_twostep_criterion_is_the_summed_virtual_loocv(monkeypatch):
     F.predict_flow_lk_twostep(k, p, CFG)
     [(crit, res)] = searches
 
-    obs, _, _ = F.build_flow_system(p)
-    bnd, gradient = p.boundary_locations, ((1, 0), (0, 1))
-    ops1 = design.encode_rows([(bnd, gradient, p.boundary_normals)], np.zeros(len(bnd)))
-    w1 = P.lagrangian_kriging(k, obs, ops1, cfg=CFG)
-    bnd_atoms = design.Atoms(np.repeat(bnd, 2, axis=0), np.tile(gradient, (len(bnd), 1)))
-    bv = w1.predictions[design.locate_atoms(ops1.colloc_points, bnd_atoms)].reshape(-1, 2)
-    locs = np.vstack([p.obs_locations, bnd])
-    vals = np.vstack([p.obs_velocities, bv])
-    pts = design.Atoms(locs, (0, 0))
+    pts, vals = _step2_data(p, k)
+    locs = pts.X
     median = float(np.median(pdist(locs)))
     for theta in (0.2 * median, 0.5 * median, 0.9 * median):
         k0 = SqExpKernel(1.0, theta, 2)
