@@ -242,7 +242,9 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
     """(kernel, search): theta and sigma2 from the config or estimated.
 
     The runners' one lengthscale search: an "auto" theta is searched over
-    :func:`pikrig.calibration.default_theta_bounds` and ``search`` is
+    :func:`pikrig.calibration.default_theta_bounds` of the locations of the
+    matrix the criterion factors (for the ck criterion, the distinct
+    observation and collocation locations of K+) and ``search`` is
     (bounds, CalibrationResult), else None; an "auto" sigma2 is the rule of
     ``criterion`` (a method row's) at theta, read off the search's own
     evaluation at a searched theta.  The flow experiment passes a
@@ -253,7 +255,11 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
     if "auto" in (cfg.theta, cfg.sigma2):
         crit, s2rule = criterion(k, obs, ops, scfg)
     if cfg.theta == "auto":
-        bounds = _cal.default_theta_bounds(obs.points)
+        points = obs.points
+        if criterion is _cal.loocv_ck_virtual:  # K+ spans the collocation locations too
+            X = np.unique(np.concatenate([points.X, ops.colloc_points.X]), axis=0)
+            points = design.Atoms(X, np.zeros(X.shape[1], dtype=int))
+        bounds = _cal.default_theta_bounds(points)
         budget = cfg.budget if cfg.budget is not None else default_budget
         search = bounds, _cal.optimize_theta(crit, bounds, budget=budget)
         theta = search[1].theta_hat

@@ -399,12 +399,18 @@ def _scatter_index(rows, cols):
 class Layout:
     """The theta-invariant part of ``gram(k, A, B)``.  Called at a kernel
     of k's dimension it evaluates only the closed forms and returns that
-    kernel's gram bit for bit, with the same count, in row panels of at
-    most ``_PANEL`` differences per pair of row blocks; symmetric, only at
-    or right of each panel's first row, then mirrored panel by panel;
-    :class:`_Rows` with ``sums`` are then summed into equations.  A
-    ``lazy`` layout (:func:`gram`'s) keeps no panel forms: each call
-    rebuilds each panel's form as it evaluates it."""
+    kernel's gram bit for bit, with the same count.  The forms come in row
+    panels of at most ``_PANEL`` differences per pair of row blocks;
+    symmetric, only at or right of each panel's first row; a block whose
+    rows share their coefficients weighs each term by one number.  A kept
+    layout holds the entries of every panel (symmetric, those at or right
+    of the diagonal) as one form, an absent power of 1/theta^2 padded with
+    -0.0, which leaves every sum it enters as it was; a call evaluates that
+    form in one pass and scatters it to each entry and, symmetric, to its
+    mirror.  A ``lazy`` layout (:func:`gram`'s) keeps no forms: each call
+    rebuilds and evaluates one panel's form at a time and mirrors the
+    lower triangle panel by panel.  :class:`_Rows` with ``sums`` are then
+    summed into equations."""
 
     def __init__(self, k, A, B=None, lazy=False):
         self.sym, self.dim = B is None or B is A, k.dim
@@ -413,32 +419,70 @@ class Layout:
         self.shape, self.sums = (A.size, B.size), (A.sums, B.sums)
         self.count = A.atoms * (A.atoms + 1) // 2 if self.sym else A.atoms * B.atoms
 
-        def part(C, rows):  # an atom block's 1 x 1 coefficient serves every row
-            return C[rows] if len(C) > 1 else C
+        def shared(C):  # rows with the same coefficients, bit for bit, keep one row of them
+            same = len(C) > 1 and (C == C[0]).all() and (np.signbit(C) == np.signbit(C[0])).all()
+            return C[:1] if same else C
 
-        def panels():  # (scatter index, form) per row panel of each pair of row blocks
-            for ia, XA, ma, CA in A.blocks:
-                for ib, XB, mb, CB in B.blocks:
+        def part(C, rows, column):  # per term: a number if one row serves every row, else per row
+            if len(C) == 1:
+                return C[0].tolist()
+            return C[rows].T[..., None] if column else C[rows].T
+
+        blocks = [[(i, X, m, shared(C)) for i, X, m, C in R.blocks] for R in (A, B)]
+
+        def panels():  # (rows, columns, form) per row panel of each pair of row blocks
+            for ia, XA, ma, CA in blocks[0]:
+                for ib, XB, mb, CB in blocks[1]:
                     step = max(1, _PANEL // (len(ib) * self.dim))
                     for a in range(0, len(ia), step):
                         z, b = slice(a, a + step), np.searchsorted(ib, ia[a]) if self.sym else 0
                         if b < len(ib):
-                            yield _scatter_index(ia[z], ib[b:]), _kernel.block_form(
-                                XA[z, None] - XB[None, b:], zip(part(CA, z).T[..., None], ma),
-                                zip(part(CB, slice(b, None)).T, mb))
+                            yield ia[z], ib[b:], _kernel.block_form(
+                                XA[z, None] - XB[None, b:], zip(part(CA, z, True), ma),
+                                zip(part(CB, slice(b, None), False), mb))
 
-        self._panels = panels if lazy else (lambda forms=list(panels()): forms)
+        self._panels, self._flat = (panels, None) if lazy else (None, self._flatten(panels()))
+
+    def _flatten(self, panels):
+        """(form, target, mirror): the entries of ``panels`` as one form, the
+        flat index in G of each entry and, symmetric, of its mirror."""
+        parts = []
+        for rows, cols, (P, d2) in panels:
+            ij = np.nonzero(cols >= rows[:, None] if self.sym else np.ones(d2.shape, dtype=bool))
+            parts.append((P, d2, ij, rows[ij[0]], cols[ij[1]]))
+        if not parts:
+            return ([np.empty(0)], np.empty(0)), *[np.empty(0, dtype=int)] * 2
+
+        def power(j):  # of every entry, -0.0 where its panel has none; None where none has
+            at = [P[j] if j < len(P) else None for P, *_ in parts]
+            if all(p is None for p in at):
+                return None
+            return np.concatenate([np.broadcast_to(-0.0 if p is None else p, d2.shape)[ij]
+                                   for p, (_, d2, ij, *_) in zip(at, parts)])
+
+        P = [power(j) for j in range(max(len(P) for P, *_ in parts))]
+        d2 = np.concatenate([d2[ij] for _, d2, ij, *_ in parts])
+        i, j = (np.concatenate(index) for index in zip(*(part[3:] for part in parts)))
+        n = self.shape[1]
+        return (P, d2), i * n + j, j * n + i if self.sym else None
 
     def __call__(self, k):
         if k.dim != self.dim:
             raise _kernel.DimensionMismatchError(f"layout of dim {self.dim}, kernel dim {k.dim}")
         G = np.empty(self.shape)
-        for index, form in self._panels():
-            G[index] = _kernel.block_value(k, form)
-        n, step = self.shape[0], max(1, _PANEL // max(1, self.shape[0]))
-        for a in range(0, n if self.sym else 0, step):  # below the diagonal, G[i, j] = G[j, i]
-            z = min(n, a + step)
-            G[a:z, :z] = np.where(np.tri(z - a, z, a - 1, dtype=bool), G[:z, a:z].T, G[a:z, :z])
+        if self._flat is None:
+            for rows, cols, form in self._panels():
+                G[_scatter_index(rows, cols)] = _kernel.block_value(k, form)
+            n, step = self.shape[0], max(1, _PANEL // max(1, self.shape[0]))
+            for a in range(0, n if self.sym else 0, step):  # below the diagonal, G[i, j] = G[j, i]
+                z = min(n, a + step)
+                G[a:z, :z] = np.where(np.tri(z - a, z, a - 1, dtype=bool), G[:z, a:z].T, G[a:z, :z])
+        else:
+            form, target, mirror = self._flat
+            v = _kernel.block_value(k, form)
+            np.put(G, target, v)
+            if self.sym:
+                np.put(G, mirror, v)
         _count_evals(self.count)
         for axis, sums in enumerate(self.sums):  # the rows of one equation add up
             G = G if sums is None else np.add.reduceat(G, sums, axis=axis)

@@ -437,17 +437,19 @@ def ingest_velocity_csv(path):
                        boundary_normals=boundary[:, 2:], pred_grid=grid)
 
 
-# Text of one CSV column by its array kind: strings as they are, integers
-# by str, every other number at 17 significant digits (parses back exactly).
-_CELL_TEXT = {"U": str, "i": str, "u": str}
-_g17 = "{:.17g}".format
+# Format of one CSV cell by its column's array kind: strings as they are,
+# integers by str, every other number at 17 significant digits (parses back
+# exactly).
+_CELL_FORMAT = {"U": "%s", "i": "%s", "u": "%s"}
 
 
 def csv_text(header, columns):
-    """CSV text of ``columns`` (one sequence per column) under ``header``."""
+    """CSV text of ``columns`` (one sequence per column) under ``header``,
+    each row by one ``%`` of a row format."""
     columns = [np.asarray(c) for c in columns]
-    cells = [map(_CELL_TEXT.get(c.dtype.kind, _g17), c.tolist()) for c in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    row = ",".join(_CELL_FORMAT.get(c.dtype.kind, "%.17g") for c in columns)
+    lines = [row % cells for cells in zip(*(c.tolist() for c in columns))]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def atomic_write_text(path, text):

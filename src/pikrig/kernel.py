@@ -7,22 +7,30 @@ partial derivatives of the kernel,
 
 so everything downstream only needs k and its derivatives up to total
 order 4 (the worst case is a Laplacian-to-Laplacian covariance in 2D).
-For the squared-exponential kernel these derivatives are closed-form
-polynomials in h = (x - x') / theta^2 times k itself.
+For the squared-exponential kernel each derivative is a closed-form
+polynomial times k itself, written here as one polynomial in
+t = 1/theta^2 whose coefficients P_j(r), polynomials in r = x - x', do
+not depend on theta:
+
+    sigma2 exp(-|r|^2 t / 2) ((((P_4 t + P_3) t + P_2) t + P_1) t + P_0),
+
+so an entry costs one exp and one Horner step per power of t.
 
 Conventions: a multi-index is a tuple of d non-negative ints; ``m``
 differentiates with respect to the first argument, ``m2`` with respect
 to the second.  Each derivative on the second argument flips one sign,
-which collapses to an overall factor (-1)^|m| on the all-first-argument
-polynomial form.
+which collapses to an overall factor (-1)^|m| on the polynomial of the
+derivative taken all on the second argument.
 
-:func:`deriv_block` evaluates one (m, m2) pair over a whole array of
-differences x - x' (:func:`block_value` of the theta-invariant
-:func:`block_form`); :func:`deriv` is its one-pair case.
+:func:`block_form` builds the P_j of a block of weighted (m, m2) term
+pairs once, and :func:`block_value` evaluates them at a kernel;
+:func:`deriv_block` is one (m, m2) pair over a whole array of
+differences x - x', and :func:`deriv` its one-pair case.
 """
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,73 +117,69 @@ def evaluate(k, x, x2):
     return deriv(k, x, x2, zero, zero)
 
 
-def _bracket(idx, h, it2):
-    """Polynomial factor for the order-|idx| derivative, all on one argument.
-
-    ``idx`` lists one coordinate per unit of derivative (length 1..4), ``h``
-    is (x - x2)/theta^2 as one entry (a float or an array) per coordinate,
-    and ``it2`` is 1/theta^2.  The order-4 pair set (6
-    elements) and the pair partitions (3 elements) are written out in full.
-    """
-    t = len(idx)
-    if t == 1:
-        return h[idx[0]]
-    if t == 2:
-        i, j = idx
-        return h[i] * h[j] - it2 * (i == j)
-    if t == 3:
-        i, j, l = idx
-        return h[i] * h[j] * h[l] - it2 * (
-            h[i] * (j == l) + h[j] * (i == l) + h[l] * (i == j)
-        )
-    i, j, l, o = idx
-    pairs = (
-        h[i] * h[j] * (l == o)
-        + h[i] * h[l] * (j == o)
-        + h[i] * h[o] * (j == l)
-        + h[j] * h[l] * (i == o)
-        + h[j] * h[o] * (i == l)
-        + h[l] * h[o] * (i == j)
-    )
-    partitions = (i == j) * (l == o) + (i == l) * (j == o) + (i == o) * (j == l)
-    return (
-        h[i] * h[j] * h[l] * h[o] - it2 * pairs + it2 * it2 * partitions
-    )
-
-
 @functools.cache
-def _bracket_index(m, m2):
-    """The :func:`_bracket` index and sign of the (m, m2) derivative; checks its order."""
+def _closed_form(m, m2):
+    """The terms (power j of 1/theta^2, exponents e of r, integer coefficient)
+    of the (m, m2) derivative's polynomial; checks its order.
+
+    All on the second argument, the derivative is a product over coordinates
+    of scaled probabilists' Hermite polynomials: n = m_c + m2_c derivatives
+    along coordinate c give sum_q (-1)^q n! / (q! (n-2q)! 2^q) r_c^(n-2q)
+    theta^-2(n-q), r = x - x2; moving |m| of them to the first argument
+    multiplies the product by (-1)^|m|.
+    """
     t = total_order(m) + total_order(m2)
     if t > MAX_TOTAL_ORDER:
         raise UnsupportedOrderError(f"total derivative order {t} exceeds analytic coverage "
                                     f"({MAX_TOTAL_ORDER}); m={m}, m2={m2}")
-    idx = tuple(i for i in range(len(m)) for _ in range(m[i] + m2[i]))
-    return idx, -1.0 if total_order(m) % 2 else 1.0
+    factors = [[(n - q, n - 2 * q, (-1) ** q * math.factorial(n)
+                 // (math.factorial(q) * math.factorial(n - 2 * q) * 2 ** q))
+                for q in range(n // 2 + 1)] for n in map(sum, zip(m, m2))]
+    sign = -1 if total_order(m) % 2 else 1
+    return tuple((sum(f[0] for f in combo), tuple(f[1] for f in combo),
+                  sign * math.prod(f[2] for f in combo)) for combo in itertools.product(*factors))
 
 
 def block_form(r, terms, terms2):
     """The theta-invariant part of a covariance block between sums of (coefficient,
     multi-index) terms on the first and second argument, coefficients broadcasting
-    against ``r[..., 0]``: ([(bracket index, weight)], ``r`` if an order is not 0, ||r||^2);
-    a weight of one number is a float."""
+    against ``r[..., 0]``: (P, ||r||^2), the block being
+    sigma2 exp(-||r||^2 / 2 theta^2) sum_j P[j] theta^-2j.  P[j] is a polynomial in
+    ``r``, a number where the coefficients are numbers and r is absent from it, and
+    None where no term has power j.
+
+    The coefficients are folded per (power, monomial) before any monomial of ``r``
+    is formed."""
     weights = {}
     for (c, m), (c2, m2) in itertools.product(terms, terms2):
-        idx, sign = _bracket_index(m, m2)
-        w = sign * c * c2
-        weights[idx] = weights[idx] + w if idx in weights else w
-    d2 = np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
-    weights = [(idx, np.asarray(w).item() if np.size(w) == 1 else w) for idx, w in weights.items()]
-    return weights, r if any(idx for idx, _ in weights) else None, d2
+        for j, e, n in _closed_form(m, m2):
+            w = n * c * c2  # first-argument coefficients first: they broadcast least
+            weights[j, e] = weights[j, e] + w if (j, e) in weights else w
+    powers = [[None, r[..., c]] for c in range(r.shape[-1])]  # r_c ** p at [c][p]
+    for c, top in enumerate(map(max, zip(*(e for _, e in weights)))):
+        while len(powers[c]) <= top:
+            powers[c].append(powers[c][-1] * r[..., c])
+    P = [None] * (1 + max(j for j, _ in weights))
+    for (j, e), w in weights.items():
+        mono = [powers[c][p] for c, p in enumerate(e) if p]
+        if mono:
+            mono = functools.reduce(np.multiply, mono)
+            unit = isinstance(w, float) and abs(w) == 1.0  # a sign, applied exactly
+            w = (mono if w > 0 else -mono) if unit else w * mono
+        P[j] = w if P[j] is None else P[j] + w
+    return P, np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
 
 
 def block_value(k, form):
-    """The closed form of a :func:`block_form` at kernel ``k``."""
-    weights, r, d2 = form
-    base = k.sigma2 * np.exp(-d2 / (2.0 * k.theta ** 2))
-    h = r is not None and [r[..., c] / k.theta ** 2 for c in range(k.dim)]
-    terms = [w * _bracket(idx, h, 1.0 / k.theta ** 2) if idx else w for idx, w in weights]
-    return sum(terms[1:], terms[0]) * base
+    """The closed form of a :func:`block_form` at kernel ``k``: one exp, its
+    exponent -||r||^2 / 2 theta^2 rounded as one division, and a Horner step
+    in 1/theta^2 per power, an absent power only multiplying."""
+    P, d2 = form
+    it2 = 1.0 / k.theta ** 2
+    v = P[-1]
+    for p in P[-2::-1]:
+        v = v * it2 if p is None else v * it2 + p
+    return v * (k.sigma2 * np.exp(d2 / (-2.0 * k.theta ** 2)))
 
 
 def deriv_block(k, r, m, m2):

@@ -11,9 +11,10 @@ geometry and CSV text one point and one cell at a time, the
 lengthscale search with its golden-section step written out per case
 (bracket start, one-sided shrink, tie shrink), and the refined
 factorization through scipy's ``cho_factor``/``cho_solve`` with a fresh
-K + eta I per nugget (:func:`make_spd_solver_reference`).  No code is shared with
-the package's closed forms beyond the kernel's derivative polynomial
-(``kernel._bracket``), the covariance assembly outside
+K + eta I per nugget (:func:`make_spd_solver_reference`), and each kernel
+derivative from its polynomial in h = (x - x2) / theta^2 (:func:`_bracket`),
+where the package evaluates one polynomial in 1/theta^2.  No code is shared
+with the package's closed forms beyond the covariance assembly outside
 :func:`gram_loop`, the search's result type and logger, the file replace
 of the CSV writer (``flowlab.atomic_write_text``) and, for the MMSE
 covariances and the Lagrangian normal equations, the refined
@@ -29,21 +30,56 @@ import math
 from collections import namedtuple
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from scipy.linalg import cho_factor, cho_solve, qr
 
 from pikrig import design
 from pikrig import flowlab as _flow
-from pikrig import kernel as _kernel
 from pikrig import predictors as _pred
 from pikrig import uq as _uq
 from pikrig.calibration import CalibrationResult, logger
 from pikrig.predictors import ConditioningError
 
 
+def _bracket(idx, h, it2):
+    """Polynomial factor for the order-|idx| derivative, all on one argument.
+
+    ``idx`` lists one coordinate per unit of derivative (length 1..4), ``h``
+    is (x - x2)/theta^2 as one entry (a float or an array) per coordinate,
+    and ``it2`` is 1/theta^2.  The order-4 pair set (6
+    elements) and the pair partitions (3 elements) are written out in full.
+    """
+    t = len(idx)
+    if t == 1:
+        return h[idx[0]]
+    if t == 2:
+        i, j = idx
+        return h[i] * h[j] - it2 * (i == j)
+    if t == 3:
+        i, j, l = idx
+        return h[i] * h[j] * h[l] - it2 * (
+            h[i] * (j == l) + h[j] * (i == l) + h[l] * (i == j)
+        )
+    i, j, l, o = idx
+    pairs = (
+        h[i] * h[j] * (l == o)
+        + h[i] * h[l] * (j == o)
+        + h[i] * h[o] * (j == l)
+        + h[j] * h[l] * (i == o)
+        + h[j] * h[o] * (i == l)
+        + h[l] * h[o] * (i == j)
+    )
+    partitions = (i == j) * (l == o) + (i == l) * (j == o) + (i == o) * (j == l)
+    return (
+        h[i] * h[j] * h[l] * h[o] - it2 * pairs + it2 * it2 * partitions
+    )
+
+
 def deriv_scalar(k, x, x2, m, m2):
-    """One mixed kernel derivative in scalar arithmetic, |r|^2 by np.dot."""
+    """One mixed kernel derivative in scalar arithmetic, |r|^2 by np.dot, its
+    polynomial by :func:`_bracket` in h = (x - x2) / theta^2."""
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     t = sum(m) + sum(m2)
@@ -57,7 +93,22 @@ def deriv_scalar(k, x, x2, m, m2):
     for c in range(k.dim):
         idx.extend([c] * (m[c] + m2[c]))
     sign = -1.0 if sum(m) % 2 else 1.0
-    return sign * _kernel._bracket(idx, h, 1.0 / k.theta ** 2) * base
+    return sign * _bracket(idx, h, 1.0 / k.theta ** 2) * base
+
+
+def deriv_mp(k, r, m, m2):
+    """The (m, m2) derivative at the difference ``r`` = x - x2 to 50 digits:
+    (-1)^|m2| times the derivative in r of sigma2 exp(-|r|^2 / 2 theta^2),
+    whose factor along coordinate c is (-1/theta)^n He_n(r_c / theta) for
+    n = m_c + m2_c, He_n(u) = 2^(-n/2) H_n(u / sqrt 2) by mpmath's Hermite
+    polynomial H_n; an mpf."""
+    with mpmath.workdps(50):
+        theta = mpmath.mpf(k.theta)
+        value = k.sigma2 * mpmath.exp(-mpmath.fsum(mpmath.mpf(c) ** 2 for c in r) / (2 * theta ** 2))
+        for c, n in zip(r, map(sum, zip(m, m2))):
+            value *= ((-1 / theta) ** n * mpmath.mpf(2) ** (-mpmath.mpf(n) / 2)
+                      * mpmath.hermite(n, mpmath.mpf(c) / theta / mpmath.sqrt(2)))
+        return (-1) ** sum(m2) * value
 
 
 def find_duplicates_loop(points, tol=1e-12):
@@ -71,19 +122,20 @@ def find_duplicates_loop(points, tol=1e-12):
     return dups
 
 
-def gram_loop(k, A, B=None):
-    """Covariance matrix filled entry by entry, upper triangle mirrored if symmetric."""
+def gram_loop(k, A, B=None, entry=deriv_scalar):
+    """Covariance matrix filled entry by entry, one ``entry(k, x, x2, m, m2)``
+    call each, upper triangle mirrored if symmetric."""
     if B is None or B is A:
         n = len(A)
         G = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                G[i, j] = G[j, i] = deriv_scalar(k, A[i].x, A[j].x, A[i].m, A[j].m)
+                G[i, j] = G[j, i] = entry(k, A[i].x, A[j].x, A[i].m, A[j].m)
         return G
     G = np.empty((len(A), len(B)))
     for i, a in enumerate(A):
         for j, b in enumerate(B):
-            G[i, j] = deriv_scalar(k, a.x, b.x, a.m, b.m)
+            G[i, j] = entry(k, a.x, b.x, a.m, b.m)
     return G
 
 

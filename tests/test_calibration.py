@@ -445,15 +445,21 @@ def test_optimizer_logs_one_summary_per_search(caplog):
     assert "failed to factor" in message and "no factor" in message
 
 
-def test_cli_search_logs_one_summary(caplog, tmp_path):
+def test_cli_search_logs_one_summary(caplog, tmp_path, monkeypatch):
     # the ode1d ck search escalates at a few thetas: one warning in all,
-    # no line per theta
+    # no line per theta, with the count of the search's own trace
+    searches, optimize = [], C.optimize_theta
+    monkeypatch.setattr(C, "optimize_theta", lambda *a, **kw: searches.append(optimize(*a, **kw))
+                        or searches[-1])
     with caplog.at_level(logging.INFO):
         assert cli.main(["ode1d", "--method", "ck", "--seed", "4",
                          "--out", str(tmp_path)]) == 0
     (record,) = [r for r in caplog.records if r.name == C.__name__]
     assert record.levelno == logging.WARNING
-    assert "non-finite at 3 of 64 thetas" in record.getMessage()
+    (res,) = searches
+    nonfinite = sum(not math.isfinite(v) for _, v in res.trace)
+    assert 0 < nonfinite < len(res.trace) == 64
+    assert f"non-finite at {nonfinite} of 64 thetas" in record.getMessage()
 
 
 def test_optimizer_all_nan_raises():

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -312,6 +313,18 @@ def _assert_identical(G, ref):
     assert np.array_equal(np.signbit(G), np.signbit(ref))
 
 
+def _assert_loops(k, G, A, B=None):
+    """``G`` is the gram of (A, B) filled by per-entry ``kernel.deriv`` bit for
+    bit, signs of zeros included, and each entry is the bracket oracle's within
+    1e-14 of sqrt(Var A[i] Var B[j]), the Cauchy-Schwarz bound of the entry (a
+    scale that, unlike the entry, no cancellation makes small), where the
+    variance of an order-m atom is sigma2 prod_c (2 m_c - 1)!! / theta^2|m|."""
+    _assert_identical(G, gram_loop(k, A, B, deriv))
+    sd = [np.sqrt([k.sigma2 * math.prod(math.prod(range(1, 2 * c, 2)) for c in a.m)
+                   / k.theta ** (2 * sum(a.m)) for a in S]) for S in (A, A if B is None else B)]
+    assert (np.abs(G - gram_loop(k, A, B)) <= 1e-14 * np.outer(*sd)).all()
+
+
 @pytest.mark.parametrize("theta", [0.3, 0.92, 2.8, 7.0])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_gram_blocks_match_entrywise_loop(dim, theta):
@@ -329,28 +342,29 @@ def test_gram_blocks_match_entrywise_loop(dim, theta):
                 continue
             B = atoms(m2, 3)
             G = gram(k, A, B)
-            _assert_identical(G, gram_loop(k, A, B))
-            x, x2 = A[0].x, B[0].x
-            assert deriv(k, x, x2, m, m2) == G[0, 0] == deriv_scalar(k, x, x2, m, m2)
+            _assert_loops(k, G, A, B)
+            ref = gram_loop(k, A, B)
+            assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert deriv(k, A[0].x, B[0].x, m, m2) == G[0, 0]
     # Mixed orders in shuffled order, with coincident and axis-aligned pairs.
     low = _multi_indices(dim, 2)
     locs = rng.uniform(-1.5, 1.5, (4, dim))
     locs[1, 0] = locs[0, 0]
     A = [ExtendedPoint(tuple(x), m) for x in locs for m in low]
     A = [A[i] for i in rng.permutation(len(A))]
-    ref = gram_loop(k, A)
-    _assert_identical(gram(k, A), ref)
-    _assert_identical(gram(k, A, A), ref)
+    G = gram(k, A)
+    _assert_loops(k, G, A)
+    _assert_identical(gram(k, A, A), G)
     B = A[:3] + [ExtendedPoint(tuple(x), m) for x in locs[:2] + 0.25 for m in low]
-    _assert_identical(gram(k, A, B), gram_loop(k, A, B))
-    _assert_identical(gram(k, B, A), gram_loop(k, B, A))
+    _assert_loops(k, gram(k, A, B), A, B)
+    _assert_loops(k, gram(k, B, A), B, A)
     assert gram(k, []).shape == (0, 0)
     assert gram(k, [], B).shape == (0, len(B))
     assert gram(k, A, []).shape == (len(A), 0)
     reset_cov_eval_count()
     v = cov_pairs(k, A, A[::-1])
     assert cov_eval_count() == len(A)
-    _assert_identical(v, np.diagonal(gram_loop(k, A, A[::-1])))
+    _assert_identical(v, np.diagonal(gram_loop(k, A, A[::-1], deriv)))
 
 
 def test_gram_validation():
@@ -443,7 +457,7 @@ def test_gram_and_cov_pairs_permute_with_the_atoms(drawn, other, theta):
     _assert_identical(cov_pairs(k, atoms[perm], B[perm]), cov_pairs(k, atoms, B)[perm])
     if len(other[0][0].x) == k.dim:
         C = other[0]
-        _assert_identical(gram(k, atoms, C), gram_loop(k, A, C))
+        _assert_loops(k, gram(k, atoms, C), A, C)
 
 
 @settings(max_examples=60, deadline=None)
@@ -451,10 +465,10 @@ def test_gram_and_cov_pairs_permute_with_the_atoms(drawn, other, theta):
 def test_gram_of_atoms_and_of_lists_equal_the_loop(drawn, theta):
     A, perm = drawn
     k = SqExpKernel(sigma2=0.7, theta=theta, dim=len(A[0].x))
-    ref = gram_loop(k, A)
-    _assert_identical(gram(k, A), ref)
+    ref = gram(k, A)
+    _assert_loops(k, ref, A)
     _assert_identical(gram(k, Atoms.of(A)), ref)
-    _assert_identical(gram(k, Atoms.of(A), A), gram_loop(k, A, A[:]))
+    _assert_loops(k, gram(k, Atoms.of(A), A), A, A[:])
 
 
 @st.composite
@@ -495,7 +509,7 @@ def test_layout_evaluates_like_a_fresh_gram(drawn, theta1, theta2, sigma2, lazy)
         assert cov_eval_count() == count
         _assert_identical(G, gram(k, A, B))
         assert cov_eval_count() == 2 * count
-        _assert_identical(G, gram_loop(k, A, B))
+        _assert_loops(k, G, A, B)
     with pytest.raises(DimensionMismatchError):
         layout(SqExpKernel(sigma2=sigma2, theta=theta1, dim=3 - dim))
 
@@ -516,7 +530,8 @@ def test_row_panels_evaluate_like_the_entrywise_loop(monkeypatch, panel):
     mixed = [mixed[i] for i in rng.permutation(len(mixed))]
     cases = [(pairs, None), (mixed, None), (pairs, mixed), (mixed, pairs[::3])]
     thetas = (0.4, 2.5)
-    refs = [[gram_loop(SqExpKernel(1.3, theta, 2), A, B) for theta in thetas] for A, B in cases]
+    refs = [[gram_loop(SqExpKernel(1.3, theta, 2), A, B, deriv) for theta in thetas]
+            for A, B in cases]
     # a stacked system of per-row coefficients, evaluated before in one panel per block
     k = SqExpKernel(sigma2=1.3, theta=0.8, dim=2)
     ops = design.encode_rows([(X, ((1, 0), (0, 1)), rng.normal(size=(18, 2))),
@@ -536,6 +551,7 @@ def test_row_panels_evaluate_like_the_entrywise_loop(monkeypatch, panel):
             _assert_identical(layout(k), G)
             assert cov_eval_count() == count
             _assert_identical(gram(k, A, B), G)
+            _assert_loops(k, G, A, B)
     k = SqExpKernel(sigma2=1.3, theta=0.8, dim=2)
     _assert_identical(gram(k, rows), stacked[0])
     _assert_identical(gram(k, rows, mixed), stacked[1])

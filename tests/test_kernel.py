@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from pikrig.kernel import (
     SqExpKernel,
     UnsupportedOrderError,
     deriv,
+    deriv_block,
     deriv_fd,
     evaluate,
     total_order,
 )
+
+import oracles
 
 
 def random_orders(rng, dim, max_total=4):
@@ -185,3 +190,41 @@ def test_swap_symmetry_property(x, x2, theta, t1, t2):
     a = deriv(k, (x,), (x2,), m, m2)
     b = deriv(k, (x2,), (x,), m2, m)
     assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
+
+
+def _multi_indices(dim, max_order):
+    return [m for m in itertools.product(range(max_order + 1), repeat=dim) if sum(m) <= max_order]
+
+
+def _closed_form_errors(dim, thetas):
+    """{route: worst |error| / max|block|} against 50-digit values, over every
+    (m, m2) with |m| + |m2| <= 4 and each theta: the Horner route of
+    ``deriv_block`` and the bracket route of ``oracles.deriv_scalar``.  Each
+    block holds differences over a fixed box, over +-4 theta, and zero."""
+    rng = np.random.default_rng(dim)
+    pairs = [(m, m2) for m in _multi_indices(dim, 4) for m2 in _multi_indices(dim, 4 - sum(m))]
+    worst = {"horner": 0.0, "bracket": 0.0}
+    for theta in thetas:
+        k = SqExpKernel(sigma2=1.3, theta=float(theta), dim=dim)
+        r = np.vstack([rng.uniform(-3.0, 3.0, (10, dim)), theta * rng.uniform(-4.0, 4.0, (10, dim)),
+                       np.zeros((1, dim))])
+        exact = {}  # (-1)^|m2| times the value of n = m + m2
+        for m, m2 in pairs:
+            n = tuple(a + b for a, b in zip(m, m2))
+            if n not in exact:
+                exact[n] = np.array([float(oracles.deriv_mp(k, x, n, (0,) * dim)) for x in r])
+            ref = (-1) ** sum(m2) * exact[n]
+            scale = np.abs(ref).max()
+            routes = {"horner": deriv_block(k, r, m, m2),
+                      "bracket": [oracles.deriv_scalar(k, x, np.zeros(dim), m, m2) for x in r]}
+            for route, got in routes.items():
+                worst[route] = max(worst[route], np.abs(got - ref).max() / scale)
+    return worst
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_closed_form_matches_50_digit_values(dim):
+    # both the one-polynomial-in-1/theta^2 route and the bracket oracle
+    # are within 1e-14 of each block's largest 50-digit value
+    worst = _closed_form_errors(dim, np.geomspace(0.05, 8.0, 9))
+    assert worst["horner"] <= 1e-14 and worst["bracket"] <= 1e-14, worst

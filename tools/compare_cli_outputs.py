@@ -56,8 +56,8 @@ CONFIG_RUNS = {
 
 
 def run_matrix():
-    """(name, argv) of every run: ode1d (plus lk and ck at a nugget of 1e-8
-    and one ck run whose final solve escalates), scalar2d, flow (plus lk
+    """(name, argv) of every run: ode1d (plus lk and ck at a nugget of 1e-8,
+    one ck run whose final solve escalates, and ck and sk at seed 331), scalar2d, flow (plus lk
     at a nugget of 1e-8), flow-csv,
     calibrate (at the default budget and at two others, and ck at four
     more seeds), bench (p = 200, 1500 and 4000), and one run per config
@@ -68,6 +68,9 @@ def run_matrix():
     runs.append(("ode1d-ck-nugget", ["ode1d", "--method", "ck", "--nugget", "1e-8"]))
     # a long fixed lengthscale: the final solve escalates to a nugget of 1e-10
     runs.append(("ode1d-ck-theta8", ["ode1d", "--method", "ck", "--theta", "8", "--sigma2", "1"]))
+    # observations in [1.59, 2.16] under collocation rows on [0, 2 pi]: ck's
+    # bracket spans the rows' locations, sk's only the observations
+    runs += [(f"ode1d-{m}-seed331", ["ode1d", "--method", m, "--seed", "331"]) for m in ("ck", "sk")]
     runs += [(f"scalar2d-{m}-{t}", ["scalar2d", "--method", m, "--target", t])
              for m in ("sk", "ck", "lk") for t in ("f1", "f2")]
     runs += [(f"flow-{m}", ["flow", "--method", m]) for m in ("ck", "lk")]
