@@ -308,7 +308,7 @@ def sigma2_interpolation(k_unit, obs, ops_at_predictions, theta_hat, cfg=SolveCo
 
 def _pairwise_distances(points):
     """Euclidean distances of the locations, one per pair i < j."""
-    xs = design.Atoms.of(getattr(points, "points", points)).X
+    xs = design.Atoms.of(points).X
     i, j = np.triu_indices(len(xs), 1)
     return np.sqrt(((xs[i] - xs[j]) ** 2).sum(-1))
 
@@ -361,7 +361,7 @@ def optimize_theta(criterion, bounds, budget=64):
         trace.append((theta, val if math.isfinite(val) else math.nan))
         return trace[-1][1]
 
-    ngrid = max(4, budget // 2)
+    ngrid = budget // 2
     grid = np.geomspace(lo, hi, ngrid)
     vals = [ev(t) for t in grid]
     finite = [i for i, v in enumerate(vals) if math.isfinite(v)]

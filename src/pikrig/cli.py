@@ -1,16 +1,16 @@
 """Experiment harness: configure, run, and serialize the worked studies.
 
 Subcommands (one row each of ``_SUBCOMMANDS``): ode1d, scalar2d, flow,
-bench, calibrate.  Configuration is a
-JSON file (--config) mirrored by command-line flags; flags win.  The
-annotations of :class:`RunConfig` type every field, file value or flag
-text alike (see :func:`_coerce`); a wrong type exits 2 naming the field.
-Every
-run writes predictions.csv and report.json into the output directory
-(atomically, temp + rename), with floats at 17 significant digits so the
-files parse back losslessly.  Exit codes: 0 success, 2 configuration or
-input error, 3 numerical failure; report.json is written with a status
-field either way whenever the output directory is known.
+bench, calibrate.  Configuration is a JSON file (--config) mirrored by
+command-line flags; flags win.  The annotations of :class:`RunConfig`
+type every field, file value or flag text alike (see :func:`_coerce`); a
+wrong type exits 2 naming the field.  Every run writes predictions.csv
+and report.json into the output directory (atomically, temp + rename),
+with floats at 17 significant digits so the files parse back losslessly.
+Exit codes: 0 success, 2 configuration or input error, 3 numerical
+failure (a predictors.NumericalError or numpy's LinAlgError);
+report.json is written with a status field either way whenever the
+output directory is known.
 
 Every --method value is one row of the method table (:func:`_methods`):
 its calibration criterion and variance rule, and its post-calibration
@@ -61,14 +61,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (
-    _pred.ConditioningError,
-    _pred.RankDeficiencyError,
-    _pred.DegenerateMeanError,
-    _pred.DegenerateConstraintError,
-    _pred.SingularSystemError,
-    np.linalg.LinAlgError,
-)
+_NUMERICAL_ERRORS = (_pred.NumericalError, np.linalg.LinAlgError)
+
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -670,9 +664,7 @@ def main(argv=None):
         report = _SUBCOMMANDS[args.command][0](cfg)
         write_report(outdir, report)
         return EXIT_OK
-    except (*_NUMERICAL_ERRORS, ValueError) as exc:
-        # input errors (ConfigError, flowlab.CsvFormatError) are ValueErrors,
-        # and so are two numerical ones, which are therefore tested first
+    except (*_NUMERICAL_ERRORS, ValueError) as exc:  # other ValueErrors are input errors
         numerical = isinstance(exc, _NUMERICAL_ERRORS)
         if numerical:
             logger.error("numerical failure: %s", exc)

@@ -372,6 +372,12 @@ def _parse_float(text, lineno, col):
     return val
 
 
+# Each row kind of a velocity CSV, in file order: the FlowProblem arrays that
+# its x,y and its a,b fill (grid rows leave a,b unread).
+_CSV_KINDS = {"obs": ("obs_locations", "obs_velocities"), "grid": ("pred_grid", None),
+              "boundary": ("boundary_locations", "boundary_normals")}
+
+
 def ingest_velocity_csv(path):
     """Parse a velocity CSV (kind,x,y,a,b) into a FlowProblem.
 
@@ -380,9 +386,6 @@ def ingest_velocity_csv(path):
     start with '#'.  Errors carry the 1-based line number.  The problem
     has no continuity points and the default freestream.
     """
-    obs = []
-    grid = []
-    boundary = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.read().splitlines()
@@ -398,6 +401,7 @@ def ingest_velocity_csv(path):
         raise CsvFormatError(
             f"line {head_no}: header must be {','.join(_CSV_HEADER)!r}, got {head!r}"
         )
+    arrays = {name: [] for names in _CSV_KINDS.values() for name in names if name}
     for lineno, ln in content[1:]:
         parts = [c.strip() for c in ln.split(",")]
         if len(parts) != 5:
@@ -407,34 +411,25 @@ def ingest_velocity_csv(path):
         kind = parts[0]
         x = _parse_float(parts[1], lineno, "x")
         y = _parse_float(parts[2], lineno, "y")
-        if kind == "obs":
-            vx = _parse_float(parts[3], lineno, "a")
-            vy = _parse_float(parts[4], lineno, "b")
-            obs.append((x, y, vx, vy))
-        elif kind == "grid":
-            grid.append((x, y))
-        elif kind == "boundary":
-            n1 = _parse_float(parts[3], lineno, "a")
-            n2 = _parse_float(parts[4], lineno, "b")
-            norm = math.hypot(n1, n2)
+        if kind not in _CSV_KINDS:
+            raise CsvFormatError(
+                f"line {lineno}: unknown kind {kind!r} (expected {'/'.join(_CSV_KINDS)})"
+            )
+        xy_name, ab_name = _CSV_KINDS[kind]
+        arrays[xy_name].append((x, y))
+        if ab_name:
+            a = _parse_float(parts[3], lineno, "a")
+            b = _parse_float(parts[4], lineno, "b")
+            norm = math.hypot(a, b) if kind == "boundary" else 1.0  # obs rows: a,b as read
             if norm == 0.0:
                 raise CsvFormatError(f"line {lineno}: boundary normal is zero")
             if abs(norm - 1.0) > 1e-6:
-                warnings.warn(
-                    f"line {lineno}: normal norm {norm} re-normalized to 1",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            boundary.append((x, y, n1 / norm, n2 / norm))
-        else:
-            raise CsvFormatError(
-                f"line {lineno}: unknown kind {kind!r} (expected obs/grid/boundary)"
-            )
-    if not obs:
+                warnings.warn(f"line {lineno}: normal norm {norm} re-normalized to 1",
+                              RuntimeWarning, stacklevel=2)
+            arrays[ab_name].append((a / norm, b / norm))
+    if not arrays["obs_locations"]:
         raise CsvFormatError("no observations in file")
-    obs, boundary = np.array(obs), np.reshape(boundary, (-1, 4))
-    return FlowProblem(obs[:, :2], obs[:, 2:], boundary_locations=boundary[:, :2],
-                       boundary_normals=boundary[:, 2:], pred_grid=grid)
+    return FlowProblem(**arrays)
 
 
 # Format of one CSV cell by its column's array kind: strings as they are,
@@ -467,10 +462,10 @@ def atomic_write_text(path, text):
 
 
 def emit_velocity_csv(path, p):
-    """Write the observations, prediction grid and boundary normals of the
-    FlowProblem ``p`` as a velocity CSV (17 significant digits, atomic replace)."""
-    xy = np.vstack([p.obs_locations, p.pred_grid, p.boundary_locations])
-    ab = np.vstack([p.obs_velocities, np.zeros_like(p.pred_grid), p.boundary_normals])
-    counts = [len(p.obs_locations), len(p.pred_grid), len(p.boundary_locations)]
-    kind = np.repeat(["obs", "grid", "boundary"], counts)
-    atomic_write_text(path, csv_text(_CSV_HEADER, [kind, *xy.T, *ab.T]))
+    """Write the FlowProblem ``p`` as a velocity CSV, the rows of each kind in
+    the order of :data:`_CSV_KINDS` (17 significant digits, atomic replace)."""
+    blocks = [(getattr(p, xy), getattr(p, ab) if ab else np.zeros_like(getattr(p, xy)))
+              for xy, ab in _CSV_KINDS.values()]
+    kind = np.repeat(list(_CSV_KINDS), [len(xy) for xy, _ in blocks])
+    xy, ab = (np.vstack(c).T for c in zip(*blocks))
+    atomic_write_text(path, csv_text(_CSV_HEADER, [kind, *xy, *ab]))

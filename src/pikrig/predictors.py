@@ -40,6 +40,7 @@ __all__ = [
     "JITTER_LADDER",
     "SolveConfig",
     "KrigingWeights",
+    "NumericalError",
     "ConditioningError",
     "RankDeficiencyError",
     "DegenerateMeanError",
@@ -59,7 +60,12 @@ __all__ = [
 ]
 
 
-class ConditioningError(RuntimeError):
+class NumericalError(Exception):
+    """A numerical failure of a solve, which the CLI ends with exit code 3.
+    Each subclass keeps its ValueError or RuntimeError base as well."""
+
+
+class ConditioningError(NumericalError, RuntimeError):
     """Covariance factorization failed even after jitter escalation."""
 
     def __init__(self, message, nugget_last):
@@ -67,7 +73,7 @@ class ConditioningError(RuntimeError):
         self.nugget_last = nugget_last
 
 
-class RankDeficiencyError(ValueError):
+class RankDeficiencyError(NumericalError, ValueError):
     """Constraint matrix U has linearly dependent equations."""
 
     def __init__(self, message, dependent):
@@ -75,16 +81,16 @@ class RankDeficiencyError(ValueError):
         self.dependent = list(dependent)
 
 
-class DegenerateMeanError(ValueError):
+class DegenerateMeanError(NumericalError, ValueError):
     """mu^T K^-1 mu is numerically singular (ordinary variants)."""
 
 
-class DegenerateConstraintError(ValueError):
+class DegenerateConstraintError(NumericalError, ValueError):
     """A scalar hypothesis of the constrained closed form fails
     (Z^T K^-1 Z = 0, or gamma2 - gamma3^2/gamma1 = 0)."""
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(NumericalError, RuntimeError):
     """The reduced Schur system U^T K_{2|1} U + eta I is singular."""
 
 

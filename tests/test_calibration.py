@@ -486,6 +486,10 @@ def test_default_bounds_median_scaling():
     assert hi == 3.0
     with pytest.raises(ValueError):
         C.default_theta_bounds(pts[:1])
+    # most pairs coincide: the median distance is 0, though the diameter is 1
+    crowded = [ExtendedPoint((x,), (0,)) for x in (0.0, 0.0, 0.0, 0.0, 1.0)]
+    with pytest.raises(ValueError, match="median pairwise distance 0.0 cannot scale bounds"):
+        C.default_theta_bounds(crowded)
 
 
 def _cli_layouts():
@@ -542,6 +546,9 @@ def test_unit_variance_and_centering_required(rng):
         C.loocv_mse_virtual(UNIT, with_mean)
     with pytest.raises(ValueError, match="at least 2"):
         C.loocv_mse_virtual(UNIT, obs_1d([0.0], np.ones(1)))
+    ops = design.encode_pointwise([((1.0,), [(1.0, (0,)), (1.0, (2,))])], [0.0])
+    with pytest.raises(ValueError, match="at least 2"):
+        C.loocv_lk_explicit(UNIT, obs_1d([0.0], np.ones(1)), ops)
 
 
 def test_interpolation_criterion_zero_without_constraints(rng):

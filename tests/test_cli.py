@@ -87,6 +87,80 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys):
+    # the run never learns its output directory, so no report is written
+    out = tmp_path / "o"
+    rc = run(["ode1d", "--config", str(tmp_path / "missing.json"), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config: cannot read" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text("[1, 2]")
+    assert run(["ode1d", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config: top level must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["ok", "lk-interp"])
+def test_scalar2d_rejects_a_method_it_does_not_run(tmp_path, capsys, method):
+    out = tmp_path / "o"
+    assert run(["scalar2d", "--method", method, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"method: scalar2d supports ('sk', 'ck', 'lk'), got {method!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_csv_config_requires_csv_path():
+    # flow picks flow-csv only when --csv is given, so this is the config
+    # check itself
+    with pytest.raises(cli.ConfigError, match="csv_path: required"):
+        cli.validate_config(cli.RunConfig(experiment="flow-csv", method="ck"))
+
+
+def test_q2_mismatch_exits_2_and_reports(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = run(["flow", "--method", "ck", "--theta", "0.9", "--sigma2", "1.0", "--q2", "5",
+              "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    message = "q2: layout produced 88 continuity points, expected 5"
+    assert message in capsys.readouterr().err
+    rep = report_of(out)
+    assert (rep["status"], rep["error"]) == ("error", message)
+    assert not (out / "predictions.csv").exists()
+
+
+# one instance of every numerical failure, and an input error
+_RUN_FAILURES = [
+    predictors.ConditioningError("failure", nugget_last=1e-4),
+    predictors.RankDeficiencyError("failure", dependent=[1]),
+    predictors.DegenerateMeanError("failure"),
+    predictors.DegenerateConstraintError("failure"),
+    predictors.SingularSystemError("failure"),
+    np.linalg.LinAlgError("failure"),
+    cli.ConfigError("failure"),
+]
+
+
+def test_run_failures_cover_every_numerical_error():
+    listed = {type(exc) for exc in _RUN_FAILURES}
+    assert set(predictors.NumericalError.__subclasses__()) <= listed
+
+
+@pytest.mark.parametrize("exc", _RUN_FAILURES, ids=lambda exc: type(exc).__name__)
+def test_failure_inside_a_run_sets_the_exit_code_and_reports(tmp_path, monkeypatch, exc):
+    # every NumericalError and LinAlgError is a numerical failure (exit 3),
+    # whatever its ValueError or RuntimeError base; a ConfigError is an
+    # input error (exit 2); either way the report says why
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "_calibrate", fail)
+    out = tmp_path / "o"
+    expected = cli.EXIT_CONFIG if isinstance(exc, cli.ConfigError) else cli.EXIT_NUMERICAL
+    assert run(["ode1d", "--method", "sk", "--out", str(out)]) == expected
+    rep = report_of(out)
+    assert (rep["status"], rep["error"]) == ("error", "failure")
+    assert not (out / "predictions.csv").exists()
+
+
 def test_flags_override_config_file(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"kernel": {"theta": 0.7, "sigma2": 2.0},

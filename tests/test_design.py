@@ -179,8 +179,19 @@ def test_encode_average_frozen_example():
 
 
 def test_encode_average_requires_locations():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no locations"):
         encode_average([], [(1.0, (0,))], 0.0)
+
+
+def test_encode_average_requires_terms():
+    with pytest.raises(ValueError, match="no terms"):
+        encode_average([(0.0,), (2.0,)], [], 0.0)
+
+
+def test_cov_pairs_requires_equal_lengths():
+    k = SqExpKernel(sigma2=1.0, theta=1.0, dim=1)
+    with pytest.raises(ValueError, match="3 atoms paired with 2"):
+        cov_pairs(k, Atoms(np.zeros((3, 1)), (0,)), Atoms(np.ones((2, 1)), (1,)))
 
 
 def test_extend_atoms_appends_zero_rows():

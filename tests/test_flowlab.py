@@ -168,6 +168,19 @@ def test_problem_rejects_unpaired_arrays():
         F.FlowProblem(two, two, boundary_locations=three, boundary_normals=two)
 
 
+@pytest.mark.parametrize("center, radius, message", [
+    ((0.0, 0.0, 0.0), 1.0, "center must be a 2-point"),
+    ((0.0,), 1.0, "center must be a 2-point"),
+    ((0.0, 0.0), 0.0, "radius must be positive, got 0.0"),
+    ((0.0, 0.0), -1.0, "radius must be positive"),
+    ((0.0, 0.0), math.nan, "radius must be positive"),
+    ((0.0, 0.0), math.inf, "radius must be positive"),
+])
+def test_geometry_rejects_bad_center_or_radius(center, radius, message):
+    with pytest.raises(ValueError, match=message):
+        F.CylinderGeometry(center, radius)
+
+
 def test_build_requires_observations():
     with pytest.raises(ValueError, match="no velocity observations"):
         F.build_flow_system(F.FlowProblem([], []))
@@ -402,6 +415,32 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
     path.write_text("kind,x,y,a,b\nobs,0,0,1,0\nboundary,1,0,0,0\n")
     with pytest.raises(F.CsvFormatError, match="normal is zero"):
         F.ingest_velocity_csv(path)
+    path.write_text("# note\nkind,x,y,vx,vy\nobs,0,0,1,0\n")
+    with pytest.raises(F.CsvFormatError, match="line 2: header must be 'kind,x,y,a,b'"):
+        F.ingest_velocity_csv(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    # each row's first fault, in the order field count, x, y, kind, a, b, normal
+    ("wind,zzz,0", "expected 5 comma-separated fields, got 3"),
+    ("wind,zzz,0,1,0", "column 'x' is not a number: 'zzz'"),
+    ("wind,0,nan,1,0", "column 'y' is not finite: 'nan'"),
+    ("wind,0,0,zzz,0", "unknown kind 'wind' \\(expected obs/grid/boundary\\)"),
+    ("obs,0,0,zzz,zzz", "column 'a' is not a number"),
+    ("boundary,0,0,1,zzz", "column 'b' is not a number"),
+    ("boundary,0,0,0,0", "boundary normal is zero"),
+])
+def test_ingest_reports_each_rows_first_fault(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"kind,x,y,a,b\nobs,0,1,1,0\n{row}\n")
+    with pytest.raises(F.CsvFormatError, match=f"^line 3: {message}"):
+        F.ingest_velocity_csv(path)
+
+
+def test_ingest_never_reads_the_a_b_of_grid_rows(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("kind,x,y,a,b\nobs,0,1,1,0\ngrid,2,3,zzz,\n")
+    assert F.ingest_velocity_csv(path).pred_grid.tolist() == [[2.0, 3.0]]
 
 
 def test_ingest_comments_and_blanks_skipped(tmp_path):
@@ -420,6 +459,14 @@ def test_ingest_renormalizes_sloppy_normal(tmp_path):
     with pytest.warns(RuntimeWarning, match="re-normalized"):
         data = F.ingest_velocity_csv(path)
     assert data.boundary_normals.tolist() == [[1.0, 0.0]]
+
+
+def test_atomic_write_removes_its_temporary_file_on_failure(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails
+    target = tmp_path / "out.csv"
+    with pytest.raises(UnicodeEncodeError):
+        F.atomic_write_text(target, "kind\n\ud800\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_csv_roundtrip_bit_exact(tmp_path):

@@ -146,6 +146,10 @@ def test_dimension_mismatch_raises():
         deriv(k, (0.0, 0.0), (1.0, 0.0), (0,), (0, 0))
     with pytest.raises(DimensionMismatchError):
         evaluate(k, (0.0, 0.0, 0.0), (1.0, 0.0))
+    # a block of differences needs them along a last axis of length dim
+    for r in (np.zeros((4, 3)), np.zeros(3), np.float64(0.0)):
+        with pytest.raises(DimensionMismatchError, match="kernel dim is 2"):
+            deriv_block(k, r, (0, 0), (0, 0))
 
 
 def test_negative_order_raises():

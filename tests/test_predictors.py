@@ -301,6 +301,20 @@ def test_lagrangian_zero_observations_degenerate(rng):
         P.lagrangian_kriging(k, zeros, ops)
 
 
+def test_ordinary_lagrangian_guards(rng):
+    k, obs, _, _ = random_instance(rng)
+    ops = design.encode_pointwise([((1.0,), [(1.0, (0,)), (1.0, (2,))])], [0.0])
+    K, H = P.assemble_lagrangian(k, obs, ops)
+    with_mean = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    with pytest.raises(ValueError, match="needs mu_star"):
+        P.solve_lagrangian(K, H, with_mean, ops, P.SolveConfig())
+    # observations proportional to the mean leave nothing once the mean
+    # is removed: gamma2 - gamma3^2/gamma1 is zero up to rounding
+    on_mean = ObservationSet(obs.points, 2.0 * np.ones(obs.n), mean=np.ones(obs.n))
+    with pytest.raises(P.DegenerateConstraintError, match="gamma2 - gamma3\\^2/gamma1"):
+        P.lagrangian_kriging(k, on_mean, ops, mu_star=np.ones(len(ops.colloc_points)))
+
+
 def _count_calls(monkeypatch, names):
     """Count calls of predictors' ``names`` wherever the package binds them."""
     counts = {}
@@ -658,6 +672,25 @@ def test_identity_variant_is_lagrangian_bitexact():
     ident = P.co_kriging_schur(k, obs, ops, conditional_cov="identity")
     lk = P.lagrangian_kriging(k, obs, ops)
     assert np.array_equal(ident, lk.predictions)
+
+
+def test_schur_requires_a_centered_model():
+    obs, colloc, _ = ode_setup()
+    k = SqExpKernel(sigma2=1.0, theta=1.2, dim=1)
+    ops = design.encode_pointwise([((float(colloc[0]),), [(1.0, (0,))])], [0.0])
+    with_mean = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    with pytest.raises(ValueError, match="centered model"):
+        P.co_kriging_schur(k, with_mean, ops)
+
+
+def test_schur_singular_reduced_system_raises():
+    # a row on the one observed atom: its conditional variance
+    # K22 - H^T K^-1 H is exactly 1 - 1 = 0, so U^T K_{2|1} U is singular
+    k = SqExpKernel(sigma2=1.0, theta=1.2, dim=1)
+    ops = design.encode_pointwise([((0.5,), [(1.0, (0,))])], [0.3])
+    with pytest.raises(P.SingularSystemError, match="reduced constraint system is singular") as err:
+        P.co_kriging_schur(k, obs_1d([0.5], [0.3]), ops)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_schur_unknown_variant_rejected():

@@ -80,8 +80,30 @@ def test_intervals_are_two_sigma(rng):
 def test_var_ck_rejects_mean(rng):
     k, obs, ops, pred = small_system(rng)
     with_mean = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="var_ck expects a centered model"):
         uq.var_ck(k, with_mean, ops, pred)
+
+
+def test_var_lk_rejects_mean(rng):
+    k, obs, ops, _ = small_system(rng)
+    with_mean = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    with pytest.raises(ValueError, match="var_lk expects a centered model"):
+        uq.var_lk(k, with_mean, ops)
+
+
+def test_negative_diagonal_is_clamped_with_a_warning(caplog):
+    # with alpha = I and cross = c I on unit-variance atoms, K* - alpha^T
+    # cross has the diagonal 1 - c: any negative entry is clamped to 0, and
+    # one below -1e-10 is logged
+    k = SqExpKernel(sigma2=1.0, theta=1.0, dim=1)
+    atoms = design.Atoms(np.array([[0.0], [3.0]]), (0,))
+    for c, logged in ((1.0 + 1e-13, False), (2.0, True)):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="pikrig.uq"):
+            variance, blocks = uq.mmse_variance(k, atoms, np.eye(2), c * np.eye(2))
+        assert np.array_equal(variance, [0.0, 0.0])
+        assert np.all(blocks[:, 0, 0] == 1.0 - c)  # the blocks keep the raw value
+        assert ("clamped to 0" in caplog.text) == logged
 
 
 def test_var_lk_mean_matches_predictor(rng):
