@@ -24,9 +24,11 @@ escalated jitter, a rule :func:`_loo_criteria` alone applies.
 
 Each criterion factory builds its theta-invariant state (atom sets, the
 :class:`pikrig.design.Layout` of its covariance matrix, the rank check
-of U) once per search; a theta costs the closed forms and one factorization.
-A Lagrangian search evaluates one layout, H (observations against the
-extended atoms), and reads K off H's observation columns.
+of U) once per search.  Its criterion takes a vector of theta as one
+stack: each slice is factored on its own, the rest runs once per stack,
+and each value is bit for bit that of its theta alone.  A Lagrangian
+search evaluates one layout, H (observations against the extended atoms),
+and reads K off H's observation columns.
 
 The 1-d lengthscale search is a deterministic log-spaced grid scan
 followed by golden-section refinement inside the best cell; ties shrink
@@ -65,6 +67,10 @@ logger = logging.getLogger(__name__)
 
 _SIGMA2_FLOOR = 1e-12
 
+# Most layout entries in one stack of theta (at least one theta), as _PANEL
+# bounds a panel: an ode1d grid is one stack, a 122 x 122 K+ one theta a stack.
+_STACK = 16384
+
 
 @dataclass
 class CalibrationResult:
@@ -84,52 +90,19 @@ def _require_unit_centered(k, obs):
         raise ValueError("LOOCV criteria expect a centered observation set")
 
 
-def _virtual_parts(K, y, cfg):
-    """(K^-1, a = K^-1 y, d = diag(K^-1), (solve, eta)) from one factorization of K.
-
-    The one factorization of every leave-one-out criterion, by make_spd_solver.
-    The virtual identities hold for the covariance actually requested; if the
-    factorization only succeeded with a nugget ``eta`` above ``cfg.nugget``
-    (escalated jitter), criteria built on these parts are undefined.
-    """
-    solve, eta = make_spd_solver(K, cfg)
-    Ki = solve(np.eye(K.shape[0]))
-    return Ki, Ki @ y, np.diag(Ki), (solve, eta)
-
-
-def _lagrangian_folds(K, H, project, obs, ops, j, cfg):
-    """All Lagrangian leave-one-out folds from one system: the parts of :func:`_loo_criteria`.
-
-    ``K``, ``H``, ``project`` (of ``ops``) are the Lagrangian system of
-    ``ops``, which holds every observation atom, observation i at row ``j[i]``.
-
-    Column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
-    fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
-    constraint projection of the bases H^T A predicts every fold.  Fold
-    i's variance at unit process variance, which standardizes its residual,
-    is 1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i, with eta the nugget used
-    and j_i the atom of observation i.
-    """
-    n = obs.n
-    Z = obs.values
-    Ki, a, d, (_, eta) = _virtual_parts(K, Z, cfg)
-    A = a[:, None] - Ki * (a / d)
-    np.fill_diagonal(A, 0.0)
-    base, cols = H.T @ A, np.arange(n)
-    UW, W = project(base, ops.rhs[:, None])
-    resid = Z - (base[j, cols] + UW[j, cols])
-    var = 1.0 / d - eta
-    if ops.p:
-        g2 = Z @ A
-        degenerate = np.abs(g2) <= 1e-14 * np.maximum(1.0, Z @ Z - Z * Z)
-        if degenerate.any():
-            i = int(np.argmax(degenerate))
-            raise _pred.DegenerateConstraintError(
-                f"Z^T K^-1 Z = {g2[i]} is zero in fold {i}; the Lagrangian "
-                "closed form assumes it non-zero"
-            )
-        var = var + UW[j, cols] ** 2 / g2
-    return resid, lambda: resid ** 2 / np.maximum(var, _SIGMA2_FLOOR), eta > cfg.nugget
+def _solves(K, B, cfg):
+    """(K^-1 B, make_spd_solver's (solve, eta)) of each slice of the stack K
+    (B one matrix or a stack), nan and (None, its ConditioningError) where
+    factoring failed; K^-1 B in Fortran-ordered slices, as solve returns
+    them, so a stacked product of it rounds as each slice's alone would."""
+    X, solved = np.empty((len(K), B.shape[-1], K.shape[1])).transpose(0, 2, 1), []
+    for g in range(len(K)):
+        try:
+            solved.append(make_spd_solver(K[g], cfg))
+        except ConditioningError as exc:
+            solved.append((None, exc))
+        X[g] = math.nan if solved[g][0] is None else solved[g][0](B[g] if B.ndim > 2 else B)
+    return X, solved
 
 
 def _floored_sigma2(val):
@@ -143,28 +116,62 @@ def _floored_sigma2(val):
     return float(val)
 
 
-def _loo_criteria(parts):
-    """(mse, sigma2, parts_at) callables of theta from ``parts(theta)``: the
-    residuals, a callable of no argument giving their squares standardized
-    by the predictive variances, whether jitter escalated (and any more).
+class _Criterion:
+    """A float at one theta (or its ConditioningError), an array at a vector;
+    ``grid(thetas)``: the values, nan where factoring failed, and its errors."""
 
-    The mse (summed over columns) is nan when jitter escalated; sigma2 is
-    the mean standardized square, floored, and warns when jitter escalated.
-    At exactly the theta of the smallest finite mse so far (the latest of
-    equals: a search's argmin) parts_at, which sigma2 reads, returns its
-    parts; at any other theta it calls parts(theta)."""
+    def __init__(self, grid):
+        self.grid = grid
+
+    def __call__(self, theta):
+        vals, failed = self.grid(np.array(theta, dtype=float, ndmin=1))
+        if np.ndim(theta):
+            return np.array(vals)
+        if failed:
+            raise failed[0]
+        return vals[0]
+
+
+def _loo_criteria(parts, layout, cfg):
+    """(mse, sigma2, parts_at) from ``parts(thetas)``, ``layout`` at a stack
+    of theta: the residuals, the slices' (solve, eta) of :func:`_solves` and
+    ``std2(i)``, slice i's squared residuals over the predictive variances.
+
+    The mse (a :class:`_Criterion` in stacks of at most ``_STACK`` layout
+    entries, summed over columns) is nan where jitter escalated or factoring
+    failed; sigma2 is the mean std2, floored, and warns if jitter escalated.
+    parts_at gives (residuals, std2 of no argument, whether jitter
+    escalated, (solve, eta)): those kept at exactly the theta of the
+    smallest finite mse so far (the latest of equals: a search's argmin),
+    elsewhere a stack of one's."""
     kept = [math.inf, None, None]  # mse, theta, parts
+    step = max(1, _STACK // max(1, layout.shape[0] * layout.shape[1]))
+    at = lambda r, solved, std2, g: (r[g], lambda: std2(g), solved[g][1] > cfg.nugget, solved[g])
 
-    def mse(theta):
-        got = parts(theta)
-        if got[2]:
-            return math.nan
-        val = sum(float(np.mean(r ** 2)) for r in np.atleast_2d(got[0].T))
-        if math.isfinite(val) and val <= kept[0]:
-            kept[:] = val, theta, got
-        return val
+    def grid(thetas):
+        vals, failed = [], []
+        for s in range(0, len(thetas), step):
+            got = parts(thetas[s:s + step])
+            r = got[0] if got[0].ndim == 2 else got[0].transpose(0, 2, 1)  # slots last
+            mse = np.add.reduce(np.square(r, order="C"), axis=-1) / r.shape[-1]
+            mse, best = (mse if mse.ndim == 1 else sum(mse.T)).tolist(), None
+            for g, (val, (solve, eta)) in enumerate(zip(mse, got[1])):
+                if solve is None:
+                    failed.append(eta)  # its ConditioningError
+                vals.append(math.nan if solve is None or eta > cfg.nugget else val)
+                if vals[-1] <= kept[0] and math.isfinite(val):
+                    kept[:2], best = (val, float(thetas[s + g])), g
+            if best is not None:
+                kept[2] = at(*got, best)
+        return vals, failed
 
-    parts_at = lambda theta: kept[2] if theta == kept[1] else parts(theta)
+    def parts_at(theta):
+        if theta == kept[1]:
+            return kept[2]
+        got = parts(np.array([theta], dtype=float))
+        if got[1][0][0] is None:
+            raise got[1][0][1]
+        return at(*got, 0)
 
     def sigma2(theta):
         _, std2, escalated, *_ = parts_at(theta)
@@ -176,7 +183,7 @@ def _loo_criteria(parts):
             )
         return _floored_sigma2(float(np.mean(std2())))
 
-    return mse, sigma2, parts_at
+    return _Criterion(grid), sigma2, parts_at
 
 
 def loocv_mse_virtual(k_unit, obs, cfg=SolveConfig()):
@@ -199,8 +206,9 @@ def sigma2_virtual(k_unit, obs, theta_hat, cfg=SolveConfig()):
 def loocv_ck_virtual(k_unit, obs, ops, cfg=SolveConfig()):
     """Filtered virtual LOOCV for the co-Kriging stack; returns (mse, sigma2).
 
-    Both returned callables take a candidate theta; the layout of K+ (the
-    rows of :func:`pikrig.predictors.assemble_co_kriging`) is built once.
+    mse takes a candidate theta or a vector of them, sigma2 a theta; the
+    layout of K+ (the rows of :func:`pikrig.predictors.assemble_co_kriging`)
+    is built once.
     Only the first n (primary) slots of the per-slot residual and variance
     of [Z; v] enter, normalized by n.  With an empty operator system
     (``ops`` None) they are the plain simple-Kriging criteria
@@ -221,33 +229,25 @@ def _virtual_criteria(k_unit, rows, y, cfg, n=None):
     The parts end with make_spd_solver's ``(solve, eta)`` of the layout."""
     layout = design.Layout(k_unit, rows)
 
-    def parts(theta):
-        _, a, d, solved = _virtual_parts(layout(replace(k_unit, theta=float(theta))), y, cfg)
-        a, d = a[:n], d[:n, None] if y.ndim > 1 else d[:n]
-        return a / d, lambda: a * a / d, solved[1] > cfg.nugget, solved
+    def parts(thetas):
+        Ki, solved = _solves(layout(k_unit, thetas), np.eye(len(y)), cfg)
+        a, d = (Ki @ y)[:, :n], Ki.diagonal(0, 1, 2)[:, :n]
+        d = d[..., None] if y.ndim > 1 else d
+        return a / d, solved, lambda g: a[g] * a[g] / d[g]
 
-    return _loo_criteria(parts)
+    return _loo_criteria(parts, layout, cfg)
 
 
 def _lagrangian_system(k_unit, obs, ops):
-    """(``ops`` with the observation atoms it lacks appended
-    constraint-free, the row of each, ``system(theta)`` -> (kernel, K, H,
-    projection of U)).  One layout, of H, is evaluated per theta: the
-    extended system holds every observation atom, so K is H's columns at
-    their rows (it differs from ``gram(k, obs.points)`` at most in the sign
-    of a zero).  The rank check runs at the first evaluation and is kept
-    once it passes, so its error comes out of the criterion."""
+    """(``ops`` with the observation atoms it lacks appended constraint-free,
+    the row of each, the layout of H (observations against those atoms), the
+    projection of U as ``project()``, whose rank check is kept once it
+    passes).  K is H's columns at their rows (it differs from
+    ``gram(k, obs.points)`` at most in the sign of a zero)."""
     _require_unit_centered(k_unit, obs)
     ops, rows = design._extend(ops, obs.points)
-    H_of = design.Layout(k_unit, obs.points, ops.colloc_points)
     project = functools.cache(lambda: _pred._constraint_projector(ops))
-
-    def system(theta):
-        k = replace(k_unit, theta=float(theta))
-        H = H_of(k)
-        return k, H[:, rows], H, project()
-
-    return ops, rows, system
+    return ops, rows, design.Layout(k_unit, obs.points, ops.colloc_points), project
 
 
 def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
@@ -257,20 +257,45 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     the dropped atom (appended constraint-free if no equation touches it)
     and scores the residual; the variance rule standardizes by the fold's
     own predictive variance at unit process variance.  All folds at a
-    theta come from one evaluation of the layouts and one factorization,
-    by the downdate of :func:`_lagrangian_folds`; so the mse is nan (and
+    theta come from one evaluation of the layout and one factorization:
+    column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
+    fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
+    constraint projection of the bases H^T A predicts every fold.  Fold
+    i's variance is 1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i, with eta the
+    nugget used and j_i the atom of observation i.  So the mse is nan (and
     sigma2 warns) when the full K needed escalated jitter, whatever the
     folds' own matrices would have needed.
     """
-    ops, j, system = _lagrangian_system(k_unit, obs, ops_at_predictions)
+    ops, j, H_of, projector = _lagrangian_system(k_unit, obs, ops_at_predictions)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
+    Z, cols = obs.values, np.arange(obs.n)
+    tiny = 1e-14 * np.maximum(1.0, Z @ Z - Z * Z)  # a fold's gamma2 at most this is zero
 
-    def parts(theta):
-        _, K, H, project = system(theta)
-        return _lagrangian_folds(K, H, project, obs, ops, j, cfg)
+    def parts(thetas):
+        H = H_of(k_unit, thetas)
+        project = projector()
+        Ki, solved = _solves(H[:, :, j], np.eye(obs.n), cfg)
+        a, d = Ki @ Z, Ki.diagonal(0, 1, 2)
+        A = a[:, :, None] - Ki * (a / d)[:, None, :]
+        A[:, cols, cols] = 0.0
+        base = H.transpose(0, 2, 1) @ A
+        UW = project(base.transpose(1, 0, 2), ops.rhs[:, None, None])[0]
+        UW = UW.take(j, 0).diagonal(0, 0, 2)  # fold i's at atom j_i, as its base below
+        resid = Z - (base.take(j, 1).diagonal(0, 1, 2) + UW)
+        if ops.p:
+            g2 = Z @ A
+            degenerate = np.abs(g2) <= tiny
+            if degenerate.any():
+                g, i = divmod(int(np.argmax(degenerate)), obs.n)
+                raise _pred.DegenerateConstraintError(
+                    f"Z^T K^-1 Z = {g2[g, i]} is zero in fold {i}; the Lagrangian "
+                    "closed form assumes it non-zero"
+                )
+        var = lambda g: 1.0 / d[g] - solved[g][1] + (UW[g] ** 2 / g2[g] if ops.p else 0.0)
+        return resid, solved, lambda g: resid[g] ** 2 / np.maximum(var(g), _SIGMA2_FLOOR)
 
-    return _loo_criteria(parts)[:2]
+    return _loo_criteria(parts, H_of, cfg)[:2]
 
 
 def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
@@ -281,19 +306,32 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     values, and the mean squared deviation is the criterion (0 with no
     constraints).  Observation atoms not in the collocation set are
     appended constraint-free.  sigma2 standardizes the deviations by the
-    predictive variances there, as the LOOCV rule does.
+    predictive variances there, as the LOOCV rule does; only it forms the
+    weights of the fit, a theta costs only its predictions.
     """
-    ops, idx, system = _lagrangian_system(k_unit, obs, ops_at_predictions)
+    ops, idx, H_of, projector = _lagrangian_system(k_unit, obs, ops_at_predictions)
+    Z = obs.values
 
-    def parts(theta):
-        k, K, H, project = system(theta)
-        w = _pred.solve_lagrangian(K, H, obs, ops, cfg, project=project)
-        resid = w.predictions[idx] - obs.values
-        std2 = lambda: resid ** 2 / np.maximum(
-            _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0], _SIGMA2_FLOOR)
-        return resid, std2, w.nugget_used > cfg.nugget
+    def parts(thetas):
+        H = H_of(k_unit, thetas)
+        project = projector()
+        alpha, solved = _solves(H[:, :, idx], H, cfg)
+        for solve in (s for s, _ in solved if s is not None and ops.p):  # the solve's check
+            _pred._gamma2(Z, solve(Z))
+        pred = alpha.transpose(0, 2, 1) @ Z
+        if ops.p:
+            pred = pred + project(pred.T, ops.rhs[:, None])[0].T
+        resid = pred[:, idx] - Z
 
-    return _loo_criteria(parts)[:2]
+        def std2(g):
+            w = _pred._lagrangian_weights(*solved[g], H[g], obs, ops, project)
+            k = replace(k_unit, theta=float(thetas[g]))
+            var = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0]
+            return resid[g] ** 2 / np.maximum(var, _SIGMA2_FLOOR)
+
+        return resid, solved, std2
+
+    return _loo_criteria(parts, H_of, cfg)[:2]
 
 
 def interpolation_error_criterion(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
@@ -342,6 +380,9 @@ def optimize_theta(criterion, bounds, budget=64):
     range; exact ties shrink the bracket from both sides.
     A grid with no finite value raises ConditioningError.
     sigma2 is then the criterion factory's rule at ``theta_hat``.
+    A criterion this module builds gets the grid as one vector, each later
+    point as a vector of one; any other callable one theta per call, with
+    the same trace, log line and exceptions.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi and np.isfinite(hi)):
@@ -351,19 +392,26 @@ def optimize_theta(criterion, bounds, budget=64):
         raise ValueError(f"budget must be at least 8, got {budget}")
     trace, failed = [], []
 
-    def ev(theta):
-        theta = float(theta)
+    def one(theta):
         try:
-            val = float(criterion(theta))
+            return criterion(theta)
         except ConditioningError as exc:
             failed.append(exc)
-            val = math.nan
-        trace.append((theta, val if math.isfinite(val) else math.nan))
-        return trace[-1][1]
+            return math.nan
+
+    def ev(thetas):  # the criterion at each of thetas, nan if not finite, appended to the trace
+        if isinstance(criterion, _Criterion):
+            vals, fails = criterion.grid(thetas)
+            failed.extend(fails)
+        else:
+            vals = [one(float(t)) for t in thetas]
+        vals = [v if math.isfinite(v) else math.nan for v in map(float, vals)]
+        trace.extend(zip(map(float, thetas), vals))
+        return vals
 
     ngrid = budget // 2
     grid = np.geomspace(lo, hi, ngrid)
-    vals = [ev(t) for t in grid]
+    vals = ev(grid)
     finite = [i for i, v in enumerate(vals) if math.isfinite(v)]
     if not finite:
         last = failed[-1] if failed else None
@@ -386,12 +434,12 @@ def optimize_theta(criterion, bounds, budget=64):
                 la, lb, f1, f2 = x1, x2, None, None
         if f1 is None:
             x1 = lb - rho * (lb - la)
-            f1 = ev(math.exp(x1))
+            (f1,) = ev(np.array([math.exp(x1)]))
         else:
             x2 = la + rho * (lb - la)
-            f2 = ev(math.exp(x2))
+            (f2,) = ev(np.array([math.exp(x2)]))
 
-    ev(math.exp(0.5 * (la + lb)))
+    ev(np.array([math.exp(0.5 * (la + lb))]))
     # the final midpoint first, so that it wins ties
     theta_hat, crit_val = min((tv for tv in [trace[-1], *trace] if math.isfinite(tv[1])),
                               key=lambda tv: tv[1])

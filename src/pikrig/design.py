@@ -80,14 +80,14 @@ class ExtendedPoint:
 
 
 def _group_rows(M):
-    """[(row, indices)] of an int matrix: where each distinct row of M occurs."""
+    """[(row, indices)] of an int matrix of any width: where each distinct row
+    of M occurs, in increasing (first column first) order of the rows."""
     if not len(M):
         return []
-    key = np.ravel_multi_index(M.T, M.max(axis=0) + 1)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(M)]
-    return [(tuple(M[order[a]].tolist()), order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    order = np.lexsort(M.T[::-1])
+    M = M[order]
+    cuts = [0, *(np.flatnonzero((M[1:] != M[:-1]).any(axis=1)) + 1).tolist(), len(M)]
+    return [(tuple(M[a].tolist()), order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 class Atoms:
@@ -406,8 +406,8 @@ class Layout:
     layout holds the entries of every panel (symmetric, those at or right
     of the diagonal) as one form, an absent power of 1/theta^2 padded with
     -0.0, which leaves every sum it enters as it was; a call evaluates that
-    form in one pass and scatters it to each entry and, symmetric, to its
-    mirror.  A ``lazy`` layout (:func:`gram`'s) keeps no forms: each call
+    form in one pass, at one theta or a vector of them (a stack of grams),
+    and gathers each entry from it.  A ``lazy`` layout keeps no forms: each call
     rebuilds and evaluates one panel's form at a time and mirrors the
     lower triangle panel by panel.  :class:`_Rows` with ``sums`` are then
     summed into equations."""
@@ -444,14 +444,14 @@ class Layout:
         self._panels, self._flat = (panels, None) if lazy else (None, self._flatten(panels()))
 
     def _flatten(self, panels):
-        """(form, target, mirror): the entries of ``panels`` as one form, the
-        flat index in G of each entry and, symmetric, of its mirror."""
+        """(form, gather): the entries of ``panels`` as one form, and where
+        each flat index of G (or, symmetric, its mirror) sits in it."""
         parts = []
         for rows, cols, (P, d2) in panels:
             ij = np.nonzero(cols >= rows[:, None] if self.sym else np.ones(d2.shape, dtype=bool))
             parts.append((P, d2, ij, rows[ij[0]], cols[ij[1]]))
         if not parts:
-            return ([np.empty(0)], np.empty(0)), *[np.empty(0, dtype=int)] * 2
+            return ([np.empty(0)], np.empty(0)), np.empty(0, dtype=int)
 
         def power(j):  # of every entry, -0.0 where its panel has none; None where none has
             at = [P[j] if j < len(P) else None for P, *_ in parts]
@@ -463,30 +463,33 @@ class Layout:
         P = [power(j) for j in range(max(len(P) for P, *_ in parts))]
         d2 = np.concatenate([d2[ij] for _, d2, ij, *_ in parts])
         i, j = (np.concatenate(index) for index in zip(*(part[3:] for part in parts)))
-        n = self.shape[1]
-        return (P, d2), i * n + j, j * n + i if self.sym else None
+        gather, n = np.empty(self.shape[0] * self.shape[1], dtype=int), self.shape[1]
+        if self.sym:
+            gather[j * n + i] = np.arange(len(i))
+        gather[i * n + j] = np.arange(len(i))
+        return (P, d2), gather
 
-    def __call__(self, k):
+    def __call__(self, k, thetas=None):
+        """The gram at ``k`` or, kept, the stack of its grams at ``thetas``."""
         if k.dim != self.dim:
             raise _kernel.DimensionMismatchError(f"layout of dim {self.dim}, kernel dim {k.dim}")
-        G = np.empty(self.shape)
         if self._flat is None:
+            G = np.empty(self.shape)
             for rows, cols, form in self._panels():
                 G[_scatter_index(rows, cols)] = _kernel.block_value(k, form)
             n, step = self.shape[0], max(1, _PANEL // max(1, self.shape[0]))
             for a in range(0, n if self.sym else 0, step):  # below the diagonal, G[i, j] = G[j, i]
                 z = min(n, a + step)
                 G[a:z, :z] = np.where(np.tri(z - a, z, a - 1, dtype=bool), G[:z, a:z].T, G[a:z, :z])
+            G = G[None]
         else:
-            form, target, mirror = self._flat
-            v = _kernel.block_value(k, form)
-            np.put(G, target, v)
-            if self.sym:
-                np.put(G, mirror, v)
-        _count_evals(self.count)
-        for axis, sums in enumerate(self.sums):  # the rows of one equation add up
+            form, gather = self._flat
+            v = _kernel.block_value(k, form, thetas)
+            G = v.take(gather, axis=-1).reshape(1 if v.ndim == 1 else len(v), *self.shape)
+        _count_evals(len(G) * self.count)
+        for axis, sums in enumerate(self.sums, 1):  # the rows of one equation add up
             G = G if sums is None else np.add.reduceat(G, sums, axis=axis)
-        return G
+        return G[0] if thetas is None else G
 
 
 def gram(k, A, B=None):
@@ -544,10 +547,8 @@ def _row_blocks(points, terms, p):
     n = len(start)
     row = eq if n == p else np.cumsum(new) - 1
     sig, C, count = _padded(row, n, points.M[atom] + 1, coeff)  # multi-indices + 1, 0 pads
-    inv = np.unique(sig.reshape(n, -1), axis=0, return_inverse=True)[1].ravel()
-    rows = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
     blocks = [(r, X[start[r]], tuple(map(tuple, (sig[r[0], :count[r[0]]] - 1).tolist())),
-               C[r, :count[r[0]]]) for r in rows]
+               C[r, :count[r[0]]]) for _, r in _group_rows(sig.reshape(n, -1))]
     return _Rows(blocks, n, len(points), None if n == p else np.searchsorted(eq[start], range(p)))
 
 

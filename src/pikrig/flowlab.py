@@ -439,12 +439,17 @@ _CELL_FORMAT = {"U": "%s", "i": "%s", "u": "%s"}
 
 
 def csv_text(header, columns):
-    """CSV text of ``columns`` (one sequence per column) under ``header``,
-    each row by one ``%`` of a row format."""
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join(_CELL_FORMAT.get(c.dtype.kind, "%.17g") for c in columns)
-    lines = [row % cells for cells in zip(*(c.tolist() for c in columns))]
-    return "\n".join([",".join(header), *lines]) + "\n"
+    """CSV text of ``columns`` (one sequence per column) under ``header``; a
+    float64 column formats each distinct value once, keyed on its bits."""
+    cells = []
+    for c in map(np.asarray, columns):
+        if c.dtype == np.float64:
+            bits, at = np.unique(c.view(np.int64), return_inverse=True)
+            text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+            cells.append(map(text.__getitem__, at.tolist()))
+        else:
+            cells.append(map(_CELL_FORMAT.get(c.dtype.kind, "%.17g").__mod__, c.tolist()))
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def atomic_write_text(path, text):

@@ -170,16 +170,19 @@ def block_form(r, terms, terms2):
     return P, np.matmul(r[..., None, :], r[..., :, None])[..., 0, 0]
 
 
-def block_value(k, form):
+def block_value(k, form, thetas=None):
     """The closed form of a :func:`block_form` at kernel ``k``: one exp, its
     exponent -||r||^2 / 2 theta^2 rounded as one division, and a Horner step
-    in 1/theta^2 per power, an absent power only multiplying."""
+    in 1/theta^2 per power, an absent power only multiplying.  Given
+    ``thetas``, a row per lengthscale (one alone unstacked), each k's at it."""
     P, d2 = form
-    it2 = 1.0 / k.theta ** 2
+    t2 = [k.theta ** 2] if thetas is None else [t ** 2 for t in np.asarray(thetas).tolist()]
+    t2 = t2[0] if len(t2) == 1 else np.array(t2)[:, None]  # a float takes numpy's scalar path
+    it2 = 1.0 / t2
     v = P[-1]
     for p in P[-2::-1]:
         v = v * it2 if p is None else v * it2 + p
-    return v * (k.sigma2 * np.exp(d2 / (-2.0 * k.theta ** 2)))
+    return v * (k.sigma2 * np.exp(d2 / (-2.0 * t2)))
 
 
 def deriv_block(k, r, m, m2):

@@ -151,7 +151,8 @@ def make_spd_solver(K, cfg):
     Keta = np.add(K, 0.0, order="C")  # as K + eta I: no -0.0, C order (BLAS path of K @ X)
     factor = np.empty_like(Keta, order="F")
     for eta in rungs:
-        np.fill_diagonal(Keta, K.diagonal() + eta)
+        if eta:  # K + 0.0 has its diagonal already
+            Keta.reshape(-1)[::len(K) + 1] = K.diagonal() + eta
         factor[...] = Keta
         if lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)[1]:
             continue
@@ -200,7 +201,9 @@ def _constraint_projector(ops):
     else:
         r, piv = qr(ops.U, mode="r", pivoting=True)
         diag = np.abs(np.diag(r))
-        solve = lambda resid: cho_solve((r[:p], False), resid[piv])[np.argsort(piv)]
+        def solve(resid):  # any trailing shape, as one matrix of columns
+            cols = cho_solve((r[:p], False), resid[piv].reshape(p, -1))
+            return cols.reshape(resid.shape)[np.argsort(piv)]
     # |R11| scales the tolerance as in LAPACK xGELSY: ||U||/sqrt(p) <= |R11| <= ||U||
     rank = int(np.sum(diag > 1e-10 * diag[:1]))  # p = 0: rank 0
     if rank < p:
@@ -376,23 +379,29 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=N
     and lambda = lambda_K - (gamma3/gamma1) U lambda'.  ``project`` is
     ``_constraint_projector(ops)`` when the caller has already built it.
     """
-    ops = ops_at_predictions
-    mu = obs.mean
-    if mu is not None and mu_star is None:
+    if obs.mean is not None and mu_star is None:
         raise ValueError("ordinary Lagrangian Kriging needs mu_star")
-    project = project or _constraint_projector(ops)
-    solve, eta = make_spd_solver(K, cfg)
-    Z = obs.values
+    ops, project = ops_at_predictions, project or _constraint_projector(ops_at_predictions)
+    return _lagrangian_weights(*make_spd_solver(K, cfg), H, obs, ops, project, mu_star)
+
+
+def _gamma2(Z, a):
+    """Z^T K^-1 Z from a = K^-1 Z, which the Lagrangian closed form needs non-zero."""
+    g2 = float(Z @ a)
+    if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
+        raise DegenerateConstraintError(f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form "
+                                        "assumes it non-zero")
+    return g2
+
+
+def _lagrangian_weights(solve, eta, H, obs, ops, project, mu_star=None):
+    """:func:`solve_lagrangian` on K factored as ``solve``, with nugget ``eta``."""
+    mu, Z = obs.mean, obs.values
     kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star)
     if ops.p == 0:
         return kriging
     a = solve(Z)
-    g2 = float(Z @ a)
-    if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
-        raise DegenerateConstraintError(
-            f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form "
-            "assumes it non-zero"
-        )
+    g2 = _gamma2(Z, a)
     zt, b, denom = Z, a, g2
     if mu is not None:
         Kimu = solve(mu)

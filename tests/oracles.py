@@ -23,7 +23,9 @@ accuracy on the ill-conditioned grams).  The Lagrangian leave-one-out
 loop refits each fold with the package's full Lagrangian solve, the path
 its downdate replaces, and flow's two-step fit lays out and factors its
 gram afresh (:func:`flow_step2_refit`), the path the search's kept
-factorization replaces.
+factorization replaces.  The leave-one-out criteria are also kept one
+theta per call (``*_per_theta``), the path the stacked criteria replace,
+and the row grouping by one integer key (:func:`group_rows_ravel`).
 """
 
 import math
@@ -590,3 +592,128 @@ def optimize_theta_reference(criterion, bounds, budget=64):
         criterion_value=float(crit_val),
         trace=trace,
     )
+
+
+def _virtual_parts_per_theta(K, y, cfg):
+    """(K^-1, a = K^-1 y, d = diag(K^-1), (solve, eta)) of one matrix."""
+    solve, eta = _pred.make_spd_solver(K, cfg)
+    Ki = solve(np.eye(K.shape[0]))
+    return Ki, Ki @ y, np.diag(Ki), (solve, eta)
+
+
+def _loo_criteria_per_theta(parts):
+    """(mse, sigma2, parts_at) of theta from ``parts(theta)``, one theta
+    per call: the rule of ``calibration._loo_criteria``."""
+    kept = [math.inf, None, None]
+
+    def mse(theta):
+        got = parts(theta)
+        if got[2]:
+            return math.nan
+        val = sum(float(np.mean(r ** 2)) for r in np.atleast_2d(got[0].T))
+        if math.isfinite(val) and val <= kept[0]:
+            kept[:] = val, theta, got
+        return val
+
+    parts_at = lambda theta: kept[2] if theta == kept[1] else parts(theta)
+
+    def sigma2(theta):
+        _, std2, *_ = parts_at(theta)
+        return max(float(np.mean(std2())), 1e-12)
+
+    return mse, sigma2, parts_at
+
+
+def virtual_criteria_per_theta(k_unit, rows, y, cfg, n=None):
+    """``calibration._virtual_criteria`` one theta at a time, each matrix the
+    kept layout of ``rows`` (atoms or stacked rows) at one kernel."""
+    layout = design.Layout(k_unit, rows)
+
+    def parts(theta):
+        K = layout(replace(k_unit, theta=float(theta)))
+        _, a, d, solved = _virtual_parts_per_theta(K, y, cfg)
+        a, d = a[:n], d[:n, None] if y.ndim > 1 else d[:n]
+        return a / d, lambda: a * a / d, solved[1] > cfg.nugget, solved
+
+    return _loo_criteria_per_theta(parts)
+
+
+def loocv_ck_per_theta(k_unit, obs, ops, cfg):
+    """``calibration.loocv_ck_virtual`` one theta at a time: (mse, sigma2)."""
+    ops = design.OperatorSystem() if ops is None else ops
+    rows = design._stacked_rows(k_unit, obs.points, ops)
+    y = np.concatenate([obs.values, ops.rhs])
+    return virtual_criteria_per_theta(k_unit, rows, y, cfg, obs.n)[:2]
+
+
+def _lagrangian_per_theta(k_unit, obs, ops):
+    """(extended ``ops``, the row of each observation, system(theta) ->
+    (kernel, K, H, projection)), H the kept layout at one kernel."""
+    ops, rows = design._extend(ops, obs.points)
+    layout = design.Layout(k_unit, obs.points, ops.colloc_points)
+
+    def system(theta):
+        k = replace(k_unit, theta=float(theta))
+        H = layout(k)
+        return k, H[:, rows], H, _pred._constraint_projector(ops)
+
+    return ops, rows, system
+
+
+def loocv_lk_per_theta(k_unit, obs, ops_at_predictions, cfg):
+    """``calibration.loocv_lk_explicit`` one theta at a time, each fold set
+    by the downdate of one factorization: (mse, sigma2)."""
+    ops, j, system = _lagrangian_per_theta(k_unit, obs, ops_at_predictions)
+
+    def parts(theta):
+        _, K, H, project = system(theta)
+        n, Z = obs.n, obs.values
+        Ki, a, d, (_, eta) = _virtual_parts_per_theta(K, Z, cfg)
+        A = a[:, None] - Ki * (a / d)
+        np.fill_diagonal(A, 0.0)
+        base, cols = H.T @ A, np.arange(n)
+        UW, _ = project(base, ops.rhs[:, None])
+        resid = Z - (base[j, cols] + UW[j, cols])
+        var = 1.0 / d - eta
+        if ops.p:
+            g2 = Z @ A
+            degenerate = np.abs(g2) <= 1e-14 * np.maximum(1.0, Z @ Z - Z * Z)
+            if degenerate.any():
+                i = int(np.argmax(degenerate))
+                raise _pred.DegenerateConstraintError(
+                    f"Z^T K^-1 Z = {g2[i]} is zero in fold {i}; the Lagrangian "
+                    "closed form assumes it non-zero"
+                )
+            var = var + UW[j, cols] ** 2 / g2
+        return resid, lambda: resid ** 2 / np.maximum(var, 1e-12), eta > cfg.nugget
+
+    return _loo_criteria_per_theta(parts)[:2]
+
+
+def interpolation_per_theta(k_unit, obs, ops_at_predictions, cfg):
+    """``calibration.interpolation_criteria`` one theta at a time, each
+    theta a full Lagrangian solve: (crit, sigma2)."""
+    ops, idx, system = _lagrangian_per_theta(k_unit, obs, ops_at_predictions)
+
+    def parts(theta):
+        k, K, H, project = system(theta)
+        w = _pred.solve_lagrangian(K, H, obs, ops, cfg, project=project)
+        resid = w.predictions[idx] - obs.values
+        std2 = lambda: resid ** 2 / np.maximum(
+            _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0], 1e-12)
+        return resid, std2, w.nugget_used > cfg.nugget
+
+    return _loo_criteria_per_theta(parts)[:2]
+
+
+def group_rows_ravel(M):
+    """``design._group_rows`` by one integer key per row (its index in the
+    box of the column maxima), sorted stably: at most 64 columns and a box
+    within int64."""
+    if not len(M):
+        return []
+    key = np.ravel_multi_index(M.T, M.max(axis=0) + 1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(M)]
+    return [(tuple(M[order[a]].tolist()), order[a:b]) for a, b in zip(cuts, cuts[1:])]

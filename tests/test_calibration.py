@@ -21,7 +21,7 @@ from pikrig.design import ExtendedPoint, ObservationSet, OperatorSystem
 from pikrig.kernel import SqExpKernel
 
 import oracles
-from util import obs_1d, ode_setup, well_spaced
+from util import mixed_rows, obs_1d, ode_setup, well_spaced
 
 UNIT = SqExpKernel(sigma2=1.0, theta=1.0, dim=1)
 
@@ -592,3 +592,184 @@ def test_harmonic_interp_basin():
     assert 2.1 <= res.theta_hat <= 2.7
     s2 = C.sigma2_interpolation(UNIT, obs, ops, res.theta_hat)
     assert abs(math.sqrt(s2) - 3.91) <= 0.5
+
+
+# -- the grid as one stack ----------------------------------------------------
+
+
+def _same_bits(a, b):
+    """Equal arrays of floats, bit for bit where not nan, nan at the same places."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def _one_at_a_time(crit, thetas):
+    """``crit`` at each theta in its own call, nan where the factorization failed."""
+    out = []
+    for t in thetas:
+        try:
+            out.append(crit(float(t)))
+        except P.ConditioningError:
+            out.append(math.nan)
+    return out
+
+
+def _ode1d_families(seed):
+    """(name, factory, per-theta oracle) of each ode1d criterion at ``seed``:
+    the criterion factories take (k_unit, cfg), as do the oracles."""
+    out = []
+    for method in ("sk", "ck", "lk", "lk-interp"):
+        row = cli._methods()[method]
+        obs, ops, _ = cli._ode1d_data(cli.RunConfig(seed=seed), row.ode_rows)
+        oracle = {"sk": lambda k, c, o=obs: oracles.loocv_ck_per_theta(k, o, None, c),
+                  "ck": lambda k, c, o=obs, s=ops: oracles.loocv_ck_per_theta(k, o, s, c),
+                  "lk": lambda k, c, o=obs, s=ops: oracles.loocv_lk_per_theta(k, o, s, c),
+                  "lk-interp": lambda k, c, o=obs, s=ops: oracles.interpolation_per_theta(k, o, s, c),
+                  }[method]
+        out.append((method, lambda k, c, r=row, o=obs, s=ops: r.criterion(k, o, s, c), oracle))
+    return out
+
+
+def _assert_stack_is_per_theta(factory, oracle, thetas, cfg=P.SolveConfig()):
+    crit, s2 = factory(UNIT, cfg)
+    stacked = crit(thetas)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == thetas.shape
+    assert _same_bits(stacked, _one_at_a_time(factory(UNIT, cfg)[0], thetas))
+    want, want_s2 = oracle(UNIT, cfg)
+    assert _same_bits(stacked, _one_at_a_time(want, thetas))
+    # the variance rule at the stack's argmin reads its kept slice, and at
+    # another theta evaluates a stack of one: both as the oracle's rule
+    finite = thetas[np.isfinite(stacked)]
+    best = finite[np.argmin(stacked[np.isfinite(stacked)])]
+    for theta in (float(best), float(finite[0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert s2(theta) == want_s2(theta)
+    return stacked
+
+
+STACK_GRID = np.concatenate([[1e-160], np.geomspace(0.05, 60.0, 29)])
+
+
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")  # theta 1e-160
+@pytest.mark.parametrize("stack", [C._STACK, 300], ids=["one-stack", "chunks"])
+@pytest.mark.parametrize("seed", [4, 5, 6, 7, 10])
+def test_stacked_criteria_are_the_per_theta_values(monkeypatch, seed, stack):
+    # each ode1d criterion on a vector of theta gives, bit for bit, its own
+    # value one theta at a time and the per-theta oracle's: over a grid with
+    # a slice that fails to factor (nan) and escalated-jitter nans, as one
+    # stack or split into several
+    monkeypatch.setattr(C, "_STACK", stack)
+    seen = collections.Counter()
+    for name, factory, oracle in _ode1d_families(seed):
+        vals = _assert_stack_is_per_theta(factory, oracle, STACK_GRID)
+        seen[name] += bool(np.isnan(vals[1:]).any())
+        if name != "sk":  # sk's gram has no derivative atoms: it factors even at 1e-160
+            assert math.isnan(vals[0])
+            with pytest.raises(P.ConditioningError, match="every nugget"):
+                factory(UNIT, P.SolveConfig())[0](1e-160)
+    assert seen["ck"] == 1, seen
+
+
+def test_stacked_criteria_on_summed_rows_and_qr_projection():
+    # an equation over several locations (the layout sums its rows) and an
+    # atom in two equations (the projection by QR), with a nugget
+    obs, colloc, grid = ode_setup(seed=5, n=6)
+    ops = mixed_rows(colloc)
+    thetas = np.geomspace(0.1, 8.0, 17)
+    for cfg in (P.SolveConfig(), P.SolveConfig(nugget=1e-8)):
+        _assert_stack_is_per_theta(lambda k, c: C.loocv_ck_virtual(k, obs, ops, c),
+                                   lambda k, c: oracles.loocv_ck_per_theta(k, obs, ops, c),
+                                   thetas, cfg)
+        for factory, oracle in ((C.loocv_lk_explicit, oracles.loocv_lk_per_theta),
+                                (C.interpolation_criteria, oracles.interpolation_per_theta)):
+            _assert_stack_is_per_theta(lambda k, c, f=factory: f(k, obs, mixed_rows(grid), c),
+                                       lambda k, c, f=oracle: f(k, obs, mixed_rows(grid), c),
+                                       thetas, cfg)
+
+
+def test_stacked_flow_criteria_are_the_per_theta_values():
+    # the default cylinder: flow ck's filtered criterion (one theta per
+    # stack), flow lk's step 1 over the velocity observations and its
+    # two-column step 2 over the observations and the boundary velocities
+    p = flowlab.cylinder_problem(flowlab.CylinderGeometry((0.0, 0.0), 1.0))
+    obs, ops, _ = flowlab.build_flow_system(p)
+    k2 = SqExpKernel(1.0, 1.0, 2)
+    _assert_stack_is_per_theta(lambda k, c: C.loocv_ck_virtual(k2, obs, ops, c),
+                               lambda k, c: oracles.loocv_ck_per_theta(k2, obs, ops, c),
+                               np.geomspace(0.3, 3.0, 4))
+    bounds = C.default_theta_bounds(obs.points)
+    _assert_stack_is_per_theta(lambda k, c: C.loocv_ck_virtual(k2, obs, None, c),
+                               lambda k, c: oracles.loocv_ck_per_theta(k2, obs, None, c),
+                               np.geomspace(*bounds, 32))
+    w1 = P.lagrangian_kriging(k2, obs, design.encode_rows(
+        [(p.boundary_locations, ((1, 0), (0, 1)), p.boundary_normals)],
+        np.zeros(len(p.boundary_locations))))
+    pts = design.Atoms(np.vstack([p.obs_locations, p.boundary_locations]), (0, 0))
+    vals = np.vstack([p.obs_velocities, w1.predictions[:2 * len(p.boundary_locations)].reshape(-1, 2)])
+    thetas = np.geomspace(*C.default_theta_bounds(pts), 40)
+    crit, _, parts_at = C._virtual_criteria(k2, pts, vals, P.SolveConfig())
+    want, _, _ = oracles.virtual_criteria_per_theta(k2, pts, vals, P.SolveConfig())
+    stacked = crit(thetas)
+    assert _same_bits(stacked, [crit(float(t)) for t in thetas])
+    assert _same_bits(stacked, [want(float(t)) for t in thetas])
+    best = float(thetas[np.nanargmin(stacked)])
+    solve, eta = parts_at(best)[3]
+    K = design.gram(replace(k2, theta=best), pts)
+    assert np.array_equal(solve(np.eye(len(K))), P.make_spd_solver(K, P.SolveConfig())[0](np.eye(len(K))))
+
+
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")  # theta 1e-160
+@pytest.mark.parametrize("method", ["sk", "ck", "lk", "lk-interp"])
+def test_search_is_the_same_through_a_plain_callable(caplog, method):
+    # optimize_theta hands its grid to a criterion factory's criterion as
+    # one stack and calls any other callable once per theta: the trace,
+    # theta_hat and the log line are the same either way, failed
+    # factorizations (the bracket starts at 1e-160) included
+    row = cli._methods()[method]
+    obs, ops, _ = cli._ode1d_data(cli.RunConfig(seed=6), row.ode_rows)
+    for lo in (1e-160, 1e-3):
+        got = []
+        for wrap in (lambda c: c, lambda c: (lambda t: c(t))):
+            crit = wrap(row.criterion(UNIT, obs, ops, P.SolveConfig())[0])
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                try:
+                    res = C.optimize_theta(crit, (lo, 40.0), budget=40)
+                except ValueError as exc:  # lk-interp: a non-finite H past a finite K
+                    got.append((type(exc), str(exc)))
+                    continue
+            got.append((res.theta_hat, res.criterion_value,
+                        [r.getMessage() for r in caplog.records], np.array(res.trace)))
+        assert got[0][:3] == got[1][:3], lo
+        if len(got[0]) > 2:
+            assert _same_bits(got[0][3], got[1][3])
+            if method != "sk" and lo < 1e-100:
+                (message,) = got[0][2]
+                assert "failed to factor" in message
+
+
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")  # theta 1e-160
+def test_stacked_lk_raises_for_the_first_theta_in_grid_order():
+    # a degenerate fold raises the per-theta error, and a rank-deficient U
+    # raises before any factorization, whatever the grid
+    obs, _, grid = ode_setup(seed=10)
+    zeros = ObservationSet(obs.points, np.zeros(obs.n))
+    ops = harmonic_rows(grid)
+    thetas = np.array([1e-160, 0.7, 1.3])
+    for factory in (C.loocv_lk_explicit, C.interpolation_criteria):
+        with pytest.raises(P.DegenerateConstraintError) as stacked:
+            factory(UNIT, zeros, ops)[0](thetas)
+        with pytest.raises(P.DegenerateConstraintError) as one:
+            factory(UNIT, zeros, ops)[0](0.7)
+        assert str(stacked.value) == str(one.value)
+    dependent = OperatorSystem(ops.colloc_points, np.hstack([ops.U, ops.U[:, :1]]),
+                               np.zeros(ops.p + 1))
+    for factory in (C.loocv_lk_explicit, C.interpolation_criteria):
+        with pytest.raises(P.RankDeficiencyError) as stacked:
+            factory(UNIT, obs, dependent)[0](thetas)
+        with pytest.raises(P.RankDeficiencyError) as one:
+            factory(UNIT, obs, dependent)[0](1e-160)
+        assert str(stacked.value) == str(one.value)

@@ -635,6 +635,24 @@ def test_write_csv_matches_the_cell_writer_on_any_float(tmp_path_factory, values
     assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(pool=st.lists(st.one_of(st.floats(width=64), st.sampled_from(
+           [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.nan, -np.nan])),
+           min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 4), min_size=1, max_size=40))
+def test_write_csv_matches_the_cell_writer_on_repeated_values(tmp_path_factory, pool, picks):
+    # a float column formats each distinct value once, keyed on its bits:
+    # repeats of -0.0 and 0.0, nans, subnormals and infinities, in a
+    # contiguous and a strided column, are written as the per-cell writer writes them
+    path = tmp_path_factory.mktemp("csv")
+    values = np.array([pool[i % len(pool)] for i in picks])
+    pairs = np.column_stack([values, values[::-1]])
+    columns = [values, pairs[:, 1], np.arange(len(values))]
+    cli.write_csv(path / "new.csv", ["a", "b", "i"], columns)
+    oracles.write_csv_cells(path / "old.csv", ["a", "b", "i"], zip(*columns))
+    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+
 def test_calibrate_builds_no_criterion_without_a_search():
     # with theta and sigma2 both given nothing is searched, so the
     # criterion factory and the layouts it builds are skipped

@@ -32,6 +32,7 @@ from pikrig.kernel import (
     deriv,
 )
 
+import oracles
 from oracles import deriv_scalar, find_duplicates_loop, gram_loop
 from util import well_spaced
 
@@ -525,6 +526,46 @@ def test_layout_evaluates_like_a_fresh_gram(drawn, theta1, theta2, sigma2, lazy)
         layout(SqExpKernel(sigma2=sigma2, theta=theta1, dim=3 - dim))
 
 
+@settings(max_examples=60, deadline=None)
+@given(drawn=layout_sets(), thetas=st.lists(st.floats(0.2, 8.0), min_size=1, max_size=5),
+       sigma2=st.floats(0.1, 5.0))
+def test_kept_layout_evaluates_a_stack_of_thetas(drawn, thetas, sigma2):
+    # a kept layout at a vector of theta: one slice per theta, each the
+    # layout at that theta's kernel and the fresh gram bit for bit, signs of
+    # zeros included, counting one gram's evaluations per theta
+    A, B, dim = drawn
+    layout = Layout(SqExpKernel(sigma2=1.0, theta=1.0, dim=dim), A, B)
+    k = SqExpKernel(sigma2=sigma2, theta=1.0, dim=dim)
+    count = len(A) * (len(A) + 1) // 2 if B is None else len(A) * len(B)
+    reset_cov_eval_count()
+    stack = layout(k, np.array(thetas))
+    assert cov_eval_count() == len(thetas) * count
+    assert stack.shape == (len(thetas), len(A), len(A if B is None else B))
+    for theta, G in zip(thetas, stack):
+        kt = SqExpKernel(sigma2=sigma2, theta=theta, dim=dim)
+        _assert_identical(G, layout(kt))
+        _assert_identical(G, gram(kt, A, B))
+
+
+def test_kept_layout_stack_sums_equation_rows():
+    # stacked rows with an equation summed over several locations (the
+    # layout adds up its rows on both axes, reduceat along each slice): each
+    # slice is the gram at its theta bit for bit
+    X = np.linspace(-1.0, 1.0, 7)[:, None]
+    point = encode_pointwise([((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in X[::2, 0]],
+                             np.zeros(4))
+    avg = encode_average([(float(x),) for x in X[1::2, 0]], [(1.0, (0,)), (0.5, (1,))], 0.3)
+    for ops in (point, avg):
+        rows = design._stacked_rows(SqExpKernel(1.0, 1.0, 1), Atoms(X[:3] + 0.05, (0,)), ops)
+        pred = Atoms(X[::3], (1,))
+        for B in (None, pred):
+            layout = Layout(SqExpKernel(1.0, 1.0, 1), rows, B)
+            assert layout.sums[0] is not None or ops is point
+            thetas = np.array([0.3, 0.9, 2.7])
+            for theta, G in zip(thetas, layout(SqExpKernel(1.3, 1.0, 1), thetas)):
+                _assert_identical(G, gram(SqExpKernel(1.3, theta, 1), rows, B))
+
+
 @pytest.mark.parametrize("panel", [1, 40])
 def test_row_panels_evaluate_like_the_entrywise_loop(monkeypatch, panel):
     # every pair of row blocks split into at least three row panels: over
@@ -566,6 +607,32 @@ def test_row_panels_evaluate_like_the_entrywise_loop(monkeypatch, panel):
     k = SqExpKernel(sigma2=1.3, theta=0.8, dim=2)
     _assert_identical(gram(k, rows), stacked[0])
     _assert_identical(gram(k, rows, mixed), stacked[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(M=st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(0, 3), min_size=d, max_size=d), max_size=12).map(
+    lambda rows: np.array(rows, dtype=int).reshape(len(rows), d))))
+def test_group_rows_matches_the_ravel_route(M):
+    # on signatures narrow enough for one int64 key per row, the grouping
+    # is the keyed route's: the same rows in the same order, the same indices
+    got, want = design._group_rows(M), oracles.group_rows_ravel(M)
+    assert [m for m, _ in got] == [m for m, _ in want]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+def test_wide_signatures_group():
+    # more than 64 columns: a 32-d cov_pairs (its key has A's and B's 32
+    # columns) and 64-d atoms, each unit multi-index its own group
+    rng = np.random.default_rng(3)
+    E = np.eye(32, dtype=int)
+    A, B = Atoms(rng.normal(size=(32, 32)), E), Atoms(rng.normal(size=(32, 32)), E[::-1])
+    k = SqExpKernel(sigma2=1.0, theta=2.5, dim=32)
+    want = [deriv(k, A.X[i], B.X[i], tuple(A.M[i]), tuple(B.M[i])) for i in range(32)]
+    assert np.array_equal(cov_pairs(k, A, B), want)
+    wide = Atoms(rng.normal(size=(64, 64)), np.eye(64, dtype=int)[::-1])
+    assert [m for m, _ in wide.groups] == sorted(map(tuple, np.eye(64, dtype=int).tolist()))
+    assert [idx.tolist() for _, idx in wide.groups] == [[i] for i in range(64)]
 
 
 @settings(max_examples=60, deadline=None)

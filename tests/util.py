@@ -1,6 +1,7 @@
 import numpy as np
 
-from pikrig.design import ExtendedPoint, ObservationSet
+from pikrig import design
+from pikrig.design import ExtendedPoint, ObservationSet, OperatorSystem
 
 
 def well_spaced(rng, n, lo=0.0, hi=4.0, min_gap=0.35):
@@ -29,3 +30,19 @@ def ode_setup(seed=10, n=4, p=10, q=10):
     colloc = np.linspace(0.0, 2.0 * np.pi, p)
     grid = np.linspace(0.0, 2.0 * np.pi, q)
     return obs, colloc, grid
+
+
+def mixed_rows(locations):
+    """Pointwise f + f'' rows at the 1-d ``locations`` plus one sample
+    average over every second one, sharing their atoms: an equation over
+    several locations, and atoms in two equations (so the projection takes
+    the QR route); the short average column first, so the QR's pivoting
+    reorders U."""
+    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in locations]
+    point = design.encode_pointwise(rows, np.zeros(len(rows)))
+    avg = design.encode_average([(float(x),) for x in locations[::2]],
+                                [(1.0, (0,)), (0.5, (1,))], rhs=0.3)
+    ext = design.extend_atoms(point, avg.colloc_points)
+    U = np.hstack([np.zeros((ext.U.shape[0], 1)), ext.U])
+    U[design.locate_atoms(ext.colloc_points, avg.colloc_points), 0] = avg.U[:, 0]
+    return OperatorSystem(ext.colloc_points, U, np.concatenate([avg.rhs, point.rhs]))
