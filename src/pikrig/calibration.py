@@ -24,11 +24,9 @@ escalated jitter, a rule :func:`_loo_criteria` alone applies.
 
 Each criterion factory builds its theta-invariant state (atom sets, the
 :class:`pikrig.design.Layout` of its covariance matrix, the rank check
-of U) once per search.  Its criterion takes a vector of theta as one
-stack: each slice is factored on its own, the rest runs once per stack,
-and each value is bit for bit that of its theta alone.  A Lagrangian
-search evaluates one layout, H (observations against the extended atoms),
-and reads K off H's observation columns.
+of U) once per search and evaluates a vector of theta as one stack, bit
+for bit as one theta at a time.  A Lagrangian search evaluates one layout,
+H (observations against the extended atoms), and reads K off its columns.
 
 The 1-d lengthscale search is a deterministic log-spaced grid scan
 followed by golden-section refinement inside the best cell; ties shrink
@@ -67,8 +65,9 @@ logger = logging.getLogger(__name__)
 
 _SIGMA2_FLOOR = 1e-12
 
-# Most layout entries in one stack of theta (at least one theta), as _PANEL
-# bounds a panel: an ode1d grid is one stack, a 122 x 122 K+ one theta a stack.
+# Most layout entries in one stack of theta (at least one theta): 16384 float64
+# are 128 KiB, glibc's mmap threshold, as for _PANEL.  Stacking pays only where
+# per-call overhead rules (n <= 32 or so); an ode1d grid is one stack.
 _STACK = 16384
 
 
@@ -91,10 +90,9 @@ def _require_unit_centered(k, obs):
 
 
 def _solves(K, B, cfg):
-    """(K^-1 B, make_spd_solver's (solve, eta)) of each slice of the stack K
-    (B one matrix or a stack), nan and (None, its ConditioningError) where
-    factoring failed; K^-1 B in Fortran-ordered slices, as solve returns
-    them, so a stacked product of it rounds as each slice's alone would."""
+    """(K^-1 B, make_spd_solver's (solve, eta)) per slice of the stack K (B a matrix
+    or a stack), nan and (None, its ConditioningError) where factoring failed; K^-1 B
+    in Fortran-ordered slices, as solve returns them, so products round as per slice."""
     X, solved = np.empty((len(K), B.shape[-1], K.shape[1])).transpose(0, 2, 1), []
     for g in range(len(K)):
         try:
@@ -117,39 +115,34 @@ def _floored_sigma2(val):
 
 
 class _Criterion:
-    """A float at one theta (or its ConditioningError), an array at a vector;
-    ``grid(thetas)``: the values, nan where factoring failed, and its errors."""
+    """A float at one theta (raising its ConditioningError), an array at a vector;
+    ``grid(thetas, failed)`` the values, nan where factoring failed (appended to ``failed``)."""
 
     def __init__(self, grid):
         self.grid = grid
 
     def __call__(self, theta):
-        vals, failed = self.grid(np.array(theta, dtype=float, ndmin=1))
-        if np.ndim(theta):
-            return np.array(vals)
-        if failed:
+        vals = self.grid(np.array(theta, dtype=float, ndmin=1), failed := [])
+        if np.ndim(theta) == 0 and failed:
             raise failed[0]
-        return vals[0]
+        return np.array(vals) if np.ndim(theta) else vals[0]
 
 
 def _loo_criteria(parts, layout, cfg):
     """(mse, sigma2, parts_at) from ``parts(thetas)``, ``layout`` at a stack
     of theta: the residuals, the slices' (solve, eta) of :func:`_solves` and
     ``std2(i)``, slice i's squared residuals over the predictive variances.
-
-    The mse (a :class:`_Criterion` in stacks of at most ``_STACK`` layout
+    The mse (a :class:`_Criterion`, in stacks of at most ``_STACK`` layout
     entries, summed over columns) is nan where jitter escalated or factoring
-    failed; sigma2 is the mean std2, floored, and warns if jitter escalated.
-    parts_at gives (residuals, std2 of no argument, whether jitter
-    escalated, (solve, eta)): those kept at exactly the theta of the
-    smallest finite mse so far (the latest of equals: a search's argmin),
-    elsewhere a stack of one's."""
-    kept = [math.inf, None, None]  # mse, theta, parts
+    failed; sigma2, the mean std2 floored, warns if jitter escalated.
+    parts_at gives (residuals, std2 of no argument, whether jitter escalated,
+    (solve, eta)), kept at the theta of the smallest finite mse so far (the
+    latest of equals: a search's argmin), else of a stack of one."""
+    kept = [math.inf, None, None]  # mse, theta, (parts of its stack, its slice)
     step = max(1, _STACK // max(1, layout.shape[0] * layout.shape[1]))
-    at = lambda r, solved, std2, g: (r[g], lambda: std2(g), solved[g][1] > cfg.nugget, solved[g])
 
-    def grid(thetas):
-        vals, failed = [], []
+    def grid(thetas, failed):
+        vals = []
         for s in range(0, len(thetas), step):
             got = parts(thetas[s:s + step])
             r = got[0] if got[0].ndim == 2 else got[0].transpose(0, 2, 1)  # slots last
@@ -162,16 +155,14 @@ def _loo_criteria(parts, layout, cfg):
                 if vals[-1] <= kept[0] and math.isfinite(val):
                     kept[:2], best = (val, float(thetas[s + g])), g
             if best is not None:
-                kept[2] = at(*got, best)
-        return vals, failed
+                kept[2] = got, best
+        return vals
 
     def parts_at(theta):
-        if theta == kept[1]:
-            return kept[2]
-        got = parts(np.array([theta], dtype=float))
-        if got[1][0][0] is None:
-            raise got[1][0][1]
-        return at(*got, 0)
+        (r, solved, std2), g = kept[2] if theta == kept[1] else (parts(np.array([float(theta)])), 0)
+        if solved[g][0] is None:
+            raise solved[g][1]
+        return r[g], lambda: std2(g), solved[g][1] > cfg.nugget, solved[g]
 
     def sigma2(theta):
         _, std2, escalated, *_ = parts_at(theta)
@@ -256,30 +247,31 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     Fold i drops observation i, keeps the full constraint system, predicts
     the dropped atom (appended constraint-free if no equation touches it)
     and scores the residual; the variance rule standardizes by the fold's
-    own predictive variance at unit process variance.  All folds at a
-    theta come from one evaluation of the layout and one factorization:
-    column i of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is
-    fold i's K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A and one
-    constraint projection of the bases H^T A predicts every fold.  Fold
-    i's variance is 1/d_i - eta + (U W)[j_i, i]^2 / gamma2_i, with eta the
-    nugget used and j_i the atom of observation i.  So the mse is nan (and
-    sigma2 warns) when the full K needed escalated jitter, whatever the
-    folds' own matrices would have needed.
+    own predictive variance at unit process variance.  All folds at a theta
+    come from one evaluation of the layout and one factorization: column i
+    of A = a 1^T - K^-1 diag(a/d) (a = K^-1 Z, d = diag K^-1) is fold i's
+    K_{-i}^-1 Z_{-i} with 0 in slot i, so gamma2 = Z^T A, one projection of
+    H^T A predicts every fold, and fold i's variance is 1/d_i - eta +
+    (U W)[j_i, i]^2 / gamma2_i (eta the nugget used, j_i the atom of
+    observation i).  So the mse is nan (and sigma2 warns) when the full K
+    needed escalated jitter, whatever the folds' own matrices would have needed.
     """
     ops, j, H_of, projector = _lagrangian_system(k_unit, obs, ops_at_predictions)
     if obs.n < 2:
         raise ValueError("LOOCV needs at least 2 observations")
-    Z, cols = obs.values, np.arange(obs.n)
+    Z, cols, eye = obs.values, np.arange(obs.n), np.eye(obs.n)
     tiny = 1e-14 * np.maximum(1.0, Z @ Z - Z * Z)  # a fold's gamma2 at most this is zero
 
     def parts(thetas):
         H = H_of(k_unit, thetas)
         project = projector()
-        Ki, solved = _solves(H[:, :, j], np.eye(obs.n), cfg)
+        Ki, solved = _solves(H[:, :, j], eye, cfg)
         a, d = Ki @ Z, Ki.diagonal(0, 1, 2)
         A = a[:, :, None] - Ki * (a / d)[:, None, :]
         A[:, cols, cols] = 0.0
         base = H.transpose(0, 2, 1) @ A
+        if failed := [g for g, (solve, _) in enumerate(solved) if solve is None]:
+            base[failed] = 0.0  # a finite stack to project (the QR route checks); nan anyway
         UW = project(base.transpose(1, 0, 2), ops.rhs[:, None, None])[0]
         UW = UW.take(j, 0).diagonal(0, 0, 2)  # fold i's at atom j_i, as its base below
         resid = Z - (base.take(j, 1).diagonal(0, 1, 2) + UW)
@@ -289,9 +281,8 @@ def loocv_lk_explicit(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
             if degenerate.any():
                 g, i = divmod(int(np.argmax(degenerate)), obs.n)
                 raise _pred.DegenerateConstraintError(
-                    f"Z^T K^-1 Z = {g2[g, i]} is zero in fold {i}; the Lagrangian "
-                    "closed form assumes it non-zero"
-                )
+                    f"Z^T K^-1 Z = {g2[g, i]} is zero in fold {i}; the Lagrangian closed form "
+                    "assumes it non-zero")
         var = lambda g: 1.0 / d[g] - solved[g][1] + (UW[g] ** 2 / g2[g] if ops.p else 0.0)
         return resid, solved, lambda g: resid[g] ** 2 / np.maximum(var(g), _SIGMA2_FLOOR)
 
@@ -306,8 +297,8 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     values, and the mean squared deviation is the criterion (0 with no
     constraints).  Observation atoms not in the collocation set are
     appended constraint-free.  sigma2 standardizes the deviations by the
-    predictive variances there, as the LOOCV rule does; only it forms the
-    weights of the fit, a theta costs only its predictions.
+    predictive variances there, as the LOOCV rule does (a theta costs only
+    its predictions; only sigma2 forms the weights of the fit).
     """
     ops, idx, H_of, projector = _lagrangian_system(k_unit, obs, ops_at_predictions)
     Z = obs.values
@@ -320,11 +311,12 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
             _pred._gamma2(Z, solve(Z))
         pred = alpha.transpose(0, 2, 1) @ Z
         if ops.p:
+            pred[[solve is None for solve, _ in solved]] = 0.0  # as in loocv_lk_explicit
             pred = pred + project(pred.T, ops.rhs[:, None])[0].T
         resid = pred[:, idx] - Z
 
         def std2(g):
-            w = _pred._lagrangian_weights(*solved[g], H[g], obs, ops, project)
+            w = _pred.solve_lagrangian(None, H[g], obs, ops, cfg, project=project, solved=solved[g])
             k = replace(k_unit, theta=float(thetas[g]))
             var = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0]
             return resid[g] ** 2 / np.maximum(var, _SIGMA2_FLOOR)
@@ -380,9 +372,8 @@ def optimize_theta(criterion, bounds, budget=64):
     range; exact ties shrink the bracket from both sides.
     A grid with no finite value raises ConditioningError.
     sigma2 is then the criterion factory's rule at ``theta_hat``.
-    A criterion this module builds gets the grid as one vector, each later
-    point as a vector of one; any other callable one theta per call, with
-    the same trace, log line and exceptions.
+    A criterion this module builds gets the grid as one vector, any other
+    callable one theta a call, with the same trace, log and exceptions.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0 < lo < hi and np.isfinite(hi)):
@@ -400,13 +391,10 @@ def optimize_theta(criterion, bounds, budget=64):
             return math.nan
 
     def ev(thetas):  # the criterion at each of thetas, nan if not finite, appended to the trace
-        if isinstance(criterion, _Criterion):
-            vals, fails = criterion.grid(thetas)
-            failed.extend(fails)
-        else:
-            vals = [one(float(t)) for t in thetas]
+        stacked = isinstance(criterion, _Criterion)
+        vals = criterion.grid(thetas, failed) if stacked else [one(t) for t in thetas.tolist()]
         vals = [v if math.isfinite(v) else math.nan for v in map(float, vals)]
-        trace.extend(zip(map(float, thetas), vals))
+        trace.extend(zip(thetas.tolist(), vals))
         return vals
 
     ngrid = budget // 2

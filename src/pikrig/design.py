@@ -80,8 +80,7 @@ class ExtendedPoint:
 
 
 def _group_rows(M):
-    """[(row, indices)] of an int matrix of any width: where each distinct row
-    of M occurs, in increasing (first column first) order of the rows."""
+    """[(row, indices)] of an int matrix: where each distinct row occurs, rows in lexical order."""
     if not len(M):
         return []
     order = np.lexsort(M.T[::-1])
@@ -464,9 +463,8 @@ class Layout:
         d2 = np.concatenate([d2[ij] for _, d2, ij, *_ in parts])
         i, j = (np.concatenate(index) for index in zip(*(part[3:] for part in parts)))
         gather, n = np.empty(self.shape[0] * self.shape[1], dtype=int), self.shape[1]
-        if self.sym:
-            gather[j * n + i] = np.arange(len(i))
-        gather[i * n + j] = np.arange(len(i))
+        for at in ((j * n + i, i * n + j) if self.sym else (i * n + j,)):  # mirror first
+            gather[at] = np.arange(len(i))
         return (P, d2), gather
 
     def __call__(self, k, thetas=None):
@@ -474,6 +472,8 @@ class Layout:
         if k.dim != self.dim:
             raise _kernel.DimensionMismatchError(f"layout of dim {self.dim}, kernel dim {k.dim}")
         if self._flat is None:
+            if thetas is not None:
+                raise ValueError("a lazy layout evaluates the gram at k.theta alone")
             G = np.empty(self.shape)
             for rows, cols, form in self._panels():
                 G[_scatter_index(rows, cols)] = _kernel.block_value(k, form)
@@ -481,15 +481,14 @@ class Layout:
             for a in range(0, n if self.sym else 0, step):  # below the diagonal, G[i, j] = G[j, i]
                 z = min(n, a + step)
                 G[a:z, :z] = np.where(np.tri(z - a, z, a - 1, dtype=bool), G[:z, a:z].T, G[a:z, :z])
-            G = G[None]
         else:
             form, gather = self._flat
             v = _kernel.block_value(k, form, thetas)
-            G = v.take(gather, axis=-1).reshape(1 if v.ndim == 1 else len(v), *self.shape)
-        _count_evals(len(G) * self.count)
-        for axis, sums in enumerate(self.sums, 1):  # the rows of one equation add up
+            G = v.take(gather, axis=-1).reshape(np.shape(thetas) + self.shape)
+        _count_evals(self.count * (1 if thetas is None else len(thetas)))
+        for axis, sums in enumerate(self.sums, -2):  # the rows of one equation add up
             G = G if sums is None else np.add.reduceat(G, sums, axis=axis)
-        return G[0] if thetas is None else G
+        return G
 
 
 def gram(k, A, B=None):

@@ -362,7 +362,16 @@ def assemble_lagrangian(k, obs, ops_at_predictions):
     return K, H
 
 
-def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=None):
+def _gamma2(Z, a):
+    """Z^T K^-1 Z from a = K^-1 Z, which the Lagrangian closed form needs non-zero."""
+    g2 = float(Z @ a)
+    if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
+        raise DegenerateConstraintError(f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form "
+                                        "assumes it non-zero")
+    return g2
+
+
+def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=None, solved=None):
     """Factor K; the Prop.-3 predictor is Kriging plus one constraint projection.
 
     A centered ``obs`` gives the simple variant, ``obs.mean`` with
@@ -377,26 +386,14 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=N
     lambda' = w / denom,
     alpha = alpha_K + b (U lambda')^T, cross = cross_K - z~ (U lambda')^T
     and lambda = lambda_K - (gamma3/gamma1) U lambda'.  ``project`` is
-    ``_constraint_projector(ops)`` when the caller has already built it.
+    ``_constraint_projector(ops)``, and ``solved`` ``make_spd_solver(K, cfg)``,
+    when the caller has already built it.
     """
-    if obs.mean is not None and mu_star is None:
+    ops, mu, Z = ops_at_predictions, obs.mean, obs.values
+    if mu is not None and mu_star is None:
         raise ValueError("ordinary Lagrangian Kriging needs mu_star")
-    ops, project = ops_at_predictions, project or _constraint_projector(ops_at_predictions)
-    return _lagrangian_weights(*make_spd_solver(K, cfg), H, obs, ops, project, mu_star)
-
-
-def _gamma2(Z, a):
-    """Z^T K^-1 Z from a = K^-1 Z, which the Lagrangian closed form needs non-zero."""
-    g2 = float(Z @ a)
-    if abs(g2) <= 1e-14 * max(1.0, float(Z @ Z)):
-        raise DegenerateConstraintError(f"Z^T K^-1 Z = {g2} is zero; the Lagrangian closed form "
-                                        "assumes it non-zero")
-    return g2
-
-
-def _lagrangian_weights(solve, eta, H, obs, ops, project, mu_star=None):
-    """:func:`solve_lagrangian` on K factored as ``solve``, with nugget ``eta``."""
-    mu, Z = obs.mean, obs.values
+    project = project or _constraint_projector(ops)
+    solve, eta = solved or make_spd_solver(K, cfg)
     kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star)
     if ops.p == 0:
         return kriging

@@ -566,6 +566,15 @@ def test_kept_layout_stack_sums_equation_rows():
                 _assert_identical(G, gram(SqExpKernel(1.3, theta, 1), rows, B))
 
 
+def test_lazy_layout_rejects_a_stack_of_thetas():
+    # a lazy layout keeps no forms to evaluate at other thetas than k's
+    k = SqExpKernel(1.0, 1.0, 1)
+    layout = Layout(k, Atoms(np.linspace(0.0, 1.0, 4)[:, None], (0,)), lazy=True)
+    with pytest.raises(ValueError, match="lazy layout"):
+        layout(k, np.array([0.5, 2.0]))
+    _assert_identical(layout(k), gram(k, Atoms(np.linspace(0.0, 1.0, 4)[:, None], (0,))))
+
+
 @pytest.mark.parametrize("panel", [1, 40])
 def test_row_panels_evaluate_like_the_entrywise_loop(monkeypatch, panel):
     # every pair of row blocks split into at least three row panels: over
