@@ -39,7 +39,7 @@ import sys
 import time
 from collections import namedtuple
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -129,10 +129,9 @@ def write_csv(path, header, columns):
 
 
 def write_report(outdir, report):
-    payload = asdict(report)
-    _flow.atomic_write_text(
-        os.path.join(outdir, "report.json"), json.dumps(payload, indent=2) + "\n"
-    )
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}  # asdict's, uncopied
+    text = json.dumps(payload, indent=2) + "\n"
+    _flow.atomic_write_text(os.path.join(outdir, "report.json"), text)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +240,9 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
     observation and collocation locations of K+) and ``search`` is
     (bounds, CalibrationResult), else None; an "auto" sigma2 is the rule of
     ``criterion`` (a method row's) at theta, read off the search's own
-    evaluation at a searched theta.  The flow experiment passes a
-    denser default budget: its filtered criterion has a narrow basin that
-    a 32-point coarse grid can step across.
+    evaluation at a searched theta.  ``default_budget`` applies unless
+    --budget is given; only flow ck's row of :func:`_methods` raises it,
+    to 128, for its narrow basin.
     """
     k = _kernel.SqExpKernel(sigma2=1.0, theta=1.0, dim=obs.points.X.shape[1])
     if "auto" in (cfg.theta, cfg.sigma2):
@@ -338,18 +337,19 @@ def _methods():
     ops, pred, scfg)`` the _Fit after calibration.  ``ode_rows`` places
     the ode1d rows (see :func:`_ode1d_data`), ``scalar2d`` says whether
     the 2-d study runs the method, and ``flow`` is the (criterion,
-    predictor) pair of the flow experiments; the two-step route there
-    calibrates the potential by plain virtual LOOCV.  The table is built
-    on each call, so that it holds the calibration and flow functions as
-    those modules export them at run time.
+    predictor, search budget) of the flow experiments: 128 for ck, whose
+    filtered criterion has a narrow basin that a 32-point coarse grid can
+    step across, and 64 for the two-step route's plain virtual LOOCV.  The
+    table is built on each call, so that it holds the calibration and
+    flow functions as those modules export them at run time.
     """
     return {
         "sk": _Method(_loocv_plain, partial(_solve_stacked, rows=False), scalar2d=True),
         "ok": _Method(_loocv_plain, partial(_solve_stacked, rows=False, ordinary=True)),
         "ck": _Method(_cal.loocv_ck_virtual, _solve_stacked, "colloc", True,
-                      (_cal.loocv_ck_virtual, _flow.predict_flow_ck)),
+                      (_cal.loocv_ck_virtual, _flow.predict_flow_ck, 128)),
         "lk": _Method(_cal.loocv_lk_explicit, _solve_lk, "grid", True,
-                      (_loocv_plain, _flow.predict_flow_lk_twostep)),
+                      (_loocv_plain, _flow.predict_flow_lk_twostep, 64)),
         "lk-interp": _Method(_cal.interpolation_criteria, _solve_lk, "grid+obs"),
     }
 
@@ -511,14 +511,14 @@ def _flow_problem(cfg):
 
 
 def run_flow(cfg):
-    criterion, predict = _methods()[cfg.method].flow
+    criterion, predict, budget = _methods()[cfg.method].flow
     problem, truth_geom = _flow_problem(cfg)
     scfg = SolveConfig(nugget=cfg.nugget)
     t0 = time.monotonic()
     system = _flow.build_flow_system(problem)
     t1 = time.monotonic()
     obs, ops, _ = system
-    k, _ = _calibrate(cfg, criterion, obs, ops, scfg, default_budget=128)
+    k, _ = _calibrate(cfg, criterion, obs, ops, scfg, default_budget=budget)
     t2 = time.monotonic()
     fieldr = predict(k, problem, scfg, system=system)
     t3 = time.monotonic()
@@ -538,9 +538,7 @@ def run_flow(cfg):
         denom = float(np.sqrt(np.sum(tv ** 2)))
         report.l2_rel_error = float(np.sqrt(np.sum(dv ** 2))) / denom if denom else None
     if len(fieldr.boundary_normal_residual):
-        report.constraint_residual_max = float(
-            np.max(np.abs(fieldr.boundary_normal_residual))
-        )
+        report.constraint_residual_max = float(np.max(np.abs(fieldr.boundary_normal_residual)))
     if fieldr.theta2_hat is not None:
         report.extras["theta2_hat"] = float(fieldr.theta2_hat)
     return report

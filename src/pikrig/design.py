@@ -620,10 +620,13 @@ def encode_average(locations, terms, rhs):
 
 
 def _extend(ops, atoms):
-    """(``ops`` with the ``atoms`` it lacks appended, the row of each atom)."""
+    """(``ops`` with the ``atoms`` it lacks appended, the row of each atom);
+    ``ops`` itself when it lacks none."""
     atoms = Atoms.of(atoms)
     rows = _positions(ops.colloc_points, atoms)
     missing = rows < 0
+    if not missing.any():
+        return ops, rows
     rows[missing] = ops.c + np.arange(missing.sum())
     return OperatorSystem._make(ops.colloc_points + atoms[missing], ops.terms, ops.rhs), rows
 

@@ -323,8 +323,8 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     Kriging, after its own lengthscale calibration: one theta shared by
     both components minimizes the summed virtual LOOCV MSE (the two-column
     criterion of :mod:`pikrig.calibration`, nan where jitter escalated)
-    over the default bounds, capped at the data diameter; both components
-    share the search's own factorization of the step-2 gram at that theta.
+    over the default bounds, capped at the data diameter; the grid mean is
+    H2^T (K2^-1 V), both velocity columns V solved by the search's factor of K2.
     ``system`` is ``build_flow_system(p)`` when the caller has built it.
     """
     obs, _, _ = system if system is not None else build_flow_system(p)
@@ -352,8 +352,7 @@ def predict_flow_lk_twostep(k, p, cfg=SolveConfig(), system=None):
     res = _cal.optimize_theta(crit, _cal.default_theta_bounds(pts0), budget=_STEP2_BUDGET)
     solve = parts_at(res.theta_hat)[3][0]  # the search's factor of K2 at theta2
     H2 = design.gram(replace(k0, theta=res.theta_hat), pts0, design.Atoms(p.pred_grid, (0, 0)))
-    alpha = solve(H2)
-    mean = np.ravel(np.column_stack([alpha.T @ vals[:, 0], alpha.T @ vals[:, 1]]))
+    mean = np.ravel(H2.T @ solve(vals))  # rows (vx, vy), interleaved by ravel
     return _pack_field(p, mean, bv, nugget_used, theta2_hat=res.theta_hat)
 
 

@@ -23,9 +23,11 @@ accuracy on the ill-conditioned grams).  The Lagrangian leave-one-out
 loop refits each fold with the package's full Lagrangian solve, the path
 its downdate replaces, and flow's two-step fit lays out and factors its
 gram afresh (:func:`flow_step2_refit`), the path the search's kept
-factorization replaces.  The leave-one-out criteria are also kept one
-theta per call (``*_per_theta``), the path the stacked criteria replace,
-and the row grouping by one integer key (:func:`group_rows_ravel`).
+factorization replaces, or forms its weights over every grid column
+(:func:`flow_step2_alpha_route`), the path its two-column solve
+replaces.  The leave-one-out criteria are also kept one theta per call
+(``*_per_theta``), the path the stacked criteria replace, and the row
+grouping by one integer key (:func:`group_rows_ravel`).
 """
 
 import math
@@ -467,7 +469,18 @@ def write_csv_cells(path, header, rows):
 def flow_step2_refit(k2, pts, vals, grid, cfg):
     """Step 2 of ``flowlab.predict_flow_lk_twostep`` at its searched kernel
     ``k2``, by a fresh gram and a fresh factorization: the simple-Kriging
-    (vx, vy) on ``grid`` of the two columns of ``vals`` at ``pts``."""
+    (vx, vy) on ``grid`` of the two columns of ``vals`` at ``pts``, as
+    H2^T (K2^-1 vals)."""
+    solve, _ = _pred.make_spd_solver(design.gram(k2, pts), cfg)
+    H2 = design.gram(k2, pts, design.Atoms(grid, (0, 0)))
+    mean = H2.T @ solve(vals)
+    return mean[:, 0], mean[:, 1]
+
+
+def flow_step2_alpha_route(k2, pts, vals, grid, cfg):
+    """Step 2 by the weights: alpha = K2^-1 H2 over every grid column, then
+    alpha^T times each column of ``vals`` (the route the two-column solve
+    of :func:`flow_step2_refit` replaces)."""
     K2 = design.gram(k2, pts)
     H2 = design.gram(k2, pts, design.Atoms(grid, (0, 0)))
     fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)

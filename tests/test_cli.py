@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import json
 import math
@@ -707,3 +708,77 @@ def test_ck_bracket_spans_the_collocation_locations(tmp_path):
         assert run(["ode1d", "--method", method, "--seed", "331", "--out", str(out)]) == cli.EXIT_OK
         mse[method] = report_of(out)["mse_vs_truth"]
     assert mse["ck"] <= 1e-3 * mse["sk"], mse
+
+
+@pytest.mark.parametrize("method, flags, budgets", [
+    ("ck", [], [128]),
+    ("lk", [], [64, 32]),
+    ("ck", ["--budget", "16"], [16]),
+    ("lk", ["--budget", "16"], [16, 32]),
+])
+def test_flow_searches_take_their_methods_budgets(tmp_path, monkeypatch, method, flags, budgets):
+    # flow ck's narrow basin takes 128 lengthscales; lk's step-1 virtual
+    # LOOCV takes the usual 64 and its step 2 flowlab's own 32; --budget
+    # sets flow ck's and step 1's, never step 2's
+    seen, optimize_theta = [], calibration.optimize_theta
+
+    def spy(criterion, bounds, budget=64):
+        seen.append(budget)
+        return optimize_theta(criterion, bounds, budget=budget)
+
+    monkeypatch.setattr(calibration, "optimize_theta", spy)
+    assert run(["flow", "--method", method, *flags, "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert seen == budgets
+
+
+def _success_report(tmp_path):
+    out = tmp_path / "bench"
+    assert run(["bench", "--p", "10", "--out", str(out)]) == cli.EXIT_OK
+    report = cli.RunReport(**report_of(out))
+    report.extras["nested"] = {"list": [1, 2.5, None], "tuple": (0.1, "x"), "nan": math.nan}
+    return report
+
+
+@pytest.mark.parametrize("make", [
+    _success_report,
+    lambda tmp_path: cli.RunReport(config=dict(vars(cli.RunConfig())), status="error",
+                                   error="covariance factorization failed"),
+], ids=["success", "error"])
+def test_report_json_is_the_asdict_serialization(tmp_path, make):
+    # write_report serializes the fields in field order without asdict's
+    # deep copies; the file is the one asdict would give, byte for byte
+    report = make(tmp_path)
+    cli.write_report(str(tmp_path), report)
+    want = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == want
+
+
+def _outputs(outdir):
+    """predictions.csv and report.json of a run, the report without its timing."""
+    report = report_of(outdir)
+    del report["timing"], report["config"]["output_dir"]
+    return (outdir / "predictions.csv").read_bytes(), report
+
+
+@pytest.mark.parametrize("args, kept", [
+    (["ode1d", "--method", "lk"], [False, True]),
+    (["ode1d", "--method", "lk-interp", "--seed", "5"], [True, True]),
+    (["scalar2d", "--method", "lk"], [False, False]),
+])
+def test_noop_extension_changes_no_output(tmp_path, monkeypatch, args, kept):
+    # design._extend returns the system itself when it lacks no atom (ode1d
+    # lk's prediction atoms are its grid rows' atoms; lk-interp's rows
+    # hold the observations too); a run is byte for byte the run that
+    # rebuilds the system on every call
+    extend, noops = design._extend, []
+
+    def rebuilding(ops, atoms):
+        out, rows = extend(ops, atoms)
+        noops.append(out is ops)
+        return design.OperatorSystem._make(out.colloc_points, out.terms, out.rhs), rows
+
+    assert run(args + ["--out", str(tmp_path / "kept")]) == cli.EXIT_OK
+    monkeypatch.setattr(design, "_extend", rebuilding)
+    assert run(args + ["--out", str(tmp_path / "rebuilt")]) == cli.EXIT_OK
+    assert noops == kept
+    assert _outputs(tmp_path / "kept") == _outputs(tmp_path / "rebuilt")

@@ -204,8 +204,11 @@ def test_extend_atoms_appends_zero_rows():
     assert out.colloc_points[-1].m == (0,)
     assert np.array_equal(out.U[-1], np.zeros(1))
     assert np.array_equal(out.U[0], ops.U[0])
-    # no-op extension returns an independent copy
-    same = extend_atoms(ops, [ExtendedPoint((1.0,), (2,))])
+    # a no-op extension returns the system itself, with the row of each atom
+    same, rows = design._extend(ops, [ExtendedPoint((1.0,), (2,))])
+    assert same is ops and rows.tolist() == [0]
+    assert extend_atoms(ops, extra[1:]) is ops
+    # U is a new array on each access: writing to one leaves the system as it was
     same.U[0, 0] = 99.0
     assert ops.U[0, 0] == 1.0
 

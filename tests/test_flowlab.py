@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from pikrig import calibration as C
+from pikrig import cli
 from pikrig import design
 from pikrig import flowlab as F
 from pikrig import predictors as P
@@ -310,6 +312,24 @@ def test_twostep_fit_is_the_refit_route_bit_for_bit():
     vx, vy = oracles.flow_step2_refit(SqExpKernel(1.0, f.theta2_hat, 2), pts, vals,
                                       p.pred_grid, CFG)
     assert np.array_equal(f.vx, vx) and np.array_equal(f.vy, vy)
+
+
+def test_twostep_fit_agrees_with_the_alpha_route(tmp_path):
+    # the default cylinder at the default run's step-1 kernel (theta2 about
+    # 4.93, cond K2 about 6e12): the two-column solve H2^T (K2^-1 V) and the
+    # weights K2^-1 H2 over every grid column agree to 1e-8 of the field
+    assert cli.main(["flow", "--method", "lk", "--out", str(tmp_path)]) == cli.EXIT_OK
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    p = F.cylinder_problem(geom=GEOM)
+    k = SqExpKernel(report["sigma2_hat"], report["theta_hat"], 2)
+    f = F.predict_flow_lk_twostep(k, p, CFG)
+    assert f.theta2_hat == report["extras"]["theta2_hat"]
+    pts, vals = _step2_data(p, k)
+    want = oracles.flow_step2_alpha_route(SqExpKernel(1.0, f.theta2_hat, 2), pts, vals,
+                                          p.pred_grid, CFG)
+    for got, ref in zip((f.vx, f.vy), want):
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 def test_twostep_criterion_is_the_summed_virtual_loocv(monkeypatch):
