@@ -90,16 +90,16 @@ def _require_unit_centered(k, obs):
 
 
 def _solves(K, B, cfg):
-    """(K^-1 B, make_spd_solver's (solve, eta)) per slice of the stack K (B a matrix
-    or a stack), nan and (None, its ConditioningError) where factoring failed; K^-1 B
+    """(K^-1 B, make_spd_solver's (solve, eta)) per slice of the stack K (B a vector
+    or a matrix), nan and (None, its ConditioningError) where factoring failed; K^-1 B
     in Fortran-ordered slices, as solve returns them, so products round as per slice."""
-    X, solved = np.empty((len(K), B.shape[-1], K.shape[1])).transpose(0, 2, 1), []
+    X, solved = np.empty((len(K),) + B.shape[::-1]).swapaxes(1, -1), []
     for g in range(len(K)):
         try:
             solved.append(make_spd_solver(K[g], cfg))
         except ConditioningError as exc:
             solved.append((None, exc))
-        X[g] = math.nan if solved[g][0] is None else solved[g][0](B[g] if B.ndim > 2 else B)
+        X[g] = math.nan if solved[g][0] is None else solved[g][0](B)
     return X, solved
 
 
@@ -298,7 +298,8 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     constraints).  Observation atoms not in the collocation set are
     appended constraint-free.  sigma2 standardizes the deviations by the
     predictive variances there, as the LOOCV rule does (a theta costs only
-    its predictions; only sigma2 forms the weights of the fit).
+    its predictions, H^T K^-1 Z from one solve of Z; only sigma2 forms the
+    weights of the fit).
     """
     ops, idx, H_of, projector = _lagrangian_system(k_unit, obs, ops_at_predictions)
     Z = obs.values
@@ -306,10 +307,10 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     def parts(thetas):
         H = H_of(k_unit, thetas)
         project = projector()
-        alpha, solved = _solves(H[:, :, idx], H, cfg)
-        for solve in (s for s, _ in solved if s is not None and ops.p):  # the solve's check
-            _pred._gamma2(Z, solve(Z))
-        pred = alpha.transpose(0, 2, 1) @ Z
+        a, solved = _solves(H[:, :, idx], Z, cfg)
+        for g in (g for g, (s, _) in enumerate(solved) if s is not None and ops.p):
+            _pred._gamma2(Z, a[g])  # the solve's check
+        pred = (H.transpose(0, 2, 1) @ a[:, :, None])[..., 0]  # H^T a, as solve_lagrangian
         if ops.p:
             pred[[solve is None for solve, _ in solved]] = 0.0  # as in loocv_lk_explicit
             pred = pred + project(pred.T, ops.rhs[:, None])[0].T

@@ -25,11 +25,11 @@ relationship is also a code relationship.
 Matrix inverses in the formulas are realized as factorize-once,
 multi-solve Cholesky with a diagonal nugget; factorization failures
 escalate through a jitter ladder and the nugget actually used is
-reported on the result.
+reported on the result.  Predictions come from one refined solve of the
+data, a = K^-1 Z, as H^T a; the N x q weights are formed only when read.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lapack, qr
@@ -116,13 +116,14 @@ class SolveConfig:
             raise ValueError(f"nugget must be non-negative, got {self.nugget}")
 
 
-@dataclass
 class KrigingWeights:
     """Weights alpha (columns follow prediction atoms), multipliers, predictions.
 
     ``lam`` are the unbiasedness multipliers (ordinary variants), ``lam2``
     the differential-constraint multipliers (Lagrangian).  ``predictions``
-    is alpha^T applied to the stacked observation vector as assembled.
+    is alpha^T applied to the stacked observation vector as assembled,
+    which the solvers compute without alpha.  ``alpha`` is given as the
+    array or as a function that forms it, called on its first read only.
     ``cross`` is H - M, the block the weights pair with in the MMSE
     covariance K* - alpha^T (H - M), where K alpha = H + M and the
     multiplier term M is 0 for simple and co-Kriging (``cross`` is then H
@@ -130,12 +131,15 @@ class KrigingWeights:
     mu lam^T in the ordinary variant, for Lagrangian Kriging.
     """
 
-    alpha: np.ndarray
-    predictions: np.ndarray
-    cross: np.ndarray
-    lam: Optional[np.ndarray] = None
-    lam2: Optional[np.ndarray] = None
-    nugget_used: float = 0.0
+    def __init__(self, alpha, predictions, cross, lam=None, lam2=None, nugget_used=0.0):
+        self._alpha, self.predictions, self.cross = alpha, predictions, cross
+        self.lam, self.lam2, self.nugget_used = lam, lam2, nugget_used
+
+    @property
+    def alpha(self):
+        if callable(self._alpha):  # formed once; the factor it holds is then let go
+            self._alpha = self._alpha()
+        return self._alpha
 
 
 def make_spd_solver(K, cfg):
@@ -281,27 +285,28 @@ def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
     return _kriging_weights(solve, eta, Hplus, y, mu_plus, mu_star)
 
 
-def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None):
-    """The Prop.-2 formulas on a factored K+ (``solve``, nugget ``eta``);
-    ``mu_star`` needs one entry per column of ``Hplus``."""
+def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None, a=None):
+    """The Prop.-2 formulas on a factored K+ (``solve``, nugget ``eta``): the
+    predictions are H+^T a, a = (K+)^-1 y (``a`` if the caller has solved
+    it), plus lam (w^T y), w = (K+)^-1 mu+, when ordinary; alpha = (K+)^-1 H+
+    (+ w lam^T) is formed when read.  A non-finite H+ raises ValueError, as
+    its solve would.  ``mu_star`` needs one entry per column of ``Hplus``."""
+    Hplus = np.asarray_chkfinite(Hplus)
+    a = solve(y) if a is None else a
+    predictions = Hplus.T @ a
     if mu_plus is None:
-        alpha = solve(Hplus)
-        lam = None
-        cross = Hplus
-    else:
-        mu_star = np.asarray(mu_star, dtype=float).ravel()
-        if mu_star.size != Hplus.shape[1]:
-            raise ValueError(f"mu_star has size {mu_star.size}, expected {Hplus.shape[1]}")
-        w = solve(mu_plus)
-        g1 = float(mu_plus @ w)
-        if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu_plus @ mu_plus)):
-            raise DegenerateMeanError(f"mu^T (K+)^-1 mu = {g1} is numerically singular")
-        lam = (mu_star - Hplus.T @ w) / g1
-        alpha = solve(Hplus) + np.outer(w, lam)
-        cross = Hplus - np.outer(mu_plus, lam)
-    predictions = alpha.T @ y
+        return KrigingWeights(lambda: solve(Hplus), predictions, Hplus, nugget_used=eta)
+    mu_star = np.asarray(mu_star, dtype=float).ravel()
+    if mu_star.size != Hplus.shape[1]:
+        raise ValueError(f"mu_star has size {mu_star.size}, expected {Hplus.shape[1]}")
+    w = solve(mu_plus)
+    g1 = float(mu_plus @ w)
+    if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu_plus @ mu_plus)):
+        raise DegenerateMeanError(f"mu^T (K+)^-1 mu = {g1} is numerically singular")
+    lam = (mu_star - Hplus.T @ w) / g1
     return KrigingWeights(
-        alpha=alpha, predictions=predictions, cross=cross, lam=lam, nugget_used=eta
+        lambda: solve(Hplus) + np.outer(w, lam), predictions + lam * (w @ y),
+        Hplus - np.outer(mu_plus, lam), lam, nugget_used=eta,
     )
 
 
@@ -331,7 +336,7 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=SolveConfig(), conditional_
     Z*_CK = K_{2|1} U (U^T K_{2|1} U)^-1 (v* - U^T H^T K^-1 Z) + H^T K^-1 Z
     with K_{2|1} = K22 - H^T K^-1 H.  ``conditional_cov="identity"``
     replaces K_{2|1} by the identity (and drops the regularizer), which is
-    exactly the simple Lagrangian predictor: the same base (K^-1 H)^T Z
+    exactly the simple Lagrangian predictor: the same base H^T (K^-1 Z)
     and the same constraint projection.
     """
     if obs.mean is not None:
@@ -340,18 +345,15 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=SolveConfig(), conditional_
         raise ValueError(f"unknown conditional_cov {conditional_cov!r}")
     ops = ops_at_predictions
     K, H = assemble_lagrangian(k, obs, ops)
-    solve, eta = make_spd_solver(K, cfg)
-    KiH = solve(H)
-    base = KiH.T @ obs.values
+    kriging = _kriging_weights(*make_spd_solver(K, cfg), H, obs.values)
+    base = kriging.predictions
     if conditional_cov == "identity":
         return base + _constraint_projector(ops)(base, ops.rhs)[0]
-    K2g1U = ops.tdot((design.gram(k, ops.colloc_points) - H.T @ KiH).T).T
+    K2g1U = ops.tdot((design.gram(k, ops.colloc_points) - H.T @ kriging.alpha).T).T
     try:
-        factor = cho_factor(ops.tdot(K2g1U) + eta * np.eye(ops.p), lower=True)
+        factor = cho_factor(ops.tdot(K2g1U) + kriging.nugget_used * np.eye(ops.p), lower=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystemError(
-            f"reduced constraint system is singular: {exc}"
-        ) from exc
+        raise SingularSystemError(f"reduced constraint system is singular: {exc}") from exc
     return base + K2g1U @ cho_solve(factor, ops.rhs - ops.tdot(base))
 
 
@@ -375,17 +377,19 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=N
     """Factor K; the Prop.-3 predictor is Kriging plus one constraint projection.
 
     A centered ``obs`` gives the simple variant, ``obs.mean`` with
-    ``mu_star`` the ordinary one; the matching Kriging weights (alpha_K,
-    cross_K, lambda_K) come from the same factorization and are returned
-    as they are when there are no equations.  Otherwise, with
+    ``mu_star`` the ordinary one; the matching Kriging step (alpha_K,
+    cross_K, lambda_K, its predictions H^T a from a = K^-1 Z) comes from
+    the same factorization and is returned as it is when there are no
+    equations.  Otherwise, with
     z~ = Z - (mu^T K^-1 Z / mu^T K^-1 mu) mu (z~ = Z when centered),
     b = K^-1 z~ and denom = z~^T b (gamma2 = Z^T K^-1 Z, or
     gamma2 - gamma3^2/gamma1 with gamma1 = mu^T K^-1 mu,
     gamma3 = mu^T K^-1 Z): predictions = Kriging predictions + U w, with
     U w, w = project(Kriging predictions, v*) (:func:`_constraint_projector`),
     lambda' = w / denom,
-    alpha = alpha_K + b (U lambda')^T, cross = cross_K - z~ (U lambda')^T
-    and lambda = lambda_K - (gamma3/gamma1) U lambda'.  ``project`` is
+    alpha = alpha_K + b (U lambda')^T (formed when read), cross =
+    cross_K - z~ (U lambda')^T and lambda = lambda_K - (gamma3/gamma1) U lambda'.
+    Z is solved once, for the Kriging step and for b.  ``project`` is
     ``_constraint_projector(ops)``, and ``solved`` ``make_spd_solver(K, cfg)``,
     when the caller has already built it.
     """
@@ -394,10 +398,10 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=N
         raise ValueError("ordinary Lagrangian Kriging needs mu_star")
     project = project or _constraint_projector(ops)
     solve, eta = solved or make_spd_solver(K, cfg)
-    kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star)
+    a = solve(Z)
+    kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star, a)
     if ops.p == 0:
         return kriging
-    a = solve(Z)
     g2 = _gamma2(Z, a)
     zt, b, denom = Z, a, g2
     if mu is not None:
@@ -415,12 +419,11 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=N
     lam2 = w / denom
     Ulam2 = ops.dot(lam2)
     return KrigingWeights(
-        alpha=kriging.alpha + np.outer(b, Ulam2),
+        alpha=lambda: kriging.alpha + np.outer(b, Ulam2),
         predictions=kriging.predictions + Uw,
         cross=kriging.cross - np.outer(zt, Ulam2),
         lam=None if mu is None else kriging.lam - (g3 / g1) * Ulam2,
-        lam2=lam2,
-        nugget_used=eta,
+        lam2=lam2, nugget_used=eta,
     )
 
 

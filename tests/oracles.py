@@ -25,9 +25,11 @@ its downdate replaces, and flow's two-step fit lays out and factors its
 gram afresh (:func:`flow_step2_refit`), the path the search's kept
 factorization replaces, or forms its weights over every grid column
 (:func:`flow_step2_alpha_route`), the path its two-column solve
-replaces.  The leave-one-out criteria are also kept one theta per call
-(``*_per_theta``), the path the stacked criteria replace, and the row
-grouping by one integer key (:func:`group_rows_ravel`).
+replaces.  Kriging's predictions are also kept as alpha^T Z with the
+weights formed first (:func:`kriging_alpha_route`), the path the one
+refined solve of the data replaces.  The leave-one-out criteria are also
+kept one theta per call (``*_per_theta``), the path the stacked criteria
+replace, and the row grouping by one integer key (:func:`group_rows_ravel`).
 """
 
 import math
@@ -483,8 +485,21 @@ def flow_step2_alpha_route(k2, pts, vals, grid, cfg):
     of :func:`flow_step2_refit` replaces)."""
     K2 = design.gram(k2, pts)
     H2 = design.gram(k2, pts, design.Atoms(grid, (0, 0)))
-    fx = _pred.solve_co_kriging(K2, H2, vals[:, 0], cfg)
-    return fx.predictions, fx.alpha.T @ vals[:, 1]
+    alpha = kriging_alpha_route(K2, H2, vals[:, 0], cfg).alpha
+    return alpha.T @ vals[:, 0], alpha.T @ vals[:, 1]
+
+
+def kriging_alpha_route(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
+    """The Prop.-2 weights formed first, alpha = (K+)^-1 H+ (+ w lam^T with
+    w = (K+)^-1 mu+ when ordinary), and the predictions alpha^T y: the route
+    the package's H+^T (K+)^-1 y (+ lam (w^T y)) replaces.  No checks."""
+    solve, eta = _pred.make_spd_solver(Kplus, cfg)
+    alpha, lam, cross = solve(Hplus), None, Hplus
+    if mu_plus is not None:
+        w = solve(mu_plus)
+        lam = (np.asarray(mu_star, dtype=float).ravel() - Hplus.T @ w) / float(mu_plus @ w)
+        alpha, cross = alpha + np.outer(w, lam), Hplus - np.outer(mu_plus, lam)
+    return _pred.KrigingWeights(alpha, alpha.T @ y, cross, lam, None, eta)
 
 
 def cylinder_flow_point(geom, freestream, at):

@@ -721,6 +721,124 @@ def test_predictions_affine_in_observations(rng):
         assert np.allclose(mix, parts, atol=1e-9)
 
 
+@st.composite
+def kriging_systems(draw):
+    """(K+, H+, y, mu+, mu*) of simple or ordinary (co-)Kriging on 1-d
+    value observations at least 0.5 apart, pointwise f + c f'' rows or none,
+    and prediction atoms of orders 0 to 2 anywhere on [0, 6]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, q = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    k = SqExpKernel(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.7, 1.5)), 1)
+    xs = well_spaced(rng, n, 0.0, 6.0, min_gap=0.5)
+    mean = np.full(n, float(rng.normal())) if draw(st.booleans()) else None
+    obs = ObservationSet([ExtendedPoint((float(x),), (0,)) for x in xs], rng.normal(size=n), mean)
+    ops = OperatorSystem()
+    if draw(st.booleans()):
+        locs = well_spaced(rng, draw(st.integers(1, 3)), 0.2, 5.8, min_gap=0.6)
+        rows = [((float(x),), [(1.0, (0,)), (float(rng.uniform(0.5, 2.0)), (2,))]) for x in locs]
+        ops = design.encode_pointwise(rows, rng.normal(size=len(locs)))
+    pred = [ExtendedPoint((float(rng.uniform(0.0, 6.0)),), (int(rng.integers(0, 3)),))
+            for _ in range(q)]
+    Kplus, Hplus, y = P.assemble_co_kriging(k, obs, ops, pred)
+    if mean is None:
+        return Kplus, Hplus, y, None, None
+    return Kplus, Hplus, y, P._extended_mean(obs, ops) if ops.p else mean, rng.normal(size=q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=kriging_systems())
+def test_predictions_match_the_alpha_route(drawn):
+    # the predictions H+^T (K+)^-1 y (+ lam (w^T y)) agree with alpha^T y, the
+    # route that forms the weights first, to rounding on well-conditioned
+    # systems: over 12 000 draws like these, the 10 224 with cond(K+) < 1e4
+    # differed by at most 1.9e-12 relative to max(1, |predictions|).  The
+    # weights, formed when read, are that route's bit for bit
+    Kplus, Hplus, y, mu_plus, mu_star = drawn
+    assume(np.linalg.cond(Kplus) < 1e4)
+    cfg = P.SolveConfig()
+    got = P.solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=mu_plus, mu_star=mu_star)
+    ref = oracles.kriging_alpha_route(Kplus, Hplus, y, cfg, mu_plus, mu_star)
+    scale = max(1.0, float(np.max(np.abs(ref.predictions))))
+    assert np.max(np.abs(got.predictions - ref.predictions)) <= 2e-11 * scale
+    for name in ("alpha", "cross", "lam"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+
+
+def test_weights_are_formed_only_when_read(monkeypatch):
+    # a caller of the predictions solves single columns only; the first
+    # read of alpha solves H once, and later reads return the same array
+    shapes = []
+    make = P.make_spd_solver
+
+    def recording(K, cfg):
+        solve, eta = make(K, cfg)
+        return (lambda B: shapes.append(np.shape(B)) or solve(B)), eta
+
+    monkeypatch.setattr(P, "make_spd_solver", recording)
+    obs, colloc, grid = ode_setup()
+    k = SqExpKernel(sigma2=1.0, theta=1.2, dim=1)
+    rows = [((float(x),), [(1.0, (0,)), (1.0, (2,))]) for x in colloc]
+    ops = design.encode_pointwise(rows, np.zeros(len(rows)))
+    pred = [ExtendedPoint((float(x),), (0,)) for x in grid]
+    obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    runs = {
+        "ck": lambda: P.co_kriging(k, obs, ops, pred),
+        "ordinary": lambda: P.co_kriging(k, obs_m, None, pred, mu_star=np.ones(len(pred))),
+        "lk": lambda: P.lagrangian_kriging(k, obs, ops),
+        "lk ordinary": lambda: P.lagrangian_kriging(k, obs_m, ops, np.ones(ops.c)),
+    }
+    for name, run in runs.items():
+        shapes.clear()
+        w = run()
+        assert all(len(shape) == 1 for shape in shapes), name
+        solved = len(shapes)
+        assert w.alpha is w.alpha
+        assert [len(shape) for shape in shapes[solved:]] == [2], name
+
+
+def test_non_finite_cross_block_raises_at_the_call():
+    # an order-2 atom at 1e200 overflows its covariances to nan; the
+    # predictions never pass H through a solve, yet the call raises as the
+    # solve of the weights did, instead of returning nan predictions
+    k = SqExpKernel(sigma2=1.0, theta=1.0, dim=1)
+    xs = np.array([0.5, 1.5, 2.7, 4.0])
+    obs = obs_1d(xs, np.sin(xs))
+    obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    pred = [ExtendedPoint((1.0,), (0,)), ExtendedPoint((1e200,), (2,))]
+    ops = design.encode_pointwise([((2.0,), [(1.0, (0,)), (1.0, (2,))])], [0.0])
+    K = design.gram(k, obs.points)
+    with np.errstate(all="ignore"):
+        H = design.gram(k, obs.points, pred)
+    assert not np.isfinite(H).all() and np.isfinite(K).all()
+    H_lk = design.gram(k, obs.points, ops.colloc_points)
+    H_lk[1, 0] = np.nan
+    cfg, mu_star = P.SolveConfig(), np.ones(len(pred))
+    calls = {
+        "solve_co_kriging": lambda: P.solve_co_kriging(K, H, obs.values, cfg),
+        "solve_co_kriging ordinary": lambda: P.solve_co_kriging(
+            K, H, obs.values, cfg, mu_plus=obs_m.mean, mu_star=mu_star),
+        "co_kriging": lambda: P.co_kriging(k, obs, ops, pred),
+        "co_kriging ordinary": lambda: P.co_kriging(k, obs_m, None, pred, mu_star),
+        "solve_lagrangian": lambda: P.solve_lagrangian(K, H_lk, obs, ops, cfg),
+        "solve_lagrangian ordinary": lambda: P.solve_lagrangian(
+            K, H_lk, obs_m, ops, cfg, np.ones(ops.c)),
+    }
+    for call in calls.values():
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            call()
+
+
+def test_non_finite_data_raises_at_the_call():
+    # the predictions solve the data, so a nan observation raises where the
+    # weights route returned nan predictions
+    k = SqExpKernel(sigma2=1.0, theta=1.0, dim=1)
+    xs = np.array([0.5, 1.5, 2.7, 4.0])
+    obs = obs_1d(xs, np.array([0.1, np.nan, 0.3, 0.2]))
+    pred = [ExtendedPoint((1.0,), (0,))]
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        P.simple_kriging(k, obs, pred)
+
+
 def test_make_spd_solver_escalates_and_reports():
     cfg = P.SolveConfig(nugget=0.0)
     solve, eta = P.make_spd_solver(np.zeros((3, 3)), cfg)
