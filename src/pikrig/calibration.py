@@ -15,12 +15,13 @@ per field sharing the covariance sum the fields' criteria.
 Constrained Lagrangian predictions have two criteria.  Leave-one-out
 (:func:`loocv_lk_explicit`) gets every fold from one system by the same
 downdate: column i of a 1^T - K^-1 diag(a/d) is fold i's K_{-i}^-1 Z_{-i},
-and the Lagrangian prediction is one constraint projection of H^T of
-it, so the folds share one factorization per theta.  The
-all-points-retained interpolation deviation (:func:`interpolation_criteria`)
-exploits that constrained predictions need not interpolate the
-observations.  Every criterion is nan where the full matrix needed
-escalated jitter, a rule :func:`_loo_criteria` alone applies.
+and the Lagrangian prediction is one constraint projection of H^T of it,
+so the folds share one factorization per theta.  The all-points-retained
+interpolation deviation (:func:`interpolation_criteria`) exploits that
+constrained predictions need not interpolate the observations.  Both
+variance rules are Kriging's variance plus the projection's (U w)^2 /
+gamma2, with no weights formed.  Every criterion is nan where the full
+matrix needed escalated jitter, a rule :func:`_loo_criteria` alone applies.
 
 Each criterion factory builds its theta-invariant state (atom sets, the
 :class:`pikrig.design.Layout` of its covariance matrix, the rank check
@@ -39,13 +40,12 @@ import functools
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import design
 from . import predictors as _pred
-from . import uq as _uq
 from .predictors import ConditioningError, SolveConfig, make_spd_solver
 
 __all__ = [
@@ -297,9 +297,10 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
     values, and the mean squared deviation is the criterion (0 with no
     constraints).  Observation atoms not in the collocation set are
     appended constraint-free.  sigma2 standardizes the deviations by the
-    predictive variances there, as the LOOCV rule does (a theta costs only
-    its predictions, H^T K^-1 Z from one solve of Z; only sigma2 forms the
-    weights of the fit).
+    predictive variances there, as the LOOCV rule does: at observation i,
+    eta diag((K + eta I)^-1 K)_i + (U w)_i^2 / gamma2 (eta the nugget used,
+    U w the correction in the deviations, gamma2 = Z^T K^-1 Z), one solve
+    of K where eta > 0 on top of a theta's one solve of Z.
     """
     ops, idx, H_of, projector = _lagrangian_system(k_unit, obs, ops_at_predictions)
     Z = obs.values
@@ -308,21 +309,15 @@ def interpolation_criteria(k_unit, obs, ops_at_predictions, cfg=SolveConfig()):
         H = H_of(k_unit, thetas)
         project = projector()
         a, solved = _solves(H[:, :, idx], Z, cfg)
-        for g in (g for g, (s, _) in enumerate(solved) if s is not None and ops.p):
-            _pred._gamma2(Z, a[g])  # the solve's check
+        g2 = [_pred._gamma2(Z, a[g]) if s is not None and ops.p else math.inf  # no rows: no term
+              for g, (s, _) in enumerate(solved)]
         pred = (H.transpose(0, 2, 1) @ a[:, :, None])[..., 0]  # H^T a, as solve_lagrangian
-        if ops.p:
-            pred[[solve is None for solve, _ in solved]] = 0.0  # as in loocv_lk_explicit
-            pred = pred + project(pred.T, ops.rhs[:, None])[0].T
-        resid = pred[:, idx] - Z
-
-        def std2(g):
-            w = _pred.solve_lagrangian(None, H[g], obs, ops, cfg, project=project, solved=solved[g])
-            k = replace(k_unit, theta=float(thetas[g]))
-            var = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0]
-            return resid[g] ** 2 / np.maximum(var, _SIGMA2_FLOOR)
-
-        return resid, solved, std2
+        pred[[solve is None for solve, _ in solved]] = 0.0  # as in loocv_lk_explicit
+        Uw = project(pred.T, ops.rhs[:, None])[0].T  # the correction resid adds
+        resid = (pred + Uw)[:, idx] - Z
+        kriging = lambda g, solve, eta: eta * solve(H[g][:, idx]).diagonal() if eta else 0.0
+        var = lambda g: kriging(g, *solved[g]) + Uw[g, idx] ** 2 / g2[g]
+        return resid, solved, lambda g: resid[g] ** 2 / np.maximum(var(g), _SIGMA2_FLOOR)
 
     return _loo_criteria(parts, H_of, cfg)[:2]
 

@@ -285,12 +285,22 @@ def solve_co_kriging(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
     return _kriging_weights(solve, eta, Hplus, y, mu_plus, mu_star)
 
 
-def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None, a=None):
+def _mean_solve(solve, mu_plus):
+    """(w, gamma1): w = (K+)^-1 mu+ and gamma1 = mu+^T w, checked non-degenerate."""
+    w = solve(mu_plus)
+    g1 = float(mu_plus @ w)
+    if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu_plus @ mu_plus)):
+        raise DegenerateMeanError(f"mu^T (K+)^-1 mu = {g1} is numerically singular")
+    return w, g1
+
+
+def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None, a=None, mean=None):
     """The Prop.-2 formulas on a factored K+ (``solve``, nugget ``eta``): the
-    predictions are H+^T a, a = (K+)^-1 y (``a`` if the caller has solved
-    it), plus lam (w^T y), w = (K+)^-1 mu+, when ordinary; alpha = (K+)^-1 H+
-    (+ w lam^T) is formed when read.  A non-finite H+ raises ValueError, as
-    its solve would.  ``mu_star`` needs one entry per column of ``Hplus``."""
+    predictions are H+^T a, a = (K+)^-1 y, plus lam (w^T y) when ordinary,
+    (w, gamma1) = :func:`_mean_solve` (``a``, ``mean`` if the caller has
+    solved them); alpha = (K+)^-1 H+ (+ w lam^T) is formed when read.  A
+    non-finite H+ raises ValueError, as its solve would.  ``mu_star`` needs
+    one entry per column of ``Hplus``."""
     Hplus = np.asarray_chkfinite(Hplus)
     a = solve(y) if a is None else a
     predictions = Hplus.T @ a
@@ -299,10 +309,7 @@ def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None, a=None):
     mu_star = np.asarray(mu_star, dtype=float).ravel()
     if mu_star.size != Hplus.shape[1]:
         raise ValueError(f"mu_star has size {mu_star.size}, expected {Hplus.shape[1]}")
-    w = solve(mu_plus)
-    g1 = float(mu_plus @ w)
-    if not np.isfinite(g1) or abs(g1) <= 1e-14 * max(1.0, float(mu_plus @ mu_plus)):
-        raise DegenerateMeanError(f"mu^T (K+)^-1 mu = {g1} is numerically singular")
+    w, g1 = mean or _mean_solve(solve, mu_plus)
     lam = (mu_star - Hplus.T @ w) / g1
     return KrigingWeights(
         lambda: solve(Hplus) + np.outer(w, lam), predictions + lam * (w @ y),
@@ -373,41 +380,38 @@ def _gamma2(Z, a):
     return g2
 
 
-def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None, project=None, solved=None):
+def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
     """Factor K; the Prop.-3 predictor is Kriging plus one constraint projection.
 
     A centered ``obs`` gives the simple variant, ``obs.mean`` with
     ``mu_star`` the ordinary one; the matching Kriging step (alpha_K,
     cross_K, lambda_K, its predictions H^T a from a = K^-1 Z) comes from
-    the same factorization and is returned as it is when there are no
-    equations.  Otherwise, with
+    the same factorization and solves of Z and mu, and is returned as it
+    is when there are no equations.  Otherwise, with
     z~ = Z - (mu^T K^-1 Z / mu^T K^-1 mu) mu (z~ = Z when centered),
     b = K^-1 z~ and denom = z~^T b (gamma2 = Z^T K^-1 Z, or
     gamma2 - gamma3^2/gamma1 with gamma1 = mu^T K^-1 mu,
     gamma3 = mu^T K^-1 Z): predictions = Kriging predictions + U w, with
     U w, w = project(Kriging predictions, v*) (:func:`_constraint_projector`),
-    lambda' = w / denom,
-    alpha = alpha_K + b (U lambda')^T (formed when read), cross =
-    cross_K - z~ (U lambda')^T and lambda = lambda_K - (gamma3/gamma1) U lambda'.
-    Z is solved once, for the Kriging step and for b.  ``project`` is
-    ``_constraint_projector(ops)``, and ``solved`` ``make_spd_solver(K, cfg)``,
-    when the caller has already built it.
+    lambda' = w / denom, alpha = alpha_K + b (U lambda')^T (formed when
+    read), cross = cross_K - z~ (U lambda')^T and
+    lambda = lambda_K - (gamma3/gamma1) U lambda'.  The MMSE variance is
+    the Kriging step's plus (U w)^2 / denom: the cross terms cancel.
     """
     ops, mu, Z = ops_at_predictions, obs.mean, obs.values
     if mu is not None and mu_star is None:
         raise ValueError("ordinary Lagrangian Kriging needs mu_star")
-    project = project or _constraint_projector(ops)
-    solve, eta = solved or make_spd_solver(K, cfg)
+    project = _constraint_projector(ops)
+    solve, eta = make_spd_solver(K, cfg)
     a = solve(Z)
-    kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star, a)
+    mean = None if mu is None else _mean_solve(solve, mu)
+    kriging = _kriging_weights(solve, eta, H, Z, mu, mu_star, a, mean)
     if ops.p == 0:
         return kriging
     g2 = _gamma2(Z, a)
     zt, b, denom = Z, a, g2
     if mu is not None:
-        Kimu = solve(mu)
-        g1 = float(mu @ Kimu)
-        g3 = float(mu @ a)
+        (Kimu, g1), g3 = mean, float(mu @ a)
         denom = g2 - g3 ** 2 / g1
         if abs(denom) <= 1e-12 * abs(g2):
             raise DegenerateConstraintError(

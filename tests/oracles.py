@@ -27,7 +27,9 @@ factorization replaces, or forms its weights over every grid column
 (:func:`flow_step2_alpha_route`), the path its two-column solve
 replaces.  Kriging's predictions are also kept as alpha^T Z with the
 weights formed first (:func:`kriging_alpha_route`), the path the one
-refined solve of the data replaces.  The leave-one-out criteria are also
+refined solve of the data replaces, and the interpolation variance rule
+from the fit's formed weights and K* (:func:`interpolation_sigma2_weights_route`),
+the path its closed form replaces.  The leave-one-out criteria are also
 kept one theta per call (``*_per_theta``), the path the stacked criteria
 replace, and the row grouping by one integer key (:func:`group_rows_ravel`).
 """
@@ -720,18 +722,41 @@ def loocv_lk_per_theta(k_unit, obs, ops_at_predictions, cfg):
 
 def interpolation_per_theta(k_unit, obs, ops_at_predictions, cfg):
     """``calibration.interpolation_criteria`` one theta at a time, each
-    theta a full Lagrangian solve: (crit, sigma2)."""
+    theta a full Lagrangian solve: (crit, sigma2).  The variance at
+    observation i is eta diag((K + eta I)^-1 K)_i, Kriging's there, plus
+    (U w)_i^2 / gamma2, U w the projection of H^T K^-1 Z (eta the nugget
+    used, gamma2 = Z^T K^-1 Z)."""
     ops, idx, system = _lagrangian_per_theta(k_unit, obs, ops_at_predictions)
 
     def parts(theta):
-        k, K, H, project = system(theta)
-        w = _pred.solve_lagrangian(K, H, obs, ops, cfg, project=project)
+        _, K, H, project = system(theta)
+        w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
         resid = w.predictions[idx] - obs.values
-        std2 = lambda: resid ** 2 / np.maximum(
-            _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0], 1e-12)
-        return resid, std2, w.nugget_used > cfg.nugget
+        solve, eta = _pred.make_spd_solver(K, cfg)
+        a = solve(obs.values)
+        Uw = project(H.T @ a, ops.rhs)[0][idx]
+        kriging = eta * np.diag(solve(K)) if eta else 0.0
+
+        def std2():
+            var = kriging + (Uw ** 2 / float(obs.values @ a) if ops.p else 0.0)
+            return resid ** 2 / np.maximum(var, 1e-12)
+
+        return resid, std2, eta > cfg.nugget
 
     return _loo_criteria_per_theta(parts)[:2]
+
+
+def interpolation_sigma2_weights_route(k_unit, obs, ops_at_predictions, theta, cfg):
+    """The variance rule of ``calibration.interpolation_criteria`` at
+    ``theta`` with each variance K* - alpha^T (H - M) of the Lagrangian
+    fit's formed weights (K* entry by entry), the route the closed form
+    replaces; floored as the rule is, without its warnings."""
+    ops, idx, system = _lagrangian_per_theta(k_unit, obs, ops_at_predictions)
+    k, K, H, _ = system(theta)
+    w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
+    resid = w.predictions[idx] - obs.values
+    var = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0]
+    return max(float(np.mean(resid ** 2 / np.maximum(var, 1e-12))), 1e-12)
 
 
 def group_rows_ravel(M):

@@ -594,6 +594,24 @@ def test_harmonic_interp_basin():
     assert abs(math.sqrt(s2) - 3.91) <= 0.5
 
 
+@pytest.mark.parametrize("nugget", [0.0, 1e-8])
+def test_interpolation_sigma2_matches_weights_route(nugget):
+    # the closed-form variance rule (Kriging's variance plus (U w)^2 / gamma2)
+    # against the variances of the fit's formed weights, K* - alpha^T (H - M),
+    # at each search's argmin: ode1d lk-interp data, and the QR projection
+    # with rows at the same places (the grid and the observations)
+    cfg, row = P.SolveConfig(nugget=nugget), cli._methods()["lk-interp"]
+    cases = [cli._ode1d_data(cli.RunConfig(seed=seed), row.ode_rows)[:2]
+             for seed in (4, 5, 6, 7, 10, 11, 331)]
+    obs, _, grid = ode_setup(seed=5, n=6)
+    locations = np.unique(np.concatenate([grid, obs.points.X[:, 0]]))
+    for obs, ops in cases + [(obs, mixed_rows(locations))]:
+        crit, s2 = C.interpolation_criteria(UNIT, obs, ops, cfg)
+        theta = C.optimize_theta(crit, C.default_theta_bounds(obs.points)).theta_hat
+        want = oracles.interpolation_sigma2_weights_route(UNIT, obs, ops, theta, cfg)
+        assert abs(s2(theta) - want) <= 1e-9 * want, (theta, s2(theta), want)
+
+
 # -- the grid as one stack ----------------------------------------------------
 
 

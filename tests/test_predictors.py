@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -222,6 +223,35 @@ def test_ordinary_lagrangian_matches_dense_kkt(rng):
             assert np.allclose(w.alpha, ref, atol=1e-8)
             assert np.max(np.abs(U.T @ w.predictions - ops.rhs)) <= 1e-8
             assert np.max(np.abs(w.alpha.T @ mu - mu_star)) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 7, 10])
+def test_lagrangian_variance_is_kriging_variance_plus_projection_term(seed):
+    # the MMSE variance of the Lagrangian weights, K* - alpha^T (H - M), is
+    # the Kriging step's plus denom (U lam')^2 = (U w)^2 / denom at every
+    # prediction atom (the cross terms of b and z~ cancel on the diagonal):
+    # centered and ordinary, by the diagonal projection (ode rows) and by
+    # the QR one (mixed rows), at two lengthscales.  The bound scales with
+    # the products that cancel in K* - alpha^T (H - M): |alpha| reaches 3e3
+    # on seed 6
+    obs, ode_rows, grid = cli._ode1d_data(cli.RunConfig(seed=seed), "grid")
+    obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
+    cfg = P.SolveConfig()
+    for theta, ops in itertools.product((1.2, 2.3), (ode_rows, mixed_rows(grid))):
+        k = SqExpKernel(sigma2=1.0, theta=theta, dim=1)
+        K, H = P.assemble_lagrangian(k, obs, ops)
+        solve, _ = P.make_spd_solver(K, cfg)
+        a, w = solve(obs.values), solve(obs_m.mean)
+        g1, g2, g3 = obs_m.mean @ w, obs.values @ a, obs_m.mean @ a
+        ones = np.ones(len(ops.colloc_points))
+        for o, mu_star, denom in ((obs, None, g2), (obs_m, ones, g2 - g3 ** 2 / g1)):
+            lk = P.solve_lagrangian(K, H, o, ops, cfg, mu_star)
+            kriging = P.solve_co_kriging(K, H, o.values, cfg, o.mean, mu_star)
+            var = uq.mmse_variance(k, ops.colloc_points, lk.alpha, lk.cross)[0]
+            want = uq.mmse_variance(k, ops.colloc_points, kriging.alpha, kriging.cross)[0]
+            want = want + denom * ops.dot(lk.lam2) ** 2
+            scale = max(k.sigma2, float(np.max(np.sum(np.abs(lk.alpha * lk.cross), axis=0))))
+            assert np.max(np.abs(var - want)) <= 1e-11 * scale, (theta, o.mean is None)
 
 
 def test_cross_is_h_minus_multiplier_term(rng):
@@ -765,8 +795,9 @@ def test_predictions_match_the_alpha_route(drawn):
 
 
 def test_weights_are_formed_only_when_read(monkeypatch):
-    # a caller of the predictions solves single columns only; the first
-    # read of alpha solves H once, and later reads return the same array
+    # a caller of the predictions solves single columns only, each once (the
+    # data, and the mean in the ordinary variants); the first read of alpha
+    # solves H once, and later reads return the same array
     shapes = []
     make = P.make_spd_solver
 
@@ -782,15 +813,15 @@ def test_weights_are_formed_only_when_read(monkeypatch):
     pred = [ExtendedPoint((float(x),), (0,)) for x in grid]
     obs_m = ObservationSet(obs.points, obs.values, mean=np.ones(obs.n))
     runs = {
-        "ck": lambda: P.co_kriging(k, obs, ops, pred),
-        "ordinary": lambda: P.co_kriging(k, obs_m, None, pred, mu_star=np.ones(len(pred))),
-        "lk": lambda: P.lagrangian_kriging(k, obs, ops),
-        "lk ordinary": lambda: P.lagrangian_kriging(k, obs_m, ops, np.ones(ops.c)),
+        "ck": (1, lambda: P.co_kriging(k, obs, ops, pred)),
+        "ordinary": (2, lambda: P.co_kriging(k, obs_m, None, pred, mu_star=np.ones(len(pred)))),
+        "lk": (1, lambda: P.lagrangian_kriging(k, obs, ops)),
+        "lk ordinary": (2, lambda: P.lagrangian_kriging(k, obs_m, ops, np.ones(ops.c))),
     }
-    for name, run in runs.items():
+    for name, (columns, run) in runs.items():
         shapes.clear()
         w = run()
-        assert all(len(shape) == 1 for shape in shapes), name
+        assert [len(shape) for shape in shapes] == [1] * columns, name
         solved = len(shapes)
         assert w.alpha is w.alpha
         assert [len(shape) for shape in shapes[solved:]] == [2], name
