@@ -308,7 +308,7 @@ def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
     q = len(pred)
     mu, mu_star = (np.ones(obs.n), np.ones(q)) if ordinary else (None, None)
     w, timing = _timed_ck(k, obs, ops, pred + ops.colloc_points, scfg, mu, mu_star)
-    variance, _ = _uq.mmse_variance(k, pred, w.alpha[:, :q], w.cross[:, :q])
+    variance, _ = _uq.mmse_variance(k, pred, w, slice(0, q))
     resid = ops.tdot(w.predictions[q:]) - ops.rhs
     resid_max = float(np.max(np.abs(resid))) if ops.p else None
     return _Fit(pred, slice(None), w.predictions[:q], variance, resid_max, w.nugget_used, timing)
@@ -319,7 +319,7 @@ def _solve_lk(k, obs, ops, pred, scfg):
     lk_ops, rows = design._extend(ops, pred)
     w, timing = _timed_lk(k, obs, lk_ops, scfg)
     atoms = lk_ops.colloc_points
-    variance, _ = _uq.mmse_variance(k, atoms, w.alpha, w.cross)
+    variance, _ = _uq.mmse_variance(k, atoms, w)
     resid_max = float(np.max(np.abs(lk_ops.tdot(w.predictions) - lk_ops.rhs)))
     return _Fit(atoms, rows, w.predictions, variance, resid_max, w.nugget_used, timing)
 

@@ -303,7 +303,7 @@ def predict_flow_ck(k, p, cfg=SolveConfig(), system=None):
     bnd_atoms = _velocity_atoms(p.boundary_locations)
     G2 = len(pred)
     w = _pred.co_kriging(k, obs, ops, pred + bnd_atoms, cfg=cfg)
-    variance, blocks = _uq.mmse_variance(k, pred, w.alpha[:, :G2], w.cross[:, :G2], block=2)
+    variance, blocks = _uq.mmse_variance(k, pred, w, slice(0, G2), block=2)
     return _pack_field(p, w.predictions, w.predictions[G2:], w.nugget_used, variance, blocks)
 
 

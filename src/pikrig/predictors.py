@@ -26,10 +26,12 @@ Matrix inverses in the formulas are realized as factorize-once,
 multi-solve Cholesky with a diagonal nugget; factorization failures
 escalate through a jitter ladder and the nugget actually used is
 reported on the result.  Predictions come from one refined solve of the
-data, a = K^-1 Z, as H^T a; the N x q weights are formed only when read.
+data, a = K^-1 Z, as H^T a, variances from L^-1 H on the factor K = L L^T
+(:mod:`pikrig.uq`); the N x q weights are formed only when read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lapack, qr
@@ -119,34 +121,38 @@ class SolveConfig:
 class KrigingWeights:
     """Weights alpha (columns follow prediction atoms), multipliers, predictions.
 
+    A solve holds its factored K+ (``solve``, see :func:`make_spd_solver`),
+    its cross block ``H`` = H+ and one term (m, s, r, c) per multiplier,
+    s = (K+)^-1 m and c = m^T s: (mu, w, lam, gamma1) for ordinary Kriging,
+    (z~, b, U lam', denom) for the Lagrangian projection.  ``alpha`` =
+    (K+)^-1 H+ + sum s r^T and ``cross`` = H+ - sum m r^T = H - M (H+
+    itself with no terms), the block the weights pair with in the MMSE
+    covariance K* - alpha^T (H - M), where K alpha = H + M, are formed on
+    their first read only.  ``predictions`` is alpha^T applied to the
+    stacked observation vector as assembled, computed without alpha.
     ``lam`` are the unbiasedness multipliers (ordinary variants), ``lam2``
-    the differential-constraint multipliers (Lagrangian).  ``predictions``
-    is alpha^T applied to the stacked observation vector as assembled,
-    which the solvers compute without alpha.  ``alpha`` is given as the
-    array or as a function that forms it, called on its first read only.
-    ``cross`` is H - M, the block the weights pair with in the MMSE
-    covariance K* - alpha^T (H - M), where K alpha = H + M and the
-    multiplier term M is 0 for simple and co-Kriging (``cross`` is then H
-    itself), mu lam^T for ordinary Kriging and Z (U lam')^T, plus
-    mu lam^T in the ordinary variant, for Lagrangian Kriging.
+    the differential-constraint multipliers (Lagrangian).
     """
 
-    def __init__(self, alpha, predictions, cross, lam=None, lam2=None, nugget_used=0.0):
-        self._alpha, self.predictions, self.cross = alpha, predictions, cross
+    def __init__(self, solve, H, predictions, terms=(), lam=None, lam2=None, nugget_used=0.0):
+        self.solve, self.H, self.predictions, self.terms = solve, H, predictions, terms
         self.lam, self.lam2, self.nugget_used = lam, lam2, nugget_used
 
-    @property
+    @cached_property
     def alpha(self):
-        if callable(self._alpha):  # formed once; the factor it holds is then let go
-            self._alpha = self._alpha()
-        return self._alpha
+        return sum((np.outer(s, r) for _, s, r, _ in self.terms), self.solve(self.H))
+
+    @cached_property
+    def cross(self):
+        return sum((-np.outer(m, r) for m, _, r, _ in self.terms), self.H)
 
 
 def make_spd_solver(K, cfg):
     """Cholesky-factor ``K + eta I`` with escalating eta; return (solve, eta).
 
-    ``solve(B)`` applies (K + eta I)^-1 to B.  Raises ConditioningError if
-    every nugget in the ladder fails.  Each nugget goes onto the diagonal of
+    ``solve(B)`` applies (K + eta I)^-1 to B; ``solve.L`` holds L, K + eta I
+    = L L^T, in its lower triangle.  Raises ConditioningError if every
+    nugget in the ladder fails.  Each nugget goes onto the diagonal of
     one C-ordered copy of K, factored by LAPACK in one reused Fortran buffer.
     """
     K = np.asarray(K, dtype=float)
@@ -172,6 +178,7 @@ def make_spd_solver(K, cfg):
             X = potrs(B)
             return X + potrs(B - Keta @ X)
 
+        solve.L = factor
         return solve, eta
     raise ConditioningError(
         f"covariance factorization failed at every nugget up to {ladder[-1]}; "
@@ -298,23 +305,21 @@ def _kriging_weights(solve, eta, Hplus, y, mu_plus=None, mu_star=None, a=None, m
     """The Prop.-2 formulas on a factored K+ (``solve``, nugget ``eta``): the
     predictions are H+^T a, a = (K+)^-1 y, plus lam (w^T y) when ordinary,
     (w, gamma1) = :func:`_mean_solve` (``a``, ``mean`` if the caller has
-    solved them); alpha = (K+)^-1 H+ (+ w lam^T) is formed when read.  A
+    solved them), which is the term (mu+, w, lam, gamma1) of the weights.  A
     non-finite H+ raises ValueError, as its solve would.  ``mu_star`` needs
     one entry per column of ``Hplus``."""
     Hplus = np.asarray_chkfinite(Hplus)
     a = solve(y) if a is None else a
     predictions = Hplus.T @ a
     if mu_plus is None:
-        return KrigingWeights(lambda: solve(Hplus), predictions, Hplus, nugget_used=eta)
+        return KrigingWeights(solve, Hplus, predictions, nugget_used=eta)
     mu_star = np.asarray(mu_star, dtype=float).ravel()
     if mu_star.size != Hplus.shape[1]:
         raise ValueError(f"mu_star has size {mu_star.size}, expected {Hplus.shape[1]}")
     w, g1 = mean or _mean_solve(solve, mu_plus)
     lam = (mu_star - Hplus.T @ w) / g1
-    return KrigingWeights(
-        lambda: solve(Hplus) + np.outer(w, lam), predictions + lam * (w @ y),
-        Hplus - np.outer(mu_plus, lam), lam, nugget_used=eta,
-    )
+    return KrigingWeights(solve, Hplus, predictions + lam * (w @ y), ((mu_plus, w, lam, g1),),
+                          lam, nugget_used=eta)
 
 
 def co_kriging(k, obs, ops, pred, mu_star=None, cfg=SolveConfig()):
@@ -356,7 +361,8 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=SolveConfig(), conditional_
     base = kriging.predictions
     if conditional_cov == "identity":
         return base + _constraint_projector(ops)(base, ops.rhs)[0]
-    K2g1U = ops.tdot((design.gram(k, ops.colloc_points) - H.T @ kriging.alpha).T).T
+    V = lapack.dtrtrs(kriging.solve.L, H, lower=1)[0]  # K_{2|1} = K22 - V^T V, symmetric
+    K2g1U = ops.tdot(design.gram(k, ops.colloc_points) - V.T @ V).T
     try:
         factor = cho_factor(ops.tdot(K2g1U) + kriging.nugget_used * np.eye(ops.p), lower=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -393,9 +399,9 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
     gamma2 - gamma3^2/gamma1 with gamma1 = mu^T K^-1 mu,
     gamma3 = mu^T K^-1 Z): predictions = Kriging predictions + U w, with
     U w, w = project(Kriging predictions, v*) (:func:`_constraint_projector`),
-    lambda' = w / denom, alpha = alpha_K + b (U lambda')^T (formed when
-    read), cross = cross_K - z~ (U lambda')^T and
-    lambda = lambda_K - (gamma3/gamma1) U lambda'.  The MMSE variance is
+    lambda' = w / denom, the weights gain the term (z~, b, U lambda', denom)
+    (alpha = alpha_K + b (U lambda')^T, cross = cross_K - z~ (U lambda')^T)
+    and lambda = lambda_K - (gamma3/gamma1) U lambda'.  The MMSE variance is
     the Kriging step's plus (U w)^2 / denom: the cross terms cancel.
     """
     ops, mu, Z = ops_at_predictions, obs.mean, obs.values
@@ -422,13 +428,9 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
     Uw, w = project(kriging.predictions, ops.rhs)
     lam2 = w / denom
     Ulam2 = ops.dot(lam2)
-    return KrigingWeights(
-        alpha=lambda: kriging.alpha + np.outer(b, Ulam2),
-        predictions=kriging.predictions + Uw,
-        cross=kriging.cross - np.outer(zt, Ulam2),
-        lam=None if mu is None else kriging.lam - (g3 / g1) * Ulam2,
-        lam2=lam2, nugget_used=eta,
-    )
+    lam = None if mu is None else kriging.lam - (g3 / g1) * Ulam2
+    return KrigingWeights(solve, kriging.H, kriging.predictions + Uw,
+                          kriging.terms + ((zt, b, Ulam2, denom),), lam, lam2, eta)
 
 
 def lagrangian_kriging(k, obs, ops_at_predictions, mu_star=None, cfg=SolveConfig()):

@@ -4,11 +4,13 @@ The minimal-MSE covariance of a linear predictor alpha^T Z is
 K* - alpha^T H - H^T alpha + alpha^T K alpha.  At the optimal weights of
 every predictor here, K alpha = H + M with a multiplier term M (0 for
 simple and co-Kriging, mu lam^T for ordinary Kriging, Z (U lam')^T for
-Lagrangian Kriging), and it collapses to K* - alpha^T (H - M).  Each
-solver returns H - M as ``KrigingWeights.cross``, so the covariance is
-read off the prediction solve: :func:`mmse_variance` forms its diagonal
-blocks, :func:`var_ck` and :func:`var_lk` the full matrix.  These are
-upper bounds on the conditional variance once PDE information is
+Lagrangian Kriging), and it collapses to K* - alpha^T (H - M).  Its
+symmetric part is K* - V^T V, V = L^-1 H on the solve's factor K = L L^T
+(GPML, Alg. 2.1), plus gamma1 lam lam^T (ordinary) and
+denom (U lam')(U lam')^T (Lagrangian): the runners read their variances
+so (:func:`mmse_variance`), forming neither alpha nor K*; only
+:func:`var_ck` and :func:`var_lk`, the full matrix, form alpha.  These
+are upper bounds on the conditional variance once PDE information is
 conditioned on, not exact posteriors, and the +-2 sigma intervals here
 inherit that conservatism.
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import design
 from .predictors import SolveConfig
@@ -130,37 +133,32 @@ def var_lk(k, obs, ops_at_predictions, cfg=SolveConfig()):
     return _full_covariance(k, ops_at_predictions.colloc_points, w)
 
 
-def mmse_variance(k, atoms, alpha, cross, block=1):
-    """MMSE variance of optimal weights, read off the prediction solve.
+def mmse_variance(k, atoms, w, cols=slice(None), block=1):
+    """MMSE variance of the solve ``w`` (a :class:`pikrig.predictors.KrigingWeights`)
+    at its columns ``cols``, whose atoms are ``atoms``, read off its factor.
 
-    The covariance is K* - alpha^T cross, with ``cross`` = H - M as the
-    solver returns it (:class:`pikrig.predictors.KrigingWeights`): the
-    matrix :func:`var_ck` and :func:`var_lk` return, and for ordinary
-    Kriging the realized :func:`pikrig.predictors.mse_objective` on its
-    diagonal.
-
-    Only the diagonal ``block`` x ``block`` blocks over consecutive
-    ``atoms`` (the columns of ``alpha`` and ``cross``) are formed, one
-    :func:`pikrig.design.cov_pairs` call per upper-triangle position, so
-    K* itself is never built.  Returns the diagonal, clamped at 0 as in
-    :class:`PredictiveUQ`, and the symmetrized blocks, shape
-    (len(atoms) // block, block, block).
+    With V = L^-1 H+ over those columns only, the covariance is K* - V^T V
+    plus c r r^T per term (m, s, r, c) of ``w``: the symmetric part of what
+    :func:`var_ck` and :func:`var_lk` return.  Only the diagonal ``block`` x
+    ``block`` blocks over consecutive ``atoms`` are formed, one
+    :func:`pikrig.design.cov_pairs` call per upper-triangle position.
+    Returns the diagonal, clamped at 0 as in :class:`PredictiveUQ`, and the
+    symmetric blocks, shape (len(atoms) // block, block, block).
     """
-    n, q = alpha.shape
+    q = len(atoms)
     nb = q // block
-    Kstar = np.empty((nb, block, block))
+    S = np.empty((nb, block, block))
     for i in range(block):
         for j in range(i, block):
-            Kstar[:, i, j] = Kstar[:, j, i] = design.cov_pairs(
-                k, atoms[i:q:block], atoms[j:q:block]
-            )
-    AtR = np.einsum(
-        "iga,igb->gab", alpha.reshape(n, nb, block), cross.reshape(n, nb, block)
-    )
-    V = Kstar - AtR
-    V = 0.5 * (V + V.transpose(0, 2, 1))
-    variance, _ = _clamp(np.diagonal(V, axis1=1, axis2=2).ravel())
-    return variance, V
+            S[:, i, j] = S[:, j, i] = design.cov_pairs(k, atoms[i:q:block], atoms[j:q:block])
+    V = lapack.dtrtrs(w.solve.L, w.H[:, cols], lower=1)[0].reshape(-1, nb, block)
+    S -= np.einsum("iga,igb->gab", V, V)
+    for _, _, r, c in w.terms:
+        r = r[cols].reshape(nb, block, 1)
+        S += c * (r * r.transpose(0, 2, 1))
+    S = 0.5 * (S + S.transpose(0, 2, 1))
+    variance, _ = _clamp(np.diagonal(S, axis1=1, axis2=2).ravel())
+    return variance, S
 
 
 def quadform_moments(mean2, cov2):

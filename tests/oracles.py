@@ -29,7 +29,10 @@ replaces.  Kriging's predictions are also kept as alpha^T Z with the
 weights formed first (:func:`kriging_alpha_route`), the path the one
 refined solve of the data replaces, and the interpolation variance rule
 from the fit's formed weights and K* (:func:`interpolation_sigma2_weights_route`),
-the path its closed form replaces.  The leave-one-out criteria are also
+the path its closed form replaces, and the runners' variances from the
+formed weights as K* - alpha^T (H - M) (:func:`mmse_variance_alpha_route`,
+with the package's clamp ``uq._clamp``), the path k** - ||L^-1 h||^2 on
+the factor replaces.  The leave-one-out criteria are also
 kept one theta per call (``*_per_theta``), the path the stacked criteria
 replace, and the row grouping by one integer key (:func:`group_rows_ravel`).
 """
@@ -49,6 +52,11 @@ from pikrig import predictors as _pred
 from pikrig import uq as _uq
 from pikrig.calibration import CalibrationResult, logger
 from pikrig.predictors import ConditioningError
+
+
+# Formed weights, with the attributes of ``predictors.KrigingWeights`` that
+# the tests read.
+Weights = namedtuple("Weights", "alpha predictions cross lam lam2 nugget_used")
 
 
 def _bracket(idx, h, it2):
@@ -297,7 +305,7 @@ def solve_lagrangian_normal(K, H, obs, ops, cfg, mu_star=None):
             lam = c1 / g1
             alpha = alpha + np.outer(Kimu, lam)
             cross = H - np.outer(mu, lam)
-        return _pred.KrigingWeights(alpha, alpha.T @ Z, cross, lam, None, eta)
+        return Weights(alpha, alpha.T @ Z, cross, lam, None, eta)
     g2 = float(Z @ a)
     base = H.T @ a
     denom = g2
@@ -312,7 +320,7 @@ def solve_lagrangian_normal(K, H, obs, ops, cfg, mu_star=None):
     if mu is not None:
         lam = (c1 - g3 * Ulam2) / g1
         M = M + np.outer(mu, lam)
-    return _pred.KrigingWeights(solve(H + M), base + U @ w, H - M, lam, lam2, eta)
+    return Weights(solve(H + M), base + U @ w, H - M, lam, lam2, eta)
 
 
 def loocv_naive(k, obs, cfg=None):
@@ -368,6 +376,39 @@ def variance_dense(K, H, Kstar):
 FullCovariance = namedtuple(
     "FullCovariance", "mean covariance variance symmetry_defect alt_variance"
 )
+
+
+def mmse_variance_alpha_route(k, atoms, alpha, cross, block=1):
+    """``uq.mmse_variance`` by the formed weights: the diagonal ``block`` x
+    ``block`` blocks of K* - alpha^T cross over consecutive ``atoms`` (the
+    columns of ``alpha`` and ``cross``), symmetrized, and their diagonal
+    clamped by ``uq._clamp``; the route the factor's K* - V^T V replaces."""
+    n, q = alpha.shape
+    nb = q // block
+    Kstar = np.empty((nb, block, block))
+    for i in range(block):
+        for j in range(i, block):
+            Kstar[:, i, j] = Kstar[:, j, i] = design.cov_pairs(
+                k, atoms[i:q:block], atoms[j:q:block]
+            )
+    AtR = np.einsum(
+        "iga,igb->gab", alpha.reshape(n, nb, block), cross.reshape(n, nb, block)
+    )
+    V = Kstar - AtR
+    V = 0.5 * (V + V.transpose(0, 2, 1))
+    variance, _ = _uq._clamp(np.diagonal(V, axis1=1, axis2=2).ravel())
+    return variance, V
+
+
+def mmse_variance_mp(K, H, kstar, eta=0.0, dps=60):
+    """k** - h^T (K + eta I)^-1 h per column h of ``H`` (``kstar`` its
+    diagonal of K*) in ``dps``-digit arithmetic, the float entries taken
+    as exact; returned as floats."""
+    with mpmath.workdps(dps):
+        A = mpmath.matrix(K.tolist()) + mpmath.mpf(eta) * mpmath.eye(len(K))
+        X = mpmath.inverse(A) * mpmath.matrix(H.tolist())
+        return np.array([float(mpmath.mpf(kstar[j]) - mpmath.fsum(
+            mpmath.mpf(H[i, j]) * X[i, j] for i in range(len(K)))) for j in range(H.shape[1])])
 
 
 def _full(mean, printed, alt=None):
@@ -437,7 +478,7 @@ def loocv_lk_refit(k_unit, obs, ops, cfg=None):
             K, H = _pred.assemble_lagrangian(k, sub, ops_i)
             w = _pred.solve_lagrangian(K, H, sub, ops_i, cfg)
             j = design.locate_atoms(ops_i.colloc_points, atom)
-            var, _ = _uq.mmse_variance(k, atom, w.alpha[:, j], w.cross[:, j])
+            var, _ = mmse_variance_alpha_route(k, atom, w.alpha[:, j], w.cross[:, j])
             res.append((obs.values[i] - w.predictions[j[0]], var[0]))
             escalated = escalated or w.nugget_used > cfg.nugget
         return np.array(res), escalated
@@ -501,7 +542,7 @@ def kriging_alpha_route(Kplus, Hplus, y, cfg, mu_plus=None, mu_star=None):
         w = solve(mu_plus)
         lam = (np.asarray(mu_star, dtype=float).ravel() - Hplus.T @ w) / float(mu_plus @ w)
         alpha, cross = alpha + np.outer(w, lam), Hplus - np.outer(mu_plus, lam)
-    return _pred.KrigingWeights(alpha, alpha.T @ y, cross, lam, None, eta)
+    return Weights(alpha, alpha.T @ y, cross, lam, None, eta)
 
 
 def cylinder_flow_point(geom, freestream, at):
@@ -755,7 +796,7 @@ def interpolation_sigma2_weights_route(k_unit, obs, ops_at_predictions, theta, c
     k, K, H, _ = system(theta)
     w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
     resid = w.predictions[idx] - obs.values
-    var = _uq.mmse_variance(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0]
+    var = mmse_variance_alpha_route(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0]
     return max(float(np.mean(resid ** 2 / np.maximum(var, 1e-12))), 1e-12)
 
 

@@ -537,6 +537,24 @@ def test_one_factorization_per_solve(tmp_path, monkeypatch):
         assert len(calls) == 1, args
 
 
+def test_no_run_forms_the_weights(tmp_path, monkeypatch):
+    # every runner reads its variances off the factor, so no CLI run reads
+    # KrigingWeights.alpha (the N x q weights) at all
+    def forbidden(self):
+        raise AssertionError("a CLI run formed the Kriging weights")
+
+    monkeypatch.setattr(predictors.KrigingWeights, "alpha", property(forbidden))
+    flow_cfg = tmp_path / "flow.json"
+    flow_cfg.write_text(json.dumps({"n": 8, "q1": 8, "cont_nx": 5, "cont_ny": 5,
+                                    "pred_nx": 6, "pred_ny": 6}))
+    runs = [["ode1d", "--method", m] for m in cli._methods()]
+    runs += [["scalar2d", "--method", m, "--q", "16"] for m in ("sk", "ck", "lk")]
+    runs += [["flow", "--method", m, "--config", str(flow_cfg)] for m in ("ck", "lk")]
+    runs += [["calibrate", "--method", "ck"], ["bench", "--p", "20", "--q", "10"]]
+    for i, args in enumerate(runs):
+        assert run(args + ["--out", str(tmp_path / str(i))]) == cli.EXIT_OK, args
+
+
 def test_each_distinct_matrix_is_factored_once_per_run(tmp_path, monkeypatch):
     # a run factors each matrix once: a variance rule or a fit
     # at the argmin reuses the search's factorization there.  Only

@@ -11,6 +11,7 @@ from pikrig import cli
 from pikrig import design
 from pikrig import flowlab as F
 from pikrig import predictors as P
+from pikrig import uq
 from pikrig.design import ObservationSet
 from pikrig.kernel import SqExpKernel
 from pikrig.predictors import SolveConfig
@@ -240,6 +241,28 @@ def test_ck_blocks_match_full_covariance():
     vscale = 1e-12 * max(1.0, float(np.max(np.abs(u.mean))))
     assert np.max(np.abs(f.vx - u.mean[0::2])) <= vscale
     assert np.max(np.abs(f.vy - u.mean[1::2])) <= vscale
+
+
+def test_ck_variances_match_the_alpha_route_at_the_benchmark_fit():
+    # flow ck reads its variances and 2x2 blocks off the factor, as
+    # K* - V^T V with V = L^-1 H+ over the grid columns only; the formed
+    # weights' K* - alpha^T H+ is the reference, on the default cylinder
+    # system at the benchmark's fixed theta and sigma2
+    problem, _ = cli._flow_problem(cli.RunConfig(experiment="flow-cylinder"))
+    k = SqExpKernel(10.565115832855062, 0.9178758779662336, 2)
+    system = F.build_flow_system(problem)
+    obs, ops, pred = system
+    f = F.predict_flow_ck(k, problem, CFG, system=system)
+    w = P.co_kriging(k, obs, ops, pred + F._velocity_atoms(problem.boundary_locations), cfg=CFG)
+    G2 = len(pred)
+    blocks = uq.mmse_variance(k, pred, w, slice(0, G2), block=2)[1]
+    ref_var, ref = oracles.mmse_variance_alpha_route(k, pred, w.alpha[:, :G2],
+                                                     w.cross[:, :G2], block=2)
+    for got, want in ((f.var_vx, ref_var[0::2]), (f.var_vy, ref_var[1::2]),
+                      (f.cov_vxy, ref[:, 0, 1]), (blocks[:, 0, 0], ref[:, 0, 0]),
+                      (blocks[:, 1, 1], ref[:, 1, 1]), (blocks[:, 0, 1], ref[:, 0, 1]),
+                      (blocks[:, 1, 0], ref[:, 1, 0])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- two-step Lagrangian path ----------------------------------------------

@@ -247,8 +247,9 @@ def test_lagrangian_variance_is_kriging_variance_plus_projection_term(seed):
         for o, mu_star, denom in ((obs, None, g2), (obs_m, ones, g2 - g3 ** 2 / g1)):
             lk = P.solve_lagrangian(K, H, o, ops, cfg, mu_star)
             kriging = P.solve_co_kriging(K, H, o.values, cfg, o.mean, mu_star)
-            var = uq.mmse_variance(k, ops.colloc_points, lk.alpha, lk.cross)[0]
-            want = uq.mmse_variance(k, ops.colloc_points, kriging.alpha, kriging.cross)[0]
+            var = oracles.mmse_variance_alpha_route(k, ops.colloc_points, lk.alpha, lk.cross)[0]
+            want = oracles.mmse_variance_alpha_route(k, ops.colloc_points, kriging.alpha,
+                                                     kriging.cross)[0]
             want = want + denom * ops.dot(lk.lam2) ** 2
             scale = max(k.sigma2, float(np.max(np.sum(np.abs(lk.alpha * lk.cross), axis=0))))
             assert np.max(np.abs(var - want)) <= 1e-11 * scale, (theta, o.mean is None)

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from pikrig import design
+from pikrig import cli, design
 from pikrig import predictors as P
 from pikrig import uq
 from pikrig.design import ExtendedPoint, ObservationSet, OperatorSystem
@@ -100,10 +102,31 @@ def test_negative_diagonal_is_clamped_with_a_warning(caplog):
     for c, logged in ((1.0 + 1e-13, False), (2.0, True)):
         caplog.clear()
         with caplog.at_level("WARNING", logger="pikrig.uq"):
-            variance, blocks = uq.mmse_variance(k, atoms, np.eye(2), c * np.eye(2))
+            variance, blocks = oracles.mmse_variance_alpha_route(k, atoms, np.eye(2), c * np.eye(2))
         assert np.array_equal(variance, [0.0, 0.0])
         assert np.all(blocks[:, 0, 0] == 1.0 - c)  # the blocks keep the raw value
         assert ("clamped to 0" in caplog.text) == logged
+
+
+@pytest.mark.parametrize("seed", (4, 6, 10))
+def test_factor_variances_against_60_digits(seed):
+    # the runners' k** - ||L^-1 h||^2 on the ode1d sk and ck systems (60 grid
+    # atoms) against k** - h^T (K+ + eta I)^-1 h in 60 digits: no worse than
+    # 4x the formed weights' K* - alpha^T H+, or within 1e-14 sigma2.  Seed 6
+    # has two observations 2.5e-3 apart, and there both routes lose digits
+    for theta, rows_at in itertools.product((0.8, 1.5, 2.5), (None, "colloc")):
+        obs, ops, grid = cli._ode1d_data(cli.RunConfig(seed=seed, q=60), rows_at)
+        pred = design.Atoms(grid[:, None], (0,))
+        k = SqExpKernel(sigma2=1.0, theta=theta, dim=1)
+        Kplus, Hplus, y = P.assemble_co_kriging(
+            k, obs, ops if ops is not None else OperatorSystem(), pred)
+        w = P.solve_co_kriging(Kplus, Hplus, y, P.SolveConfig())
+        exact = oracles.mmse_variance_mp(Kplus, Hplus, np.full(len(pred), k.sigma2),
+                                         w.nugget_used)
+        got = uq.mmse_variance(k, pred, w)[1][:, 0, 0]
+        ref = oracles.mmse_variance_alpha_route(k, pred, w.alpha, w.cross)[1][:, 0, 0]
+        err, ref_err = np.max(np.abs(got - exact)), np.max(np.abs(ref - exact))
+        assert err <= max(4.0 * ref_err, 1e-14 * k.sigma2), (theta, rows_at, err, ref_err)
 
 
 def test_var_lk_mean_matches_predictor(rng):
