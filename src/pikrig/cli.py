@@ -130,7 +130,7 @@ def write_csv(path, header, columns):
 
 def write_report(outdir, report):
     payload = {f.name: getattr(report, f.name) for f in fields(report)}  # asdict's, uncopied
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"  # NaN is not JSON
     _flow.atomic_write_text(os.path.join(outdir, "report.json"), text)
 
 
@@ -266,8 +266,9 @@ def _calibrate(cfg, criterion, obs, ops, scfg, default_budget=64):
 # methods: one row of the method table per --method value
 
 
-# A post-calibration solve, read at its atoms; ``rows`` of them are the prediction atoms.
-_Fit = namedtuple("_Fit", "atoms rows mean variance resid_max nugget_used timing")
+# A post-calibration solve ``w`` whose first columns are at ``atoms``; ``rows``
+# of them are the prediction atoms.
+_Fit = namedtuple("_Fit", "atoms rows w resid_max timing")
 
 
 def _timing(construction_s, inversion_s):
@@ -308,20 +309,17 @@ def _solve_stacked(k, obs, ops, pred, scfg, rows=True, ordinary=False):
     q = len(pred)
     mu, mu_star = (np.ones(obs.n), np.ones(q)) if ordinary else (None, None)
     w, timing = _timed_ck(k, obs, ops, pred + ops.colloc_points, scfg, mu, mu_star)
-    variance, _ = _uq.mmse_variance(k, pred, w, slice(0, q))
     resid = ops.tdot(w.predictions[q:]) - ops.rhs
     resid_max = float(np.max(np.abs(resid))) if ops.p else None
-    return _Fit(pred, slice(None), w.predictions[:q], variance, resid_max, w.nugget_used, timing)
+    return _Fit(pred, slice(0, q), w, resid_max, timing)
 
 
 def _solve_lk(k, obs, ops, pred, scfg):
     """Lagrangian Kriging over the constrained atoms plus ``pred``."""
     lk_ops, rows = design._extend(ops, pred)
     w, timing = _timed_lk(k, obs, lk_ops, scfg)
-    atoms = lk_ops.colloc_points
-    variance, _ = _uq.mmse_variance(k, atoms, w)
     resid_max = float(np.max(np.abs(lk_ops.tdot(w.predictions) - lk_ops.rhs)))
-    return _Fit(atoms, rows, w.predictions, variance, resid_max, w.nugget_used, timing)
+    return _Fit(lk_ops.colloc_points, rows, w, resid_max, timing)
 
 
 _Method = namedtuple(
@@ -362,14 +360,17 @@ def _report(cfg, k, **fields):
 
 
 def _finish(cfg, k, fit, sel, **fields):
-    """Write predictions.csv for the fit's atoms ``sel``; return the report."""
-    X, M = fit.atoms.X[sel], fit.atoms.M[sel]
-    header = ["x", "y"][: X.shape[1]] + ["m", "mean", "variance"]
-    mstr = ["|".join(map(str, m)) for m in M.tolist()]
-    columns = [*X.T, mstr, fit.mean[sel], fit.variance[sel]]
+    """Write predictions.csv for the fit's atoms ``sel``, with the variances
+    of those columns only; return the report."""
+    cols = np.arange(len(fit.atoms))[sel]
+    atoms = fit.atoms[cols]
+    variance, _ = _uq.mmse_variance(k, atoms, fit.w, cols)
+    header = ["x", "y"][: atoms.X.shape[1]] + ["m", "mean", "variance"]
+    mstr = ["|".join(map(str, m)) for m in atoms.M.tolist()]
+    columns = [*atoms.X.T, mstr, fit.w.predictions[cols], variance]
     write_csv(os.path.join(cfg.output_dir, "predictions.csv"), header, columns)
     return _report(cfg, k, constraint_residual_max=fit.resid_max, timing=fit.timing,
-                   nugget_used=float(fit.nugget_used), **fields)
+                   nugget_used=float(fit.w.nugget_used), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,7 @@ def run_ode1d(cfg):
     scfg = SolveConfig(nugget=cfg.nugget)
     k, _ = _calibrate(cfg, row.criterion, obs, ops, scfg)
     fit = row.solve(k, obs, ops, pred_atoms, scfg)
-    mse = float(np.mean((fit.mean[fit.rows] - np.sin(grid)) ** 2))
+    mse = float(np.mean((fit.w.predictions[fit.rows] - np.sin(grid)) ** 2))
     return _finish(cfg, k, fit, slice(None), mse_vs_truth=mse)
 
 
@@ -455,7 +456,7 @@ def run_scalar2d(cfg):
     scfg = SolveConfig(nugget=cfg.nugget)
     k, _ = _calibrate(cfg, row.criterion, obs, ops, scfg)
     fit = row.solve(k, obs, ops, pred_atoms, scfg)
-    predictions = fit.mean[fit.rows]
+    predictions = fit.w.predictions[fit.rows]
     extras = {}
     if row.solve is _solve_lk:
         # every constraint atom here is a derivative no observation
@@ -466,7 +467,7 @@ def run_scalar2d(cfg):
         )
     err = predictions - truth
     denom = float(np.linalg.norm(truth))
-    l2 = float(np.linalg.norm(err)) / denom if denom > 0 else float("nan")
+    l2 = float(np.linalg.norm(err)) / denom if denom > 0 else None
     mse = float(np.mean(err ** 2))
     return _finish(cfg, k, fit, fit.rows, mse_vs_truth=mse, l2_rel_error=l2, extras=extras)
 

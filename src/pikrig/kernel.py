@@ -80,10 +80,17 @@ class SqExpKernel:
     def __post_init__(self):
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        _theta2(self.theta)
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
+
+
+def _theta2(theta):
+    """theta^2, which the closed forms divide by; a ValueError unless it is a
+    positive finite double (theta within about [1.5e-162, 1.3e154])."""
+    if not (theta > 0 and 0 < theta * theta < math.inf):
+        raise ValueError(f"theta must be positive with a finite non-zero square, got {theta}")
+    return theta ** 2
 
 
 def total_order(m):
@@ -176,7 +183,7 @@ def block_value(k, form, thetas=None):
     in 1/theta^2 per power, an absent power only multiplying.  Given
     ``thetas``, a row per lengthscale (one alone unstacked), each k's at it."""
     P, d2 = form
-    t2 = [k.theta ** 2] if thetas is None else [t ** 2 for t in np.asarray(thetas).tolist()]
+    t2 = [k.theta ** 2] if thetas is None else [_theta2(t) for t in np.asarray(thetas).tolist()]
     t2 = t2[0] if len(t2) == 1 else np.array(t2)[:, None]  # a float takes numpy's scalar path
     it2 = 1.0 / t2
     v = P[-1]

@@ -124,14 +124,15 @@ class KrigingWeights:
     A solve holds its factored K+ (``solve``, see :func:`make_spd_solver`),
     its cross block ``H`` = H+ and one term (m, s, r, c) per multiplier,
     s = (K+)^-1 m and c = m^T s: (mu, w, lam, gamma1) for ordinary Kriging,
-    (z~, b, U lam', denom) for the Lagrangian projection.  ``alpha`` =
-    (K+)^-1 H+ + sum s r^T and ``cross`` = H+ - sum m r^T = H - M (H+
-    itself with no terms), the block the weights pair with in the MMSE
-    covariance K* - alpha^T (H - M), where K alpha = H + M, are formed on
-    their first read only.  ``predictions`` is alpha^T applied to the
-    stacked observation vector as assembled, computed without alpha.
-    ``lam`` are the unbiasedness multipliers (ordinary variants), ``lam2``
-    the differential-constraint multipliers (Lagrangian).
+    (z~, b, U lam', denom) for the Lagrangian projection, where
+    K alpha = H + sum m r^T.  ``whiten(cols)`` is V = L^-1 H+ over those
+    columns on the factor K+ = L L^T, from which :mod:`pikrig.uq` reads the
+    MMSE covariance K* - V^T V + sum c r r^T; ``alpha`` =
+    (K+)^-1 H+ + sum s r^T is formed on its first read only.
+    ``predictions`` is alpha^T applied to the stacked observation vector as
+    assembled, computed without alpha.  ``lam`` are the unbiasedness
+    multipliers (ordinary variants), ``lam2`` the differential-constraint
+    multipliers (Lagrangian).
     """
 
     def __init__(self, solve, H, predictions, terms=(), lam=None, lam2=None, nugget_used=0.0):
@@ -142,9 +143,9 @@ class KrigingWeights:
     def alpha(self):
         return sum((np.outer(s, r) for _, s, r, _ in self.terms), self.solve(self.H))
 
-    @cached_property
-    def cross(self):
-        return sum((-np.outer(m, r) for m, _, r, _ in self.terms), self.H)
+    def whiten(self, cols=slice(None)):
+        """V = L^-1 H+[:, cols], one triangular solve on the factor of K+."""
+        return lapack.dtrtrs(self.solve.L, self.H[:, cols], lower=1)[0]
 
 
 def make_spd_solver(K, cfg):
@@ -361,7 +362,7 @@ def co_kriging_schur(k, obs, ops_at_predictions, cfg=SolveConfig(), conditional_
     base = kriging.predictions
     if conditional_cov == "identity":
         return base + _constraint_projector(ops)(base, ops.rhs)[0]
-    V = lapack.dtrtrs(kriging.solve.L, H, lower=1)[0]  # K_{2|1} = K22 - V^T V, symmetric
+    V = kriging.whiten()  # K_{2|1} = K22 - V^T V, symmetric
     K2g1U = ops.tdot(design.gram(k, ops.colloc_points) - V.T @ V).T
     try:
         factor = cho_factor(ops.tdot(K2g1U) + kriging.nugget_used * np.eye(ops.p), lower=True)
@@ -391,7 +392,7 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
 
     A centered ``obs`` gives the simple variant, ``obs.mean`` with
     ``mu_star`` the ordinary one; the matching Kriging step (alpha_K,
-    cross_K, lambda_K, its predictions H^T a from a = K^-1 Z) comes from
+    lambda_K, its predictions H^T a from a = K^-1 Z) comes from
     the same factorization and solves of Z and mu, and is returned as it
     is when there are no equations.  Otherwise, with
     z~ = Z - (mu^T K^-1 Z / mu^T K^-1 mu) mu (z~ = Z when centered),
@@ -400,9 +401,9 @@ def solve_lagrangian(K, H, obs, ops_at_predictions, cfg, mu_star=None):
     gamma3 = mu^T K^-1 Z): predictions = Kriging predictions + U w, with
     U w, w = project(Kriging predictions, v*) (:func:`_constraint_projector`),
     lambda' = w / denom, the weights gain the term (z~, b, U lambda', denom)
-    (alpha = alpha_K + b (U lambda')^T, cross = cross_K - z~ (U lambda')^T)
-    and lambda = lambda_K - (gamma3/gamma1) U lambda'.  The MMSE variance is
-    the Kriging step's plus (U w)^2 / denom: the cross terms cancel.
+    (alpha = alpha_K + b (U lambda')^T) and lambda = lambda_K -
+    (gamma3/gamma1) U lambda'.  The MMSE variance is the Kriging step's
+    plus (U w)^2 / denom: the cross terms cancel.
     """
     ops, mu, Z = ops_at_predictions, obs.mean, obs.values
     if mu is not None and mu_star is None:

@@ -2,17 +2,17 @@
 
 The minimal-MSE covariance of a linear predictor alpha^T Z is
 K* - alpha^T H - H^T alpha + alpha^T K alpha.  At the optimal weights of
-every predictor here, K alpha = H + M with a multiplier term M (0 for
-simple and co-Kriging, mu lam^T for ordinary Kriging, Z (U lam')^T for
-Lagrangian Kriging), and it collapses to K* - alpha^T (H - M).  Its
-symmetric part is K* - V^T V, V = L^-1 H on the solve's factor K = L L^T
-(GPML, Alg. 2.1), plus gamma1 lam lam^T (ordinary) and
-denom (U lam')(U lam')^T (Lagrangian): the runners read their variances
-so (:func:`mmse_variance`), forming neither alpha nor K*; only
-:func:`var_ck` and :func:`var_lk`, the full matrix, form alpha.  These
-are upper bounds on the conditional variance once PDE information is
-conditioned on, not exact posteriors, and the +-2 sigma intervals here
-inherit that conservatism.
+every predictor here, K alpha = H + sum m r^T over the solve's multiplier
+terms (none for simple and co-Kriging, mu lam^T for ordinary Kriging,
+z~ (U lam')^T for Lagrangian Kriging), and its symmetric part is
+K* - V^T V + sum c r r^T, V = L^-1 H on the solve's factor K = L L^T
+(GPML, Alg. 2.1), with c = gamma1 (ordinary) and denom (Lagrangian).
+Every covariance here is read so, by one core (:func:`_mmse`) that never
+forms alpha: the runners' diagonal blocks (:func:`mmse_variance`) and the
+full matrix of :func:`var_ck` and :func:`var_lk` alike.  These are upper
+bounds on the conditional variance once PDE information is conditioned
+on, not exact posteriors, and the +-2 sigma intervals here inherit that
+conservatism.
 
 For velocity fields the squared magnitude ||v||^2 = vx^2 + vy^2 of a
 bivariate normal is a generalized chi-square variable;
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import design
 from .predictors import SolveConfig
@@ -43,14 +42,8 @@ _NEG_VAR_TOL = 1e-10
 
 @dataclass
 class PredictiveUQ:
-    """MMSE variance, full covariance, and +-2 sigma intervals.
-
-    ``raw_min`` is the most negative pre-clamp diagonal entry and
-    ``symmetry_defect`` the max-norm asymmetry of K* - alpha^T (H - M)
-    before it is symmetrized.  For the Lagrangian form that is the printed
-    expression K* - (H+W)^T K^-1 (H-W), whose antisymmetric part is not
-    only rounding.
-    """
+    """MMSE variance, full (exactly symmetric) covariance, and +-2 sigma
+    intervals; ``raw_min`` is the most negative pre-clamp diagonal entry."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -58,7 +51,6 @@ class PredictiveUQ:
     interval_lo: np.ndarray
     interval_hi: np.ndarray
     raw_min: float = 0.0
-    symmetry_defect: float = 0.0
     nugget_used: float = 0.0
 
 
@@ -84,32 +76,34 @@ def _clamp(diag):
     return np.clip(diag, 0.0, None), raw_min
 
 
+def _mmse(w, S, cols=slice(None)):
+    """The MMSE covariance of the solve ``w`` at its columns ``cols``, in
+    blocks over consecutive columns: K* (the blocks ``S``, updated in place)
+    minus V^T V, plus c r r^T per term (m, s, r, c) of ``w``, symmetrized."""
+    nb, block, _ = S.shape
+    V = w.whiten(cols).reshape(len(w.H), nb, block)
+    S -= np.einsum("iga,igb->gab", V, V)
+    for _, _, r, c in w.terms:
+        r = r[cols].reshape(nb, block, 1)
+        S += c * (r * r.transpose(0, 2, 1))
+    return 0.5 * (S + S.transpose(0, 2, 1))
+
+
 def _full_covariance(k, atoms, w):
-    """PredictiveUQ of a solve over ``atoms``: K* - alpha^T cross, symmetrized."""
-    V = design.gram(k, atoms) - w.alpha.T @ w.cross
-    defect = float(np.max(np.abs(V - V.T))) if V.size else 0.0
-    V = 0.5 * (V + V.T)
+    """PredictiveUQ of a solve over ``atoms``: its MMSE covariance as one block."""
+    V = _mmse(w, design.gram(k, atoms)[None])[0]
     variance, raw_min = _clamp(np.diag(V).copy())
-    half = 2.0 * np.sqrt(variance)
-    mean = w.predictions
-    return PredictiveUQ(
-        mean=mean,
-        variance=variance,
-        covariance=V,
-        interval_lo=mean - half,
-        interval_hi=mean + half,
-        raw_min=raw_min,
-        symmetry_defect=defect,
-        nugget_used=float(w.nugget_used),
-    )
+    mean, half = w.predictions, 2.0 * np.sqrt(variance)
+    return PredictiveUQ(mean, variance, V, mean - half, mean + half, raw_min, float(w.nugget_used))
 
 
 def var_ck(k, obs, ops, pred, cfg=SolveConfig()):
     """Co-Kriging MMSE covariance K* - (H+)^T (K+)^-1 H+ with intervals.
 
-    Centered model.  With an empty operator system this is the plain
-    simple-Kriging variance.  The diagonal equals the realized
-    per-prediction :func:`pikrig.predictors.mse_objective` at the optimum.
+    Centered model; read off the factor of K+ as K* - V^T V, V = L^-1 H+.
+    With an empty operator system this is the plain simple-Kriging
+    variance.  The diagonal equals the realized per-prediction
+    :func:`pikrig.predictors.mse_objective` at the optimum.
     """
     if obs.mean is not None:
         raise ValueError("var_ck expects a centered model")
@@ -122,9 +116,9 @@ def var_lk(k, obs, ops_at_predictions, cfg=SolveConfig()):
 
     Centered model; the atoms are ``ops_at_predictions.colloc_points``.
     With W = Z lam'^T U^T the covariance K* - (H+W)^T K^-1 (H-W) is not
-    symmetric as printed; its antisymmetric part (zero on the diagonal,
-    so the variances are unaffected) is removed by (V+V^T)/2 and reported
-    as ``symmetry_defect``.  The solve is
+    symmetric as printed; this is its symmetric part (the antisymmetric
+    part is zero on the diagonal, so the variances are those of the
+    printed form), K* - V^T V + denom (U lam')(U lam')^T.  The solve is
     :func:`pikrig.predictors.lagrangian_kriging`, rank check included.
     """
     if obs.mean is not None:
@@ -137,26 +131,19 @@ def mmse_variance(k, atoms, w, cols=slice(None), block=1):
     """MMSE variance of the solve ``w`` (a :class:`pikrig.predictors.KrigingWeights`)
     at its columns ``cols``, whose atoms are ``atoms``, read off its factor.
 
-    With V = L^-1 H+ over those columns only, the covariance is K* - V^T V
-    plus c r r^T per term (m, s, r, c) of ``w``: the symmetric part of what
-    :func:`var_ck` and :func:`var_lk` return.  Only the diagonal ``block`` x
-    ``block`` blocks over consecutive ``atoms`` are formed, one
+    Only the diagonal ``block`` x ``block`` blocks over consecutive
+    ``atoms`` of the covariance that :func:`var_ck` and :func:`var_lk`
+    return are formed (:func:`_mmse`), K* from one
     :func:`pikrig.design.cov_pairs` call per upper-triangle position.
     Returns the diagonal, clamped at 0 as in :class:`PredictiveUQ`, and the
     symmetric blocks, shape (len(atoms) // block, block, block).
     """
     q = len(atoms)
-    nb = q // block
-    S = np.empty((nb, block, block))
+    S = np.empty((q // block, block, block))
     for i in range(block):
         for j in range(i, block):
             S[:, i, j] = S[:, j, i] = design.cov_pairs(k, atoms[i:q:block], atoms[j:q:block])
-    V = lapack.dtrtrs(w.solve.L, w.H[:, cols], lower=1)[0].reshape(-1, nb, block)
-    S -= np.einsum("iga,igb->gab", V, V)
-    for _, _, r, c in w.terms:
-        r = r[cols].reshape(nb, block, 1)
-        S += c * (r * r.transpose(0, 2, 1))
-    S = 0.5 * (S + S.transpose(0, 2, 1))
+    S = _mmse(w, S, cols)
     variance, _ = _clamp(np.diagonal(S, axis1=1, axis2=2).ravel())
     return variance, S
 

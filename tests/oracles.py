@@ -29,10 +29,11 @@ replaces.  Kriging's predictions are also kept as alpha^T Z with the
 weights formed first (:func:`kriging_alpha_route`), the path the one
 refined solve of the data replaces, and the interpolation variance rule
 from the fit's formed weights and K* (:func:`interpolation_sigma2_weights_route`),
-the path its closed form replaces, and the runners' variances from the
+the path its closed form replaces, and the MMSE variances from the
 formed weights as K* - alpha^T (H - M) (:func:`mmse_variance_alpha_route`,
-with the package's clamp ``uq._clamp``), the path k** - ||L^-1 h||^2 on
-the factor replaces.  The leave-one-out criteria are also
+with the package's clamp ``uq._clamp``, and H - M read off a solve's terms
+by :func:`cross`), the path K* - V^T V on the factor replaces in the
+runners and in ``uq.var_ck``/``var_lk``.  The leave-one-out criteria are also
 kept one theta per call (``*_per_theta``), the path the stacked criteria
 replace, and the row grouping by one integer key (:func:`group_rows_ravel`).
 """
@@ -57,6 +58,13 @@ from pikrig.predictors import ConditioningError
 # Formed weights, with the attributes of ``predictors.KrigingWeights`` that
 # the tests read.
 Weights = namedtuple("Weights", "alpha predictions cross lam lam2 nugget_used")
+
+
+def cross(w):
+    """H - M = H+ - sum m r^T over the terms (m, s, r, c) of the solve ``w``
+    (``predictors.KrigingWeights``), K alpha = H + M: the block its weights
+    pair with in K* - alpha^T (H - M); H+ itself with no terms."""
+    return sum((-np.outer(m, r) for m, _, r, _ in w.terms), w.H)
 
 
 def _bracket(idx, h, it2):
@@ -478,7 +486,7 @@ def loocv_lk_refit(k_unit, obs, ops, cfg=None):
             K, H = _pred.assemble_lagrangian(k, sub, ops_i)
             w = _pred.solve_lagrangian(K, H, sub, ops_i, cfg)
             j = design.locate_atoms(ops_i.colloc_points, atom)
-            var, _ = mmse_variance_alpha_route(k, atom, w.alpha[:, j], w.cross[:, j])
+            var, _ = mmse_variance_alpha_route(k, atom, w.alpha[:, j], cross(w)[:, j])
             res.append((obs.values[i] - w.predictions[j[0]], var[0]))
             escalated = escalated or w.nugget_used > cfg.nugget
         return np.array(res), escalated
@@ -796,7 +804,7 @@ def interpolation_sigma2_weights_route(k_unit, obs, ops_at_predictions, theta, c
     k, K, H, _ = system(theta)
     w = _pred.solve_lagrangian(K, H, obs, ops, cfg)
     resid = w.predictions[idx] - obs.values
-    var = mmse_variance_alpha_route(k, obs.points, w.alpha[:, idx], w.cross[:, idx])[0]
+    var = mmse_variance_alpha_route(k, obs.points, w.alpha[:, idx], cross(w)[:, idx])[0]
     return max(float(np.mean(resid ** 2 / np.maximum(var, 1e-12))), 1e-12)
 
 

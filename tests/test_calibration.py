@@ -793,3 +793,25 @@ def test_stacked_lk_raises_for_the_first_theta_in_grid_order():
         with pytest.raises(P.RankDeficiencyError) as one:
             factory(UNIT, obs, dependent)[0](1e-160)
         assert str(stacked.value) == str(one.value)
+
+
+def test_theta_whose_square_leaves_the_doubles_is_refused():
+    # the closed forms divide by theta^2: a theta whose square underflows to
+    # 0 or overflows to inf is a ValueError, for a kernel, for every criterion
+    # (a lone theta, a stack, a variance rule) and so for a search grid
+    obs, ops, _ = cli._ode1d_data(cli.RunConfig(), "colloc")
+    lk_obs, lk_ops, _ = cli._ode1d_data(cli.RunConfig(), "grid")
+    refused = lambda: pytest.raises(ValueError, match="finite non-zero square")
+    for bad in (1e-200, 1e200, 0.0, -1.0, math.nan, math.inf):
+        with refused():
+            SqExpKernel(1.0, bad, 1)
+    for mse, sigma2 in (C.loocv_ck_virtual(UNIT, obs, ops),
+                        C.loocv_lk_explicit(UNIT, lk_obs, lk_ops),
+                        C.interpolation_criteria(UNIT, lk_obs, lk_ops)):
+        for thetas in ([1e-200], [1.0, 1e-200], [1.0, 1e200]):
+            with refused():
+                mse.grid(np.array(thetas), [])
+        with refused():
+            sigma2(1e-170)
+        with refused():
+            C.optimize_theta(mse, (1e-170, 1.0))

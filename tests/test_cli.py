@@ -28,6 +28,15 @@ def report_of(outdir):
         return json.load(fh)
 
 
+def strict_report_of(outdir):
+    """report.json read as strict JSON: NaN and infinities raise."""
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}, which is not JSON")
+
+    with open(os.path.join(outdir, "report.json")) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "cfg.json"
@@ -767,7 +776,7 @@ def _success_report(tmp_path):
     out = tmp_path / "bench"
     assert run(["bench", "--p", "10", "--out", str(out)]) == cli.EXIT_OK
     report = cli.RunReport(**report_of(out))
-    report.extras["nested"] = {"list": [1, 2.5, None], "tuple": (0.1, "x"), "nan": math.nan}
+    report.extras["nested"] = {"list": [1, 2.5, None], "tuple": (0.1, "x")}
     return report
 
 
@@ -783,6 +792,41 @@ def test_report_json_is_the_asdict_serialization(tmp_path, make):
     cli.write_report(str(tmp_path), report)
     want = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == want
+
+
+def test_report_json_refuses_nan(tmp_path):
+    # NaN is not JSON (RFC 8259): a report holding one raises, and no file
+    # is written
+    report = _success_report(tmp_path)
+    report.extras["nested"]["nan"] = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.write_report(str(tmp_path), report)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_scalar2d_reports_null_where_the_truth_is_zero(tmp_path):
+    # f1 = cos x sin y is 0 on a one-point grid at y = 0, so there is no
+    # relative error: it is null, as in flow, not NaN
+    out = tmp_path / "o"
+    assert run(["scalar2d", "--method", "sk", "--q", "1", "--out", str(out)]) == cli.EXIT_OK
+    assert strict_report_of(out)["l2_rel_error"] is None
+
+
+@pytest.mark.parametrize("args", [
+    ["ode1d", "--method", "ck", "--theta", "1e-200", "--sigma2", "1"],
+    ["ode1d", "--method", "lk", "--theta", "1e-200"],
+    ["bench", "--q", "3", "--theta", "1e-300"],
+    ["ode1d", "--method", "ck", "--theta", "1e300", "--sigma2", "1"],
+])
+def test_theta_whose_square_leaves_the_doubles_exits_with_a_report(tmp_path, args):
+    # the kernel divides by theta^2: a given theta whose square underflows to
+    # 0 or overflows to inf, whether the kernel or a sigma2 rule meets it
+    # first, ends the run with an error report, not a traceback
+    out = tmp_path / "o"
+    assert run(args + ["--out", str(out)]) in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    rep = strict_report_of(out)
+    assert rep["status"] == "error"
+    assert "theta" in rep["error"]
 
 
 def _outputs(outdir):

@@ -257,12 +257,28 @@ def test_ck_variances_match_the_alpha_route_at_the_benchmark_fit():
     G2 = len(pred)
     blocks = uq.mmse_variance(k, pred, w, slice(0, G2), block=2)[1]
     ref_var, ref = oracles.mmse_variance_alpha_route(k, pred, w.alpha[:, :G2],
-                                                     w.cross[:, :G2], block=2)
+                                                     oracles.cross(w)[:, :G2], block=2)
     for got, want in ((f.var_vx, ref_var[0::2]), (f.var_vy, ref_var[1::2]),
                       (f.cov_vxy, ref[:, 0, 1]), (blocks[:, 0, 0], ref[:, 0, 0]),
                       (blocks[:, 1, 1], ref[:, 1, 1]), (blocks[:, 0, 1], ref[:, 0, 1]),
                       (blocks[:, 1, 0], ref[:, 1, 0])):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_var_ck_reads_flow_cks_blocks_bit_for_bit():
+    # uq.var_ck forms the full covariance by the route flow ck reads its 2x2
+    # blocks by: at the benchmark's theta and sigma2 its variances and the
+    # vx-vy covariances are flow ck's bit for bit, and it is its own transpose
+    problem, _ = cli._flow_problem(cli.RunConfig(experiment="flow-cylinder"))
+    k = SqExpKernel(10.565115832855062, 0.9178758779662336, 2)
+    system = F.build_flow_system(problem)
+    obs, ops, pred = system
+    f = F.predict_flow_ck(k, problem, CFG, system=system)
+    u = uq.var_ck(k, obs, ops, pred, CFG)
+    assert np.array_equal(u.covariance, u.covariance.T)
+    assert np.array_equal(u.variance[0::2], f.var_vx)
+    assert np.array_equal(u.variance[1::2], f.var_vy)
+    assert np.array_equal(np.diag(u.covariance, 1)[0::2], f.cov_vxy)
 
 
 # --- two-step Lagrangian path ----------------------------------------------

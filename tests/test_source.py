@@ -39,3 +39,23 @@ def test_finder_sees_what_a_removal_leaves_behind():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_only_predictors_touches_the_factor():
+    # the Cholesky factor's storage is known in predictors alone: no other
+    # module imports scipy or reads a solve's L (uq reads V = L^-1 H through
+    # KrigingWeights.whiten)
+    touching = set()
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            reads_l = isinstance(node, ast.Attribute) and node.attr == "L" and (
+                isinstance(node.value, ast.Attribute) and node.value.attr == "solve"
+                or isinstance(node.value, ast.Name) and node.value.id == "solve")
+            if reads_l or any(n.partition(".")[0] == "scipy" for n in names):
+                touching.add(os.path.basename(path))
+    assert touching == {"predictors.py"}

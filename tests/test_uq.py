@@ -124,7 +124,7 @@ def test_factor_variances_against_60_digits(seed):
         exact = oracles.mmse_variance_mp(Kplus, Hplus, np.full(len(pred), k.sigma2),
                                          w.nugget_used)
         got = uq.mmse_variance(k, pred, w)[1][:, 0, 0]
-        ref = oracles.mmse_variance_alpha_route(k, pred, w.alpha, w.cross)[1][:, 0, 0]
+        ref = oracles.mmse_variance_alpha_route(k, pred, w.alpha, oracles.cross(w))[1][:, 0, 0]
         err, ref_err = np.max(np.abs(got - exact)), np.max(np.abs(ref - exact))
         assert err <= max(4.0 * ref_err, 1e-14 * k.sigma2), (theta, rows_at, err, ref_err)
 
@@ -139,14 +139,14 @@ def test_var_lk_mean_matches_predictor(rng):
         w = P.lagrangian_kriging(k, obs, ops)
         assert np.allclose(u.mean, w.predictions, atol=1e-10)
         assert np.all(u.variance >= 0.0)
-        assert u.symmetry_defect >= 0.0
         ref = oracles.var_lk_full(k, obs, ops)
         assert np.all(ref.alt_variance >= 0.0)
 
 
 def test_var_ck_var_lk_match_printed_forms(rng):
-    # the wrappers read K* - alpha^T (H - M) off the prediction solve; the
-    # oracles build the covariance as printed from the full K*
+    # the wrappers read K* - V^T V (+ the multiplier terms) off the factor of
+    # the prediction solve; the oracles build the covariance as printed from
+    # the formed weights and the full K*, and symmetrize it
     for _ in range(5):
         k, obs, ops, pred = small_system(rng)
         lk_ops = OperatorSystem(pred, np.ones((len(pred), 1)), [float(rng.normal())])
@@ -158,8 +158,31 @@ def test_var_ck_var_lk_match_printed_forms(rng):
             scale = max(1.0, float(np.max(np.abs(ref.covariance))))
             assert np.max(np.abs(got.covariance - ref.covariance)) <= 1e-10 * scale
             assert np.max(np.abs(got.variance - ref.variance)) <= 1e-10 * scale
-            assert abs(got.symmetry_defect - ref.symmetry_defect) <= 1e-10 * scale
+            assert np.array_equal(got.covariance, got.covariance.T)
             assert np.allclose(got.mean, ref.mean, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", (4, 5, 6, 10))
+def test_full_covariance_is_the_runners_route(seed):
+    # var_ck and var_lk read the runners' K* - V^T V off the same factor: on
+    # the ode1d ck and lk systems (q = 60) their variances are the runners'
+    # mmse_variance bit for bit, and the covariance is its own transpose
+    k = SqExpKernel(sigma2=1.3, theta=1.1, dim=1)
+    for rows_at in ("colloc", "grid"):
+        obs, ops, grid = cli._ode1d_data(cli.RunConfig(seed=seed, q=60), rows_at)
+        pred = design.Atoms(grid[:, None], (0,))
+        if rows_at == "colloc":
+            u = uq.var_ck(k, obs, ops, pred)
+            w = P.co_kriging(k, obs, ops, pred + ops.colloc_points)
+        else:
+            ops, _ = design._extend(ops, pred)
+            pred = ops.colloc_points  # the runner reads every atom of the system
+            u, w = uq.var_lk(k, obs, ops), P.lagrangian_kriging(k, obs, ops)
+            assert w.terms  # the projection's term is read too
+        variance, blocks = uq.mmse_variance(k, pred, w, slice(0, len(pred)))
+        assert np.array_equal(u.variance, variance), rows_at
+        assert np.array_equal(np.diag(u.covariance), blocks[:, 0, 0]), rows_at
+        assert np.array_equal(u.covariance, u.covariance.T), rows_at
 
 
 def test_var_lk_p0_is_simple_variance(rng):
